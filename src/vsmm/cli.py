@@ -14,11 +14,12 @@ import csv
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 
-from .decompose import (DecomposeError, SparseMatrixCOO, decompose_full,
-                        read_coo_text, save_bundle)
+from .decompose import (DecomposeError, Permutation, SparseMatrixCOO,
+                        decompose_full, read_coo_text, save_bundle)
 from .dealer import TapeExhausted
 from .gcn import (TrainConfig, infer_secure, load_dataset, load_model,
                   save_model, train_secure)
@@ -26,8 +27,7 @@ from .protocols import op, osm
 from .ring import random_ring, share_secret
 from .runtime import (DeadlockError, NETWORK_CONDITIONS, PeerFailedError,
                       estimate_time, run_two_party)
-from .smm import (SmmDims, beaver_dense_online_bits, smm, smm_online_bits)
-from .decompose import Permutation
+from .smm import SmmDims, beaver_dense_online_bits, smm, smm_online_bits
 
 
 def _seed(args) -> int:
@@ -41,6 +41,12 @@ def _emit(doc: dict, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
+
+
+def _est_times(meter, names=NETWORK_CONDITIONS) -> dict:
+    """Network-time estimates of a metered run, one per named condition."""
+    return {name: estimate_time(meter, NETWORK_CONDITIONS[name])
+            for name in names}
 
 
 def _random_sparse(nodes: int, edges_per_node: int,
@@ -65,46 +71,43 @@ def cmd_decompose(args) -> int:
     return 0
 
 
+# builders: draw the inputs, return (protocol, inputs0, inputs1, extra fields)
+def _bench_op(args, rng):
+    k, d = args.nodes, args.dim
+    sigma = Permutation(rng.permutation(k))
+    x0, x1 = share_secret(random_ring(rng, (k, d)), random_ring(rng, (k, d)))
+    return op, (sigma, x0, k, d, True), (None, x1, k, d, True), {}
+
+
+def _bench_osm(args, rng):
+    n = args.nodes * args.dim
+    s = rng.integers(0, 2, size=n).astype(np.uint64)
+    x0, x1 = share_secret(random_ring(rng, (n,)), random_ring(rng, (n,)))
+    return osm, (s, x0), (None, x1), {}
+
+
+def _bench_smm(args, rng):
+    k, d = args.nodes, args.dim
+    bundle = decompose_full(_random_sparse(k, args.edges_per_node, rng))
+    dims = SmmDims(bundle.m, bundle.n, bundle.t)
+    x0, x1 = share_secret(random_ring(rng, (k, d)), random_ring(rng, (k, d)))
+    extra = {"beaver_dense_online_bits": beaver_dense_online_bits(k, k, d),
+             "formula_online_bits": smm_online_bits(dims.m, dims.n, dims.t, d)}
+    return smm, (bundle, dims, x0), (None, dims, x1), extra
+
+
+_BENCHES = {"smm": _bench_smm, "op": _bench_op, "osm": _bench_osm}
+
+
 def cmd_bench(args) -> int:
     rng = np.random.default_rng(_seed(args))
-    k, d, trials = args.nodes, args.dim, args.trials
-    if args.protocol == "op":
-        sigma = Permutation(rng.permutation(k))
-        def proto(ctx, s, x):
-            return op(ctx, s, x, k, d, shared=True)
-        x0, x1 = share_secret(random_ring(rng, (k, d)), random_ring(rng, (k, d)))
-        meter = None
-        for _ in range(trials):
-            _, _, meter = run_two_party(proto, (sigma, x0), (None, x1),
-                                        seed=_seed(args))
-        report = meter.report("op", NETWORK_CONDITIONS)
-    elif args.protocol == "osm":
-        s = rng.integers(0, 2, size=k * d).astype(np.uint64)
-        x0, x1 = share_secret(random_ring(rng, (k * d,)),
-                              random_ring(rng, (k * d,)))
-        meter = None
-        for _ in range(trials):
-            _, _, meter = run_two_party(osm, (s, x0), (None, x1),
-                                        seed=_seed(args))
-        report = meter.report("osm", NETWORK_CONDITIONS)
-    else:
-        a = _random_sparse(k, args.edges_per_node, rng)
-        bundle = decompose_full(a)
-        dims = SmmDims(bundle.m, bundle.n, bundle.t)
-        x0, x1 = share_secret(random_ring(rng, (k, d)), random_ring(rng, (k, d)))
-        def proto(ctx, b, x):
-            return smm(ctx, b, dims, x, shared=True)
-        meter = None
-        for _ in range(trials):
-            _, _, meter = run_two_party(proto, (bundle, x0), (None, x1),
-                                        seed=_seed(args))
-        report = meter.report("smm", NETWORK_CONDITIONS)
-        baseline = trials * beaver_dense_online_bits(k, k, d)
-        report["beaver_dense_online_bits"] = baseline
-        report["saving_pct"] = 100.0 * (1 - report["online_bits"] / baseline)
-        report["formula_online_bits"] = trials * smm_online_bits(
-            dims.m, dims.n, dims.t, d)
-    report["trials"] = trials
+    protocol, inputs0, inputs1, extra = _BENCHES[args.protocol](args, rng)
+    _, _, meter = run_two_party(protocol, inputs0, inputs1, seed=_seed(args))
+    report = meter.report(args.protocol, NETWORK_CONDITIONS)
+    report.update(extra)
+    if "beaver_dense_online_bits" in extra:
+        report["saving_pct"] = 100.0 * (
+            1 - report["online_bits"] / extra["beaver_dense_online_bits"])
     _emit(report, args.out)
     return 0
 
@@ -122,8 +125,7 @@ def cmd_train(args) -> int:
         "per_epoch": result["history"],
         "totals": meter.report("gcn_train"),
         "test_acc": result["test_acc"],
-        "est_time": {name: estimate_time(meter, model)
-                     for name, model in NETWORK_CONDITIONS.items()},
+        "est_time": _est_times(meter),
     }
     if args.model_out:
         save_model(args.model_out, result["w1"], result["w2"], f=cfg.f)
@@ -147,8 +149,7 @@ def cmd_infer(args) -> int:
         if ds.test_mask.any() else 0.0
     _emit({"predictions": preds.tolist(), "test_acc": acc,
            "totals": meter.report("gcn_infer"),
-           "est_time": {name: estimate_time(meter, model)
-                        for name, model in NETWORK_CONDITIONS.items()}},
+           "est_time": _est_times(meter)},
           args.out)
     return 0
 
@@ -158,18 +159,16 @@ def cmd_report(args) -> int:
         doc = json.load(fh)
     totals = doc.get("totals", doc)
     online_bits = totals.get("online_bits", totals.get("online_bytes", 0) * 8)
-    framing_bits = totals.get("framing_bytes", 0) * 8
-    rounds = totals["rounds"]
-    conditions = [args.net] if args.net else list(NETWORK_CONDITIONS)
-    est = {}
-    for name in conditions:
-        model = NETWORK_CONDITIONS[name]
-        est[name] = (rounds * model.latency_s
-                     + (online_bits + framing_bits) / model.bandwidth_bps)
+    meter = SimpleNamespace(online_bits=online_bits,
+                            framing_bits=totals.get("framing_bytes", 0) * 8,
+                            rounds=totals["rounds"])
     _emit({"protocol": totals.get("protocol", doc.get("protocol", "")),
            "online_bytes": (online_bits + 7) // 8,
            "offline_bytes": totals.get("offline_bytes", 0),
-           "rounds": rounds, "est_time_by_condition": est}, args.out)
+           "rounds": meter.rounds,
+           "est_time_by_condition": _est_times(
+               meter, [args.net] if args.net else NETWORK_CONDITIONS)},
+          args.out)
     return 0
 
 
@@ -186,11 +185,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("bench", help="run a protocol benchmark")
-    p.add_argument("protocol", choices=["smm", "op", "osm"])
+    p.add_argument("protocol", choices=list(_BENCHES))
     p.add_argument("--nodes", type=int, default=64)
     p.add_argument("--edges-per-node", type=int, default=1)
     p.add_argument("--dim", type=int, default=1)
-    p.add_argument("--trials", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_bench)

@@ -11,6 +11,12 @@ of edge weights. Every factor other than Lam is data-oblivious in shape: the
 permutations have degrees (n, t, t, t, m), so transcript sizes downstream
 depend only on (m, n, t).
 
+`factor_steps` writes this product down once, as an ordered list of typed
+steps (Perm, Diff, Select, Prefix, Weight) applied right to left. Each step
+has a `.T`, so A^T is `[s.T for s in reversed(steps)]`. The clear oracle
+`reconstruct_dense` runs the list on the identity; the secure protocol in
+`vsmm.smm` walks the same list.
+
 The factorization goes through an intermediate A = P Lam s3 Q where P is
 P-type (one 1 per column, non-decreasing row map) and Q is Q-type (one 1 per
 row, non-decreasing column map); Q-type matrices decompose as Sig s2 Gin dn s1
@@ -21,6 +27,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -40,10 +47,6 @@ class Permutation:
             raise DecomposeError("not a bijection")
         self.p = arr
 
-    @classmethod
-    def identity(cls, k: int) -> "Permutation":
-        return cls(np.arange(k, dtype=np.int64))
-
     @property
     def degree(self) -> int:
         return len(self.p)
@@ -53,10 +56,6 @@ class Permutation:
 
     def inverse(self) -> "Permutation":
         return Permutation(np.argsort(self.p, kind="stable"))
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self after other: (self*other).apply(x) == self.apply(other.apply(x))."""
-        return Permutation(other.p[self.p])
 
     def matrix(self) -> np.ndarray:
         m = np.zeros((self.degree, self.degree), dtype=np.int64)
@@ -153,31 +152,115 @@ def apply_delta_T(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _resize_keep(v: np.ndarray, keep: int, out_len: int) -> np.ndarray:
+def resize(v: np.ndarray, out_len: int) -> np.ndarray:
+    """Truncate or zero-pad v to out_len rows."""
     out = np.zeros((out_len,) + v.shape[1:], dtype=v.dtype)
+    keep = min(len(v), out_len)
     out[:keep] = v[:keep]
     return out
 
 
-def apply_gamma_in(v: np.ndarray, ncol: int, t: int) -> np.ndarray:
-    """Keep the first ncol coordinates of an n-vector, resized to t rows."""
-    if ncol > min(len(v), t):
-        raise DecomposeError("ncol exceeds matrix bounds")
-    return _resize_keep(v, ncol, t)
+# factor steps --------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Perm:
+    """Row permutation of degree k; sigma is None in party 1's list."""
+
+    sigma: Permutation | None
+    k: int
+
+    @property
+    def T(self) -> Perm:
+        return Perm(None if self.sigma is None else self.sigma.inverse(), self.k)
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        return self.sigma.apply(v)
 
 
-def apply_gamma_out(v: np.ndarray, nrow: int, m: int) -> np.ndarray:
-    """Keep the first nrow coordinates of a t-vector, resized to m rows."""
-    if nrow > min(len(v), m):
-        raise DecomposeError("nrow exceeds matrix bounds")
-    return _resize_keep(v, nrow, m)
+@dataclass(frozen=True)
+class Local:
+    """A public linear map; each party applies it to its own share."""
+
+    fn: Callable[[np.ndarray], np.ndarray]
+    fn_T: Callable[[np.ndarray], np.ndarray]
+
+    @property
+    def T(self) -> Local:
+        return Local(self.fn_T, self.fn)
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        return self.fn(v)
 
 
-def apply_lambda(v: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    lam = np.asarray(lam)
-    if len(lam) != len(v):
-        raise DecomposeError("weight length mismatch")
-    return v * lam.reshape((len(v),) + (1,) * (v.ndim - 1)).astype(v.dtype)
+Diff = Local(apply_delta, apply_delta_T)    # delta; Diff.T is delta^T
+Prefix = Local(apply_Sigma, apply_Sigma_T)  # Sigma; Prefix.T is Sigma^T
+
+
+@dataclass(frozen=True)
+class Select:
+    """Gamma between the n- or m-length side and the t side: keeps the first
+    `keep` coordinates (None in party 1's list). widen maps side -> t."""
+
+    keep: int | None
+    side: int
+    t: int
+    widen: bool
+
+    @property
+    def T(self) -> Select:
+        return Select(self.keep, self.side, self.t, not self.widen)
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        out_len = self.t if self.widen else self.side
+        if self.keep > min(len(v), out_len):
+            raise DecomposeError("selector keeps more rows than the matrix has")
+        out = resize(v, out_len)
+        out[self.keep:] = 0
+        return out
+
+
+@dataclass(frozen=True)
+class Weight:
+    """Lam, the diagonal of edge weights (None in party 1's list)."""
+
+    lam: np.ndarray | None
+
+    @property
+    def T(self) -> Weight:
+        return self
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        if len(self.lam) != len(v):
+            raise DecomposeError("weight length mismatch")
+        lam = self.lam.reshape((len(v),) + (1,) * (v.ndim - 1))
+        return v * lam.astype(v.dtype)
+
+
+def factor_steps(dims, bundle: DecompositionBundle | None = None) -> list:
+    """The factors of A in application order (rightmost first).
+
+    dims carries the public (m, n, t). Without a bundle the private parts
+    (permutations, selector counts, weights) are None: that is the list
+    party 1 walks, step for step alongside party 0's.
+    """
+    m, n, t = dims.m, dims.n, dims.t
+    if bundle is not None and (bundle.m, bundle.n, bundle.t) != (m, n, t):
+        raise DecomposeError("bundle does not match declared dims")
+
+    def get(name):  # every field is None when bundle is None
+        return getattr(bundle, name, None)
+
+    return [Perm(get("sigma1"), n), Diff, Select(get("ncol"), n, t, True),
+            Perm(get("sigma2"), t), Prefix, Perm(get("sigma3"), t),
+            Weight(get("lam")), Prefix.T, Perm(get("sigma4"), t),
+            Select(get("nrow"), m, t, False), Diff.T, Perm(get("sigma5"), m)]
+
+
+def apply_steps(steps: list, x: np.ndarray) -> np.ndarray:
+    """Run a step list on a plain array."""
+    for s in steps:
+        x = s.apply(x)
+    return x
 
 
 # type predicates -----------------------------------------------------------
@@ -282,20 +365,7 @@ def decompose_full(a: SparseMatrixCOO) -> DecompositionBundle:
 
 def reconstruct_dense(b: DecompositionBundle, dtype=np.float64) -> np.ndarray:
     """Apply the factor pipeline to the identity; the exact inverse oracle."""
-    x = np.eye(b.n, dtype=dtype)
-    x = b.sigma1.apply(x)
-    x = apply_delta(x)
-    x = apply_gamma_in(x, b.ncol, b.t)
-    x = b.sigma2.apply(x)
-    x = apply_Sigma(x)
-    x = b.sigma3.apply(x)
-    x = apply_lambda(x, b.lam.astype(dtype))
-    x = apply_Sigma_T(x)
-    x = b.sigma4.apply(x)
-    x = apply_gamma_out(x, b.nrow, b.m)
-    x = apply_delta_T(x)
-    x = b.sigma5.apply(x)
-    return x
+    return apply_steps(factor_steps(b, b), np.eye(b.n, dtype=dtype))
 
 
 # I/O -----------------------------------------------------------------------

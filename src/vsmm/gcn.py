@@ -11,12 +11,13 @@ on values.
 
 from __future__ import annotations
 
+import json
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .decompose import DecompositionBundle, SparseMatrixCOO, decompose_full
+from .decompose import SparseMatrixCOO, decompose_full
 from .binary import relu
 from .nonlinear import AdamState, adam_step, scale_public, sgd_step, softmax_rows
 from .protocols import beaver_mult, reveal
@@ -220,10 +221,10 @@ def accuracy(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> float:
 
 # secure trainer --------------------------------------------------------------
 
-def _secure_forward(ctx, bundle, dims, x_in, w1, w2, first_layer_plain: bool):
-    """Layer 1: smm then dense multiply then ReLU; layer 2: smm then dense."""
-    ax = smm(ctx, bundle, dims, x_in, shared=not first_layer_plain,
-             fixed_point=True)
+def _secure_forward(ctx, bundle, dims, x, w1, w2):
+    """Layer 1: smm on party 1's plaintext features, dense multiply, ReLU;
+    layer 2: smm then dense multiply."""
+    ax = smm(ctx, bundle, dims, x, shared=False, fixed_point=True)
     pre = beaver_mult(ctx, ax, w1, matmul=True, truncate=True)
     z, mask = relu(ctx, pre)
     az = smm(ctx, bundle, dims, z, shared=True, fixed_point=True)
@@ -231,10 +232,10 @@ def _secure_forward(ctx, bundle, dims, x_in, w1, w2, first_layer_plain: bool):
     return logits, z, mask
 
 
-def _secure_backward(ctx, bundle, dims, x_shared, z, relu_mask, w2, logits,
+def _secure_backward(ctx, bundle, dims, x, z, relu_mask, w2, logits,
                      onehot_scaled, mask_vec):
     """Gradients of the masked cross-entropy; see the clear oracle for the
-    plaintext identities."""
+    plaintext identities. x is this party's share of the features."""
     sm = softmax_rows(ctx, logits)
     g = sm - onehot_scaled if ctx.party == 1 else sm
     g = g * mask_vec[:, None]  # public 0/1 train mask, unscaled
@@ -245,7 +246,7 @@ def _secure_backward(ctx, bundle, dims, x_shared, z, relu_mask, w2, logits,
     dz = beaver_mult(ctx, atg, w2.T, matmul=True, truncate=True)
     dpre = beaver_mult(ctx, dz, relu_mask)  # 0/1 mask, no truncation
     adpre = smm_transpose(ctx, bundle, dims, dpre, fixed_point=True)
-    gw1 = beaver_mult(ctx, x_shared.T, adpre, matmul=True, truncate=True)
+    gw1 = beaver_mult(ctx, x.T, adpre, matmul=True, truncate=True)
     return gw1, gw2
 
 
@@ -258,32 +259,22 @@ def _eval_logits(ctx, logits_share, pub):
     }
 
 
-def _train_protocol(ctx, bundle, x_plain, onehot_enc, pub, cfg: TrainConfig):
-    """Per-party training loop. Party 0 supplies the decomposition bundle;
-    party 1 supplies encoded plaintext features and one-hot labels. pub holds
-    the public shapes, masks and evaluation labels."""
-    dims: SmmDims = pub["dims"]
-    n, dim, classes = dims.m, pub["dim"], pub["classes"]
-    p0 = ctx.party == 0
-    w1f, w2f = init_weights(dim, cfg.hidden, classes, cfg.seed)
-    w1 = encode_fixed(w1f, ctx.cfg) if p0 else np.zeros(w1f.shape, np.uint64)
-    w2 = encode_fixed(w2f, ctx.cfg) if p0 else np.zeros(w2f.shape, np.uint64)
-    x_in = x_plain if not p0 else np.zeros((n, dim), dtype=np.uint64)
-    x_shared = x_plain if not p0 else np.zeros((n, dim), dtype=np.uint64)
+def _train_protocol(ctx, bundle, x, onehot_enc, w1, w2, pub, cfg: TrainConfig):
+    """Per-party training loop. Each party records the bits it sent in each
+    epoch; the host adds the two parties' counts after the run."""
+    dims = pub["dims"]
     mask_vec = pub["train_mask"].astype(np.uint64)
     if cfg.optimizer == "adam":
         hyper = dict(beta1=cfg.adam_beta1, beta2=cfg.adam_beta2,
                      eps=cfg.adam_eps, lr=cfg.lr)
         st1 = AdamState.init(w1.shape, **hyper)
         st2 = AdamState.init(w2.shape, **hyper)
-    history = []
-    meter = ctx.ep._rt.meter
-    prev_bits, prev_clock = meter.online_bits, ctx.ep.clock
+    history, sent = [], []
+    prev_bits, prev_clock = ctx.ep.sent_bits, ctx.ep.clock
     for _ in range(cfg.epochs):
-        logits, z, relu_mask = _secure_forward(
-            ctx, bundle, dims, x_in, w1, w2, first_layer_plain=True)
+        logits, z, relu_mask = _secure_forward(ctx, bundle, dims, x, w1, w2)
         _, stats = _eval_logits(ctx, logits, pub)
-        gw1, gw2 = _secure_backward(ctx, bundle, dims, x_shared, z, relu_mask,
+        gw1, gw2 = _secure_backward(ctx, bundle, dims, x, z, relu_mask,
                                     w2, logits, onehot_enc, mask_vec)
         if cfg.optimizer == "sgd":
             w1 = sgd_step(ctx, w1, gw1, cfg.lr)
@@ -291,32 +282,58 @@ def _train_protocol(ctx, bundle, x_plain, onehot_enc, pub, cfg: TrainConfig):
         else:
             w1 = adam_step(ctx, st1, w1, gw1)
             w2 = adam_step(ctx, st2, w2, gw2)
-        stats["online_bytes"] = (meter.online_bits - prev_bits + 7) // 8
         stats["rounds"] = ctx.ep.clock - prev_clock
-        prev_bits, prev_clock = meter.online_bits, ctx.ep.clock
+        sent.append(ctx.ep.sent_bits - prev_bits)
+        prev_bits, prev_clock = ctx.ep.sent_bits, ctx.ep.clock
         history.append(stats)
-    logits, _, _ = _secure_forward(ctx, bundle, dims, x_in, w1, w2,
-                                   first_layer_plain=True)
+    logits, _, _ = _secure_forward(ctx, bundle, dims, x, w1, w2)
     opened, stats = _eval_logits(ctx, logits, pub)
-    return {"w1": w1, "w2": w2, "history": history, "logits": opened,
-            "test_acc": stats["acc"], "predictions": opened.argmax(axis=1)}
+    return {"w1": w1, "w2": w2, "history": history, "sent_bits": sent,
+            "logits": opened, "test_acc": stats["acc"],
+            "predictions": opened.argmax(axis=1)}
 
 
-def _public_view(ds: GraphDataset, bundle: DecompositionBundle) -> dict:
-    return {
-        "dims": SmmDims(bundle.m, bundle.n, bundle.t),
-        "dim": ds.features.shape[1],
-        "classes": ds.num_classes,
-        "labels": ds.labels,
-        "train_mask": ds.train_mask,
-        "test_mask": ds.test_mask,
-    }
+def _forward_protocol(ctx, bundle, x, onehot_enc, w1, w2, pub):
+    logits, _, _ = _secure_forward(ctx, bundle, pub["dims"], x, w1, w2)
+    return decode_fixed(reveal(ctx, logits), ctx.cfg)
 
 
-def _encode_inputs(ds: GraphDataset, cfg_fp: FixedPointConfig):
-    x_enc = encode_fixed(ds.features, cfg_fp)
-    onehot = np.eye(ds.num_classes)[ds.labels]
-    return x_enc, encode_fixed(onehot, cfg_fp)
+def _gradients_protocol(ctx, bundle, x, onehot_enc, w1, w2, pub):
+    dims = pub["dims"]
+    logits, z, relu_mask = _secure_forward(ctx, bundle, dims, x, w1, w2)
+    gw1, gw2 = _secure_backward(ctx, bundle, dims, x, z, relu_mask, w2,
+                                logits, onehot_enc,
+                                pub["train_mask"].astype(np.uint64))
+    return (decode_fixed(reveal(ctx, gw1), ctx.cfg),
+            decode_fixed(reveal(ctx, gw2), ctx.cfg))
+
+
+def _public_shares(w: np.ndarray, f: int):
+    """Shares of public weights: party 0 holds the encoding, party 1 zeros."""
+    return encode_fixed(w, FixedPointConfig(f=f)), np.zeros(w.shape, np.uint64)
+
+
+def _run_secure(protocol, ds: GraphDataset, w1_shares, w2_shares, f: int,
+                seed: int, *args):
+    """Decompose the graph, encode party 1's features and labels, and run
+    protocol(ctx, bundle, x, onehot, w1, w2, pub, *args) for both parties.
+
+    Party 0 gets the bundle and a zero share of the features; party 1 gets
+    the encoded features (its plaintext, also its share) and one-hot labels.
+    pub holds the public shapes, masks and evaluation labels.
+    """
+    cfg_fp = FixedPointConfig(f=f)
+    bundle = decompose_full(ds.adj_norm)
+    pub = {"dims": SmmDims(bundle.m, bundle.n, bundle.t), "labels": ds.labels,
+           "train_mask": ds.train_mask, "test_mask": ds.test_mask}
+    x = encode_fixed(ds.features, cfg_fp)
+    onehot = encode_fixed(np.eye(ds.num_classes)[ds.labels], cfg_fp)
+    return run_two_party(
+        protocol,
+        inputs0=(bundle, np.zeros_like(x), None, w1_shares[0], w2_shares[0],
+                 pub, *args),
+        inputs1=(None, x, onehot, w1_shares[1], w2_shares[1], pub, *args),
+        seed=seed, cfg=cfg_fp)
 
 
 def train_secure(ds: GraphDataset, cfg: TrainConfig,
@@ -324,80 +341,42 @@ def train_secure(ds: GraphDataset, cfg: TrainConfig,
     """Run the full secure training loop in-process and return the party-0
     view of the result (histories and revealed evaluations are identical on
     both sides) together with the communication meter."""
-    cfg_fp = FixedPointConfig(f=cfg.f)
-    bundle = decompose_full(ds.adj_norm)
-    pub = _public_view(ds, bundle)
-    x_enc, onehot_enc = _encode_inputs(ds, cfg_fp)
-    out0, out1, meter = run_two_party(
-        _train_protocol,
-        inputs0=(bundle, None, None, pub, cfg),
-        inputs1=(None, x_enc, onehot_enc, pub, cfg),
-        seed=cfg.seed if seed is None else seed, cfg=cfg_fp)
+    w1f, w2f = init_weights(ds.features.shape[1], cfg.hidden, ds.num_classes,
+                            cfg.seed)
+    out0, out1, meter = _run_secure(
+        _train_protocol, ds, _public_shares(w1f, cfg.f),
+        _public_shares(w2f, cfg.f), cfg.f,
+        cfg.seed if seed is None else seed, cfg)
     result = dict(out0)
+    for row, b0, b1 in zip(result["history"], result.pop("sent_bits"),
+                           out1["sent_bits"]):
+        row["online_bytes"] = (b0 + b1 + 7) // 8
     result["w1"] = (out0["w1"], out1["w1"])
     result["w2"] = (out0["w2"], out1["w2"])
     return result, meter
 
 
-def _forward_protocol(ctx, bundle, x_plain, w1, w2, pub):
-    dims = pub["dims"]
-    n, dim = dims.m, pub["dim"]
-    x_in = x_plain if ctx.party == 1 else np.zeros((n, dim), dtype=np.uint64)
-    logits, _, _ = _secure_forward(ctx, bundle, dims, x_in, w1, w2,
-                                   first_layer_plain=True)
-    return decode_fixed(reveal(ctx, logits), ctx.cfg)
-
-
 def infer_secure(ds: GraphDataset, w1_shares, w2_shares, f: int = 16,
                  seed: int = 0) -> tuple[np.ndarray, CommMeter]:
     """Secure forward pass with shared weights; returns revealed predictions."""
-    cfg_fp = FixedPointConfig(f=f)
-    bundle = decompose_full(ds.adj_norm)
-    pub = _public_view(ds, bundle)
-    x_enc, _ = _encode_inputs(ds, cfg_fp)
-    out0, _, meter = run_two_party(
-        _forward_protocol,
-        inputs0=(bundle, None, w1_shares[0], w2_shares[0], pub),
-        inputs1=(None, x_enc, w1_shares[1], w2_shares[1], pub),
-        seed=seed, cfg=cfg_fp)
+    out0, _, meter = _run_secure(_forward_protocol, ds, w1_shares, w2_shares,
+                                 f, seed)
     return out0.argmax(axis=1), meter
-
-
-def _gradients_protocol(ctx, bundle, x_plain, onehot_enc, pub, w1f, w2f):
-    dims = pub["dims"]
-    n, dim = dims.m, pub["dim"]
-    p0 = ctx.party == 0
-    w1 = encode_fixed(w1f, ctx.cfg) if p0 else np.zeros(w1f.shape, np.uint64)
-    w2 = encode_fixed(w2f, ctx.cfg) if p0 else np.zeros(w2f.shape, np.uint64)
-    x_in = x_plain if not p0 else np.zeros((n, dim), dtype=np.uint64)
-    logits, z, relu_mask = _secure_forward(ctx, bundle, dims, x_in, w1, w2,
-                                           first_layer_plain=True)
-    gw1, gw2 = _secure_backward(ctx, bundle, dims, x_in, z, relu_mask, w2,
-                                logits, onehot_enc, pub["train_mask"].astype(np.uint64))
-    return (decode_fixed(reveal(ctx, gw1), ctx.cfg),
-            decode_fixed(reveal(ctx, gw2), ctx.cfg))
 
 
 def secure_gradients(ds: GraphDataset, w1f: np.ndarray, w2f: np.ndarray,
                      f: int = 16, seed: int = 0):
     """One secure forward/backward pass at the given plaintext weights,
     returning the revealed (gw1, gw2); used to validate gradient direction."""
-    cfg_fp = FixedPointConfig(f=f)
-    bundle = decompose_full(ds.adj_norm)
-    pub = _public_view(ds, bundle)
-    x_enc, onehot_enc = _encode_inputs(ds, cfg_fp)
-    out0, _, meter = run_two_party(
-        _gradients_protocol,
-        inputs0=(bundle, None, None, pub, w1f, w2f),
-        inputs1=(None, x_enc, onehot_enc, pub, w1f, w2f),
-        seed=seed, cfg=cfg_fp)
+    out0, _, meter = _run_secure(_gradients_protocol, ds,
+                                 _public_shares(w1f, f),
+                                 _public_shares(w2f, f), f, seed)
     return out0[0], out0[1], meter
 
 
 # model share persistence ------------------------------------------------------
 
 def save_model(path: str, w1_shares, w2_shares, f: int = 16) -> None:
-    import json
     doc = {"version": 1, "f": f}
     for name, shares in (("w1", w1_shares), ("w2", w2_shares)):
         doc[name] = [[int(v) for v in np.asarray(s, dtype=np.uint64).ravel()]
@@ -408,7 +387,6 @@ def save_model(path: str, w1_shares, w2_shares, f: int = 16) -> None:
 
 
 def load_model(path: str):
-    import json
     with open(path) as fh:
         doc = json.load(fh)
     if doc.get("version") != 1:

@@ -54,14 +54,6 @@ def op(ctx: PartyContext, sigma: Permutation | None, x: np.ndarray | None,
         return out
 
 
-def op_plain(ctx, sigma, x, k, d):
-    return op(ctx, sigma, x, k, d, shared=False)
-
-
-def op_shared(ctx, sigma, x, k, d):
-    return op(ctx, sigma, x, k, d, shared=True)
-
-
 def osm(ctx: PartyContext, s: np.ndarray | None, x: np.ndarray) -> np.ndarray:
     """Oblivious selection-multiplication: party 0's private bit vector s
     times the shared vector x, elementwise; returns shares of s*x.

@@ -15,9 +15,8 @@ so that formula assertions compare payload bits only.
 from __future__ import annotations
 
 import math
-import struct
-import threading
 import queue
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -27,7 +26,6 @@ from .dealer import Dealer, TapeView
 from .ring import DEFAULT_CFG, FixedPointConfig
 
 FRAME_BITS = 48  # 4-byte length + 2-byte tag per message
-RECV_POLL_S = 0.02
 RECV_TIMEOUT_S = 120.0
 
 
@@ -116,10 +114,15 @@ def estimate_time(meter: CommMeter, model: NetworkModel) -> float:
 
 
 class _Runtime:
+    """Shared channel state. Inboxes, waiting flags and failure flags change
+    only under `cond`, so a party never sees its peer marked waiting after
+    the peer has already taken a message."""
+
     def __init__(self, meter: CommMeter):
         self.meter = meter
+        self.cond = threading.Condition()
         self.queues = (queue.Queue(), queue.Queue())  # inbox per party
-        self.blocked = [False, False]
+        self.waiting = [False, False]
         self.failed = [False, False]
 
 
@@ -130,6 +133,7 @@ class Endpoint:
         self._rt = runtime
         self.party = party
         self.clock = 0
+        self.sent_bits = 0
         self.sections: list[str] = []
 
     @property
@@ -138,30 +142,30 @@ class Endpoint:
 
     def send(self, payload: bytes, nbits: int | None = None, tag: int = 0) -> None:
         bits = len(payload) * 8 if nbits is None else nbits
+        self.sent_bits += bits
         self._rt.meter.add_online(bits, self.section)
-        self._rt.queues[1 - self.party].put((payload, self.clock, tag))
+        with self._rt.cond:
+            self._rt.queues[1 - self.party].put((payload, self.clock, tag))
+            self._rt.cond.notify_all()
 
     def recv(self) -> bytes:
-        waited = 0.0
-        inbox = self._rt.queues[self.party]
-        while True:
-            try:
-                payload, stamp, _tag = inbox.get(timeout=RECV_POLL_S)
-                self._rt.blocked[self.party] = False
-                self.clock = max(self.clock, stamp + 1)
-                return payload
-            except queue.Empty:
-                self._rt.blocked[self.party] = True
-                waited += RECV_POLL_S
-                if self._rt.failed[1 - self.party]:
-                    raise PeerFailedError("peer thread failed") from None
-                if (self._rt.blocked[1 - self.party]
-                        and self._rt.queues[1 - self.party].empty()
-                        and inbox.empty()):
+        rt, me, peer = self._rt, self.party, 1 - self.party
+        inbox = rt.queues[me]
+        with rt.cond:
+            while inbox.empty():
+                if rt.failed[peer]:
+                    raise PeerFailedError("peer thread failed")
+                if rt.waiting[peer] and rt.queues[peer].empty():
                     raise DeadlockError(
                         "both parties blocked on receive with empty channels")
-                if waited >= RECV_TIMEOUT_S:
-                    raise DeadlockError("receive timed out") from None
+                rt.waiting[me] = True
+                woke = rt.cond.wait(RECV_TIMEOUT_S)
+                rt.waiting[me] = False
+                if not woke:
+                    raise DeadlockError("receive timed out")
+            payload, stamp, _tag = inbox.get_nowait()
+        self.clock = max(self.clock, stamp + 1)
+        return payload
 
 
 class PartyContext:
@@ -249,7 +253,9 @@ def run_two_party(protocol, inputs0=(), inputs1=(), dealer: Dealer | None = None
             outs[party] = protocol(ctxs[party], *args)
         except BaseException as exc:  # noqa: BLE001 - re-raised in the caller
             errs[party] = exc
-            rt.failed[party] = True
+            with rt.cond:
+                rt.failed[party] = True
+                rt.cond.notify_all()
 
     threads = [threading.Thread(target=work, args=(p, inp), daemon=True)
                for p, inp in ((0, inputs0), (1, inputs1))]

@@ -2,11 +2,14 @@
 
 The graph owner (party 0) holds the DecompositionBundle; the other party only
 learns (m, n, t, d), so transcript sizes are independent of the topology.
-One call is an 8-round pipeline: five oblivious permutations, two oblivious
-selection-multiplication batches (the Gamma selectors), and one private
-multiplication by the weight diagonal, interleaved with local prefix-sum /
-difference steps. Fixed-point inputs truncate exactly once, at the weight
-step.
+Both parties walk the step list of `decompose.factor_steps` (party 1's copy
+is built from SmmDims alone); `smm` runs it in order and `smm_transpose` runs
+`[s.T for s in reversed(steps)]`. Each step maps to one secure operation:
+Perm to an oblivious permutation, Select to an oblivious
+selection-multiplication on the n- or m-length side plus a resize, Weight to
+a private multiplication, and Diff / Prefix to local maps on the shares.
+One call is 8 rounds: five permutations, two selection batches and one
+weight multiplication. Fixed-point inputs truncate exactly once, at Weight.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decompose import (DecompositionBundle, apply_Sigma, apply_Sigma_T,
-                        apply_delta, apply_delta_T)
+from .decompose import (DecompositionBundle, Perm, Select, Weight,
+                        factor_steps, resize)
 from .protocols import op, osm, priv_mult
 from .ring import encode_fixed
 from .runtime import PartyContext
@@ -54,99 +57,51 @@ def beaver_dense_online_bits(m: int, n: int, d: int, L: int = 64) -> int:
     return 2 * (m * n + n * d) * L
 
 
-def beaver_dense_offline_bits(m: int, n: int, d: int, L: int = 64) -> int:
-    return m * d * L
-
-
-def _resize(v: np.ndarray, out_len: int) -> np.ndarray:
-    out = np.zeros((out_len,) + v.shape[1:], dtype=v.dtype)
-    keep = min(len(v), out_len)
-    out[:keep] = v[:keep]
-    return out
-
-
-def _lam_ring(bundle: DecompositionBundle, fixed_point: bool, cfg) -> np.ndarray:
-    if fixed_point:
-        return encode_fixed(bundle.lam, cfg)
-    return np.asarray(np.round(bundle.lam), dtype=np.int64).astype(np.uint64)
-
-
-def _selectors(count: int, keep: int) -> np.ndarray:
-    return (np.arange(count) < keep).astype(np.uint64)
-
-
-def _osm_rows(ctx, sel: np.ndarray | None, y: np.ndarray) -> np.ndarray:
-    """Row selectors broadcast over the d columns: one OSM instance per cell."""
-    s = None if sel is None else np.broadcast_to(sel[:, None], y.shape)
-    return osm(ctx, s, y)
+def _run_steps(ctx: PartyContext, steps: list, x: np.ndarray, shared: bool,
+               fixed_point: bool) -> np.ndarray:
+    """Shares of the step list applied to X. Only the first permutation may
+    take party 1's plaintext (shared=False); everything after it is shared."""
+    p0 = ctx.party == 0
+    y = np.asarray(x, dtype=np.uint64).reshape(steps[0].k, -1)
+    d = y.shape[1]
+    for s in steps:
+        if isinstance(s, Perm):
+            y = op(ctx, s.sigma, y if shared or not p0 else None, s.k, d, shared)
+            shared = True
+        elif isinstance(s, Select):
+            # one OSM instance per cell of the n- or m-length side
+            sel = None if s.keep is None else np.broadcast_to(
+                (np.arange(s.side) < s.keep).astype(np.uint64)[:, None],
+                (s.side, d))
+            if s.widen:
+                y = resize(osm(ctx, sel, y), s.t)
+            else:
+                y = osm(ctx, sel, resize(y, s.side))
+        elif isinstance(s, Weight):
+            lam = s.lam
+            if lam is not None:
+                lam = (encode_fixed(lam, ctx.cfg) if fixed_point else
+                       np.asarray(np.round(lam), dtype=np.int64).astype(np.uint64))
+            y = priv_mult(ctx, lam, y, truncate=fixed_point)
+        else:  # Local: each party maps its own share
+            y = s.apply(y)
+    return y
 
 
 def smm(ctx: PartyContext, bundle: DecompositionBundle | None, dims: SmmDims,
         x: np.ndarray, shared: bool = True, fixed_point: bool = False) -> np.ndarray:
     """Shares of A @ X for X of shape (n, d); X is party 1's plaintext when
-    shared=False, otherwise additively shared between the parties.
-    """
-    m, n, t = dims.m, dims.n, dims.t
-    p0 = ctx.party == 0
-    x = np.asarray(x, dtype=np.uint64).reshape(n, -1)
-    d = x.shape[1]
-    if p0 and (bundle.m, bundle.n, bundle.t) != (m, n, t):
-        raise ValueError("bundle does not match declared dims")
-    y = op(ctx, bundle.sigma1 if p0 else None, x if (shared or not p0) else None,
-           n, d, shared)
-    y = apply_delta(y)
-    y = _osm_rows(ctx, _selectors(n, bundle.ncol) if p0 else None, y)
-    y = _resize(y, t)
-    y = op(ctx, bundle.sigma2 if p0 else None, y, t, d, True)
-    y = apply_Sigma(y)
-    y = op(ctx, bundle.sigma3 if p0 else None, y, t, d, True)
-    y = priv_mult(ctx, _lam_ring(bundle, fixed_point, ctx.cfg) if p0 else None,
-                  y, truncate=fixed_point)
-    y = apply_Sigma_T(y)
-    y = op(ctx, bundle.sigma4 if p0 else None, y, t, d, True)
-    y = _resize(y, m)
-    y = _osm_rows(ctx, _selectors(m, bundle.nrow) if p0 else None, y)
-    y = apply_delta_T(y)
-    return op(ctx, bundle.sigma5 if p0 else None, y, m, d, True)
+    shared=False, otherwise additively shared between the parties."""
+    steps = factor_steps(dims, bundle if ctx.party == 0 else None)
+    return _run_steps(ctx, steps, x, shared, fixed_point)
 
 
 def smm_transpose(ctx: PartyContext, bundle: DecompositionBundle | None,
                   dims: SmmDims, g: np.ndarray, shared: bool = True,
                   fixed_point: bool = False) -> np.ndarray:
     """Shares of A.T @ G for G of shape (m, d), reusing the forward bundle:
-    the transposed factor sequence needs no re-decomposition and consumes
-    tapes of exactly the same shapes as the forward call.
-    """
-    m, n, t = dims.m, dims.n, dims.t
-    p0 = ctx.party == 0
-    g = np.asarray(g, dtype=np.uint64).reshape(m, -1)
-    d = g.shape[1]
-    inv = (lambda s: s.inverse()) if p0 else (lambda s: None)
-    y = op(ctx, inv(bundle.sigma5) if p0 else None,
-           g if (shared or not p0) else None, m, d, shared)
-    y = apply_delta(y)
-    y = _osm_rows(ctx, _selectors(m, bundle.nrow) if p0 else None, y)
-    y = _resize(y, t)
-    y = op(ctx, inv(bundle.sigma4) if p0 else None, y, t, d, True)
-    y = apply_Sigma(y)
-    y = priv_mult(ctx, _lam_ring(bundle, fixed_point, ctx.cfg) if p0 else None,
-                  y, truncate=fixed_point)
-    y = op(ctx, inv(bundle.sigma3) if p0 else None, y, t, d, True)
-    y = apply_Sigma_T(y)
-    y = op(ctx, inv(bundle.sigma2) if p0 else None, y, t, d, True)
-    y = _resize(y, n)
-    y = _osm_rows(ctx, _selectors(n, bundle.ncol) if p0 else None, y)
-    y = apply_delta_T(y)
-    return op(ctx, inv(bundle.sigma1) if p0 else None, y, n, d, True)
-
-
-def smm_left(ctx: PartyContext, bundle: DecompositionBundle | None,
-             dims: SmmDims, x: np.ndarray, shared: bool = True,
-             fixed_point: bool = False) -> np.ndarray:
-    """Shares of X @ A for X of shape (d, m): the reversed factor sequence
-    acting on rows, realized through the transpose identity X A = (A.T X.T).T.
-    """
-    x = np.asarray(x, dtype=np.uint64)
-    out = smm_transpose(ctx, bundle, dims, x.T, shared=shared,
-                        fixed_point=fixed_point)
-    return np.ascontiguousarray(out.T)
+    the transposed step list needs no re-decomposition and consumes tapes
+    of exactly the same shapes as the forward call."""
+    steps = factor_steps(dims, bundle if ctx.party == 0 else None)
+    return _run_steps(ctx, [s.T for s in reversed(steps)], g, shared,
+                      fixed_point)

@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 from conftest import random_sparse
 from vsmm.decompose import (DecomposeError, Permutation, SparseMatrixCOO,
                             apply_Sigma, apply_Sigma_T, apply_delta,
-                            apply_delta_T, bundle_from_json, bundle_to_json,
-                            decompose_full, decompose_row_column, is_p_type,
+                            apply_delta_T, apply_steps, bundle_from_json,
+                            bundle_to_json, decompose_full,
+                            decompose_row_column, factor_steps, is_p_type,
                             is_q_type, load_bundle, pad_perm, read_coo_text,
                             reconstruct_dense, save_bundle, write_coo_text)
 
@@ -88,6 +89,9 @@ def test_decompose_reconstruct_property(m, n, t, seed):
     a = random_sparse(rng, m, n, max(t, 1))
     b = decompose_full(a)
     assert np.allclose(reconstruct_dense(b), a.to_dense(), atol=1e-9)
+    steps_t = [s.T for s in reversed(factor_steps(b, b))]
+    assert np.allclose(apply_steps(steps_t, np.eye(a.m)), a.to_dense().T,
+                       atol=1e-9)
 
 
 def test_coo_text_roundtrip(tmp_path, rng):

@@ -79,13 +79,20 @@ def test_secure_matches_clear_forward_gradients(ds):
 
 
 def test_train_secure_history_and_meter(ds):
-    cfg = TrainConfig(epochs=3, lr=0.5, seed=1, hidden=8)
-    res, meter = train_secure(ds, cfg)
-    assert len(res["history"]) == 3
-    for row in res["history"]:
-        assert set(row) >= {"loss", "acc", "online_bytes", "rounds"}
-        assert row["online_bytes"] > 0 and row["rounds"] > 0
-    assert meter.rounds >= sum(r["rounds"] for r in res["history"])
+    for optimizer in ("sgd", "adam"):
+        cfg = TrainConfig(optimizer=optimizer, epochs=3, lr=0.5, seed=1,
+                          hidden=8)
+        res, meter = train_secure(ds, cfg)
+        assert len(res["history"]) == 3
+        for row in res["history"]:
+            assert set(row) >= {"loss", "acc", "online_bytes", "rounds"}
+            assert row["online_bytes"] > 0 and row["rounds"] > 0
+        assert meter.rounds >= sum(r["rounds"] for r in res["history"])
+        # every epoch runs the same protocol, so its bytes are fixed; the
+        # history must not depend on how the two party threads interleave
+        assert len({r["online_bytes"] for r in res["history"]}) == 1
+        again, _ = train_secure(ds, cfg)
+        assert again["history"] == res["history"]
 
 
 def test_model_save_load_infer(tmp_path, ds):

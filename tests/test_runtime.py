@@ -1,6 +1,11 @@
+import queue
+import sys
+import time
+
 import numpy as np
 import pytest
 
+from vsmm import runtime
 from vsmm.runtime import (CommMeter, DeadlockError, NETWORK_CONDITIONS,
                           NetworkModel, estimate_time, run_two_party)
 
@@ -41,6 +46,55 @@ def test_deadlock_detection():
         ctx.recv_ring((1,))
     with pytest.raises(DeadlockError):
         run_two_party(proto)
+
+
+def test_no_false_deadlock_after_dequeue(monkeypatch):
+    """A party that has taken its message off the queue, but not yet returned
+    from recv, must not look blocked to its peer."""
+    class SlowQueue(queue.Queue):
+        def get(self, *args, **kwargs):
+            item = super().get(*args, **kwargs)
+            time.sleep(0.1)  # preempted between dequeue and bookkeeping
+            return item
+
+    monkeypatch.setattr(runtime.queue, "Queue", SlowQueue)
+
+    def proto(ctx):
+        if ctx.party == 0:
+            time.sleep(0.05)
+            ctx.send_ring(np.ones(1, np.uint64))
+            return int(ctx.recv_ring((1,))[0])
+        ctx.send_ring(ctx.recv_ring((1,)) + np.uint64(1))
+
+    out0, _, _ = run_two_party(proto)
+    assert out0 == 2
+
+
+def test_message_storm_with_frequent_thread_switches():
+    """Simultaneous and dependent exchanges while the interpreter switches
+    threads as often as it can: no false deadlock, every message arrives in
+    order, and the parties' own sent counts add up to the shared meter."""
+    def proto(ctx):
+        got = []
+        for i in range(150):
+            ctx.send_ring(np.array([i], np.uint64))  # simultaneous exchange
+            got.append(int(ctx.recv_ring((1,))[0]))
+            if ctx.party == i % 2:  # dependent exchange, alternating sides
+                ctx.send_ring(np.array([i], np.uint64))
+            else:
+                got.append(int(ctx.recv_ring((1,))[0]))
+        return got, ctx.ep.sent_bits
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        (got0, bits0), (got1, bits1), meter = run_two_party(proto)
+    finally:
+        sys.setswitchinterval(old)
+    for party, got in ((0, got0), (1, got1)):
+        assert got == [v for i in range(150)
+                       for v in ([i, i] if i % 2 != party else [i])]
+    assert bits0 + bits1 == meter.online_bits == 2 * 150 * 64 + 150 * 64
 
 
 def test_peer_failure_propagates_original_error():

@@ -6,15 +6,15 @@ from vsmm.decompose import SparseMatrixCOO, decompose_full
 from vsmm.ring import (decode_fixed, encode_fixed, lift_signed, random_ring,
                        reconstruct, share_secret)
 from vsmm.runtime import run_two_party
-from vsmm.smm import (SmmDims, beaver_dense_online_bits, smm, smm_left,
-                      smm_online_bits, smm_offline_bits, smm_transpose)
+from vsmm.smm import (SmmDims, beaver_dense_online_bits, smm, smm_online_bits,
+                      smm_offline_bits, smm_transpose)
 
 
 def _run_smm(a, x, rng, shared=True, variant="forward", fixed_point=False,
              cfg=None):
     bundle = decompose_full(a)
     dims = SmmDims(bundle.m, bundle.n, bundle.t)
-    fn = {"forward": smm, "transpose": smm_transpose, "left": smm_left}[variant]
+    fn = {"forward": smm, "transpose": smm_transpose}[variant]
 
     def proto(ctx, b, xin):
         return fn(ctx, b, dims, xin, shared=shared, fixed_point=fixed_point)
@@ -39,10 +39,14 @@ def test_smm_integer_exact(rng):
 
 def test_smm_plain_input_mode(rng):
     a = random_sparse(rng, 6, 9, 12, integer=True)
-    x = rng.integers(-50, 50, (9, 2)).astype(np.int64).astype(np.uint64)
-    got, _, _ = _run_smm(a, x, rng, shared=False)
-    expect = a.to_dense().astype(np.int64) @ lift_signed(x)
-    assert np.array_equal(lift_signed(got), expect)
+    for variant in ("forward", "transpose"):
+        dense = a.to_dense().astype(np.int64)
+        if variant == "transpose":
+            dense = dense.T
+        x = rng.integers(-50, 50, (dense.shape[1], 2)).astype(np.int64)
+        got, _, _ = _run_smm(a, x.astype(np.uint64), rng, shared=False,
+                             variant=variant)
+        assert np.array_equal(lift_signed(got), dense @ x)
 
 
 def test_smm_fixed_point(rng):
@@ -60,15 +64,6 @@ def test_smm_transpose_exact(rng):
     expect = a.to_dense().astype(np.int64).T @ lift_signed(g)
     assert np.array_equal(lift_signed(got), expect)
     assert meter.rounds == 8
-
-
-def test_smm_left_exact(rng):
-    a = random_sparse(rng, 7, 11, 18, integer=True)
-    x = rng.integers(-30, 30, (4, 7)).astype(np.int64).astype(np.uint64)
-    # smm_left takes X of shape (d, m); realized through the transpose path
-    got, _, _ = _run_smm(a, x, rng, variant="left")
-    expect = lift_signed(x) @ a.to_dense().astype(np.int64)
-    assert np.array_equal(lift_signed(got), expect)
 
 
 def test_smm_payload_matches_formula(rng):
