@@ -5,12 +5,18 @@ The dealer owns both party keys and derives every tuple as a pure function of
 party can expand locally from its own key cost zero offline bytes; only the
 dealer-to-party-1 correction messages are charged to the offline meter. The
 dealer never receives anything online: the API exposes generation only.
+
+Permutations are the argsort of k PRF words, redrawn when two words tie, so
+each is an exactly uniform element of S_k. Within one two-party run each tuple
+is generated once: the first party to draw a counter keeps its own view and
+leaves the peer's view in a `Handoff`, which the peer's draw takes.
 """
 
 from __future__ import annotations
 
 import json
 import struct
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,21 +58,19 @@ class PrfStream:
         return np.unpackbits(np.frombuffer(buf, dtype=np.uint8))[:n]
 
     def permutation(self, k: int) -> np.ndarray:
-        """Uniform element of S_k via Fisher-Yates with rejection sampling."""
-        p = np.arange(k, dtype=np.int64)
-        pool = iter(())
-        for i in range(k - 1, 0, -1):
-            bound = (1 << 64) - ((1 << 64) % (i + 1))
-            while True:
-                r = next(pool, None)
-                if r is None:
-                    pool = iter(int(v) for v in self.u64((max(64, i),)))
-                    r = next(pool)
-                if r < bound:
-                    break
-            j = r % (i + 1)
-            p[i], p[j] = p[j], p[i]
-        return p
+        """Uniform element of S_k: the argsort of k PRF words.
+
+        Distinct words have one sorted order, so the result does not depend
+        on the sort algorithm. A batch with a repeated word is discarded and
+        the next k words are drawn, which keeps every permutation exactly
+        equally likely.
+        """
+        while True:
+            words = self.u64((k,))
+            p = np.argsort(words)
+            ranked = words[p]
+            if not np.any(ranked[1:] == ranked[:-1]):
+                return p
 
 
 def _matmul_u64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -141,7 +145,7 @@ class Dealer:
         pis = np.stack([s0.permutation(k) for _ in range(d)])
         piU0 = s0.u64((k, d))
         U = s1.u64((k, d))
-        piU = np.stack([U[pis[c], c] for c in range(d)], axis=1)
+        piU = np.take_along_axis(U, pis.T, axis=0)
         piU1 = piU - piU0
         view0 = OpRandomness(k, d, pis, piU0, None)
         view1 = OpRandomness(k, d, None, piU1, U)
@@ -216,13 +220,45 @@ _KINDS = {
 }
 
 
+class Handoff:
+    """Per-run slot that lets two paired TapeViews generate each tuple once.
+
+    The first party to draw a counter runs the dealer, keeps its own view and
+    leaves the peer's view here with the request that produced it; the peer's
+    draw at that counter takes the entry out. A peer asking for another kind
+    or other arguments at the same counter gets TapeExhausted.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._held: dict[int, tuple] = {}
+
+    def draw(self, dealer: Dealer, party: int, ctr: int, request: tuple):
+        """This party's view of tuple `ctr` and its offline bits."""
+        kind, args, kwargs = request
+        with self._lock:
+            held = self._held.pop(ctr, None)
+            if held is None:
+                views = getattr(dealer, _KINDS[kind][0])(ctr, *args, **kwargs)
+                self._held[ctr] = (request, views[1 - party], views[2])
+                return views[party], views[2]
+        if held[0] != request:
+            raise TapeExhausted(
+                f"counter {ctr}: party {party} asked for {kind}{args}, "
+                f"the peer drew {held[0][0]}{held[0][1]}")
+        return held[1], held[2]
+
+
 @dataclass
 class TapeView:
     """One party's synchronized cursor into the dealer's tuple sequence.
 
     Both parties issue the identical request sequence (protocol structure is
     data-independent), so their counters stay aligned without coordination.
-    Offline bytes are charged when party 1 draws its correction view.
+    Paired views that share a `Handoff` generate each tuple once between
+    them; a standalone view generates both parties' views and keeps its own.
+    Each view checks its own budget, and offline bytes are charged when
+    party 1 draws its correction view.
     """
 
     dealer: Dealer
@@ -231,17 +267,22 @@ class TapeView:
     budget: int | None = None
     ctr: int = 0
     section: str = ""
+    handoff: Handoff | None = None
 
     def _draw(self, kind: str, *args, **kwargs):
         if self.budget is not None and self.ctr >= self.budget:
             raise TapeExhausted(
                 f"tape budget {self.budget} exhausted at counter {self.ctr} ({kind})")
-        method = getattr(self.dealer, _KINDS[kind][0])
-        v0, v1, offline_bits = method(self.ctr, *args, **kwargs)
+        if self.handoff is None:
+            views = getattr(self.dealer, _KINDS[kind][0])(self.ctr, *args, **kwargs)
+            view, offline_bits = views[self.party], views[2]
+        else:
+            view, offline_bits = self.handoff.draw(
+                self.dealer, self.party, self.ctr, (kind, args, kwargs))
         self.ctr += 1
         if self.party == 1 and self.meter is not None:
             self.meter.add_offline(offline_bits, self.section)
-        return v0 if self.party == 0 else v1
+        return view
 
     def op(self, k: int, d: int = 1) -> OpRandomness:
         return self._draw("op", k, d)

@@ -38,12 +38,22 @@ class DecomposeError(ValueError):
     pass
 
 
+def invert(p: np.ndarray) -> np.ndarray:
+    """Inverse of each permutation along the last axis, by an O(k) scatter."""
+    inv = np.empty_like(p)
+    np.put_along_axis(inv, p, np.arange(p.shape[-1]), axis=-1)
+    return inv
+
+
 class Permutation:
     """One-line notation: output index i receives input index p[i]."""
 
     def __init__(self, p):
         arr = np.asarray(p, dtype=np.int64)
-        if sorted(arr.tolist()) != list(range(len(arr))):
+        k = arr.size
+        if arr.ndim != 1 or k > 0 and (
+                arr.min() < 0 or arr.max() >= k
+                or np.bincount(arr, minlength=k).max() > 1):
             raise DecomposeError("not a bijection")
         self.p = arr
 
@@ -55,7 +65,7 @@ class Permutation:
         return np.asarray(x)[self.p]
 
     def inverse(self) -> "Permutation":
-        return Permutation(np.argsort(self.p, kind="stable"))
+        return Permutation(invert(self.p))
 
     def matrix(self) -> np.ndarray:
         m = np.zeros((self.degree, self.degree), dtype=np.int64)

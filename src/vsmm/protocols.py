@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .decompose import Permutation
+from .decompose import Permutation, invert
 from .ring import truncate_share
 from .runtime import PartyContext
 
@@ -32,14 +32,11 @@ def op(ctx: PartyContext, sigma: Permutation | None, x: np.ndarray | None,
         if ctx.party == 0:
             if sigma is None or sigma.degree != k:
                 raise ValueError("party 0 must supply a degree-k permutation")
-            inv_pis = np.argsort(tape.pis, axis=1, kind="stable")
-            delta_sigma = inv_pis[:, sigma.p]  # (d, k): sigma o pi_c^{-1}
+            delta_sigma = invert(tape.pis)[:, sigma.p]  # (d, k): sigma o pi_c^{-1}
             ctx.send_perm(delta_sigma, k)
             delta_x = ctx.recv_ring((k, d))
-            out = np.zeros((k, d), dtype=np.uint64)
-            for c in range(d):
-                out[:, c] = (delta_x[sigma.p, c]
-                             + tape.piU[delta_sigma[c], c])
+            out = delta_x[sigma.p] + np.take_along_axis(
+                tape.piU, delta_sigma.T, axis=0)
             if shared:
                 out += _as2d(np.asarray(x))[sigma.p].astype(np.uint64)
             return out
@@ -48,10 +45,7 @@ def op(ctx: PartyContext, sigma: Permutation | None, x: np.ndarray | None,
             raise ValueError(f"expected ({k}, {d}) input, got {x2.shape}")
         ctx.send_ring(x2 - tape.U)
         delta_sigma = ctx.recv_perm(k, count=d * k).reshape(d, k)
-        out = np.zeros((k, d), dtype=np.uint64)
-        for c in range(d):
-            out[:, c] = tape.piU[delta_sigma[c], c]
-        return out
+        return np.take_along_axis(tape.piU, delta_sigma.T, axis=0)
 
 
 def osm(ctx: PartyContext, s: np.ndarray | None, x: np.ndarray) -> np.ndarray:

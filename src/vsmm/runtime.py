@@ -21,8 +21,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .dealer import Dealer, TapeView
+from .dealer import Dealer, Handoff, TapeView
 from .ring import DEFAULT_CFG, FixedPointConfig
 
 FRAME_BITS = 48  # 4-byte length + 2-byte tag per message
@@ -209,26 +210,41 @@ class PartyContext:
         return bits.reshape(shape) if shape is not None else bits
 
     def send_perm(self, indices: np.ndarray, degree: int) -> None:
-        """Bit-packed permutation indices: ceil(log2 degree) bits each."""
-        b = math.ceil(math.log2(degree)) if degree > 1 else 0
-        idx = np.asarray(indices, dtype=np.uint64).ravel()
+        """Bit-packed permutation indices: ceil(log2 degree) bits each,
+        most significant bit first, zero-padded to a whole byte at the end."""
+        b = _index_bits(degree)
         if b == 0:
             self.ep.send(b"", nbits=0)
             return
-        shifts = np.arange(b - 1, -1, -1, dtype=np.uint64)
-        bits = ((idx[:, None] >> shifts[None, :]) & np.uint64(1)).astype(np.uint8)
-        self.ep.send(np.packbits(bits.ravel()).tobytes(), nbits=idx.size * b)
+        width = next(w for w in (1, 2, 4, 8) if 8 * w >= b)
+        # shift each index's b bits to the top of a big-endian word, then
+        # unpack just those b bits
+        idx = np.asarray(indices, dtype=np.uint64).ravel()
+        top = (idx << np.uint64(8 * width - b)).astype(f">u{width}")
+        bits = np.unpackbits(top.view(np.uint8).reshape(-1, width), axis=1, count=b)
+        self.ep.send(np.packbits(bits).tobytes(), nbits=idx.size * b)
 
     def recv_perm(self, degree: int, count: int | None = None) -> np.ndarray:
         """Receive `count` packed indices (default: degree, one permutation)."""
         count = degree if count is None else count
-        b = math.ceil(math.log2(degree)) if degree > 1 else 0
+        b = _index_bits(degree)
         payload = self.ep.recv()
         if b == 0:
             return np.zeros(count, dtype=np.int64)
-        bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8))[:count * b]
-        weights = (1 << np.arange(b - 1, -1, -1, dtype=np.int64))
-        return (bits.reshape(count, b).astype(np.int64) * weights).sum(axis=1)
+        if 8 * len(payload) < count * b:
+            raise ValueError(f"{len(payload)}-byte payload is short of "
+                             f"{count} indices of {b} bits")
+        # index i starts at bit i*b; read the big-endian 8-byte word at its
+        # first byte (b <= 57 keeps the whole index inside that word)
+        buf = np.frombuffer(payload + bytes(8), dtype=np.uint8)
+        starts = np.arange(count, dtype=np.uint64) * np.uint64(b)
+        first = (starts >> np.uint64(3)).astype(np.intp)
+        words = sliding_window_view(buf, 8)[first].view(">u8").ravel()
+        return ((words << (starts & np.uint64(7))) >> np.uint64(64 - b)).astype(np.int64)
+
+
+def _index_bits(degree: int) -> int:
+    return math.ceil(math.log2(degree)) if degree > 1 else 0
 
 
 def run_two_party(protocol, inputs0=(), inputs1=(), dealer: Dealer | None = None,
@@ -241,9 +257,11 @@ def run_two_party(protocol, inputs0=(), inputs1=(), dealer: Dealer | None = None
     meter = meter if meter is not None else CommMeter()
     dealer = dealer if dealer is not None else Dealer.from_seed(seed)
     rt = _Runtime(meter)
+    handoff = Handoff()
     ctxs = []
     for party in range(2):
-        tape = TapeView(dealer, party, meter=meter, budget=budget)
+        tape = TapeView(dealer, party, meter=meter, budget=budget,
+                        handoff=handoff)
         ctxs.append(PartyContext(Endpoint(rt, party), tape, cfg))
     outs: list = [None, None]
     errs: list = [None, None]

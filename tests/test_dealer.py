@@ -38,6 +38,30 @@ def test_prf_permutation_uniform_small():
     assert chi2 < 20.5
 
 
+def test_prf_permutation_uniform_pairs():
+    # chi-squared over the ordered pair (p[0], p[7]) at k = 8: 56 cells,
+    # 5,600 draws; 99.9% quantile of chi2(55) ~ 93.2
+    key = bytes(16)
+    counts = np.zeros((8, 8))
+    for ctr in range(5600):
+        p = PrfStream(key, b"TEST", ctr).permutation(8)
+        assert sorted(p.tolist()) == list(range(8))
+        counts[p[0], p[7]] += 1
+    assert np.trace(counts) == 0
+    expected = 5600 / 56
+    cells = counts[~np.eye(8, dtype=bool)]
+    assert ((cells - expected) ** 2 / expected).sum() < 93.2
+
+
+def test_prf_permutation_redraws_on_tie(monkeypatch):
+    batches = iter([np.array([5, 9, 5, 1], np.uint64),
+                    np.array([7, 3, 8, 2], np.uint64)])
+    monkeypatch.setattr(PrfStream, "u64", lambda self, shape: next(batches))
+    p = PrfStream(bytes(16), b"TEST", 0).permutation(4)
+    assert p.tolist() == [3, 1, 0, 2]  # argsort of the second batch
+    assert next(batches, None) is None
+
+
 def test_op_rand_correlation(dealer):
     v0, v1, offline = dealer.gen_op_rand(0, 8, 3)
     assert offline == 8 * 64 * 3

@@ -27,6 +27,12 @@ def test_permutation_validation():
         Permutation([0, 0, 1])
     with pytest.raises(DecomposeError):
         Permutation([0, 2])
+    with pytest.raises(DecomposeError):
+        Permutation([1, -1, 0])
+    with pytest.raises(DecomposeError):
+        Permutation([0, 3, 1])
+    with pytest.raises(DecomposeError):
+        Permutation([[0, 1], [1, 0]])
 
 
 def test_coo_validation():
