@@ -14,6 +14,7 @@ leaves the peer's view in a `Handoff`, which the peer's draw takes.
 
 from __future__ import annotations
 
+import inspect
 import json
 import struct
 import threading
@@ -339,18 +340,28 @@ def save_tape(path: str, party: int, plan: list[tuple], dealer: Dealer,
                 fh.write(raw)
 
 
-class RecordedTape:
-    """Tape replay from a file written by save_tape; same interface as TapeView."""
+def _request_args(kind: str, args) -> dict:
+    """The named arguments of TapeView request `kind`, defaults filled in and
+    sequences as lists, the form in which a tape header can be compared."""
+    bound = inspect.signature(getattr(TapeView, kind)).bind(None, *args)
+    bound.apply_defaults()
+    return {name: list(v) if isinstance(v, (tuple, list)) else v
+            for name, v in list(bound.arguments.items())[1:]}
+
+
+class RecordedTape(TapeView):
+    """Tape replay from a file written by save_tape; same requests as TapeView.
+
+    Each request must match the next record's kind and arguments, or it
+    raises TapeExhausted.
+    """
 
     def __init__(self, path: str, party: int, meter=None):
-        self.party = party
-        self.meter = meter
-        self.section = ""
         self.records = []
         with open(path, "rb") as fh:
             if fh.read(4) != MAGIC:
                 raise ValueError("not a tape file")
-            version, self.ctr, count = struct.unpack("<HQI", fh.read(14))
+            version, start_ctr, count = struct.unpack("<HQI", fh.read(14))
             if version != TAPE_VERSION:
                 raise ValueError(f"unsupported tape version {version}")
             for _ in range(count):
@@ -361,38 +372,23 @@ class RecordedTape:
                     (blen,) = struct.unpack("<I", fh.read(4))
                     fields[name] = np.frombuffer(
                         fh.read(blen), dtype=dtype).reshape(shape).copy()
-                self.records.append((header, fields))
+                kind = header["kind"]
+                if kind not in _KINDS:
+                    raise ValueError(f"unknown tape record kind {kind!r}")
+                self.records.append(
+                    (kind, _request_args(kind, header["args"]), fields))
         self.cursor = 0
+        super().__init__(None, party, meter, ctr=start_ctr)
 
-    def _next(self, kind: str):
+    def _draw(self, kind: str, *args):
         if self.cursor >= len(self.records):
             raise TapeExhausted("recorded tape exhausted")
-        header, fields = self.records[self.cursor]
-        if header["kind"] != kind:
-            raise TapeExhausted(
-                f"tape record mismatch: wanted {kind}, tape has {header['kind']}")
+        rec_kind, rec_args, fields = self.records[self.cursor]
+        want = _request_args(kind, args)
+        if (rec_kind, rec_args) != (kind, want):
+            raise TapeExhausted(f"tape record mismatch: wanted {kind}{want}, "
+                                f"tape has {rec_kind}{rec_args}")
         self.cursor += 1
         cls = _KINDS[kind][1]
-        kwargs = {k: fields.get(k) for k in cls.__dataclass_fields__}
-        if kind == "op":
-            kwargs["k"] = header["args"][0]
-            kwargs["d"] = header["args"][1] if len(header["args"]) > 1 else 1
-        return cls(**kwargs)
-
-    def op(self, k, d=1):
-        return self._next("op")
-
-    def osm(self, count):
-        return self._next("osm")
-
-    def privmul(self, shape):
-        return self._next("privmul")
-
-    def beaver(self, shape_x, shape_y, matmul=False):
-        return self._next("beaver")
-
-    def square(self, shape):
-        return self._next("square")
-
-    def bits(self, count):
-        return self._next("bits")
+        return cls(**{name: fields.get(name, rec_args.get(name))
+                      for name in cls.__dataclass_fields__})

@@ -17,10 +17,12 @@ has a `.T`, so A^T is `[s.T for s in reversed(steps)]`. The clear oracle
 `reconstruct_dense` runs the list on the identity; the secure protocol in
 `vsmm.smm` walks the same list.
 
-The factorization goes through an intermediate A = P Lam s3 Q where P is
-P-type (one 1 per column, non-decreasing row map) and Q is Q-type (one 1 per
-row, non-decreasing column map); Q-type matrices decompose as Sig s2 Gin dn s1
-and P-type ones follow by transposition.
+`decompose_full` goes through an intermediate A = P Lam s3 Q, with one row
+and one column of P and Q per edge: P (m-by-t) has one 1 per column at the
+edge's row, in row-major edge order, and Q (t-by-n) one 1 per row at the
+edge's column, in column-major edge order; s3 maps the one order to the
+other. Both have a non-decreasing index map, and `_q_factors` factors such
+a map as Q = Sig s2 Gin dn s1; P follows by transposition.
 """
 
 from __future__ import annotations
@@ -91,14 +93,16 @@ class SparseMatrixCOO:
 
     @classmethod
     def from_entries(cls, m: int, n: int, entries) -> "SparseMatrixCOO":
-        entries = sorted(entries, key=lambda e: (e[0], e[1]))
+        entries = list(entries)
         rows = np.array([e[0] for e in entries], dtype=np.int64)
         cols = np.array([e[1] for e in entries], dtype=np.int64)
         weights = np.array([e[2] for e in entries], dtype=np.float64)
+        order = np.lexsort((cols, rows))
+        rows, cols, weights = rows[order], cols[order], weights[order]
         if len(entries) and (rows.min() < 0 or rows.max() >= m
                              or cols.min() < 0 or cols.max() >= n):
             raise DecomposeError("entry index out of range")
-        if len(set(zip(rows.tolist(), cols.tolist()))) != len(entries):
+        if np.any((rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])):
             raise DecomposeError("duplicate entry")
         if np.any(weights == 0):
             raise DecomposeError("zero weight entry")
@@ -107,9 +111,8 @@ class SparseMatrixCOO:
     @classmethod
     def from_dense(cls, a: np.ndarray) -> "SparseMatrixCOO":
         a = np.asarray(a)
-        rr, cc = np.nonzero(a)
-        return cls.from_entries(a.shape[0], a.shape[1],
-                                list(zip(rr.tolist(), cc.tolist(), a[rr, cc])))
+        rr, cc = np.nonzero(a)  # row-major, so already sorted and distinct
+        return cls(a.shape[0], a.shape[1], rr, cc, a[rr, cc].astype(np.float64))
 
     @property
     def t(self) -> int:
@@ -273,104 +276,63 @@ def apply_steps(steps: list, x: np.ndarray) -> np.ndarray:
     return x
 
 
-# type predicates -----------------------------------------------------------
-
-def is_q_type(rows: np.ndarray, cols: np.ndarray, t: int) -> bool:
-    """Exactly one 1 per row (rows = 0..t-1) with non-decreasing column map."""
-    return (len(rows) == t and np.array_equal(rows, np.arange(t))
-            and np.all(np.diff(cols) >= 0) if t else False)
-
-
-def is_p_type(rows: np.ndarray, cols: np.ndarray, t: int) -> bool:
-    """Exactly one 1 per column with non-decreasing row map."""
-    return (len(cols) == t and np.array_equal(cols, np.arange(t))
-            and np.all(np.diff(rows) >= 0) if t else False)
-
-
 # decomposition -------------------------------------------------------------
 
-def pad_perm(partial: dict[int, int], k: int) -> Permutation:
-    """Extend an injective partial map (output -> input) to a bijection on k.
+def pad_perm(outs, ins, k: int) -> Permutation:
+    """The bijection on k whose output outs[i] takes input ins[i].
 
-    Remaining outputs, in increasing order, take the remaining inputs in
+    The remaining outputs, in increasing order, take the remaining inputs in
     increasing order.
     """
-    vals = list(partial.values())
-    if len(set(vals)) != len(vals) or len(set(partial)) != len(partial):
-        raise DecomposeError("partial map not injective")
-    if any(not 0 <= i < k for i in partial) or any(not 0 <= v < k for v in vals):
+    outs = np.asarray(outs, dtype=np.int64)
+    ins = np.asarray(ins, dtype=np.int64)
+    if outs.shape != ins.shape:
+        raise DecomposeError("partial map needs one input per output")
+    if len(outs) and (min(outs.min(), ins.min()) < 0
+                      or max(outs.max(), ins.max()) >= k):
         raise DecomposeError(f"partial map indices out of range for degree {k}")
+    if len(outs) and max(np.bincount(outs).max(), np.bincount(ins).max()) > 1:
+        raise DecomposeError("partial map not injective")
     p = np.full(k, -1, dtype=np.int64)
-    for out_i, in_i in partial.items():
-        p[out_i] = in_i
-    free_inputs = iter(sorted(set(range(k)) - set(vals)))
-    for i in range(k):
-        if p[i] < 0:
-            p[i] = next(free_inputs)
+    p[outs] = ins
+    free = np.ones(k, dtype=bool)
+    free[ins] = False
+    p[p < 0] = np.flatnonzero(free)
     return Permutation(p)
 
 
-def decompose_row_column(a: SparseMatrixCOO):
-    """Split A into P-type, weight diagonal, edge permutation and Q-type parts.
+def _q_factors(cols: np.ndarray, k: int):
+    """Factor the t-by-k matrix Q with Q[e, cols[e]] = 1 as
+    Q = Sigma sigma2 Gamma_in delta_k sigma1, for a non-decreasing column map.
 
-    Returns (P, lam, sigma3, Q) with P * diag(lam) * sigma3 * Q == A, where P
-    and Q are COO matrices of shape (m, t) and (t, n). Edges are indexed in
-    row-major order for P and lam; sigma3 re-sorts the column-major edge order
-    of Q back into row-major order. Ties keep original entry order (the
-    entries are stored sorted, so both sorts are stable).
+    Returns (sigma2 in S_t, ncol, sigma1 in S_k); ncol is the number of
+    distinct columns, and sigma1 lists them first in increasing order.
     """
-    t = a.t
-    if t == 0:
-        raise DecomposeError("cannot decompose an empty matrix")
-    edges = np.arange(t)
-    p_mat = SparseMatrixCOO.from_entries(
-        a.m, t, list(zip(a.rows.tolist(), edges.tolist(), [1] * t)))
-    order = np.argsort(a.cols, kind="stable")
-    q_mat = SparseMatrixCOO.from_entries(
-        t, a.n, list(zip(edges.tolist(), a.cols[order].tolist(), [1] * t)))
-    sigma3 = Permutation(np.argsort(order, kind="stable"))
-    lam = a.weights.copy()
-    return p_mat, lam, sigma3, q_mat
-
-
-def decompose_Q(q: SparseMatrixCOO):
-    """Q-type factorization Q = Sigma sigma2 Gamma_in delta_n sigma1.
-
-    Returns (sigma2 in S_t, ncol, sigma1 in S_n).
-    """
-    t, n = q.m, q.n
-    if not is_q_type(q.rows, q.cols, t):
-        raise DecomposeError("matrix is not Q-type")
-    cols = q.cols
-    unique_cols = np.unique(cols)  # sorted; monotone map => first-appearance order
-    ncol = len(unique_cols)
-    step_rows = np.flatnonzero(np.concatenate(([True], np.diff(cols) != 0)))
-    sigma1 = pad_perm({p: int(unique_cols[p]) for p in range(ncol)}, n)
-    sigma2 = pad_perm({int(step_rows[p]): p for p in range(ncol)}, t)
+    if np.any(cols[1:] < cols[:-1]):
+        raise DecomposeError("index map is not non-decreasing")
+    starts = np.flatnonzero(np.concatenate(([True], cols[1:] != cols[:-1])))
+    ncol = len(starts)
+    sigma1 = pad_perm(np.arange(ncol), cols[starts], k)
+    sigma2 = pad_perm(starts, np.arange(ncol), len(cols))
     return sigma2, ncol, sigma1
 
 
-def decompose_P(p: SparseMatrixCOO):
-    """P-type factorization P = sigma5 delta_m^T Gamma_out sigma4 Sigma^T.
-
-    Returns (sigma5 in S_m, nrow, sigma4 in S_t); obtained by transposing and
-    delegating to decompose_Q.
-    """
-    m, t = p.m, p.n
-    if not is_p_type(p.rows, p.cols, t):
-        raise DecomposeError("matrix is not P-type")
-    pt = SparseMatrixCOO.from_entries(
-        t, m, list(zip(p.cols.tolist(), p.rows.tolist(), [1] * t)))
-    sigma2p, nrow, sigma1p = decompose_Q(pt)
-    return sigma1p.inverse(), nrow, sigma2p.inverse()
-
-
 def decompose_full(a: SparseMatrixCOO) -> DecompositionBundle:
-    p_mat, lam, sigma3, q_mat = decompose_row_column(a)
-    sigma2, ncol, sigma1 = decompose_Q(q_mat)
-    sigma5, nrow, sigma4 = decompose_P(p_mat)
-    return DecompositionBundle(a.m, a.n, a.t, ncol, nrow,
-                               sigma1, sigma2, sigma3, sigma4, sigma5, lam)
+    """Decompose A = P Lam sigma3 Q (see the module docstring) into its bundle.
+
+    Edges are indexed in row-major order for P and Lam; Q takes them in
+    column-major order (a stable sort, so ties keep row order) and sigma3
+    maps that order back. P^T[e, a.rows[e]] = 1, so `_q_factors(a.rows)`
+    factors P^T, and its permutations, inverted, are sigma4 and sigma5.
+    """
+    if a.t == 0:
+        raise DecomposeError("cannot decompose an empty matrix")
+    order = np.argsort(a.cols, kind="stable")
+    sigma2, ncol, sigma1 = _q_factors(a.cols[order], a.n)
+    sigma4_t, nrow, sigma5_t = _q_factors(a.rows, a.m)
+    return DecompositionBundle(a.m, a.n, a.t, ncol, nrow, sigma1, sigma2,
+                               Permutation(invert(order)), sigma4_t.inverse(),
+                               sigma5_t.inverse(), a.weights.copy())
 
 
 def reconstruct_dense(b: DecompositionBundle, dtype=np.float64) -> np.ndarray:

@@ -65,15 +65,27 @@ class TrainConfig:
 
 
 def normalize_adjacency(edges: np.ndarray, num_nodes: int) -> SparseMatrixCOO:
-    """Symmetric normalization D^{-1/2} (A + I) D^{-1/2} with self-loops."""
-    a = np.zeros((num_nodes, num_nodes), dtype=np.float64)
-    for u, v in np.asarray(edges).reshape(-1, 2):
-        if not (0 <= u < num_nodes and 0 <= v < num_nodes):
-            raise ValueError(f"edge ({u}, {v}) out of range")
-        a[u, v] = a[v, u] = 1.0
-    a += np.eye(num_nodes)
-    dinv = 1.0 / np.sqrt(a.sum(axis=1))
-    return SparseMatrixCOO.from_dense(dinv[:, None] * a * dinv[None, :])
+    """Symmetric normalization D^{-1/2} (A + I) D^{-1/2} with self-loops.
+
+    A has a 1 at (u, v) and (v, u) for each listed edge, repeats included
+    once, and I adds 1 to the diagonal, so an edge (u, u) gives weight 2.
+    """
+    n = num_nodes
+    # 64-bit indices: the keys u*n + v overflow 32 bits from n = 46,341 on
+    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    bad = ((e < 0) | (e >= n)).any(axis=1)
+    if bad.any():
+        u, v = e[bad.argmax()]
+        raise ValueError(f"edge ({u}, {v}) out of range")
+    keys, count = np.unique(np.concatenate((e[:, 0] * n + e[:, 1],
+                                            e[:, 1] * n + e[:, 0],
+                                            np.arange(n) * (n + 1))),
+                            return_counts=True)
+    rows, cols = np.divmod(keys, max(n, 1))
+    # a diagonal key is counted once for I and twice per self-loop edge
+    w = np.where(rows == cols, np.minimum(count, 2), 1).astype(np.float64)
+    dinv = 1.0 / np.sqrt(np.bincount(rows, weights=w, minlength=n))
+    return SparseMatrixCOO(n, n, rows, cols, dinv[rows] * w * dinv[cols])
 
 
 def make_synthetic_community(num_nodes: int = 32, seed: int = 0,
@@ -83,12 +95,10 @@ def make_synthetic_community(num_nodes: int = 32, seed: int = 0,
     """Two-community graph with noisy community-indicator features."""
     rng = np.random.default_rng(seed)
     labels = (np.arange(num_nodes) >= num_nodes // 2).astype(np.int64)
-    edges = []
-    for i in range(num_nodes):
-        for j in range(i + 1, num_nodes):
-            p = p_in if labels[i] == labels[j] else p_out
-            if rng.random() < p:
-                edges.append((i, j))
+    # one draw per pair i < j, in row-major order: the seeded stream's order
+    i, j = np.triu_indices(num_nodes, 1)
+    p = np.where(labels[i] == labels[j], p_in, p_out)
+    hit = rng.random(len(i)) < p
     feats = rng.normal(0, 0.3, (num_nodes, dim))
     feats[:, 0] += np.where(labels == 0, 1.0, -1.0)
     feats[:, 1] += np.where(labels == 1, 1.0, -1.0)
@@ -96,7 +106,7 @@ def make_synthetic_community(num_nodes: int = 32, seed: int = 0,
     n_train = int(round(train_frac * num_nodes))
     train_mask = np.zeros(num_nodes, dtype=bool)
     train_mask[perm[:n_train]] = True
-    return GraphDataset(num_nodes, np.array(edges, dtype=np.int64), feats,
+    return GraphDataset(num_nodes, np.stack((i[hit], j[hit]), axis=1), feats,
                         labels, train_mask, ~train_mask)
 
 

@@ -145,6 +145,8 @@ def test_tape_save_load_roundtrip(tmp_path, dealer):
             va, vb = getattr(a, name), getattr(b, name)
             if isinstance(va, np.ndarray):
                 assert np.array_equal(va, vb), (kind, name)
+            else:
+                assert va == vb, (kind, name)
     with pytest.raises(TapeExhausted):
         rec.osm(16)
 
@@ -155,6 +157,27 @@ def test_tape_kind_mismatch(tmp_path, dealer):
     rec = RecordedTape(str(path), 0)
     with pytest.raises(TapeExhausted):
         rec.op(8, 1)
+    path.write_bytes(path.read_bytes().replace(b'"kind": "osm"',
+                                               b'"kind": "xyz"'))
+    with pytest.raises(ValueError, match="unknown tape record kind"):
+        RecordedTape(str(path), 0)
+
+
+def test_tape_argument_mismatch(tmp_path, dealer):
+    path = tmp_path / "tape.bin"
+    save_tape(str(path), 0, [("osm", 8), ("privmul", (4, 1)), ("op", 8)],
+              dealer)
+    rec = RecordedTape(str(path), 0)
+    with pytest.raises(TapeExhausted):
+        rec.osm(16)
+    rec.osm(8)
+    with pytest.raises(TapeExhausted):
+        rec.privmul((2, 2))
+    assert rec.privmul((4, 1)).u.shape == (4, 1)
+    with pytest.raises(TapeExhausted):
+        rec.op(8, 2)
+    op = rec.op(8)  # the saved plan left d at its default
+    assert (op.k, op.d) == (8, 1)
 
 
 def test_tape_bad_magic(tmp_path):

@@ -7,9 +7,8 @@ from conftest import random_sparse
 from vsmm.decompose import (DecomposeError, Permutation, SparseMatrixCOO,
                             apply_Sigma, apply_Sigma_T, apply_delta,
                             apply_delta_T, apply_steps, bundle_from_json,
-                            bundle_to_json, decompose_full,
-                            decompose_row_column, factor_steps, is_p_type,
-                            is_q_type, load_bundle, pad_perm, read_coo_text,
+                            bundle_to_json, decompose_full, factor_steps,
+                            load_bundle, pad_perm, read_coo_text,
                             reconstruct_dense, save_bundle, write_coo_text)
 
 
@@ -42,6 +41,11 @@ def test_coo_validation():
         SparseMatrixCOO.from_entries(2, 2, [(2, 0, 1.0)])
     with pytest.raises(DecomposeError):
         SparseMatrixCOO.from_entries(2, 2, [(0, 0, 0.0)])
+    with pytest.raises(DecomposeError, match="duplicate"):
+        SparseMatrixCOO.from_entries(2, 2, [(1, 1, 1.0), (0, 0, 1.0),
+                                            (1, 1, 2.0)])
+    empty = SparseMatrixCOO.from_entries(2, 2, [])
+    assert empty.t == 0 and not empty.to_dense().any()
 
 
 def test_sigma_delta_inverses(rng):
@@ -51,7 +55,7 @@ def test_sigma_delta_inverses(rng):
 
 
 def test_pad_perm_fills_numerically():
-    p = pad_perm({0: 3, 2: 1}, 4)
+    p = pad_perm([0, 2], [3, 1], 4)
     # fixed outputs keep their inputs; the rest fill in numerical order
     assert p.p[0] == 3 and p.p[2] == 1
     assert sorted(p.p.tolist()) == [0, 1, 2, 3]
@@ -60,18 +64,9 @@ def test_pad_perm_fills_numerically():
 
 def test_pad_perm_validation():
     with pytest.raises(DecomposeError):
-        pad_perm({0: 1, 2: 1}, 3)
+        pad_perm([0, 2], [1, 1], 3)
     with pytest.raises(DecomposeError):
-        pad_perm({5: 0}, 3)
-
-
-def test_row_column_split_types(rng):
-    a = random_sparse(rng, 9, 7, 15)
-    p_mat, lam, sigma3, q_mat = decompose_row_column(a)
-    assert is_p_type(np.array(p_mat.rows), np.array(p_mat.cols), p_mat.t)
-    assert is_q_type(np.array(q_mat.rows), np.array(q_mat.cols), q_mat.t)
-    prod = p_mat.to_dense() @ np.diag(lam) @ sigma3.matrix() @ q_mat.to_dense()
-    assert np.allclose(prod, a.to_dense())
+        pad_perm([5], [0], 3)
 
 
 def test_identity_decomposition_trivial():
@@ -79,6 +74,13 @@ def test_identity_decomposition_trivial():
     b = decompose_full(a)
     assert (b.m, b.n, b.t, b.ncol, b.nrow) == (4, 4, 4, 4, 4)
     assert np.allclose(reconstruct_dense(b), np.eye(4))
+
+
+def test_decompose_rejects_unsorted_rows():
+    a = SparseMatrixCOO(2, 2, np.array([1, 0]), np.array([0, 1]),
+                        np.array([1.0, 2.0]))
+    with pytest.raises(DecomposeError):
+        decompose_full(a)
 
 
 def test_single_entry_matrix():

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,38 @@ def test_normalize_adjacency_properties():
 def test_normalize_adjacency_range_check():
     with pytest.raises(ValueError):
         normalize_adjacency(np.array([[0, 5]]), 3)
+    with pytest.raises(ValueError, match=r"edge \(4, 9\) out of range"):
+        normalize_adjacency(np.array([[0, 1], [4, 9], [-1, 0]]), 5)
+
+
+def test_normalize_adjacency_equals_dense_formula():
+    # a repeated edge, both orientations of one edge, a self-loop (which the
+    # dense formula weights 2) and an isolated node 4
+    edges = np.array([[0, 1], [0, 1], [2, 1], [1, 2], [3, 3]])
+    n = 5
+    a = np.zeros((n, n))
+    for u, v in edges:
+        a[u, v] = a[v, u] = 1.0
+    a += np.eye(n)
+    dinv = 1.0 / np.sqrt(a.sum(axis=1))
+    want = dinv[:, None] * a * dinv[None, :]
+    got = normalize_adjacency(edges, n)
+    rr, cc = np.nonzero(want)
+    assert (got.m, got.n) == (n, n)
+    assert np.array_equal(got.rows, rr) and np.array_equal(got.cols, cc)
+    assert np.array_equal(got.weights, want[rr, cc])
+
+
+@pytest.mark.parametrize("n, seed, digest", [
+    (16, 1, "18115648eb32e11096d61b511bfa8a5efefb08c1888630ce0c2778ac1e06ec42"),
+    (32, 0, "e8eab3e57e5aa6e57783764e32bd8e827f886bbf6c86e396b6d1daea957b9141"),
+])
+def test_synthetic_dataset_is_pinned(n, seed, digest):
+    g = make_synthetic_community(n, seed=seed)
+    h = hashlib.sha256()
+    for arr in (g.edges, g.features, g.labels, g.train_mask):
+        h.update(np.ascontiguousarray(arr).tobytes())
+    assert h.hexdigest() == digest
 
 
 def test_synthetic_dataset_shape():
