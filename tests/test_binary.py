@@ -1,8 +1,9 @@
 import numpy as np
+import pytest
 
 from vsmm.binary import b2a, bit_decompose, highest_one_hot, msb, relu
 from vsmm.ring import lift_signed, random_ring, reconstruct, share_secret
-from vsmm.runtime import run_two_party
+from vsmm.runtime import FRAME_BITS, run_two_party
 
 
 def _shared(rng, x):
@@ -62,3 +63,20 @@ def test_highest_one_hot(rng):
             k = int(v).bit_length() - 1
             assert row[k] == 1 and row.sum() == 1
     assert meter.rounds == 14
+
+
+@pytest.mark.parametrize("n", [1, 7, 65, 1000])
+@pytest.mark.parametrize("fn, online, offline, rounds, messages", [
+    (bit_decompose, 1792, 448, 7, 14),
+    (msb, 1792, 448, 7, 14),
+    (relu, 2304, 576, 9, 22),
+    (highest_one_hot, 18944, 4736, 14, 30),
+], ids=["bit_decompose", "msb", "relu", "highest_one_hot"])
+def test_gmw_layer_costs(rng, n, fn, online, offline, rounds, messages):
+    """Online and offline bits per element, rounds and messages per call."""
+    x0, x1 = _shared(rng, random_ring(rng, (n,)))
+    _, _, meter = run_two_party(fn, (x0,), (x1,))
+    assert meter.online_bits == online * n
+    assert meter.offline_bits == offline * n
+    assert meter.rounds == rounds
+    assert meter.framing_bits // FRAME_BITS == messages
