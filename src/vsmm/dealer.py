@@ -58,6 +58,12 @@ class PrfStream:
         buf = self.bytes((n + 7) // 8)
         return np.unpackbits(np.frombuffer(buf, dtype=np.uint8))[:n]
 
+    def bit_words(self, count: int) -> np.ndarray:
+        """`count` PRF bits packed into words, least significant first."""
+        words = np.frombuffer(self.bytes(8 * -(-count // 64)), "<u8").copy()
+        words[-1:] &= np.uint64(2 ** ((count - 1) % 64 + 1) - 1)
+        return words
+
     def permutation(self, k: int) -> np.ndarray:
         """Uniform element of S_k: the argsort of k PRF words.
 
@@ -118,7 +124,7 @@ class SquarePair:
 
 @dataclass
 class BitTriples:
-    a: np.ndarray
+    a: np.ndarray  # packed words: bit i of word w is triple 64*w + i
     b: np.ndarray
     c: np.ndarray
 
@@ -204,10 +210,8 @@ class Dealer:
 
     def gen_bit_triples(self, ctr: int, count: int):
         s0, s1 = self._streams(TAG_BITS, ctr)
-        a0, b0, c0 = s0.bits(count), s0.bits(count), s0.bits(count)
-        a1, b1 = s1.bits(count), s1.bits(count)
-        c = (a0 ^ a1) & (b0 ^ b1)
-        c1 = c ^ c0
+        a0, b0, c0, a1, b1 = (s.bit_words(count) for s in (s0, s0, s0, s1, s1))
+        c1 = ((a0 ^ a1) & (b0 ^ b1)) ^ c0
         return BitTriples(a0, b0, c0), BitTriples(a1, b1, c1), count
 
 
@@ -305,7 +309,7 @@ class TapeView:
 
 
 MAGIC = b"VSMM"
-TAPE_VERSION = 1
+TAPE_VERSION = 2
 
 
 def save_tape(path: str, party: int, plan: list[tuple], dealer: Dealer,

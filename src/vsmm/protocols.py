@@ -159,23 +159,28 @@ def mux_shared_bit(ctx: PartyContext, s: np.ndarray, x: np.ndarray,
     return out
 
 
-def and_bits(ctx: PartyContext, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """GMW AND of XOR-shared bit tensors, 2 bits per gate per party, 1 round."""
-    x = np.asarray(x, dtype=np.uint8)
-    y = np.asarray(y, dtype=np.uint8)
+def and_bits(ctx: PartyContext, x: np.ndarray, y: np.ndarray,
+             count: int | None = None) -> np.ndarray:
+    """GMW AND of XOR-shared packed bits, 2 bits per gate per party, 1 round.
+
+    Bit i of word w is gate 64*w + i. Only the first `count` gates (default
+    all) are computed and sent, so x and y hold ceil(count/64) words.
+    """
+    x = np.asarray(x, dtype=np.uint64)
+    y = np.asarray(y, dtype=np.uint64)
+    count = 64 * x.size if count is None else count
+    if y.shape != x.shape or -(-count // 64) != x.size:
+        raise ValueError(f"{count} gates on {x.shape} and {y.shape} words")
     with ctx.section("gmw_and"):
-        tape = ctx.tape.bits(x.size)
-        a = tape.a.reshape(x.shape)
-        b = tape.b.reshape(x.shape)
-        c = tape.c.reshape(x.shape)
-        ctx.send_bits(np.concatenate([(x ^ a).ravel(), (y ^ b).ravel()]))
-        other = ctx.recv_bits(2 * x.size)
-        d = (x ^ a) ^ other[:x.size].reshape(x.shape)
-        e = (y ^ b) ^ other[x.size:].reshape(x.shape)
-        z = c ^ (d & b) ^ (e & a)
+        tape = ctx.tape.bits(count)
+        d, e = x.ravel() ^ tape.a, y.ravel() ^ tape.b
+        ctx.send_gates(d, e, count)
+        d_peer, e_peer = ctx.recv_gates(count)
+        d, e = d ^ d_peer, e ^ e_peer
+        z = tape.c ^ (d & tape.b) ^ (e & tape.a)
         if ctx.party == 0:
             z ^= d & e
-        return z
+        return z.reshape(x.shape)
 
 
 def reveal(ctx: PartyContext, share: np.ndarray) -> np.ndarray:

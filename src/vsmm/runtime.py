@@ -209,6 +209,33 @@ class PartyContext:
         bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8))[:n]
         return bits.reshape(shape) if shape is not None else bits
 
+    def send_gates(self, x: np.ndarray, y: np.ndarray, count: int) -> None:
+        """The first `count` bits of packed words x, then those of y, least
+        significant first and back to back: 2*count bits in one message."""
+        q, r = divmod(count, 8)
+        xb, yb = (np.asarray(w, "<u8").ravel().view(np.uint8)[:-(-count // 8)]
+                  .astype(np.uint16) for w in (x, y))
+        for b in (xb, yb):  # clear the bits after `count`
+            b[-1:] &= 0xff >> (-count % 8)
+        yb <<= r  # y starts at bit r of byte q
+        msg = np.zeros(q + yb.size + 1, dtype=np.uint16)
+        msg[:xb.size] = xb
+        msg[q:-1] |= yb & 0xff
+        msg[q + 1:] |= yb >> 8
+        self.ep.send(msg[:-(-count // 4)].astype(np.uint8).tobytes(), nbits=2 * count)
+
+    def recv_gates(self, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """The peer's send_gates x and y as packed words, later bits unspecified."""
+        payload = self.ep.recv()
+        if len(payload) != -(-count // 4):
+            raise ValueError(f"{len(payload)}-byte payload for 2x{count} gates")
+        q, r = divmod(count, 8)
+        nb = 8 * -(-count // 64)
+        msg = np.zeros(q + nb + 1, dtype=np.uint16)
+        msg[:len(payload)] = np.frombuffer(payload, dtype=np.uint8)
+        ys = (msg[q:-1] | msg[q + 1:] << 8) >> r
+        return msg[:nb].astype(np.uint8).view("<u8"), ys.astype(np.uint8).view("<u8")
+
     def send_perm(self, indices: np.ndarray, degree: int) -> None:
         """Bit-packed permutation indices: ceil(log2 degree) bits each,
         most significant bit first, zero-padded to a whole byte at the end."""

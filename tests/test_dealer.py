@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -109,9 +111,14 @@ def test_square_correlation(dealer):
 
 
 def test_bit_triples(dealer):
-    v0, v1, offline = dealer.gen_bit_triples(0, 256)
-    assert offline == 256
-    assert np.array_equal((v0.a ^ v1.a) & (v0.b ^ v1.b), v0.c ^ v1.c)
+    for count in (256, 100):
+        v0, v1, offline = dealer.gen_bit_triples(0, count)
+        assert offline == count
+        assert np.array_equal((v0.a ^ v1.a) & (v0.b ^ v1.b), v0.c ^ v1.c)
+        words = [v.a for v in (v0, v1)] + [v.b for v in (v0, v1)] + [v0.c]
+        for w in words:  # packed, with the bits after `count` zero
+            assert w.dtype == np.uint64 and w.shape == (-(-count // 64),)
+            assert int(w[-1]) >> (count - 64 * (len(w) - 1)) == 0
 
 
 def test_determinism_same_keys():
@@ -178,6 +185,15 @@ def test_tape_argument_mismatch(tmp_path, dealer):
         rec.op(8, 2)
     op = rec.op(8)  # the saved plan left d at its default
     assert (op.k, op.d) == (8, 1)
+
+
+def test_tape_old_version_rejected(tmp_path, dealer):
+    path = tmp_path / "tape.bin"
+    save_tape(str(path), 0, [("bits", 32)], dealer)
+    raw = path.read_bytes()
+    path.write_bytes(raw[:4] + struct.pack("<H", 1) + raw[6:])
+    with pytest.raises(ValueError, match="unsupported tape version 1"):
+        RecordedTape(str(path), 0)
 
 
 def test_tape_bad_magic(tmp_path):

@@ -138,15 +138,47 @@ def test_mux_shared_bit(rng):
 
 
 def test_and_bits(rng):
-    x = rng.integers(0, 2, 256).astype(np.uint8)
-    y = rng.integers(0, 2, 256).astype(np.uint8)
-    x0 = rng.integers(0, 2, 256).astype(np.uint8)
-    y0 = rng.integers(0, 2, 256).astype(np.uint8)
-
+    x, y, x0, y0 = (random_ring(rng, (4,)) for _ in range(4))  # 256 gates
     o0, o1, meter = run_two_party(and_bits, (x0, y0), (x ^ x0, y ^ y0))
     assert np.array_equal(o0 ^ o1, x & y)
     assert meter.rounds == 1
     assert meter.online_bits == 2 * 2 * 256  # 2 bits per gate per party
+
+
+@pytest.mark.parametrize("count", [1, 63, 65, 7 * 32])
+def test_and_bits_count(rng, count):
+    """Only the first `count` gates are computed, sent and metered: the
+    payload is 2*count bits, whatever the later bits of the inputs hold."""
+    words = -(-count // 64)
+    x, y, x0, y0 = (random_ring(rng, (words,)) for _ in range(4))
+    live = np.packbits(np.arange(64 * words) < count,
+                       bitorder="little").view("<u8")
+    sent = []
+
+    def proto(ctx, xv, yv):
+        send = ctx.ep.send
+
+        def spy(payload, nbits=None, tag=0):
+            sent.append((ctx.party, payload, nbits))
+            send(payload, nbits, tag)
+
+        ctx.ep.send = spy
+        return and_bits(ctx, xv, yv, count)
+
+    o0, o1, meter = run_two_party(proto, (x0, y0), (x ^ x0, y ^ y0))
+    assert np.array_equal((o0 ^ o1) & live, x & y & live)
+    assert meter.rounds == 1
+    assert meter.online_bits == 2 * 2 * count
+    assert meter.offline_bits == count
+    first = sorted(sent)
+    assert [(len(p), n) for _, p, n in first] == [(-(-count // 4), 2 * count)] * 2
+    sent.clear()
+    pad = ~live  # flip every input bit after gate `count`
+    run_two_party(proto, (x0 ^ pad, y0 ^ pad), (x ^ x0, y ^ y0 ^ pad))
+    assert sorted(sent) == first
+    for bad in (64 * words + 1, 64 * words - 64):  # too many or unused words
+        with pytest.raises(ValueError):
+            run_two_party(and_bits, (x0, y0, bad), (x0, y0, bad))
 
 
 def test_reveal(rng):
