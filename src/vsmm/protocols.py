@@ -169,7 +169,7 @@ def and_bits(ctx: PartyContext, x: np.ndarray, y: np.ndarray,
     x = np.asarray(x, dtype=np.uint64)
     y = np.asarray(y, dtype=np.uint64)
     count = 64 * x.size if count is None else count
-    if y.shape != x.shape or -(-count // 64) != x.size:
+    if y.shape != x.shape or count < 0 or -(-count // 64) != x.size:
         raise ValueError(f"{count} gates on {x.shape} and {y.shape} words")
     with ctx.section("gmw_and"):
         tape = ctx.tape.bits(count)
