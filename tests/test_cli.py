@@ -89,6 +89,12 @@ def test_seed_env_override(dataset_dir, capsys, monkeypatch):
     assert doc["config"]["seed"] == 99
 
 
+def test_train_rejects_zero_hidden(dataset_dir, capsys):
+    assert main(["train", "--dataset", dataset_dir, "--epochs", "1",
+                 "--hidden", "0"]) == 1
+    assert "error: hidden must be >= 1" in capsys.readouterr().err
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bench", "nosuch"])

@@ -3,11 +3,15 @@ import hashlib
 import numpy as np
 import pytest
 
+import vsmm.gcn as gcn
+from vsmm.decompose import decompose_full
 from vsmm.gcn import (GraphDataset, TrainConfig, accuracy, clear_forward,
                       clear_gradients, init_weights, infer_secure,
                       load_dataset, load_model, make_synthetic_community,
                       normalize_adjacency, reference_train_clear, save_dataset,
                       save_model, secure_gradients, train_secure)
+from vsmm.ring import encode_fixed
+from vsmm.smm import smm_online_bits
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +94,9 @@ def test_config_validation():
         TrainConfig(optimizer="rmsprop")
     with pytest.raises(ValueError):
         TrainConfig(lr=-1.0)
+    for hidden in (0, -1):
+        with pytest.raises(ValueError, match="hidden must be >= 1"):
+            TrainConfig(hidden=hidden)
 
 
 def test_clear_reference_learns(ds):
@@ -98,18 +105,91 @@ def test_clear_reference_learns(ds):
     assert res["history"][-1]["loss"] < res["history"][0]["loss"]
 
 
+def _cos(a, b):
+    a, b = a.ravel(), b.ravel()
+    return float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
+
+
 def test_secure_matches_clear_forward_gradients(ds):
     w1, w2 = init_weights(ds.features.shape[1], 8, ds.num_classes, 1)
     g1, g2, _ = secure_gradients(ds, w1, w2)
     c1, c2, _ = clear_gradients(ds.adj_norm.to_dense(), ds.features,
                                 ds.labels, ds.train_mask, w1, w2)
+    assert _cos(g1, c1) >= 0.99
+    assert _cos(g2, c2) >= 0.99
 
-    def cos(a, b):
-        a, b = a.ravel(), b.ravel()
-        return float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
 
-    assert cos(g1, c1) >= 0.99
-    assert cos(g2, c2) >= 0.99
+# (d, h) shapes covering every smm order on a c = 2 graph: d > P*h runs
+# A(XW1) at width h, d <= P*h hoists AX, and h <= c keeps (AZ)W2
+ORDER_SHAPES = [(16, 2), (16, 4), (4, 8), (3, 1)]
+
+
+@pytest.mark.parametrize("d, h", ORDER_SHAPES)
+def test_secure_gradients_both_orders(d, h):
+    g = make_synthetic_community(24, seed=3, dim=d)
+    w1, w2 = init_weights(d, h, g.num_classes, 1)
+    g1, g2, _ = secure_gradients(g, w1, w2)
+    c1, c2, _ = clear_gradients(g.adj_norm.to_dense(), g.features, g.labels,
+                                g.train_mask, w1, w2)
+    assert _cos(g1, c1) >= 0.99
+    assert _cos(g2, c2) >= 0.99
+
+
+def test_infer_secure_reassociated_matches_clear():
+    # d = 16 > 1 * h: inference runs A(XW1) at width h = 2
+    g = make_synthetic_community(24, seed=3, dim=16)
+    w1, w2 = init_weights(16, 2, g.num_classes, 1)
+    logits, _, _ = clear_forward(g.adj_norm.to_dense(), g.features, w1, w2)
+    shares = [(encode_fixed(w), np.zeros(w.shape, np.uint64)) for w in (w1, w2)]
+    preds, _ = infer_secure(g, *shares)
+    assert np.array_equal(preds, logits.argmax(axis=1))
+
+
+def _train_recording_widths(monkeypatch, d, h):
+    """A 2-epoch SGD run on the 24-node graph, recording the width of every
+    smm and smm_transpose call the GCN driver makes."""
+    widths = []
+
+    def recorder(fn):
+        def call(ctx, bundle, dims, x, *args, **kwargs):
+            if ctx.party == 0:
+                widths.append(np.asarray(x).shape[1])
+            return fn(ctx, bundle, dims, x, *args, **kwargs)
+        return call
+
+    monkeypatch.setattr(gcn, "smm", recorder(gcn.smm))
+    monkeypatch.setattr(gcn, "smm_transpose", recorder(gcn.smm_transpose))
+    g = make_synthetic_community(24, seed=3, dim=d)
+    res, _ = train_secure(g, TrainConfig(epochs=2, seed=1, hidden=h))
+    return g, res, widths
+
+
+@pytest.mark.parametrize("d, h, widths", [
+    (16, 2, [2] * 10),                 # A(XW1), fwd+bwd: h, h, c, h per epoch
+    (16, 4, [16, 2, 2, 2, 2, 2]),      # hoisted AX, then c, c per epoch
+    (4, 8, [4, 2, 2, 2, 2, 2]),
+    (3, 1, [3, 1, 2, 1, 2, 1]),        # c >= h: (AZ)W2 at h, A^T g at c
+])
+def test_smm_widths_follow_public_shapes(monkeypatch, d, h, widths):
+    _, _, got = _train_recording_widths(monkeypatch, d, h)
+    assert got == widths
+
+
+@pytest.mark.parametrize("d, h, non_smm_bytes, epoch_widths, rounds", [
+    # non-smm bytes: the former order's 288,888 and 244,728 B per epoch less
+    # its 22 smm columns; only the smm widths may move
+    (4, 8, 288_888 - 22 * 6_260, [2, 2], 69),
+    (16, 2, 244_728 - 22 * 6_260, [2, 2, 2, 2], 85),
+])
+def test_epoch_bytes_follow_smm_widths(monkeypatch, d, h, non_smm_bytes,
+                                       epoch_widths, rounds):
+    g, res, _ = _train_recording_widths(monkeypatch, d, h)
+    b = decompose_full(g.adj_norm)
+    assert smm_online_bits(b.m, b.n, b.t, 1) == 50_080
+    want = non_smm_bytes + sum(smm_online_bits(b.m, b.n, b.t, w)
+                               for w in epoch_widths) // 8
+    assert [r["online_bytes"] for r in res["history"]] == [want] * 2
+    assert [r["rounds"] for r in res["history"]] == [rounds] * 2
 
 
 def test_train_secure_history_and_meter(ds):
