@@ -4,10 +4,10 @@ its plaintext reference oracle.
 The graph owner (party 0) contributes the normalized adjacency, decomposed
 once before training; the feature owner (party 1) contributes features and
 labels. Weights start from a public seeded initialization and stay shared
-throughout; only logits revealed for evaluation leave the sharing. Each smm
-runs at the narrower width its layer allows, chosen from public shapes (see
-`_secure_forward`), so per-epoch transcript sizes depend only on (|V|, t,
-feature dim, hidden, classes) and the epoch count, never on values.
+throughout; only logits revealed for evaluation leave the sharing. AX is
+computed once per run, and layer 2's smm runs on the narrower side chosen from
+public shapes (see `_secure_forward`), so per-epoch transcript sizes depend
+only on (|V|, t, feature dim, hidden, classes), never on values.
 """
 
 from __future__ import annotations
@@ -238,37 +238,23 @@ def _matmul(ctx, a, b):
     return beaver_mult(ctx, a, b, matmul=True, truncate=True)
 
 
-def _propagate(ctx, bundle, dims, y, w):
-    """Shares of A Y W, with the smm on the narrower side: A(YW) when W has
-    fewer columns than rows, (AY)W otherwise."""
-    if w.shape[1] < w.shape[0]:
-        return smm(ctx, bundle, dims, _matmul(ctx, y, w), fixed_point=True)
-    return _matmul(ctx, smm(ctx, bundle, dims, y, fixed_point=True), w)
+def _secure_forward(ctx, bundle, dims, ax, w1, w2):
+    """Layer 1: dense multiply on the hoisted AX, then ReLU. Layer 2 runs its
+    smm on the narrower side, chosen from public shapes: A(ZW2) at width c
+    when c < h, and (AZ)W2 at width h otherwise."""
+    z, mask = relu(ctx, _matmul(ctx, ax, w1))
+    if w2.shape[1] < w2.shape[0]:
+        logits = smm(ctx, bundle, dims, _matmul(ctx, z, w2), fixed_point=True)
+    else:
+        logits = _matmul(ctx, smm(ctx, bundle, dims, z, fixed_point=True), w2)
+    return logits, z, mask
 
 
-def _hoist_ax(ctx, bundle, dims, x, w1, passes):
-    """Shares of AX, computed once, when its d columns cost no more than the
-    `passes` layer-1 smm calls A(XW1) would make at width h; else None."""
-    if x.shape[1] > passes * w1.shape[1]:
-        return None
-    return smm(ctx, bundle, dims, x, shared=False, fixed_point=True)
-
-
-def _secure_forward(ctx, bundle, dims, x, ax, w1, w2):
-    """Layer 1 is (AX)W1 on the hoisted AX, or A(XW1) at width h when the
-    driver did not hoist it; then ReLU. Layer 2 is A(ZW2) at width c when
-    c < h, and (AZ)W2 otherwise. Every choice reads public shapes only."""
-    pre = (_matmul(ctx, ax, w1) if ax is not None
-           else _propagate(ctx, bundle, dims, x, w1))
-    z, mask = relu(ctx, pre)
-    return _propagate(ctx, bundle, dims, z, w2), z, mask
-
-
-def _secure_backward(ctx, bundle, dims, x, ax, z, relu_mask, w2, logits,
+def _secure_backward(ctx, bundle, dims, ax, z, relu_mask, w2, logits,
                      onehot_scaled, mask_vec):
     """Gradients of the masked cross-entropy; see the clear oracle for the
-    plaintext identities. x is this party's share of the features, and ax
-    the hoisted AX or None."""
+    plaintext identities. ax is the hoisted AX, so gw1 = (AX)^T dpre needs
+    no second smm: it equals X^T (A^T dpre)."""
     sm = softmax_rows(ctx, logits)
     g = sm - onehot_scaled if ctx.party == 1 else sm
     g = g * mask_vec[:, None]  # public 0/1 train mask, unscaled
@@ -278,10 +264,7 @@ def _secure_backward(ctx, bundle, dims, x, ax, z, relu_mask, w2, logits,
     gw2 = _matmul(ctx, z.T, atg)
     dz = _matmul(ctx, atg, w2.T)
     dpre = beaver_mult(ctx, dz, relu_mask)  # 0/1 mask, no truncation
-    if ax is not None:  # (AX)^T dpre = X^T (A^T dpre)
-        return _matmul(ctx, ax.T, dpre), gw2
-    adpre = smm_transpose(ctx, bundle, dims, dpre, fixed_point=True)
-    return _matmul(ctx, x.T, adpre), gw2
+    return _matmul(ctx, ax.T, dpre), gw2
 
 
 def _eval_logits(ctx, logits_share, pub):
@@ -303,16 +286,15 @@ def _train_protocol(ctx, bundle, x, onehot_enc, w1, w2, pub, cfg: TrainConfig):
                      eps=cfg.adam_eps, lr=cfg.lr)
         st1 = AdamState.init(w1.shape, **hyper)
         st2 = AdamState.init(w2.shape, **hyper)
-    # the hoisted AX counts in the meter's totals, not in any epoch's row
-    ax = _hoist_ax(ctx, bundle, dims, x, w1, 2 * cfg.epochs + 1)
+    # AX, computed once, counts in the meter's totals, not in any epoch's row
+    ax = smm(ctx, bundle, dims, x, shared=False, fixed_point=True)
     history, sent = [], []
     prev_bits, prev_clock = ctx.ep.sent_bits, ctx.ep.clock
     for _ in range(cfg.epochs):
-        logits, z, relu_mask = _secure_forward(ctx, bundle, dims, x, ax, w1,
-                                               w2)
+        logits, z, relu_mask = _secure_forward(ctx, bundle, dims, ax, w1, w2)
         _, stats = _eval_logits(ctx, logits, pub)
-        gw1, gw2 = _secure_backward(ctx, bundle, dims, x, ax, z, relu_mask,
-                                    w2, logits, onehot_enc, mask_vec)
+        gw1, gw2 = _secure_backward(ctx, bundle, dims, ax, z, relu_mask, w2,
+                                    logits, onehot_enc, mask_vec)
         if cfg.optimizer == "sgd":
             w1 = sgd_step(ctx, w1, gw1, cfg.lr)
             w2 = sgd_step(ctx, w2, gw2, cfg.lr)
@@ -323,7 +305,7 @@ def _train_protocol(ctx, bundle, x, onehot_enc, w1, w2, pub, cfg: TrainConfig):
         sent.append(ctx.ep.sent_bits - prev_bits)
         prev_bits, prev_clock = ctx.ep.sent_bits, ctx.ep.clock
         history.append(stats)
-    logits, _, _ = _secure_forward(ctx, bundle, dims, x, ax, w1, w2)
+    logits, _, _ = _secure_forward(ctx, bundle, dims, ax, w1, w2)
     opened, stats = _eval_logits(ctx, logits, pub)
     return {"w1": w1, "w2": w2, "history": history, "sent_bits": sent,
             "logits": opened, "test_acc": stats["acc"],
@@ -331,16 +313,17 @@ def _train_protocol(ctx, bundle, x, onehot_enc, w1, w2, pub, cfg: TrainConfig):
 
 
 def _forward_protocol(ctx, bundle, x, onehot_enc, w1, w2, pub):
-    ax = _hoist_ax(ctx, bundle, pub["dims"], x, w1, 1)
-    logits, _, _ = _secure_forward(ctx, bundle, pub["dims"], x, ax, w1, w2)
+    dims = pub["dims"]
+    ax = smm(ctx, bundle, dims, x, shared=False, fixed_point=True)
+    logits, _, _ = _secure_forward(ctx, bundle, dims, ax, w1, w2)
     return decode_fixed(reveal(ctx, logits), ctx.cfg)
 
 
 def _gradients_protocol(ctx, bundle, x, onehot_enc, w1, w2, pub):
     dims = pub["dims"]
-    ax = _hoist_ax(ctx, bundle, dims, x, w1, 2)
-    logits, z, relu_mask = _secure_forward(ctx, bundle, dims, x, ax, w1, w2)
-    gw1, gw2 = _secure_backward(ctx, bundle, dims, x, ax, z, relu_mask, w2,
+    ax = smm(ctx, bundle, dims, x, shared=False, fixed_point=True)
+    logits, z, relu_mask = _secure_forward(ctx, bundle, dims, ax, w1, w2)
+    gw1, gw2 = _secure_backward(ctx, bundle, dims, ax, z, relu_mask, w2,
                                 logits, onehot_enc,
                                 pub["train_mask"].astype(np.uint64))
     return (decode_fixed(reveal(ctx, gw1), ctx.cfg),

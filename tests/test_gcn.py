@@ -119,8 +119,8 @@ def test_secure_matches_clear_forward_gradients(ds):
     assert _cos(g2, c2) >= 0.99
 
 
-# (d, h) shapes covering every smm order on a c = 2 graph: d > P*h runs
-# A(XW1) at width h, d <= P*h hoists AX, and h <= c keeps (AZ)W2
+# (d, h) shapes on a c = 2 graph: d above and below h (AX is hoisted either
+# way), and h <= c, which keeps layer 2 as (AZ)W2
 ORDER_SHAPES = [(16, 2), (16, 4), (4, 8), (3, 1)]
 
 
@@ -135,8 +135,8 @@ def test_secure_gradients_both_orders(d, h):
     assert _cos(g2, c2) >= 0.99
 
 
-def test_infer_secure_reassociated_matches_clear():
-    # d = 16 > 1 * h: inference runs A(XW1) at width h = 2
+def test_infer_secure_wide_features_matches_clear():
+    # d = 16 > h = 2: inference hoists AX at width d, then A(ZW2) at c = 2
     g = make_synthetic_community(24, seed=3, dim=16)
     w1, w2 = init_weights(16, 2, g.num_classes, 1)
     logits, _, _ = clear_forward(g.adj_norm.to_dense(), g.features, w1, w2)
@@ -165,8 +165,8 @@ def _train_recording_widths(monkeypatch, d, h):
 
 
 @pytest.mark.parametrize("d, h, widths", [
-    (16, 2, [2] * 10),                 # A(XW1), fwd+bwd: h, h, c, h per epoch
-    (16, 4, [16, 2, 2, 2, 2, 2]),      # hoisted AX, then c, c per epoch
+    (16, 2, [16, 2, 2, 2, 2, 2]),      # AX once, then A(ZW2), A^T g at c
+    (16, 4, [16, 2, 2, 2, 2, 2]),
     (4, 8, [4, 2, 2, 2, 2, 2]),
     (3, 1, [3, 1, 2, 1, 2, 1]),        # c >= h: (AZ)W2 at h, A^T g at c
 ])
@@ -177,9 +177,9 @@ def test_smm_widths_follow_public_shapes(monkeypatch, d, h, widths):
 
 @pytest.mark.parametrize("d, h, non_smm_bytes, epoch_widths, rounds", [
     # non-smm bytes: the former order's 288,888 and 244,728 B per epoch less
-    # its 22 smm columns; only the smm widths may move
+    # its 22 smm columns (d + h + c + h); only the smm widths may move
     (4, 8, 288_888 - 22 * 6_260, [2, 2], 69),
-    (16, 2, 244_728 - 22 * 6_260, [2, 2, 2, 2], 85),
+    (16, 2, 244_728 - 22 * 6_260, [2, 2], 69),
 ])
 def test_epoch_bytes_follow_smm_widths(monkeypatch, d, h, non_smm_bytes,
                                        epoch_widths, rounds):
