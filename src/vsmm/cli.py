@@ -21,8 +21,8 @@ import numpy as np
 from .decompose import (DecomposeError, Permutation, SparseMatrixCOO,
                         decompose_full, read_coo_text, save_bundle)
 from .dealer import TapeExhausted
-from .gcn import (TrainConfig, infer_secure, load_dataset, load_model,
-                  save_model, train_secure)
+from .gcn import (TrainConfig, check_weight_shapes, infer_secure,
+                  load_dataset, load_model, save_model, train_secure)
 from .protocols import op, osm
 from .ring import random_ring, share_secret
 from .runtime import (DeadlockError, NETWORK_CONDITIONS, PeerFailedError,
@@ -144,6 +144,10 @@ def cmd_train(args) -> int:
 def cmd_infer(args) -> int:
     ds = load_dataset(args.dataset)
     w1, w2, f = load_model(args.model)
+    try:
+        check_weight_shapes(ds, w1, w2)
+    except ValueError as exc:
+        raise ValueError(f"{args.model}: {exc}") from None
     preds, meter = infer_secure(ds, w1, w2, f=f, seed=_seed(args))
     acc = float((preds[ds.test_mask] == ds.labels[ds.test_mask]).mean()) \
         if ds.test_mask.any() else 0.0

@@ -1,8 +1,8 @@
 """Trusted-dealer offline phase: correlated randomness from a counter-indexed PRF.
 
 The dealer owns both party keys and derives every tuple as a pure function of
-(key, tag, counter), so a tape is reproducible from the keys alone. Values a
-party can expand locally from its own key cost zero offline bytes; only the
+(key, tag, counter), so every tuple is reproducible from the keys alone. Values
+a party can expand locally from its own key cost zero offline bytes; only the
 dealer-to-party-1 correction messages are charged to the offline meter. The
 dealer never receives anything online: the API exposes generation only.
 
@@ -14,16 +14,12 @@ leaves the peer's view in a `Handoff`, which the peer's draw takes.
 
 from __future__ import annotations
 
-import inspect
-import json
 import struct
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
-
-from .ring import random_ring
 
 TAG_OP = b"OPRM"
 TAG_OSM = b"OSMR"
@@ -34,7 +30,7 @@ TAG_BITS = b"BTRI"
 
 
 class TapeExhausted(RuntimeError):
-    """A party asked for more correlated randomness than was provisioned."""
+    """The two parties asked for different tuples at the same counter."""
 
 
 class PrfStream:
@@ -215,16 +211,6 @@ class Dealer:
         return BitTriples(a0, b0, c0), BitTriples(a1, b1, c1), count
 
 
-_KINDS = {
-    "op": ("gen_op_rand", OpRandomness),
-    "osm": ("gen_osm_rand", OsmRandomness),
-    "privmul": ("gen_privmul", PrivMulRandomness),
-    "beaver": ("gen_beaver", BeaverTriple),
-    "square": ("gen_square", SquarePair),
-    "bits": ("gen_bit_triples", BitTriples),
-}
-
-
 class Handoff:
     """Per-run slot that lets two paired TapeViews generate each tuple once.
 
@@ -239,17 +225,18 @@ class Handoff:
         self._held: dict[int, tuple] = {}
 
     def draw(self, dealer: Dealer, party: int, ctr: int, request: tuple):
-        """This party's view of tuple `ctr` and its offline bits."""
-        kind, args, kwargs = request
+        """This party's view of tuple `ctr` and its offline bits, for the
+        request (dealer method name, arguments after the counter)."""
+        method, args = request
         with self._lock:
             held = self._held.pop(ctr, None)
             if held is None:
-                views = getattr(dealer, _KINDS[kind][0])(ctr, *args, **kwargs)
+                views = getattr(dealer, method)(ctr, *args)
                 self._held[ctr] = (request, views[1 - party], views[2])
                 return views[party], views[2]
         if held[0] != request:
             raise TapeExhausted(
-                f"counter {ctr}: party {party} asked for {kind}{args}, "
+                f"counter {ctr}: party {party} asked for {method}{args}, "
                 f"the peer drew {held[0][0]}{held[0][1]}")
         return held[1], held[2]
 
@@ -260,139 +247,40 @@ class TapeView:
 
     Both parties issue the identical request sequence (protocol structure is
     data-independent), so their counters stay aligned without coordination.
-    Paired views that share a `Handoff` generate each tuple once between
-    them; a standalone view generates both parties' views and keeps its own.
-    Each view checks its own budget, and offline bytes are charged when
-    party 1 draws its correction view.
+    The two views of a run share a `Handoff`, so each tuple is generated once
+    between them; offline bytes are charged when party 1 draws its correction
+    view.
     """
 
     dealer: Dealer
     party: int
-    meter: object | None = None
-    budget: int | None = None
+    meter: object
+    handoff: Handoff
     ctr: int = 0
     section: str = ""
-    handoff: Handoff | None = None
 
-    def _draw(self, kind: str, *args, **kwargs):
-        if self.budget is not None and self.ctr >= self.budget:
-            raise TapeExhausted(
-                f"tape budget {self.budget} exhausted at counter {self.ctr} ({kind})")
-        if self.handoff is None:
-            views = getattr(self.dealer, _KINDS[kind][0])(self.ctr, *args, **kwargs)
-            view, offline_bits = views[self.party], views[2]
-        else:
-            view, offline_bits = self.handoff.draw(
-                self.dealer, self.party, self.ctr, (kind, args, kwargs))
+    def _draw(self, method: str, *args):
+        view, offline_bits = self.handoff.draw(
+            self.dealer, self.party, self.ctr, (method, args))
         self.ctr += 1
-        if self.party == 1 and self.meter is not None:
+        if self.party == 1:
             self.meter.add_offline(offline_bits, self.section)
         return view
 
     def op(self, k: int, d: int = 1) -> OpRandomness:
-        return self._draw("op", k, d)
+        return self._draw("gen_op_rand", k, d)
 
     def osm(self, count: int) -> OsmRandomness:
-        return self._draw("osm", count)
+        return self._draw("gen_osm_rand", count)
 
     def privmul(self, shape) -> PrivMulRandomness:
-        return self._draw("privmul", shape)
+        return self._draw("gen_privmul", shape)
 
     def beaver(self, shape_x, shape_y, matmul: bool = False) -> BeaverTriple:
-        return self._draw("beaver", shape_x, shape_y, matmul)
+        return self._draw("gen_beaver", shape_x, shape_y, matmul)
 
     def square(self, shape) -> SquarePair:
-        return self._draw("square", shape)
+        return self._draw("gen_square", shape)
 
     def bits(self, count: int) -> BitTriples:
-        return self._draw("bits", count)
-
-
-MAGIC = b"VSMM"
-TAPE_VERSION = 2
-
-
-def save_tape(path: str, party: int, plan: list[tuple], dealer: Dealer,
-              start_ctr: int = 0) -> None:
-    """Materialize a request plan to a binary tape file.
-
-    plan entries are (kind, args...) tuples, e.g. ("op", 8, 1) or ("osm", 100).
-    """
-    view = TapeView(dealer, party, ctr=start_ctr)
-    records = []
-    for kind, *args in plan:
-        rec = getattr(view, kind)(*args)
-        arrays = [getattr(rec, f) for f in vars(rec)
-                  if isinstance(getattr(rec, f), np.ndarray)]
-        names = [f for f in vars(rec) if isinstance(getattr(rec, f), np.ndarray)]
-        header = {
-            "kind": kind,
-            "args": [list(a) if isinstance(a, (tuple, list)) else a for a in args],
-            "fields": [[n, str(a.dtype), list(a.shape)] for n, a in zip(names, arrays)],
-        }
-        records.append((header, arrays))
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<HQI", TAPE_VERSION, start_ctr, len(records)))
-        for header, arrays in records:
-            hb = json.dumps(header).encode()
-            fh.write(struct.pack("<I", len(hb)))
-            fh.write(hb)
-            for a in arrays:
-                raw = np.ascontiguousarray(a).tobytes()
-                fh.write(struct.pack("<I", len(raw)))
-                fh.write(raw)
-
-
-def _request_args(kind: str, args) -> dict:
-    """The named arguments of TapeView request `kind`, defaults filled in and
-    sequences as lists, the form in which a tape header can be compared."""
-    bound = inspect.signature(getattr(TapeView, kind)).bind(None, *args)
-    bound.apply_defaults()
-    return {name: list(v) if isinstance(v, (tuple, list)) else v
-            for name, v in list(bound.arguments.items())[1:]}
-
-
-class RecordedTape(TapeView):
-    """Tape replay from a file written by save_tape; same requests as TapeView.
-
-    Each request must match the next record's kind and arguments, or it
-    raises TapeExhausted.
-    """
-
-    def __init__(self, path: str, party: int, meter=None):
-        self.records = []
-        with open(path, "rb") as fh:
-            if fh.read(4) != MAGIC:
-                raise ValueError("not a tape file")
-            version, start_ctr, count = struct.unpack("<HQI", fh.read(14))
-            if version != TAPE_VERSION:
-                raise ValueError(f"unsupported tape version {version}")
-            for _ in range(count):
-                (hlen,) = struct.unpack("<I", fh.read(4))
-                header = json.loads(fh.read(hlen))
-                fields = {}
-                for name, dtype, shape in header["fields"]:
-                    (blen,) = struct.unpack("<I", fh.read(4))
-                    fields[name] = np.frombuffer(
-                        fh.read(blen), dtype=dtype).reshape(shape).copy()
-                kind = header["kind"]
-                if kind not in _KINDS:
-                    raise ValueError(f"unknown tape record kind {kind!r}")
-                self.records.append(
-                    (kind, _request_args(kind, header["args"]), fields))
-        self.cursor = 0
-        super().__init__(None, party, meter, ctr=start_ctr)
-
-    def _draw(self, kind: str, *args):
-        if self.cursor >= len(self.records):
-            raise TapeExhausted("recorded tape exhausted")
-        rec_kind, rec_args, fields = self.records[self.cursor]
-        want = _request_args(kind, args)
-        if (rec_kind, rec_args) != (kind, want):
-            raise TapeExhausted(f"tape record mismatch: wanted {kind}{want}, "
-                                f"tape has {rec_kind}{rec_args}")
-        self.cursor += 1
-        cls = _KINDS[kind][1]
-        return cls(**{name: fields.get(name, rec_args.get(name))
-                      for name in cls.__dataclass_fields__})
+        return self._draw("gen_bit_triples", count)

@@ -65,6 +65,10 @@ class TrainConfig:
             raise ValueError("lr must be positive and epochs >= 1")
         if self.hidden < 1:
             raise ValueError("hidden must be >= 1")
+        if not self.adam_eps > 0:
+            raise ValueError("adam_eps must be positive")
+        if not (0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1):
+            raise ValueError("adam_beta1 and adam_beta2 must lie in [0, 1)")
 
 
 def normalize_adjacency(edges: np.ndarray, num_nodes: int) -> SparseMatrixCOO:
@@ -378,9 +382,25 @@ def train_secure(ds: GraphDataset, cfg: TrainConfig,
     return result, meter
 
 
+def check_weight_shapes(ds: GraphDataset, w1_shares, w2_shares) -> None:
+    """Raise ValueError unless w1 is (features, h) and w2 is (h, c), each as
+    two shares of one shape. c is free: a test set may lack the top class."""
+    (w1, w1b), (w2, w2b) = ([np.shape(s) for s in w] for w in (w1_shares, w2_shares))
+    for name, s0, s1 in (("w1", w1, w1b), ("w2", w2, w2b)):
+        if s0 != s1 or len(s0) != 2:
+            raise ValueError(f"{name} shares have shapes {s0} and {s1}, "
+                             "not one 2-d shape")
+    if w1[0] != ds.features.shape[1]:
+        raise ValueError(f"w1 has {w1[0]} rows but the dataset has "
+                         f"{ds.features.shape[1]} features")
+    if w1[1] != w2[0]:
+        raise ValueError(f"w1 has {w1[1]} columns but w2 has {w2[0]} rows")
+
+
 def infer_secure(ds: GraphDataset, w1_shares, w2_shares, f: int = 16,
                  seed: int = 0) -> tuple[np.ndarray, CommMeter]:
     """Secure forward pass with shared weights; returns revealed predictions."""
+    check_weight_shapes(ds, w1_shares, w2_shares)
     out0, _, meter = _run_secure(_forward_protocol, ds, w1_shares, w2_shares,
                                  f, seed)
     return out0.argmax(axis=1), meter

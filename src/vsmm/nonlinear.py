@@ -13,12 +13,12 @@ place of 1/(sqrt(v) + eps).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .binary import b2a, highest_one_hot, relu
+from .binary import highest_one_hot, relu
 from .protocols import beaver_mult, beaver_square, mux_shared_bit
 from .ring import FixedPointConfig, RING_BITS, encode_fixed, truncate_share
 from .runtime import PartyContext
@@ -115,16 +115,14 @@ def rsqrt_eps(ctx: PartyContext, v: np.ndarray, eps: float) -> np.ndarray:
     return mux_shared_bit(ctx, s, r, fallback)
 
 
-def reciprocal(ctx: PartyContext, x: np.ndarray, newton: bool = True) -> np.ndarray:
-    """Shares of 1/x for x > 0: the Beaver square of rsqrt(x), optionally
-    tightened by one Newton step r(2 - x r)."""
+def reciprocal(ctx: PartyContext, x: np.ndarray) -> np.ndarray:
+    """Shares of 1/x for x > 0: the Beaver square of rsqrt(x), tightened by
+    one Newton step r(2 - x r)."""
     x = np.asarray(x, dtype=np.uint64)
     r = beaver_square(ctx, rsqrt(ctx, x), truncate=True)
-    if newton:
-        xr = beaver_mult(ctx, x, r, truncate=True)
-        e = _add_public(np.zeros_like(xr) - xr, 2.0, ctx)
-        r = beaver_mult(ctx, r, e, truncate=True)
-    return r
+    xr = beaver_mult(ctx, x, r, truncate=True)
+    e = _add_public(np.zeros_like(xr) - xr, 2.0, ctx)
+    return beaver_mult(ctx, r, e, truncate=True)
 
 
 def _row_max(ctx: PartyContext, y: np.ndarray) -> np.ndarray:
@@ -175,7 +173,6 @@ class AdamState:
 
     u: np.ndarray
     v: np.ndarray
-    step: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 0.01
@@ -200,5 +197,4 @@ def adam_step(ctx: PartyContext, state: AdamState, w: np.ndarray,
                + scale_public(g2, 1.0 - state.beta2, ctx))
     inv_root = rsqrt_eps(ctx, state.v, state.eps)
     direction = beaver_mult(ctx, state.u, inv_root, truncate=True)
-    state.step += 1
     return np.asarray(w, dtype=np.uint64) - scale_public(direction, state.lr, ctx)

@@ -7,9 +7,9 @@ advances the receiver's clock past the stamp. Two independent simultaneous
 sends therefore cost one round, while a send that could only happen after a
 receive starts a new round.
 
-Payload bits are metered exactly as placed on the wire; the 6-byte framing
-(4-byte little-endian length + 2-byte protocol tag) is accounted separately
-so that formula assertions compare payload bits only.
+Payload bits are metered exactly as placed on the wire; a modelled 6-byte
+frame per message (4-byte little-endian length + 2-byte protocol tag) is
+accounted separately so that formula assertions compare payload bits only.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import math
 import queue
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -141,12 +141,12 @@ class Endpoint:
     def section(self) -> str:
         return self.sections[0] if self.sections else "default"
 
-    def send(self, payload: bytes, nbits: int | None = None, tag: int = 0) -> None:
+    def send(self, payload: bytes, nbits: int | None = None) -> None:
         bits = len(payload) * 8 if nbits is None else nbits
         self.sent_bits += bits
         self._rt.meter.add_online(bits, self.section)
         with self._rt.cond:
-            self._rt.queues[1 - self.party].put((payload, self.clock, tag))
+            self._rt.queues[1 - self.party].put((payload, self.clock))
             self._rt.cond.notify_all()
 
     def recv(self) -> bytes:
@@ -164,7 +164,7 @@ class Endpoint:
                 rt.waiting[me] = False
                 if not woke:
                     raise DeadlockError("receive timed out")
-            payload, stamp, _tag = inbox.get_nowait()
+            payload, stamp = inbox.get_nowait()
         self.clock = max(self.clock, stamp + 1)
         return payload
 
@@ -275,21 +275,16 @@ def _index_bits(degree: int) -> int:
 
 
 def run_two_party(protocol, inputs0=(), inputs1=(), dealer: Dealer | None = None,
-                  seed: int = 0, cfg: FixedPointConfig = DEFAULT_CFG,
-                  budget: int | None = None, meter: CommMeter | None = None):
+                  seed: int = 0, cfg: FixedPointConfig = DEFAULT_CFG):
     """Run protocol(ctx, *inputs) for both parties concurrently.
 
     Returns (out0, out1, meter). Exceptions from either party propagate.
     """
-    meter = meter if meter is not None else CommMeter()
+    meter, handoff = CommMeter(), Handoff()
     dealer = dealer if dealer is not None else Dealer.from_seed(seed)
     rt = _Runtime(meter)
-    handoff = Handoff()
-    ctxs = []
-    for party in range(2):
-        tape = TapeView(dealer, party, meter=meter, budget=budget,
-                        handoff=handoff)
-        ctxs.append(PartyContext(Endpoint(rt, party), tape, cfg))
+    ctxs = [PartyContext(Endpoint(rt, p), TapeView(dealer, p, meter, handoff), cfg)
+            for p in range(2)]
     outs: list = [None, None]
     errs: list = [None, None]
 
@@ -308,11 +303,8 @@ def run_two_party(protocol, inputs0=(), inputs1=(), dealer: Dealer | None = None
         th.start()
     for th in threads:
         th.join()
-    for exc in errs:
-        if exc is not None and not isinstance(exc, PeerFailedError):
-            raise exc
-    for exc in errs:
-        if exc is not None:
-            raise exc
+    failed = [exc for exc in errs if exc is not None]
+    if failed:  # the root cause before a PeerFailedError it caused
+        raise min(failed, key=lambda exc: isinstance(exc, PeerFailedError))
     meter.rounds = max(ctxs[0].ep.clock, ctxs[1].ep.clock)
     return outs[0], outs[1], meter

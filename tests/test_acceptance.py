@@ -6,7 +6,6 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
-import pytest
 
 from conftest import random_sparse
 from vsmm.binary import relu

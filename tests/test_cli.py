@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vsmm.cli import main
-from vsmm.gcn import make_synthetic_community, save_dataset
+from vsmm.gcn import make_synthetic_community, save_dataset, save_model
 
 
 @pytest.fixture
@@ -93,6 +93,15 @@ def test_train_rejects_zero_hidden(dataset_dir, capsys):
     assert main(["train", "--dataset", dataset_dir, "--epochs", "1",
                  "--hidden", "0"]) == 1
     assert "error: hidden must be >= 1" in capsys.readouterr().err
+
+
+def test_infer_rejects_mismatched_model(tmp_path, dataset_dir, capsys):
+    model = tmp_path / "model.json"
+    w1, w2 = np.zeros((3, 4), np.uint64), np.zeros((4, 2), np.uint64)
+    save_model(str(model), (w1, w1), (w2, w2))
+    assert main(["infer", "--dataset", dataset_dir, "--model", str(model)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {model}: w1 has 3 rows but the dataset has 4 features\n")
 
 
 def test_usage_error_exits_2(capsys):

@@ -1,10 +1,7 @@
-import struct
-
 import numpy as np
 import pytest
 
-from vsmm.dealer import (Dealer, PrfStream, RecordedTape, TapeExhausted,
-                         TapeView, save_tape)
+from vsmm.dealer import Dealer, PrfStream
 from vsmm.ring import reconstruct
 
 
@@ -128,76 +125,3 @@ def test_determinism_same_keys():
     b0, _, _ = d2.gen_op_rand(5, 16, 2)
     assert np.array_equal(a0.pis, b0.pis)
     assert np.array_equal(a0.piU, b0.piU)
-
-
-def test_tape_view_budget(dealer):
-    view = TapeView(dealer, 0, budget=2)
-    view.osm(4)
-    view.osm(4)
-    with pytest.raises(TapeExhausted):
-        view.osm(4)
-
-
-def test_tape_save_load_roundtrip(tmp_path, dealer):
-    plan = [("op", 8, 2), ("osm", 16), ("beaver", (2, 3), (3, 2), True),
-            ("privmul", (4,)), ("square", (5,)), ("bits", 32)]
-    path = tmp_path / "tape.bin"
-    save_tape(str(path), 1, plan, dealer)
-    rec = RecordedTape(str(path), 1)
-    live = TapeView(dealer, 1)
-    for kind, *args in plan:
-        a = getattr(live, kind)(*args)
-        b = getattr(rec, kind)(*args)
-        for name in vars(a):
-            va, vb = getattr(a, name), getattr(b, name)
-            if isinstance(va, np.ndarray):
-                assert np.array_equal(va, vb), (kind, name)
-            else:
-                assert va == vb, (kind, name)
-    with pytest.raises(TapeExhausted):
-        rec.osm(16)
-
-
-def test_tape_kind_mismatch(tmp_path, dealer):
-    path = tmp_path / "tape.bin"
-    save_tape(str(path), 0, [("osm", 8)], dealer)
-    rec = RecordedTape(str(path), 0)
-    with pytest.raises(TapeExhausted):
-        rec.op(8, 1)
-    path.write_bytes(path.read_bytes().replace(b'"kind": "osm"',
-                                               b'"kind": "xyz"'))
-    with pytest.raises(ValueError, match="unknown tape record kind"):
-        RecordedTape(str(path), 0)
-
-
-def test_tape_argument_mismatch(tmp_path, dealer):
-    path = tmp_path / "tape.bin"
-    save_tape(str(path), 0, [("osm", 8), ("privmul", (4, 1)), ("op", 8)],
-              dealer)
-    rec = RecordedTape(str(path), 0)
-    with pytest.raises(TapeExhausted):
-        rec.osm(16)
-    rec.osm(8)
-    with pytest.raises(TapeExhausted):
-        rec.privmul((2, 2))
-    assert rec.privmul((4, 1)).u.shape == (4, 1)
-    with pytest.raises(TapeExhausted):
-        rec.op(8, 2)
-    op = rec.op(8)  # the saved plan left d at its default
-    assert (op.k, op.d) == (8, 1)
-
-
-def test_tape_old_version_rejected(tmp_path, dealer):
-    path = tmp_path / "tape.bin"
-    save_tape(str(path), 0, [("bits", 32)], dealer)
-    raw = path.read_bytes()
-    path.write_bytes(raw[:4] + struct.pack("<H", 1) + raw[6:])
-    with pytest.raises(ValueError, match="unsupported tape version 1"):
-        RecordedTape(str(path), 0)
-
-
-def test_tape_bad_magic(tmp_path):
-    path = tmp_path / "bad.bin"
-    path.write_bytes(b"NOPE" + bytes(32))
-    with pytest.raises(ValueError):
-        RecordedTape(str(path), 0)

@@ -5,11 +5,11 @@ import pytest
 
 import vsmm.gcn as gcn
 from vsmm.decompose import decompose_full
-from vsmm.gcn import (GraphDataset, TrainConfig, accuracy, clear_forward,
-                      clear_gradients, init_weights, infer_secure,
-                      load_dataset, load_model, make_synthetic_community,
-                      normalize_adjacency, reference_train_clear, save_dataset,
-                      save_model, secure_gradients, train_secure)
+from vsmm.gcn import (TrainConfig, accuracy, clear_forward, clear_gradients,
+                      init_weights, infer_secure, load_dataset, load_model,
+                      make_synthetic_community, normalize_adjacency,
+                      reference_train_clear, save_dataset, save_model,
+                      secure_gradients, train_secure)
 from vsmm.ring import encode_fixed
 from vsmm.smm import smm_online_bits
 
@@ -97,6 +97,15 @@ def test_config_validation():
     for hidden in (0, -1):
         with pytest.raises(ValueError, match="hidden must be >= 1"):
             TrainConfig(hidden=hidden)
+    for eps in (0.0, -0.01, float("nan")):
+        with pytest.raises(ValueError, match="adam_eps must be positive"):
+            TrainConfig(optimizer="adam", adam_eps=eps)
+    for beta in (1.0, 1.5, -0.1, float("nan")):
+        for name in ("adam_beta1", "adam_beta2"):
+            with pytest.raises(ValueError, match=r"must lie in \[0, 1\)"):
+                TrainConfig(optimizer="adam", **{name: beta})
+    TrainConfig(optimizer="adam", adam_eps=1e-8, adam_beta1=0.0,
+                adam_beta2=0.999)
 
 
 def test_clear_reference_learns(ds):
@@ -133,6 +142,26 @@ def test_secure_gradients_both_orders(d, h):
                                 g.train_mask, w1, w2)
     assert _cos(g1, c1) >= 0.99
     assert _cos(g2, c2) >= 0.99
+
+
+@pytest.mark.parametrize("shapes, match", [
+    (((3, 4), (4, 2)), "w1 has 3 rows but the dataset has 4 features"),
+    (((4, 4), (3, 2)), "w1 has 4 columns but w2 has 3 rows"),
+    (((4, 4), (4, 2), (4, 3)), r"w2 shares have shapes \(4, 2\) and \(4, 3\)"),
+    (((4, 4), (4,)), r"w2 shares have shapes \(4,\) and \(4,\), not one 2-d"),
+], ids=["w1-rows", "inner-width", "unequal-shares", "not-2d"])
+def test_infer_secure_rejects_bad_weight_shapes(ds, monkeypatch, shapes, match):
+    w1, w2, *w2b = (np.zeros(s, np.uint64) for s in shapes)
+    monkeypatch.setattr(gcn, "run_two_party", None)  # no secure work at all
+    with pytest.raises(ValueError, match=match):
+        infer_secure(ds, (w1, w1), (w2, *(w2b or [w2])))
+
+
+def test_weight_check_allows_classes_missing_from_labels(ds):
+    # a test set may lack the top class, so w2 may be wider than num_classes
+    w1 = np.zeros((4, 4), np.uint64)
+    w2 = np.zeros((4, ds.num_classes + 1), np.uint64)
+    gcn.check_weight_shapes(ds, (w1, w1), (w2, w2))
 
 
 def test_infer_secure_wide_features_matches_clear():

@@ -4,7 +4,7 @@ import pytest
 from vsmm.nonlinear import (AdamState, QUAD_A, QUAD_B, QUAD_C,
                             RsqrtConfigError, adam_step, quad_poly,
                             reciprocal, rsqrt, rsqrt_eps, rsqrt_pow2,
-                            scale_public, sgd_step, softmax_rows)
+                            sgd_step, softmax_rows)
 from vsmm.ring import (FixedPointConfig, decode_fixed, encode_fixed,
                        random_ring, reconstruct, share_secret)
 from vsmm.runtime import run_two_party

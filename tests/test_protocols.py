@@ -6,8 +6,8 @@ import pytest
 from vsmm.decompose import Permutation
 from vsmm.protocols import (and_bits, beaver_mult, beaver_square,
                             mux_shared_bit, op, osm, priv_mult, reveal)
-from vsmm.ring import (decode_fixed, encode_fixed, lift_signed, random_ring,
-                       reconstruct, share_secret)
+from vsmm.ring import (decode_fixed, encode_fixed, random_ring, reconstruct,
+                       share_secret)
 from vsmm.runtime import run_two_party
 
 
@@ -158,9 +158,9 @@ def test_and_bits_count(rng, count):
     def proto(ctx, xv, yv):
         send = ctx.ep.send
 
-        def spy(payload, nbits=None, tag=0):
+        def spy(payload, nbits=None):
             sent.append((ctx.party, payload, nbits))
-            send(payload, nbits, tag)
+            send(payload, nbits)
 
         ctx.ep.send = spy
         return and_bits(ctx, xv, yv, count)

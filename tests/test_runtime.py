@@ -317,16 +317,3 @@ def test_mismatched_draws_raise(requests):
 
     with pytest.raises(TapeExhausted):
         run_two_party(proto)
-
-
-def test_budget_raises_on_both_sides():
-    def proto(ctx):
-        ctx.tape.osm(4)
-        ctx.tape.osm(4)
-        with pytest.raises(TapeExhausted):
-            ctx.tape.osm(4)
-        return ctx.tape.ctr
-
-    out0, out1, meter = run_two_party(proto, budget=2)
-    assert (out0, out1) == (2, 2)
-    assert meter.offline_bits == 2 * 4 * 64
