@@ -7,7 +7,9 @@ dealer-to-party-1 correction messages are charged to the offline meter. The
 dealer never receives anything online: the API exposes generation only.
 
 Permutations are the argsort of k PRF words, redrawn when two words tie, so
-each is an exactly uniform element of S_k. Within one two-party run each tuple
+each is an exactly uniform element of S_k. In an oblivious-permutation tuple
+that argsort is dealt to party 0 as pi^-1, which is as uniform as pi and is
+the form the protocol uses. Within one two-party run each tuple
 is generated once: the first party to draw a counter keeps its own view and
 leaves the peer's view in a `Handoff`, which the peer's draw takes.
 """
@@ -28,6 +30,8 @@ TAG_SQUARE = b"SQRT"
 TAG_PRIVMUL = b"PMUL"
 TAG_BITS = b"BTRI"
 
+_ZEROS = memoryview(bytes(1 << 16))  # keystream plaintext; read-only, shared
+
 
 class TapeExhausted(RuntimeError):
     """The two parties asked for different tuples at the same counter."""
@@ -46,9 +50,14 @@ class PrfStream:
         return self._enc.update(b"\0" * n)
 
     def u64(self, shape) -> np.ndarray:
+        """The next 8*size keystream bytes as little-endian words, decrypted
+        straight into a fresh writable array."""
         n = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        buf = self.bytes(8 * n)
-        return np.frombuffer(buf, dtype="<u8").reshape(shape).astype(np.uint64)
+        out = np.empty(n + 2, dtype="<u8")  # CTR's update_into wants 15 spare bytes
+        buf = out.view(np.uint8)
+        for start in range(0, 8 * n, len(_ZEROS)):
+            self._enc.update_into(_ZEROS[:8 * n - start], buf[start:])
+        return out[:n].reshape(shape)
 
     def bits(self, n: int) -> np.ndarray:
         buf = self.bytes((n + 7) // 8)
@@ -56,7 +65,7 @@ class PrfStream:
 
     def bit_words(self, count: int) -> np.ndarray:
         """`count` PRF bits packed into words, least significant first."""
-        words = np.frombuffer(self.bytes(8 * -(-count // 64)), "<u8").copy()
+        words = self.u64((-(-count // 64),))
         words[-1:] &= np.uint64(2 ** ((count - 1) % 64 + 1) - 1)
         return words
 
@@ -86,8 +95,8 @@ class OpRandomness:
 
     k: int
     d: int
-    pis: np.ndarray | None  # party 0: (d, k) permutations
-    piU: np.ndarray          # (k, d) shares of pi(U) column-wise
+    pinv: np.ndarray | None  # party 0: (d, k), row c is pi_c^-1
+    piU: np.ndarray           # (k, d) shares of pi(U): piU[i, c] = U[pi_c[i], c]
     U: np.ndarray | None     # party 1: (k, d)
 
 
@@ -141,16 +150,20 @@ class Dealer:
         return PrfStream(self.keys[0], tag, ctr), PrfStream(self.keys[1], tag, ctr)
 
     def gen_op_rand(self, ctr: int, k: int, d: int = 1):
-        """Party 0 gets (pi, <piU>0); party 1 gets (U, <piU>1); offline cost k*L*d."""
+        """Party 0 gets (pi^-1, <piU>0); party 1 gets (U, <piU>1); offline
+        cost k*L*d. Row U[j] lands at row pi^-1[j] of piU."""
         if k < 1:
             raise ValueError("permutation degree must be >= 1")
         s0, s1 = self._streams(TAG_OP, ctr)
-        pis = np.stack([s0.permutation(k) for _ in range(d)])
+        pinv = np.empty((d, k), dtype=np.int64)
+        for row in pinv:
+            row[:] = s0.permutation(k)
         piU0 = s0.u64((k, d))
         U = s1.u64((k, d))
-        piU = np.take_along_axis(U, pis.T, axis=0)
-        piU1 = piU - piU0
-        view0 = OpRandomness(k, d, pis, piU0, None)
+        piU1 = np.empty_like(U)
+        np.put_along_axis(piU1, pinv.T, U, axis=0)
+        piU1 -= piU0
+        view0 = OpRandomness(k, d, pinv, piU0, None)
         view1 = OpRandomness(k, d, None, piU1, U)
         return view0, view1, k * 64 * d
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .decompose import Permutation, invert
+from .decompose import Permutation
 from .ring import truncate_share
 from .runtime import PartyContext
 
@@ -32,14 +32,13 @@ def op(ctx: PartyContext, sigma: Permutation | None, x: np.ndarray | None,
         if ctx.party == 0:
             if sigma is None or sigma.degree != k:
                 raise ValueError("party 0 must supply a degree-k permutation")
-            delta_sigma = invert(tape.pis)[:, sigma.p]  # (d, k): sigma o pi_c^{-1}
+            delta_sigma = tape.pinv[:, sigma.p]  # (d, k): pi_c^{-1}[sigma[i]]
             ctx.send_perm(delta_sigma, k)
             delta_x = ctx.recv_ring((k, d))
-            out = delta_x[sigma.p] + np.take_along_axis(
+            if shared:  # permute delta_x + x with one gather
+                delta_x = delta_x + _as2d(np.asarray(x, dtype=np.uint64))
+            return delta_x[sigma.p] + np.take_along_axis(
                 tape.piU, delta_sigma.T, axis=0)
-            if shared:
-                out += _as2d(np.asarray(x))[sigma.p].astype(np.uint64)
-            return out
         x2 = _as2d(np.asarray(x, dtype=np.uint64))
         if x2.shape != (k, d):
             raise ValueError(f"expected ({k}, {d}) input, got {x2.shape}")

@@ -21,7 +21,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .dealer import Dealer, Handoff, TapeView
 from .ring import DEFAULT_CFG, FixedPointConfig
@@ -48,6 +47,7 @@ class CommMeter:
         self.framing_bits = 0
         self.rounds = 0
         self.sections: dict[str, dict] = {}
+        self._party_rounds: dict[str, list[int]] = {}
 
     def _section(self, name: str) -> dict:
         return self.sections.setdefault(
@@ -64,11 +64,13 @@ class CommMeter:
             self.offline_bits += bits
             self._section(section)["offline_bits"] += bits
 
-    def note_section_rounds(self, section: str, delta: int) -> None:
-        """Per-section round cost: max over the two parties' clock deltas."""
+    def note_section_rounds(self, section: str, party: int, delta: int) -> None:
+        """Per-section round cost: each party's clock deltas are summed over
+        the section's calls, and the section reports the larger sum."""
         with self._lock:
-            sec = self._section(section)
-            sec["rounds"] = max(sec["rounds"], delta)
+            sums = self._party_rounds.setdefault(section, [0, 0])
+            sums[party] += delta
+            self._section(section)["rounds"] = max(sums)
 
     @property
     def online_bytes(self) -> int:
@@ -188,26 +190,26 @@ class PartyContext:
         finally:
             self.ep.sections.pop()
             self.tape.section = self.ep.section
-            self.ep._rt.meter.note_section_rounds(name, self.ep.clock - start)
+            self.ep._rt.meter.note_section_rounds(
+                name, self.party, self.ep.clock - start)
 
     # wire encodings ------------------------------------------------------
 
     def send_ring(self, arr: np.ndarray) -> None:
-        a = np.ascontiguousarray(arr, dtype=np.uint64)
-        self.ep.send(a.astype("<u8").tobytes(), nbits=64 * a.size)
+        a = np.ascontiguousarray(arr, dtype="<u8")
+        self.ep.send(a.tobytes(), nbits=64 * a.size)
 
     def recv_ring(self, shape) -> np.ndarray:
-        payload = self.ep.recv()
-        return np.frombuffer(payload, dtype="<u8").astype(np.uint64).reshape(shape)
+        """The peer's ring elements as a read-only view of the payload."""
+        return np.frombuffer(self.ep.recv(), dtype="<u8").reshape(shape)
 
     def send_bits(self, bits: np.ndarray) -> None:
         b = np.ascontiguousarray(bits, dtype=np.uint8).ravel()
         self.ep.send(np.packbits(b).tobytes(), nbits=b.size)
 
-    def recv_bits(self, n: int, shape=None) -> np.ndarray:
+    def recv_bits(self, n: int) -> np.ndarray:
         payload = self.ep.recv()
-        bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8))[:n]
-        return bits.reshape(shape) if shape is not None else bits
+        return np.unpackbits(np.frombuffer(payload, dtype=np.uint8))[:n]
 
     def send_gates(self, x: np.ndarray, y: np.ndarray, count: int) -> None:
         """The first `count` bits of packed words x, then those of y, least
@@ -238,18 +240,29 @@ class PartyContext:
 
     def send_perm(self, indices: np.ndarray, degree: int) -> None:
         """Bit-packed permutation indices: ceil(log2 degree) bits each,
-        most significant bit first, zero-padded to a whole byte at the end."""
+        most significant bit first, zero-padded to a whole byte at the end.
+
+        Eight consecutive b-bit indices fill exactly b bytes. Each group of
+        eight is built as one 64*ceil(b/8)-bit big-endian number in uint64
+        words, one shift/or pass per position in the group, and its first b
+        bytes go on the wire. The last group is padded with zero indices.
+        """
         b = _index_bits(degree)
+        idx = np.ravel(indices)
         if b == 0:
             self.ep.send(b"", nbits=0)
             return
-        width = next(w for w in (1, 2, 4, 8) if 8 * w >= b)
-        # shift each index's b bits to the top of a big-endian word, then
-        # unpack just those b bits
-        idx = np.asarray(indices, dtype=np.uint64).ravel()
-        top = (idx << np.uint64(8 * width - b)).astype(f">u{width}")
-        bits = np.unpackbits(top.view(np.uint8).reshape(-1, width), axis=1, count=b)
-        self.ep.send(np.packbits(bits).tobytes(), nbits=idx.size * b)
+        groups = np.zeros((-(-idx.size // 8), 8), dtype=np.uint64)
+        groups.ravel()[:idx.size] = idx
+        words = np.zeros((len(groups), -(-b // 8)), dtype=np.uint64)
+        for j, (w, lo, hi) in enumerate(_group_slots(b)):
+            if hi is None:  # the index sits inside word w
+                words[:, w] |= groups[:, j] << lo
+            else:  # its high bits end word w, its low bits start word w + 1
+                words[:, w] |= groups[:, j] >> hi
+                words[:, w + 1] |= groups[:, j] << lo
+        payload = words.astype(">u8").view(np.uint8)[:, :b].tobytes()
+        self.ep.send(payload[:-(-idx.size * b // 8)], nbits=idx.size * b)
 
     def recv_perm(self, degree: int, count: int | None = None) -> np.ndarray:
         """Receive `count` packed indices (default: degree, one permutation)."""
@@ -261,13 +274,37 @@ class PartyContext:
         if 8 * len(payload) < count * b:
             raise ValueError(f"{len(payload)}-byte payload is short of "
                              f"{count} indices of {b} bits")
-        # index i starts at bit i*b; read the big-endian 8-byte word at its
-        # first byte (b <= 57 keeps the whole index inside that word)
-        buf = np.frombuffer(payload + bytes(8), dtype=np.uint8)
-        starts = np.arange(count, dtype=np.uint64) * np.uint64(b)
-        first = (starts >> np.uint64(3)).astype(np.intp)
-        words = sliding_window_view(buf, 8)[first].view(">u8").ravel()
-        return ((words << (starts & np.uint64(7))) >> np.uint64(64 - b)).astype(np.int64)
+        n_groups = -(-count // 8)
+        raw = np.zeros((n_groups, 8 * -(-b // 8)), dtype=np.uint8)
+        raw[:, :b] = np.frombuffer(
+            payload[:n_groups * b].ljust(n_groups * b, b"\0"),
+            dtype=np.uint8).reshape(n_groups, b)
+        words = raw.view(">u8")
+        out = np.empty((n_groups, 8), dtype=np.int64)
+        bits = out.view(np.uint64)
+        for j, (w, lo, hi) in enumerate(_group_slots(b)):
+            if hi is None:
+                bits[:, j] = words[:, w] >> lo
+            else:
+                bits[:, j] = words[:, w] << hi | words[:, w + 1] >> lo
+        bits &= np.uint64((1 << b) - 1)  # drop the bits of earlier indices
+        return out.ravel()[:count]
+
+
+def _group_slots(b: int) -> list[tuple]:
+    """Where each of the eight b-bit indices of a group sits in the group's
+    big-endian uint64 words, as (w, lo, hi). An index inside word w reads as
+    `word[w] >> lo` (hi is None); one that runs on into word w + 1, where
+    its low hi bits are, reads as `word[w] << hi | word[w + 1] >> lo`."""
+    slots = []
+    for j in range(8):
+        w, start = divmod(j * b, 64)
+        end = start + b
+        if end <= 64:
+            slots.append((w, np.uint64(64 - end), None))
+        else:
+            slots.append((w, np.uint64(128 - end), np.uint64(end - 64)))
+    return slots
 
 
 def _index_bits(degree: int) -> int:

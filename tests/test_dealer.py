@@ -1,6 +1,10 @@
+import struct
+
 import numpy as np
 import pytest
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
+from vsmm.decompose import invert
 from vsmm.dealer import Dealer, PrfStream
 from vsmm.ring import reconstruct
 
@@ -17,6 +21,23 @@ def test_prf_deterministic():
     assert a == b
     assert PrfStream(key, b"OPRM", 4).bytes(64) != a
     assert PrfStream(key, b"OSMR", 3).bytes(64) != a
+
+
+def test_prf_words_are_the_keystream():
+    key, tag, ctr = bytes(range(16)), b"OPRM", 5
+    nonce = tag + struct.pack("<Q", ctr) + bytes(4)
+    enc = Cipher(algorithms.AES(key), modes.CTR(nonce)).encryptor()
+    keystream = np.frombuffer(enc.update(bytes(8 * 8)), "<u8")
+    s = PrfStream(key, tag, ctr)
+    first, second = s.u64(3), s.u64((5,))
+    assert np.array_equal(np.concatenate([first, second]), keystream)
+    assert np.array_equal(PrfStream(key, tag, ctr).u64((2, 4)).ravel(), keystream)
+    assert first.flags.writeable
+    first += np.uint64(1)  # the caller owns the words
+    for count in (1, 64, 65, 130):
+        words = PrfStream(key, tag, ctr).u64((-(-count // 64),))
+        words[-1] &= np.uint64(2 ** ((count - 1) % 64 + 1) - 1)
+        assert np.array_equal(PrfStream(key, tag, ctr).bit_words(count), words)
 
 
 def test_prf_key_length():
@@ -66,7 +87,8 @@ def test_op_rand_correlation(dealer):
     assert offline == 8 * 64 * 3
     for c in range(3):
         piU = reconstruct(v0.piU[:, c], v1.piU[:, c])
-        assert np.array_equal(piU, v1.U[v0.pis[c], c])
+        assert sorted(v0.pinv[c].tolist()) == list(range(8))
+        assert np.array_equal(piU, v1.U[invert(v0.pinv[c]), c])
 
 
 def test_osm_rand_correlation(dealer):
@@ -123,5 +145,5 @@ def test_determinism_same_keys():
     d2 = Dealer.from_seed(42)
     a0, _, _ = d1.gen_op_rand(5, 16, 2)
     b0, _, _ = d2.gen_op_rand(5, 16, 2)
-    assert np.array_equal(a0.pis, b0.pis)
+    assert np.array_equal(a0.pinv, b0.pinv)
     assert np.array_equal(a0.piU, b0.piU)

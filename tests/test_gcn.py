@@ -221,6 +221,15 @@ def test_epoch_bytes_follow_smm_widths(monkeypatch, d, h, non_smm_bytes,
     assert [r["rounds"] for r in res["history"]] == [rounds] * 2
 
 
+def test_section_rounds_sum_to_meter_rounds(ds):
+    # each section sums its calls' rounds, so the sections add up to the run
+    _, meter = train_secure(ds, TrainConfig(epochs=1, hidden=4))
+    rounds = {name: sec["rounds"] for name, sec in meter.sections.items()}
+    assert rounds == {"op": 20, "osm": 8, "mult": 33, "gmw_and": 34,
+                      "reveal": 2}
+    assert sum(rounds.values()) == meter.rounds == 97
+
+
 def test_train_secure_history_and_meter(ds):
     for optimizer in ("sgd", "adam"):
         cfg = TrainConfig(optimizer=optimizer, epochs=3, lr=0.5, seed=1,

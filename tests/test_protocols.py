@@ -48,8 +48,8 @@ def test_op_columns_use_independent_masks(rng):
     # the d per-column permutations of one tuple must differ (whp for k=32)
     from vsmm.dealer import Dealer
     v0, _, _ = Dealer.from_seed(1).gen_op_rand(0, 32, 4)
-    pis = {tuple(p) for p in v0.pis}
-    assert len(pis) == 4
+    pinvs = {tuple(p) for p in v0.pinv}
+    assert len(pinvs) == 4
 
 
 def test_op_degree_validation(rng):

@@ -163,6 +163,27 @@ def test_perm_wire_format(degree, copies):
     assert meter.online_bits == 2 * copies * degree * b
 
 
+@pytest.mark.parametrize("b", [1, 7, 8, 9, 17, 25, 33, 57])
+@pytest.mark.parametrize("count", [1, 7, 9, 17])
+def test_perm_wire_format_wide_and_ragged(b, count):
+    # indices of up to 57 bits, in counts that leave a partial group of 8
+    degree = 2 ** b
+    rng = np.random.default_rng(100 * b + count)
+    indices = rng.integers(0, degree, count, dtype=np.uint64).astype(np.int64)
+
+    def proto(ctx):
+        if ctx.party == 0:
+            ctx.send_perm(indices, degree)
+            ctx.send_perm(indices, degree)
+            return None
+        return ctx.ep.recv(), ctx.recv_perm(degree, count=count)
+
+    _, (payload, got), meter = run_two_party(proto)
+    assert payload == _reference_perm_bytes(indices, degree)
+    assert np.array_equal(got, indices)
+    assert meter.online_bits == 2 * count * b
+
+
 def test_short_perm_payload_is_rejected():
     def proto(ctx):
         if ctx.party == 0:
