@@ -9,9 +9,9 @@ dealer never receives anything online: the API exposes generation only.
 Permutations are the argsort of k PRF words, redrawn when two words tie, so
 each is an exactly uniform element of S_k. In an oblivious-permutation tuple
 that argsort is dealt to party 0 as pi^-1, which is as uniform as pi and is
-the form the protocol uses. Within one two-party run each tuple
-is generated once: the first party to draw a counter keeps its own view and
-leaves the peer's view in a `Handoff`, which the peer's draw takes.
+the form the protocol uses. Within one two-party run each tuple is generated
+once: the first party to draw a counter keeps its own view and leaves the
+peer's view in a `Handoff`, which the peer's draw takes.
 """
 
 from __future__ import annotations
