@@ -6,10 +6,10 @@ secure sparse matrix multiplication built from a permutation-based matrix
 decomposition, and an end-to-end secure two-layer GCN trainer.
 """
 
-from .ring import FixedPointConfig, encode_fixed, decode_fixed, share_secret, reconstruct, truncate_share
+from .ring import FRAC_BITS, encode_fixed, decode_fixed, share_secret, reconstruct, truncate_share
 
 __all__ = [
-    "FixedPointConfig",
+    "FRAC_BITS",
     "encode_fixed",
     "decode_fixed",
     "share_secret",

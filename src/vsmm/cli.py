@@ -24,7 +24,7 @@ from .dealer import TapeExhausted
 from .gcn import (TrainConfig, check_weight_shapes, infer_secure,
                   load_dataset, load_model, save_model, train_secure)
 from .protocols import op, osm
-from .ring import random_ring, share_secret
+from .ring import FRAC_BITS, random_ring, share_secret
 from .runtime import (DeadlockError, NETWORK_CONDITIONS, PeerFailedError,
                       estimate_time, run_two_party)
 from .smm import SmmDims, beaver_dense_online_bits, smm, smm_online_bits
@@ -103,7 +103,8 @@ def cmd_bench(args) -> int:
     rng = np.random.default_rng(_seed(args))
     protocol, inputs0, inputs1, extra = _BENCHES[args.protocol](args, rng)
     _, _, meter = run_two_party(protocol, inputs0, inputs1, seed=_seed(args))
-    report = meter.report(args.protocol, NETWORK_CONDITIONS)
+    report = meter.report(args.protocol)
+    report["est_time_by_condition"] = _est_times(meter)
     report.update(extra)
     if "beaver_dense_online_bits" in extra:
         report["saving_pct"] = 100.0 * (
@@ -121,14 +122,14 @@ def cmd_train(args) -> int:
         "dataset": args.dataset,
         "config": {"optimizer": cfg.optimizer, "lr": cfg.lr,
                    "epochs": cfg.epochs, "seed": cfg.seed,
-                   "hidden": cfg.hidden, "f": cfg.f},
+                   "hidden": cfg.hidden, "f": FRAC_BITS},
         "per_epoch": result["history"],
         "totals": meter.report("gcn_train"),
         "test_acc": result["test_acc"],
         "est_time": _est_times(meter),
     }
     if args.model_out:
-        save_model(args.model_out, result["w1"], result["w2"], f=cfg.f)
+        save_model(args.model_out, result["w1"], result["w2"])
         report["model"] = args.model_out
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
@@ -143,12 +144,12 @@ def cmd_train(args) -> int:
 
 def cmd_infer(args) -> int:
     ds = load_dataset(args.dataset)
-    w1, w2, f = load_model(args.model)
+    w1, w2 = load_model(args.model)
     try:
         check_weight_shapes(ds, w1, w2)
     except ValueError as exc:
         raise ValueError(f"{args.model}: {exc}") from None
-    preds, meter = infer_secure(ds, w1, w2, f=f, seed=_seed(args))
+    preds, meter = infer_secure(ds, w1, w2, seed=_seed(args))
     acc = float((preds[ds.test_mask] == ds.labels[ds.test_mask]).mean()) \
         if ds.test_mask.any() else 0.0
     _emit({"predictions": preds.tolist(), "test_acc": acc,

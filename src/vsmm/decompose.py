@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .ring import FixedPointConfig, DEFAULT_CFG
+from .ring import FRAC_BITS
 
 
 class DecomposeError(ValueError):
@@ -370,14 +370,14 @@ def write_coo_text(path: str, a: SparseMatrixCOO) -> None:
             fh.write(f"{i + 1} {j + 1} {float(w)!r}\n")
 
 
-def bundle_to_json(b: DecompositionBundle, cfg: FixedPointConfig = DEFAULT_CFG) -> dict:
+def bundle_to_json(b: DecompositionBundle) -> dict:
     return {
         "m": b.m, "n": b.n, "t": b.t, "ncol": b.ncol, "nrow": b.nrow,
-        "f": cfg.f,
+        "f": FRAC_BITS,
         "sigma1": b.sigma1.p.tolist(), "sigma2": b.sigma2.p.tolist(),
         "sigma3": b.sigma3.p.tolist(), "sigma4": b.sigma4.p.tolist(),
         "sigma5": b.sigma5.p.tolist(),
-        "lam_fixed": [int(round(w * (1 << cfg.f))) for w in b.lam],
+        "lam_fixed": [int(round(w * (1 << FRAC_BITS))) for w in b.lam],
     }
 
 
@@ -391,10 +391,9 @@ def bundle_from_json(obj: dict) -> DecompositionBundle:
         np.array(obj["lam_fixed"], dtype=np.float64) / scale)
 
 
-def save_bundle(path: str, b: DecompositionBundle,
-                cfg: FixedPointConfig = DEFAULT_CFG) -> None:
+def save_bundle(path: str, b: DecompositionBundle) -> None:
     with open(path, "w") as fh:
-        json.dump(bundle_to_json(b, cfg), fh)
+        json.dump(bundle_to_json(b), fh)
 
 
 def load_bundle(path: str) -> DecompositionBundle:

@@ -13,6 +13,7 @@ only on (|V|, t, feature dim, hidden, classes), never on values.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -22,7 +23,7 @@ from .decompose import SparseMatrixCOO, decompose_full
 from .binary import relu
 from .nonlinear import AdamState, adam_step, scale_public, sgd_step, softmax_rows
 from .protocols import beaver_mult, reveal
-from .ring import FixedPointConfig, decode_fixed, encode_fixed
+from .ring import FRAC_BITS, decode_fixed, encode_fixed
 from .runtime import CommMeter, run_two_party
 from .smm import SmmDims, smm, smm_transpose
 
@@ -53,7 +54,6 @@ class TrainConfig:
     epochs: int = 50
     seed: int = 0
     hidden: int = 16
-    f: int = 16
     adam_eps: float = 0.01
     adam_beta1: float = 0.9
     adam_beta2: float = 0.9
@@ -61,8 +61,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError("optimizer must be sgd or adam")
-        if self.lr <= 0 or self.epochs < 1:
-            raise ValueError("lr must be positive and epochs >= 1")
+        if not (math.isfinite(self.lr) and self.lr > 0) or self.epochs < 1:
+            raise ValueError("lr must be finite and positive and epochs >= 1")
         if self.hidden < 1:
             raise ValueError("hidden must be >= 1")
         if not self.adam_eps > 0:
@@ -273,7 +273,7 @@ def _secure_backward(ctx, bundle, dims, ax, z, relu_mask, w2, logits,
 
 def _eval_logits(ctx, logits_share, pub):
     """Reveal logits (evaluation/reporting only) and score them in the clear."""
-    opened = decode_fixed(reveal(ctx, logits_share), ctx.cfg)
+    opened = decode_fixed(reveal(ctx, logits_share))
     return opened, {
         "loss": clear_loss(opened, pub["labels"], pub["train_mask"]),
         "acc": accuracy(opened, pub["labels"], pub["test_mask"]),
@@ -320,7 +320,7 @@ def _forward_protocol(ctx, bundle, x, onehot_enc, w1, w2, pub):
     dims = pub["dims"]
     ax = smm(ctx, bundle, dims, x, shared=False, fixed_point=True)
     logits, _, _ = _secure_forward(ctx, bundle, dims, ax, w1, w2)
-    return decode_fixed(reveal(ctx, logits), ctx.cfg)
+    return decode_fixed(reveal(ctx, logits))
 
 
 def _gradients_protocol(ctx, bundle, x, onehot_enc, w1, w2, pub):
@@ -330,17 +330,16 @@ def _gradients_protocol(ctx, bundle, x, onehot_enc, w1, w2, pub):
     gw1, gw2 = _secure_backward(ctx, bundle, dims, ax, z, relu_mask, w2,
                                 logits, onehot_enc,
                                 pub["train_mask"].astype(np.uint64))
-    return (decode_fixed(reveal(ctx, gw1), ctx.cfg),
-            decode_fixed(reveal(ctx, gw2), ctx.cfg))
+    return decode_fixed(reveal(ctx, gw1)), decode_fixed(reveal(ctx, gw2))
 
 
-def _public_shares(w: np.ndarray, f: int):
+def _public_shares(w: np.ndarray):
     """Shares of public weights: party 0 holds the encoding, party 1 zeros."""
-    return encode_fixed(w, FixedPointConfig(f=f)), np.zeros(w.shape, np.uint64)
+    return encode_fixed(w), np.zeros(w.shape, np.uint64)
 
 
-def _run_secure(protocol, ds: GraphDataset, w1_shares, w2_shares, f: int,
-                seed: int, *args):
+def _run_secure(protocol, ds: GraphDataset, w1_shares, w2_shares, seed: int,
+                *args):
     """Decompose the graph, encode party 1's features and labels, and run
     protocol(ctx, bundle, x, onehot, w1, w2, pub, *args) for both parties.
 
@@ -348,18 +347,17 @@ def _run_secure(protocol, ds: GraphDataset, w1_shares, w2_shares, f: int,
     the encoded features (its plaintext, also its share) and one-hot labels.
     pub holds the public shapes, masks and evaluation labels.
     """
-    cfg_fp = FixedPointConfig(f=f)
     bundle = decompose_full(ds.adj_norm)
     pub = {"dims": SmmDims(bundle.m, bundle.n, bundle.t), "labels": ds.labels,
            "train_mask": ds.train_mask, "test_mask": ds.test_mask}
-    x = encode_fixed(ds.features, cfg_fp)
-    onehot = encode_fixed(np.eye(ds.num_classes)[ds.labels], cfg_fp)
+    x = encode_fixed(ds.features)
+    onehot = encode_fixed(np.eye(ds.num_classes)[ds.labels])
     return run_two_party(
         protocol,
         inputs0=(bundle, np.zeros_like(x), None, w1_shares[0], w2_shares[0],
                  pub, *args),
         inputs1=(None, x, onehot, w1_shares[1], w2_shares[1], pub, *args),
-        seed=seed, cfg=cfg_fp)
+        seed=seed)
 
 
 def train_secure(ds: GraphDataset, cfg: TrainConfig,
@@ -370,8 +368,7 @@ def train_secure(ds: GraphDataset, cfg: TrainConfig,
     w1f, w2f = init_weights(ds.features.shape[1], cfg.hidden, ds.num_classes,
                             cfg.seed)
     out0, out1, meter = _run_secure(
-        _train_protocol, ds, _public_shares(w1f, cfg.f),
-        _public_shares(w2f, cfg.f), cfg.f,
+        _train_protocol, ds, _public_shares(w1f), _public_shares(w2f),
         cfg.seed if seed is None else seed, cfg)
     result = dict(out0)
     for row, b0, b1 in zip(result["history"], result.pop("sent_bits"),
@@ -397,29 +394,28 @@ def check_weight_shapes(ds: GraphDataset, w1_shares, w2_shares) -> None:
         raise ValueError(f"w1 has {w1[1]} columns but w2 has {w2[0]} rows")
 
 
-def infer_secure(ds: GraphDataset, w1_shares, w2_shares, f: int = 16,
+def infer_secure(ds: GraphDataset, w1_shares, w2_shares,
                  seed: int = 0) -> tuple[np.ndarray, CommMeter]:
     """Secure forward pass with shared weights; returns revealed predictions."""
     check_weight_shapes(ds, w1_shares, w2_shares)
     out0, _, meter = _run_secure(_forward_protocol, ds, w1_shares, w2_shares,
-                                 f, seed)
+                                 seed)
     return out0.argmax(axis=1), meter
 
 
 def secure_gradients(ds: GraphDataset, w1f: np.ndarray, w2f: np.ndarray,
-                     f: int = 16, seed: int = 0):
+                     seed: int = 0):
     """One secure forward/backward pass at the given plaintext weights,
     returning the revealed (gw1, gw2); used to validate gradient direction."""
-    out0, _, meter = _run_secure(_gradients_protocol, ds,
-                                 _public_shares(w1f, f),
-                                 _public_shares(w2f, f), f, seed)
+    out0, _, meter = _run_secure(_gradients_protocol, ds, _public_shares(w1f),
+                                 _public_shares(w2f), seed)
     return out0[0], out0[1], meter
 
 
 # model share persistence ------------------------------------------------------
 
-def save_model(path: str, w1_shares, w2_shares, f: int = 16) -> None:
-    doc = {"version": 1, "f": f}
+def save_model(path: str, w1_shares, w2_shares) -> None:
+    doc = {"version": 1, "f": FRAC_BITS}
     for name, shares in (("w1", w1_shares), ("w2", w2_shares)):
         doc[name] = [[int(v) for v in np.asarray(s, dtype=np.uint64).ravel()]
                      for s in shares]
@@ -433,10 +429,13 @@ def load_model(path: str):
         doc = json.load(fh)
     if doc.get("version") != 1:
         raise ValueError(f"{path}: unsupported model file version")
+    if doc.get("f") != FRAC_BITS:
+        raise ValueError(f"{path}: shares have {doc.get('f')} fractional "
+                         f"bits, not {FRAC_BITS}")
 
     def unpack(name):
         shape = tuple(doc[name + "_shape"])
         return tuple(np.array(s, dtype=np.uint64).reshape(shape)
                      for s in doc[name])
 
-    return unpack("w1"), unpack("w2"), int(doc["f"])
+    return unpack("w1"), unpack("w2")

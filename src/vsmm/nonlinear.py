@@ -2,11 +2,12 @@
 softmax, and the SGD / simplified Adam optimizer steps.
 
 rsqrt works in three stages on positive fixed-point x with highest set ring
-bit k: (1) a one-hot inner product gives 1/sqrt(2^(k-f)) via quarter-power
-weights and one Beaver squaring; (2) x is normalized to m = x / 2^(k-f) in
-[1, 2) with a second one-hot inner product and a Beaver multiply; (3) the
-quadratic (4.63887 (m/4)^2 - 5.77789 (m/4) + 3.14736) / 2 approximates
-1/sqrt(m) and the two results are multiplied. The Adam variant follows the
+bit k and f = FRAC_BITS: (1) a one-hot inner product gives 1/sqrt(2^(k-f))
+via quarter-power weights and one Beaver squaring, which needs 4 | f; (2) x
+is normalized to m = x / 2^(k-f) in [1, 2) with a second one-hot inner
+product and a Beaver multiply; (3) the quadratic
+(4.63887 (m/4)^2 - 5.77789 (m/4) + 3.14736) / 2 approximates 1/sqrt(m) and
+the two results are multiplied. The Adam variant follows the
 simplified recurrence without bias correction and uses 1/sqrt(v + eps^2) in
 place of 1/(sqrt(v) + eps).
 """
@@ -14,13 +15,12 @@ place of 1/(sqrt(v) + eps).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .binary import highest_one_hot, relu
 from .protocols import beaver_mult, beaver_square, mux_shared_bit
-from .ring import FixedPointConfig, RING_BITS, encode_fixed, truncate_share
+from .ring import FRAC_BITS, MAX_ABS, RING_BITS, encode_fixed, truncate_share
 from .runtime import PartyContext
 
 QUAD_A = 4.63887 / 32   # coefficients of the 1/sqrt(m) quadratic on [1, 2),
@@ -33,39 +33,27 @@ def quad_poly(m):
     return (4.63887 * (m / 4) ** 2 - 5.77789 * (m / 4) + 3.14736) / 2
 
 
-class RsqrtConfigError(ValueError):
-    pass
-
-
-def _check_f(cfg: FixedPointConfig) -> None:
-    if cfg.f % 4 != 0:
-        raise RsqrtConfigError(
-            "the rsqrt protocol family needs 4 | f (quarter-power weights)")
-
-
-@lru_cache(maxsize=8)
-def _pow2_tables(f: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-bit-position constants, indexed by highest set bit k of the ring
-    value: quarter-power weights encode(2^((f-k)/4)) whose Beaver square gives
-    1/sqrt(2^(k-f)), and normalization shifts encode(2^(f-k))."""
-    cfg = FixedPointConfig(f=f)
-    ks = np.arange(RING_BITS, dtype=np.float64)
-    w = np.array([min(2.0 ** ((f - k) / 4), cfg.max_abs / 2) for k in ks])
-    shift = np.array([2.0 ** (f - k) if f - k > -f else 0.0 for k in ks])
-    return encode_fixed(w, cfg), encode_fixed(shift, cfg)
+# Per-bit-position constants, indexed by highest set bit k of the ring value:
+# quarter-power weights encode(2^((f-k)/4)) whose Beaver square gives
+# 1/sqrt(2^(k-f)), and normalization shifts encode(2^(f-k)).
+_KS = np.arange(RING_BITS, dtype=np.float64)
+POW2_WEIGHTS = encode_fixed(
+    np.minimum(2.0 ** ((FRAC_BITS - _KS) / 4), MAX_ABS / 2))
+POW2_SHIFTS = encode_fixed(
+    np.where(_KS < 2 * FRAC_BITS, 2.0 ** (FRAC_BITS - _KS), 0.0))
 
 
 def scale_public(share: np.ndarray, c: float, ctx: PartyContext) -> np.ndarray:
     """Local multiplication by a public fixed-point constant, then truncation."""
-    e = encode_fixed(np.float64(c), ctx.cfg)[0]
+    e = encode_fixed(np.float64(c))[0]
     return truncate_share(np.asarray(share, dtype=np.uint64) * e,
-                          ctx.party, ctx.cfg.f)
+                          ctx.party, FRAC_BITS)
 
 
 def _add_public(share: np.ndarray, c: float, ctx: PartyContext) -> np.ndarray:
     out = np.asarray(share, dtype=np.uint64).copy()
     if ctx.party == 0:
-        out += encode_fixed(np.float64(c), ctx.cfg)[0]
+        out += encode_fixed(np.float64(c))[0]
     return out
 
 
@@ -78,21 +66,17 @@ def rsqrt_pow2(ctx: PartyContext, y: np.ndarray) -> np.ndarray:
     the group weights keeps the whole combination local, and one Beaver
     squaring with truncation produces the result.
     """
-    _check_f(ctx.cfg)
-    weights, _ = _pow2_tables(ctx.cfg.f)
     y = np.asarray(y, dtype=np.uint64)
-    w = (y * weights).sum(axis=-1, dtype=np.uint64)
+    w = (y * POW2_WEIGHTS).sum(axis=-1, dtype=np.uint64)
     return beaver_square(ctx, w, truncate=True)
 
 
 def _rsqrt_core(ctx: PartyContext, x: np.ndarray):
     """Shares of 1/sqrt(x) plus the one-hot used (for the zero indicator)."""
-    _check_f(ctx.cfg)
-    _, shifts = _pow2_tables(ctx.cfg.f)
     x = np.asarray(x, dtype=np.uint64)
     y = highest_one_hot(ctx, x)
     v = rsqrt_pow2(ctx, y)
-    scale = (y * shifts).sum(axis=-1, dtype=np.uint64)
+    scale = (y * POW2_SHIFTS).sum(axis=-1, dtype=np.uint64)
     norm = beaver_mult(ctx, x, scale, truncate=True)  # m = x / 2^(k-f) in [1,2)
     m2 = beaver_square(ctx, norm, truncate=True)
     z = scale_public(m2, QUAD_A, ctx) + scale_public(norm, QUAD_B, ctx)
@@ -111,7 +95,7 @@ def rsqrt_eps(ctx: PartyContext, v: np.ndarray, eps: float) -> np.ndarray:
     x = _add_public(v, eps * eps, ctx)
     r, y = _rsqrt_core(ctx, x)
     s = y.sum(axis=-1, dtype=np.uint64)
-    fallback = encode_fixed(np.float64(1.0 / eps), ctx.cfg)[0]
+    fallback = encode_fixed(np.float64(1.0 / eps))[0]
     return mux_shared_bit(ctx, s, r, fallback)
 
 
@@ -148,7 +132,7 @@ def softmax_rows(ctx: PartyContext, y: np.ndarray) -> np.ndarray:
     if c == 1:
         out = np.zeros_like(y)
         if ctx.party == 0:
-            out += encode_fixed(np.ones((n, 1)), ctx.cfg)
+            out += encode_fixed(np.ones((n, 1)))
         return out
     mx = _row_max(ctx, y)
     x = y - mx[:, None]

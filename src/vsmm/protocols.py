@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .decompose import Permutation
-from .ring import truncate_share
+from .ring import FRAC_BITS, truncate_share
 from .runtime import PartyContext
 
 
@@ -50,7 +50,7 @@ def op(ctx: PartyContext, sigma: Permutation | None, x: np.ndarray | None,
 def osm(ctx: PartyContext, s: np.ndarray | None, x: np.ndarray) -> np.ndarray:
     """Oblivious selection-multiplication: party 0's private bit vector s
     times the shared vector x, elementwise; returns shares of s*x.
-    Payload is L+1 bits per element (1-bit selector delta plus one masked
+    Payload is 65 bits per element (1-bit selector delta plus one masked
     ring element), one round.
     """
     x = np.asarray(x, dtype=np.uint64)
@@ -95,7 +95,7 @@ def priv_mult(ctx: PartyContext, lam: np.ndarray | None, y: np.ndarray,
             delta_lam = ctx.recv_ring(shape)
             out = delta_lam * tape.u + tape.au
         if truncate:
-            out = truncate_share(out, ctx.party, ctx.cfg.f)
+            out = truncate_share(out, ctx.party, FRAC_BITS)
         return out
 
 
@@ -122,7 +122,7 @@ def beaver_mult(ctx: PartyContext, x: np.ndarray, y: np.ndarray,
             if ctx.party == 0:
                 out += dx * dy
         if truncate:
-            out = truncate_share(out, ctx.party, ctx.cfg.f)
+            out = truncate_share(out, ctx.party, FRAC_BITS)
         return out
 
 
@@ -138,7 +138,7 @@ def beaver_square(ctx: PartyContext, x: np.ndarray,
         if ctx.party == 0:
             out += dx * dx
         if truncate:
-            out = truncate_share(out, ctx.party, ctx.cfg.f)
+            out = truncate_share(out, ctx.party, FRAC_BITS)
         return out
 
 

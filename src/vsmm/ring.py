@@ -6,46 +6,25 @@ two's complement. Multiplying two fixed-point values doubles the scale, so
 products are followed by a share-wise probabilistic truncation by 2^f:
 party 0 floors its share, party 1 negates-floors-negates. The reconstructed
 result is off by at most one unit in the last place, except for a wrap event
-whose probability is bounded by |x| / 2^(L-1).
+whose probability is bounded by |x| / 2^63.
+
+The format is fixed: FRAC_BITS fractional bits, and encodable reals satisfy
+|x| < MAX_ABS, which leaves headroom below 2^63 for one product at scale
+2^(2 * FRAC_BITS) before truncation.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 RING_BITS = 64
 MASK = (1 << RING_BITS) - 1
+FRAC_BITS = 16
+MAX_ABS = 2 ** (RING_BITS - FRAC_BITS - 1)
 
 
 class OverflowRangeError(ValueError):
     """Raised when a real value does not fit the fixed-point range."""
-
-
-@dataclass(frozen=True)
-class FixedPointConfig:
-    """Ring bit-length and fractional precision of the fixed-point encoding."""
-
-    L: int = 64
-    f: int = 16
-
-    def __post_init__(self) -> None:
-        if self.L != RING_BITS:
-            raise ValueError("only the 64-bit ring is supported")
-        if not 0 < self.f < self.L:
-            raise ValueError("fractional bits must satisfy 0 < f < L")
-
-    @property
-    def scale(self) -> int:
-        return 1 << self.f
-
-    @property
-    def max_abs(self) -> float:
-        return float(1 << (self.L - self.f - 1))
-
-
-DEFAULT_CFG = FixedPointConfig()
 
 
 def as_ring(x) -> np.ndarray:
@@ -61,20 +40,21 @@ def as_ring(x) -> np.ndarray:
     return np.atleast_1d(out)
 
 
-def encode_fixed(x, cfg: FixedPointConfig = DEFAULT_CFG) -> np.ndarray:
-    """Encode reals as round(x * 2^f) mod 2^64 (two's complement)."""
+def encode_fixed(x) -> np.ndarray:
+    """Encode reals as round(x * 2^FRAC_BITS) mod 2^64 (two's complement)."""
     arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    if np.any(np.abs(arr) >= cfg.max_abs):
+    if not np.all(np.abs(arr) < MAX_ABS):  # NaN fails the comparison too
         raise OverflowRangeError(
-            f"value out of range for f={cfg.f}: |x| must be < 2^{cfg.L - cfg.f - 1}")
-    scaled = np.round(arr * cfg.scale).astype(np.int64)
+            f"value out of range: |x| must be < 2^{RING_BITS - FRAC_BITS - 1} "
+            "and not NaN")
+    scaled = np.round(arr * (1 << FRAC_BITS)).astype(np.int64)
     return scaled.astype(np.uint64)
 
 
-def decode_fixed(e, cfg: FixedPointConfig = DEFAULT_CFG) -> np.ndarray:
-    """Centered lift to (-2^63, 2^63] divided by 2^f."""
+def decode_fixed(e) -> np.ndarray:
+    """Centered lift to (-2^63, 2^63] divided by 2^FRAC_BITS."""
     arr = as_ring(e)
-    return arr.astype(np.int64).astype(np.float64) / cfg.scale
+    return arr.astype(np.int64).astype(np.float64) / (1 << FRAC_BITS)
 
 
 def share_secret(x, rand) -> tuple[np.ndarray, np.ndarray]:

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dealer import Dealer, Handoff, TapeView
-from .ring import DEFAULT_CFG, FixedPointConfig
 
 FRAME_BITS = 48  # 4-byte length + 2-byte tag per message
 RECV_TIMEOUT_S = 120.0
@@ -80,8 +79,8 @@ class CommMeter:
     def offline_bytes(self) -> int:
         return (self.offline_bits + 7) // 8
 
-    def report(self, protocol: str = "", models: dict | None = None) -> dict:
-        out = {
+    def report(self, protocol: str = "") -> dict:
+        return {
             "protocol": protocol,
             "online_bits": self.online_bits,
             "online_bytes": self.online_bytes,
@@ -91,10 +90,6 @@ class CommMeter:
             "rounds": self.rounds,
             "sections": {k: dict(v) for k, v in self.sections.items()},
         }
-        if models:
-            out["est_time_by_condition"] = {
-                name: estimate_time(self, model) for name, model in models.items()}
-        return out
 
 
 @dataclass(frozen=True)
@@ -172,12 +167,11 @@ class Endpoint:
 
 
 class PartyContext:
-    """Everything one party's protocol code needs: channel, tapes, config."""
+    """Everything one party's protocol code needs: channel and tapes."""
 
-    def __init__(self, endpoint: Endpoint, tape, cfg: FixedPointConfig):
+    def __init__(self, endpoint: Endpoint, tape):
         self.ep = endpoint
         self.tape = tape
-        self.cfg = cfg
         self.party = endpoint.party
 
     @contextmanager
@@ -312,7 +306,7 @@ def _index_bits(degree: int) -> int:
 
 
 def run_two_party(protocol, inputs0=(), inputs1=(), dealer: Dealer | None = None,
-                  seed: int = 0, cfg: FixedPointConfig = DEFAULT_CFG):
+                  seed: int = 0):
     """Run protocol(ctx, *inputs) for both parties concurrently.
 
     Returns (out0, out1, meter). Exceptions from either party propagate.
@@ -320,7 +314,7 @@ def run_two_party(protocol, inputs0=(), inputs1=(), dealer: Dealer | None = None
     meter, handoff = CommMeter(), Handoff()
     dealer = dealer if dealer is not None else Dealer.from_seed(seed)
     rt = _Runtime(meter)
-    ctxs = [PartyContext(Endpoint(rt, p), TapeView(dealer, p, meter, handoff), cfg)
+    ctxs = [PartyContext(Endpoint(rt, p), TapeView(dealer, p, meter, handoff))
             for p in range(2)]
     outs: list = [None, None]
     errs: list = [None, None]

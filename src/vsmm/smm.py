@@ -22,7 +22,7 @@ import numpy as np
 from .decompose import (DecompositionBundle, Perm, Select, Weight,
                         factor_steps, resize)
 from .protocols import op, osm, priv_mult
-from .ring import encode_fixed
+from .ring import RING_BITS, encode_fixed
 from .runtime import PartyContext
 
 
@@ -39,22 +39,22 @@ def _clog(k: int) -> int:
     return math.ceil(math.log2(k)) if k > 1 else 0
 
 
-def smm_online_bits(m: int, n: int, t: int, d: int, L: int = 64) -> int:
+def smm_online_bits(m: int, n: int, t: int, d: int) -> int:
     """Online payload of one smm call in bits."""
-    return ((5 * t + 2 * m + 2 * n) * L
+    return ((5 * t + 2 * m + 2 * n) * RING_BITS
             + 3 * t * _clog(t) + m * _clog(m) + n * _clog(n)
             + m + n) * d
 
 
-def smm_offline_bits(m: int, n: int, t: int, d: int, L: int = 64) -> int:
+def smm_offline_bits(m: int, n: int, t: int, d: int) -> int:
     """Dealer correction bits for one smm call."""
-    return 2 * (2 * t + m + n) * d * L
+    return 2 * (2 * t + m + n) * d * RING_BITS
 
 
-def beaver_dense_online_bits(m: int, n: int, d: int, L: int = 64) -> int:
+def beaver_dense_online_bits(m: int, n: int, d: int) -> int:
     """Online payload of the dense Beaver baseline for an m*n by n*d product:
     both parties open masked copies of both operands."""
-    return 2 * (m * n + n * d) * L
+    return 2 * (m * n + n * d) * RING_BITS
 
 
 def _run_steps(ctx: PartyContext, steps: list, x: np.ndarray, shared: bool,
@@ -80,7 +80,7 @@ def _run_steps(ctx: PartyContext, steps: list, x: np.ndarray, shared: bool,
         elif isinstance(s, Weight):
             lam = s.lam
             if lam is not None:
-                lam = (encode_fixed(lam, ctx.cfg) if fixed_point else
+                lam = (encode_fixed(lam) if fixed_point else
                        np.asarray(np.round(lam), dtype=np.int64).astype(np.uint64))
             y = priv_mult(ctx, lam, y, truncate=fixed_point)
         else:  # Local: each party maps its own share

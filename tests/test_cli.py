@@ -36,6 +36,7 @@ def test_bench_op_rounds_one(capsys):
     assert code == 0
     assert doc["rounds"] == 1
     assert doc["protocol"] == "op"
+    assert set(doc["est_time_by_condition"]) == {"normal", "nb", "hl"}
 
 
 def test_bench_osm(capsys):
@@ -102,6 +103,26 @@ def test_infer_rejects_mismatched_model(tmp_path, dataset_dir, capsys):
     assert main(["infer", "--dataset", dataset_dir, "--model", str(model)]) == 1
     assert capsys.readouterr().err == (
         f"error: {model}: w1 has 3 rows but the dataset has 4 features\n")
+
+
+def test_train_rejects_nan_feature(tmp_path, capsys):
+    ds = make_synthetic_community(16, seed=1)
+    ds.features[3, 1] = np.nan
+    save_dataset(str(tmp_path), ds)
+    assert main(["train", "--dataset", str(tmp_path), "--epochs", "1"]) == 1
+    assert "error: value out of range" in capsys.readouterr().err
+
+
+def test_infer_rejects_other_precision(tmp_path, dataset_dir, capsys):
+    model = tmp_path / "model.json"
+    w1, w2 = np.zeros((4, 4), np.uint64), np.zeros((4, 2), np.uint64)
+    save_model(str(model), (w1, w1), (w2, w2))
+    doc = json.loads(model.read_text())
+    doc["f"] = 20
+    model.write_text(json.dumps(doc))
+    assert main(["infer", "--dataset", dataset_dir, "--model", str(model)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {model}: shares have 20 fractional bits, not 16\n")
 
 
 def test_usage_error_exits_2(capsys):

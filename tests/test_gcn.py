@@ -1,4 +1,6 @@
 import hashlib
+import json
+import re
 
 import numpy as np
 import pytest
@@ -92,8 +94,9 @@ def test_dataset_io_errors(tmp_path, ds):
 def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(optimizer="rmsprop")
-    with pytest.raises(ValueError):
-        TrainConfig(lr=-1.0)
+    for lr in (-1.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="lr must be finite and positive"):
+            TrainConfig(lr=lr)
     for hidden in (0, -1):
         with pytest.raises(ValueError, match="hidden must be >= 1"):
             TrainConfig(hidden=hidden)
@@ -251,11 +254,25 @@ def test_model_save_load_infer(tmp_path, ds):
     cfg = TrainConfig(epochs=15, lr=0.5, seed=1, hidden=8)
     res, _ = train_secure(ds, cfg)
     path = tmp_path / "model.json"
-    save_model(str(path), res["w1"], res["w2"], f=cfg.f)
-    w1, w2, f = load_model(str(path))
-    preds, meter = infer_secure(ds, w1, w2, f=f)
+    save_model(str(path), res["w1"], res["w2"])
+    assert json.loads(path.read_text())["f"] == 16
+    w1, w2 = load_model(str(path))
+    preds, meter = infer_secure(ds, w1, w2)
     assert np.array_equal(preds, res["predictions"])
     assert meter.online_bits > 0
+
+
+@pytest.mark.parametrize("f", [18, None])
+def test_load_model_rejects_other_precision(tmp_path, f):
+    path = tmp_path / "model.json"
+    w = np.zeros((2, 2), np.uint64)
+    save_model(str(path), (w, w), (w, w))
+    doc = json.loads(path.read_text())
+    doc["f"] = f
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: shares have {f} fractional bits, not 16")):
+        load_model(str(path))
 
 
 def test_accuracy_empty_mask():

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from vsmm.nonlinear import (AdamState, QUAD_A, QUAD_B, QUAD_C,
-                            RsqrtConfigError, adam_step, quad_poly,
-                            reciprocal, rsqrt, rsqrt_eps, rsqrt_pow2,
-                            sgd_step, softmax_rows)
-from vsmm.ring import (FixedPointConfig, decode_fixed, encode_fixed,
-                       random_ring, reconstruct, share_secret)
+from vsmm.nonlinear import (AdamState, QUAD_A, QUAD_B, QUAD_C, adam_step,
+                            quad_poly, reciprocal, rsqrt, rsqrt_eps,
+                            rsqrt_pow2, sgd_step, softmax_rows)
+from vsmm.ring import (FRAC_BITS, decode_fixed, encode_fixed, random_ring,
+                       reconstruct, share_secret)
 from vsmm.runtime import run_two_party
 
 
@@ -14,12 +13,11 @@ def _shared(rng, x):
     return share_secret(x, random_ring(rng, x.shape))
 
 
-def _run(proto, rng, *tensors, cfg=None):
+def _run(proto, rng, *tensors):
     shares = [_shared(rng, t) for t in tensors]
-    kwargs = {} if cfg is None else {"cfg": cfg}
     o0, o1, meter = run_two_party(proto,
                                   tuple(s[0] for s in shares),
-                                  tuple(s[1] for s in shares), **kwargs)
+                                  tuple(s[1] for s in shares))
     return reconstruct(o0, o1), meter
 
 
@@ -46,11 +44,9 @@ def test_rsqrt_sweep_relative_error(rng):
     assert rel.max() <= 0.01
 
 
-def test_rsqrt_requires_quarter_power_precision(rng):
-    cfg = FixedPointConfig(f=18)
-    x = encode_fixed(np.array([4.0]), cfg)
-    with pytest.raises(RsqrtConfigError):
-        _run(rsqrt, rng, x, cfg=cfg)
+def test_rsqrt_quarter_power_precision():
+    # the quarter-power weights 2^((f-k)/4) group bit positions in fours
+    assert FRAC_BITS % 4 == 0
 
 
 def test_rsqrt_eps_zero_boundary(rng):

@@ -3,20 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vsmm.ring import (DEFAULT_CFG, FixedPointConfig, OverflowRangeError,
-                       as_ring, decode_fixed, encode_fixed, lift_signed,
+from vsmm.ring import (FRAC_BITS, MAX_ABS, OverflowRangeError, as_ring,
+                       decode_fixed, encode_fixed, lift_signed,
                        random_ring, reconstruct, share_secret, truncate_share)
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        FixedPointConfig(L=32)
-    with pytest.raises(ValueError):
-        FixedPointConfig(f=0)
-    with pytest.raises(ValueError):
-        FixedPointConfig(f=64)
-    assert DEFAULT_CFG.scale == 1 << 16
-    assert DEFAULT_CFG.max_abs == 2.0 ** 47
+def test_fixed_point_format():
+    assert FRAC_BITS == 16
+    assert MAX_ABS == 2 ** 47
+    assert int(encode_fixed(1.0)[0]) == 1 << FRAC_BITS
 
 
 def test_encode_decode_exact_integers():
@@ -28,6 +23,12 @@ def test_encode_range_check():
     with pytest.raises(OverflowRangeError):
         encode_fixed(np.array([2.0 ** 47]))
     encode_fixed(np.array([2.0 ** 47 - 1]))  # in range
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_encode_rejects_non_finite(bad):
+    with pytest.raises(OverflowRangeError):
+        encode_fixed(np.array([1.0, bad]))
 
 
 @given(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))

@@ -10,8 +10,7 @@ from vsmm.smm import (SmmDims, beaver_dense_online_bits, smm, smm_online_bits,
                       smm_offline_bits, smm_transpose)
 
 
-def _run_smm(a, x, rng, shared=True, variant="forward", fixed_point=False,
-             cfg=None):
+def _run_smm(a, x, rng, shared=True, variant="forward", fixed_point=False):
     bundle = decompose_full(a)
     dims = SmmDims(bundle.m, bundle.n, bundle.t)
     fn = {"forward": smm, "transpose": smm_transpose}[variant]
@@ -23,8 +22,7 @@ def _run_smm(a, x, rng, shared=True, variant="forward", fixed_point=False,
         x0, x1 = share_secret(x, random_ring(rng, x.shape))
     else:
         x0, x1 = np.zeros_like(x), x
-    kwargs = {} if cfg is None else {"cfg": cfg}
-    o0, o1, meter = run_two_party(proto, (bundle, x0), (None, x1), **kwargs)
+    o0, o1, meter = run_two_party(proto, (bundle, x0), (None, x1))
     return reconstruct(o0, o1), meter, dims
 
 
