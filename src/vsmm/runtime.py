@@ -203,6 +203,8 @@ class PartyContext:
 
     def recv_bits(self, n: int) -> np.ndarray:
         payload = self.ep.recv()
+        if len(payload) != -(-n // 8):
+            raise ValueError(f"{len(payload)}-byte payload for {n} bits")
         return np.unpackbits(np.frombuffer(payload, dtype=np.uint8))[:n]
 
     def send_gates(self, x: np.ndarray, y: np.ndarray, count: int) -> None:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vsmm.binary import b2a, bit_decompose, highest_one_hot, msb, relu
 from vsmm.ring import lift_signed, random_ring, reconstruct, share_secret
@@ -18,11 +20,39 @@ def test_bit_decompose_exact(rng):
     assert meter.rounds == 7  # initial AND plus 6 prefix levels
 
 
+# 0, 1, -1, 2^63 - 1 and -2^63 as ring elements
+_EDGES = np.array([0, 1, 2 ** 64 - 1, 2 ** 63 - 1, 2 ** 63], dtype=np.uint64)
+# one element, a word less one bit, a whole word, a tail bit, two words, a
+# ragged tail and a 2-d tensor
+_SHAPES = [(1,), (63,), (64,), (65,), (128,), (1000,), (40, 7)]
+
+
+def _signed_values(rng, shape):
+    """Ring elements of every magnitude and either sign, led by _EDGES."""
+    x = random_ring(rng, shape) >> rng.integers(0, 64, shape).astype(np.uint64)
+    x = np.where(rng.integers(0, 2, shape) == 1, np.uint64(0) - x, x)
+    x.flat[:len(_EDGES)] = _EDGES[:x.size]
+    return x
+
+
 def test_msb_matches_sign(rng):
-    x = rng.integers(-10 ** 9, 10 ** 9, 200).astype(np.int64).astype(np.uint64)
-    x0, x1 = _shared(rng, x)
+    for shape in _SHAPES:
+        x = _signed_values(rng, shape)
+        x0, x1 = _shared(rng, x)
+        o0, o1, meter = run_two_party(msb, (x0,), (x1,))
+        assert o0.shape == shape
+        assert np.array_equal(o0 ^ o1, (lift_signed(x) < 0).astype(np.uint64))
+        assert meter.rounds == 7
+
+
+@given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=200),
+       st.integers(0, 2 ** 32))
+@settings(max_examples=60, deadline=None)
+def test_msb_sign_property(values, seed):
+    x = np.array(values, dtype=np.uint64)
+    x0, x1 = _shared(np.random.default_rng(seed), x)
     o0, o1, _ = run_two_party(msb, (x0,), (x1,))
-    assert np.array_equal(o0 ^ o1, (lift_signed(x) < 0).astype(np.uint8))
+    assert np.array_equal(o0 ^ o1, (lift_signed(x) < 0).astype(np.uint64))
 
 
 def test_b2a(rng):
@@ -33,18 +63,15 @@ def test_b2a(rng):
 
 
 def test_relu_exact(rng):
-    x = rng.integers(-10 ** 6, 10 ** 6, 500).astype(np.int64).astype(np.uint64)
-    x0, x1 = _shared(rng, x)
-
-    def proto(ctx, xv):
-        return relu(ctx, xv)
-
-    (v0, m0), (v1, m1), meter = run_two_party(proto, (x0,), (x1,))
-    got = lift_signed(reconstruct(v0, v1))
-    assert np.array_equal(got, np.maximum(lift_signed(x), 0))
-    mask = reconstruct(m0, m1)
-    assert np.array_equal(mask, (lift_signed(x) >= 0).astype(np.uint64))
-    assert meter.rounds == 9  # bit decomposition + b2a + final multiply
+    for shape in _SHAPES:
+        x = _signed_values(rng, shape)
+        x0, x1 = _shared(rng, x)
+        (v0, m0), (v1, m1), meter = run_two_party(relu, (x0,), (x1,))
+        got = lift_signed(reconstruct(v0, v1))
+        assert np.array_equal(got, np.maximum(lift_signed(x), 0))
+        mask = reconstruct(m0, m1)
+        assert np.array_equal(mask, (lift_signed(x) >= 0).astype(np.uint64))
+        assert meter.rounds == 9  # sign bit + b2a + final multiply
 
 
 def test_highest_one_hot(rng):
@@ -68,8 +95,8 @@ def test_highest_one_hot(rng):
 @pytest.mark.parametrize("n", [1, 7, 65, 1000])
 @pytest.mark.parametrize("fn, online, offline, rounds, messages", [
     (bit_decompose, 1792, 448, 7, 14),
-    (msb, 1792, 448, 7, 14),
-    (relu, 2304, 576, 9, 22),
+    (msb, 724, 181, 7, 14),  # 63 + 61 + 31 + 15 + 7 + 3 + 1 gates
+    (relu, 1236, 309, 9, 22),
     (highest_one_hot, 18944, 4736, 14, 30),
 ], ids=["bit_decompose", "msb", "relu", "highest_one_hot"])
 def test_gmw_layer_costs(rng, n, fn, online, offline, rounds, messages):

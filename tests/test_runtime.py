@@ -184,6 +184,20 @@ def test_perm_wire_format_wide_and_ragged(b, count):
     assert meter.online_bits == 2 * count * b
 
 
+@pytest.mark.parametrize("payload", [b"\xff", b"\xff" * 4],
+                         ids=["short", "long"])
+def test_bit_payload_length_is_checked(payload):
+    # 13 bits travel in exactly 2 bytes; 1 byte is short, 4 bytes too long
+    def proto(ctx):
+        if ctx.party == 0:
+            ctx.ep.send(payload, nbits=8 * len(payload))
+        else:
+            ctx.recv_bits(13)
+
+    with pytest.raises(ValueError, match=f"{len(payload)}-byte payload for 13 bits"):
+        run_two_party(proto)
+
+
 def test_short_perm_payload_is_rejected():
     def proto(ctx):
         if ctx.party == 0:
