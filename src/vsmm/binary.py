@@ -1,24 +1,22 @@
-"""Binary-share machinery: the sign bit by a carry-only GMW tree, bit
-decomposition by a Sklansky parallel-prefix adder, ReLU, and highest-set-bit
-extraction.
+"""Binary-share machinery on one bit-sliced layout: the sign bit by a
+carry-only GMW tree, bit decomposition by a Sklansky parallel-prefix adder,
+ReLU, and highest-set-bit extraction. x = a + b mod 2^64, party 0 holding a
+and party 1 holding b. A 64x64 word transpose bit-slices the shares into
+rows, row i holding bit i of every element, so each level of a prefix tree is
+one and_bits call of rows x n gates.
 
-x = a + b mod 2^64, party 0 holding a and party 1 holding b, so the sign of x
-is a63 ^ b63 ^ c63, c63 being the carry into bit 63. msb computes only that
-carry: gi = ai & bi for bits 0..62 (63 AND gates; pi = ai ^ bi is local), then
-six combine levels G = G_hi ^ (P_hi & G_lo), P = P_hi & P_lo. The group
-holding bit 0 needs no P, as the carry into bit 0 is 0, so the levels take
-61 + 31 + 15 + 7 + 3 + 1 gates: 181 per element in 7 rounds. A 64x64 word
-transpose bit-slices the shares, so each level is one and_bits call of
-exactly rows x n gates.
+The sign of x is a63 ^ b63 ^ c63, c63 being the carry into bit 63. msb
+computes only that carry: gi = ai & bi for bits 0..62 (63 gates; pi = ai ^ bi
+is local), then six levels G = G_hi ^ (P_hi & G_lo), P = P_hi & P_lo. The
+group holding bit 0 needs no P, as the carry into bit 0 is 0, so the levels
+take 61 + 31 + 15 + 7 + 3 + 1 gates: 181 per element in 7 rounds.
 
-bit_decompose needs all 64 sum bits (the reciprocal and rsqrt read them
-through highest_one_hot), so it keeps the full adder: 448 gates in 7 rounds on
-packed words, bit i of an element's word being bit i of its value. At level
-l (h = 2^l) the upper half U of each 2h-bit block takes the signals of the top
-bit of its lower half; the smear shifts that bit up one and multiplies by
-2^h - 1, copying it over U with no carries, so it is local and XOR-linear.
-Pair packing puts a level's two products in one AND of 64 gates per element:
-p_i & g_j on U and p_i & p_j on the lower half, with p_i shifted down by h.
+bit_decompose keeps the full adder, as highest_one_hot reads all 64 sum bits.
+Level l pairs bit i of each 2^(l+1)-bit block with the edge bit j of the
+other half. The adder ANDs [p_i, p_i] with [g_j, p_j] on the 32 upper-half
+rows, j the top bit of the lower half: 64 + 6 * 64 = 448 gates in 7 rounds.
+prefix_or_high runs the tree from the top, ORing the bottom bit of the upper
+half into the 32 lower-half rows: 6 * 32 = 192 gates in 6 rounds.
 """
 
 from __future__ import annotations
@@ -30,29 +28,33 @@ from .ring import RING_BITS
 from .runtime import PartyContext
 
 _ONE = np.uint64(1)
+# level l's half-block width h = 2^l: a (block, half, bit) view of 64 rows or
+# bits pairs each half of every 2h-bit block with the other
+_HALVES = [1 << level for level in range(6)]
 # U of level l: the positions with bit l set, the upper half of each block
-_UPPER = [np.uint64(sum(1 << i for i in range(RING_BITS) if i >> level & 1))
-          for level in range(6)]
+_UPPER = [np.uint64(sum(1 << i for i in range(64) if i & h)) for h in _HALVES]
 _SHIFTS = np.arange(RING_BITS, dtype=np.uint64)[:, None]
 
 
 def bit_decompose(ctx: PartyContext, x: np.ndarray) -> np.ndarray:
-    """XOR-shared bits of the reconstructed value, packed: one uint64 word
-    per element, bit i of the word being bit i of the value."""
-    own = np.asarray(x, dtype=np.uint64)
-    zeros = np.zeros_like(own)
-    g = and_bits(ctx, *((own, zeros) if ctx.party == 0 else (zeros, own)))
-    p = own  # a ^ b == own bits for either party
-    for level, upper in enumerate(_UPPER):
-        h = np.uint64(1 << level)
-        top, fill = (upper >> _ONE) & ~upper, (_ONE << h) - _ONE
-        smear_g = ((g & top) << _ONE) * fill
-        smear_p = ((p & top) << _ONE) * fill
-        pu = p & upper
-        z = and_bits(ctx, pu | (pu >> h), smear_g | (smear_p >> h))
-        g ^= z & upper
-        p = (p & ~upper) | ((z << h) & upper)
-    return own ^ (g << _ONE)  # sum bit i = p_i xor carry_{i-1}
+    """XOR-shared bits of the reconstructed value: the 64 _bit_rows rows of
+    x's elements in flat order."""
+    x = np.asarray(x, dtype=np.uint64).ravel()
+    whole = x.size // 64
+    own = _bit_rows(x)
+    xy = np.zeros((2,) + own.shape, dtype=np.uint64)
+    xy[ctx.party] = own  # party 0 inputs (a, 0), party 1 (0, b)
+    gp = np.stack([_and_rows(ctx, xy, whole), own])  # a ^ b == own bits
+    for h in _HALVES:
+        q = gp.reshape(2, 32 // h, 2, h, own.shape[1])  # g, then p
+        xy = np.empty((2,) + q[:, :, 1].shape, dtype=np.uint64)
+        xy[0], xy[1] = q[1, :, 1], q[:, :, 0, -1:]  # [p_i, p_i], [g_j, p_j]
+        z = _and_rows(ctx, xy.reshape(2, RING_BITS, -1), whole)
+        z = z.reshape(xy[0].shape)
+        q[0, :, 1] ^= z[0]
+        q[1, :, 1] = z[1]
+    own[1:] ^= gp[0, :-1]  # sum bit i = p_i xor carry_{i-1}
+    return own
 
 
 def _bit_rows(x: np.ndarray) -> np.ndarray:
@@ -63,9 +65,9 @@ def _bit_rows(x: np.ndarray) -> np.ndarray:
     indices."""
     whole = x.size // 64
     blocks = x[:64 * whole].reshape(whole, RING_BITS).copy()
-    for level, upper in enumerate(_UPPER):
-        s = np.uint64(1 << level)
-        pairs = blocks.reshape(whole, 32 >> level, 2, 1 << level)
+    for h, upper in zip(_HALVES, _UPPER) if whole else ():
+        s = np.uint64(h)
+        pairs = blocks.reshape(whole, 32 // h, 2, h)
         lo, hi = pairs[:, :, 0], pairs[:, :, 1]
         t = ((lo >> s) ^ hi) & ~upper
         lo ^= t << s
@@ -90,6 +92,13 @@ def _and_rows(ctx: PartyContext, xy: np.ndarray, whole: int) -> np.ndarray:
                            bits[:r * tail].reshape(r, tail)], axis=1)
 
 
+def _unrows(rows: np.ndarray, whole: int) -> np.ndarray:
+    """The (r, n) bits of r _bit_rows rows, one per entry in element order."""
+    words = np.ascontiguousarray(rows[:, :whole]).view(np.uint8)
+    bits = np.unpackbits(words, axis=1, bitorder="little")
+    return np.concatenate([bits, rows[:, whole:]], axis=1)
+
+
 def msb(ctx: PartyContext, x: np.ndarray) -> np.ndarray:
     """XOR-shared sign bit of x: a63 ^ b63 ^ the carry into bit 63."""
     x = np.asarray(x, dtype=np.uint64)
@@ -107,9 +116,7 @@ def msb(ctx: PartyContext, x: np.ndarray) -> np.ndarray:
         z = _and_rows(ctx, xy.reshape(2, 2 * m - 1, cols), whole)
         g = np.concatenate([g[1:2 * m:2] ^ z[:m], g[2 * m:]])
         p = np.concatenate([p[:1], z[m:], p[2 * m:]])
-    sign = own[-1] ^ g[0]
-    bits = np.unpackbits(sign[:whole].view(np.uint8), bitorder="little")
-    return np.concatenate([bits, sign[whole:]]).reshape(x.shape)
+    return _unrows((own[-1] ^ g[0])[None], whole).reshape(x.shape)
 
 
 def b2a(ctx: PartyContext, bits: np.ndarray) -> np.ndarray:
@@ -136,41 +143,23 @@ def relu(ctx: PartyContext, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return beaver_mult(ctx, mask, x), mask
 
 
-# prefix_or_high's compress steps (runs, r, runs << r) per level: the runs at
-# the positions with bits l and l+1 clear stay, those r = 2^l above move down
-_SWAPS = [[(m, np.uint64(1 << l), m << np.uint64(1 << l))
-           for l in range(level, 5) for m in [~(_UPPER[l] | _UPPER[l + 1])]]
-          for level in range(6)]
-
-
-def prefix_or_high(ctx: PartyContext, v: np.ndarray) -> np.ndarray:
-    """Packed XOR-shared words whose bit i is the OR of bits i..63 of v.
-
-    Sklansky from the top: the lower half of every block takes the bottom bit
-    of its upper half. The 32 lower-half bits of each operand are compressed
-    into a half word, so each level is 32 gates per element.
-    """
-    v = np.asarray(v, dtype=np.uint64)
-    n = v.size
-    for level, upper in enumerate(_UPPER):
-        h = np.uint64(1 << level)
-        s = ((v & (upper & ~(upper << _ONE))) >> h) * ((_ONE << h) - _ONE)
-        c = np.stack([v.ravel(), s.ravel()]) & ~upper
-        for runs, r, high in _SWAPS[level]:
-            c = (c & runs) | ((c >> r) & high)
-        halves = np.zeros((2, n + n % 2), dtype="<u4")
-        halves[:, :n] = c
-        z = and_bits(ctx, *halves.view("<u8"), count=32 * n)
-        z = z.view("<u4")[:n].astype(np.uint64)
-        for runs, r, high in reversed(_SWAPS[level]):
-            z = (z & runs) | ((z & high) << r)
-        v = v ^ s ^ z.reshape(v.shape)  # OR(x, y) = x ^ y ^ (x & y)
+def prefix_or_high(ctx: PartyContext, v: np.ndarray, whole: int) -> np.ndarray:
+    """_bit_rows rows whose row i is the XOR-shared OR of rows i..63 of v."""
+    v = v.copy()
+    for h in _HALVES:
+        q = v.reshape(32 // h, 2, h, v.shape[1])  # (block, half, bit)
+        xy = np.empty((2,) + q[:, 0].shape, dtype=np.uint64)
+        xy[0], xy[1] = q[:, 0], q[:, 1, :1]  # lower half, upper half's bottom
+        z = _and_rows(ctx, xy.reshape(2, RING_BITS // 2, -1), whole)
+        q[:, 0] ^= xy[1] ^ z.reshape(xy[0].shape)  # x ^ y ^ (x & y) = x | y
     return v
 
 
 def highest_one_hot(ctx: PartyContext, x: np.ndarray) -> np.ndarray:
     """Arithmetic shares of the (..., 64) one-hot marking the highest set bit
     of x; the all-zero vector iff x = 0."""
-    por = prefix_or_high(ctx, bit_decompose(ctx, x))
-    onehot = (por ^ (por >> _ONE)).astype("<u8")[..., None].view(np.uint8)
-    return b2a(ctx, np.unpackbits(onehot, axis=-1, bitorder="little"))
+    x = np.asarray(x, dtype=np.uint64)
+    whole = x.size // 64
+    por = prefix_or_high(ctx, bit_decompose(ctx, x), whole)
+    por[:-1] ^= por[1:]  # bit i set and no bit above it
+    return b2a(ctx, _unrows(por, whole).T.reshape(x.shape + (RING_BITS,)))

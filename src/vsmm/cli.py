@@ -19,7 +19,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .decompose import (DecomposeError, Permutation, SparseMatrixCOO,
-                        decompose_full, read_coo_text, save_bundle)
+                        decompose_full, read_coo_text)
 from .dealer import TapeExhausted
 from .gcn import (TrainConfig, check_weight_shapes, infer_secure,
                   load_dataset, load_model, save_model, train_secure)
@@ -63,11 +63,8 @@ def _random_sparse(nodes: int, edges_per_node: int,
 def cmd_decompose(args) -> int:
     a = read_coo_text(args.coo)
     bundle = decompose_full(a)
-    if args.out:
-        save_bundle(args.out, bundle)
     _emit({"m": bundle.m, "n": bundle.n, "t": bundle.t,
-           "ncol": bundle.ncol, "nrow": bundle.nrow,
-           "out": args.out or None}, None)
+           "ncol": bundle.ncol, "nrow": bundle.nrow}, None)
     return 0
 
 
@@ -186,7 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="decompose a COO text file")
     p.add_argument("coo")
-    p.add_argument("--out", help="write the bundle as JSON")
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("bench", help="run a protocol benchmark")

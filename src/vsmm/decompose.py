@@ -27,13 +27,10 @@ a map as Q = Sig s2 Gin dn s1; P follows by transposition.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-
-from .ring import FRAC_BITS
 
 
 class DecomposeError(ValueError):
@@ -107,12 +104,6 @@ class SparseMatrixCOO:
         if np.any(weights == 0):
             raise DecomposeError("zero weight entry")
         return cls(m, n, rows, cols, weights)
-
-    @classmethod
-    def from_dense(cls, a: np.ndarray) -> "SparseMatrixCOO":
-        a = np.asarray(a)
-        rr, cc = np.nonzero(a)  # row-major, so already sorted and distinct
-        return cls(a.shape[0], a.shape[1], rr, cc, a[rr, cc].astype(np.float64))
 
     @property
     def t(self) -> int:
@@ -361,41 +352,3 @@ def read_coo_text(path: str) -> SparseMatrixCOO:
             raise DecomposeError(f"{path}:{idx}: expected 'i j weight'")
         entries.append((int(parts[0]) - 1, int(parts[1]) - 1, float(parts[2])))
     return SparseMatrixCOO.from_entries(m, n, entries)
-
-
-def write_coo_text(path: str, a: SparseMatrixCOO) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"{a.m} {a.n} {a.t}\n")
-        for i, j, w in zip(a.rows, a.cols, a.weights):
-            fh.write(f"{i + 1} {j + 1} {float(w)!r}\n")
-
-
-def bundle_to_json(b: DecompositionBundle) -> dict:
-    return {
-        "m": b.m, "n": b.n, "t": b.t, "ncol": b.ncol, "nrow": b.nrow,
-        "f": FRAC_BITS,
-        "sigma1": b.sigma1.p.tolist(), "sigma2": b.sigma2.p.tolist(),
-        "sigma3": b.sigma3.p.tolist(), "sigma4": b.sigma4.p.tolist(),
-        "sigma5": b.sigma5.p.tolist(),
-        "lam_fixed": [int(round(w * (1 << FRAC_BITS))) for w in b.lam],
-    }
-
-
-def bundle_from_json(obj: dict) -> DecompositionBundle:
-    scale = 1 << obj["f"]
-    return DecompositionBundle(
-        obj["m"], obj["n"], obj["t"], obj["ncol"], obj["nrow"],
-        Permutation(obj["sigma1"]), Permutation(obj["sigma2"]),
-        Permutation(obj["sigma3"]), Permutation(obj["sigma4"]),
-        Permutation(obj["sigma5"]),
-        np.array(obj["lam_fixed"], dtype=np.float64) / scale)
-
-
-def save_bundle(path: str, b: DecompositionBundle) -> None:
-    with open(path, "w") as fh:
-        json.dump(bundle_to_json(b), fh)
-
-
-def load_bundle(path: str) -> DecompositionBundle:
-    with open(path) as fh:
-        return bundle_from_json(json.load(fh))

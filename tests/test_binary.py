@@ -3,21 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vsmm.binary import b2a, bit_decompose, highest_one_hot, msb, relu
+from vsmm.binary import (_bit_rows, _unrows, b2a, bit_decompose,
+                         highest_one_hot, msb, prefix_or_high, relu)
 from vsmm.ring import lift_signed, random_ring, reconstruct, share_secret
 from vsmm.runtime import FRAME_BITS, run_two_party
 
 
 def _shared(rng, x):
     return share_secret(x, random_ring(rng, x.shape))
-
-
-def test_bit_decompose_exact(rng):
-    x = random_ring(rng, (64,))
-    x0, x1 = _shared(rng, x)
-    o0, o1, meter = run_two_party(bit_decompose, (x0,), (x1,))
-    assert np.array_equal(o0 ^ o1, x)  # one packed word per element
-    assert meter.rounds == 7  # initial AND plus 6 prefix levels
 
 
 # 0, 1, -1, 2^63 - 1 and -2^63 as ring elements
@@ -33,6 +26,34 @@ def _signed_values(rng, shape):
     x = np.where(rng.integers(0, 2, shape) == 1, np.uint64(0) - x, x)
     x.flat[:len(_EDGES)] = _EDGES[:x.size]
     return x
+
+
+_SHIFTS = np.arange(64, dtype=np.uint64)[:, None]
+
+
+def test_bit_decompose_exact(rng):
+    for shape in _SHAPES:
+        x = _signed_values(rng, shape)
+        x0, x1 = _shared(rng, x)
+        o0, o1, meter = run_two_party(bit_decompose, (x0,), (x1,))
+        bits = _unrows(o0 ^ o1, x.size // 64)  # row i: bit i of each element
+        assert np.array_equal(bits, x.ravel() >> _SHIFTS & np.uint64(1))
+        assert meter.rounds == 7  # initial AND plus 6 prefix levels
+
+
+def _prefix_or_high(ctx, x):
+    """prefix_or_high of x's bits, each party's word being its XOR share."""
+    return prefix_or_high(ctx, _bit_rows(x.ravel()), x.size // 64)
+
+
+def test_prefix_or_high_exact(rng):
+    for shape in _SHAPES:
+        x = _signed_values(rng, shape)
+        mask = random_ring(rng, shape)
+        o0, o1, meter = run_two_party(_prefix_or_high, (mask,), (x ^ mask,))
+        bits = _unrows(o0 ^ o1, x.size // 64)  # row i: OR of bits i..63
+        assert np.array_equal(bits, x.ravel() >> _SHIFTS != 0)
+        assert meter.rounds == 6
 
 
 def test_msb_matches_sign(rng):
@@ -75,21 +96,14 @@ def test_relu_exact(rng):
 
 
 def test_highest_one_hot(rng):
-    # an odd count fills half of the last word of each level's AND; the
-    # shifts put the highest set bit everywhere
-    x = random_ring(rng, (65,)) >> rng.integers(0, 64, 65).astype(np.uint64)
-    x[0] = 0  # include the all-zero case
-    x0, x1 = _shared(rng, x)
-    o0, o1, meter = run_two_party(highest_one_hot, (x0,), (x1,))
-    onehot = reconstruct(o0, o1)
-    for i, v in enumerate(x):
-        row = onehot[i]
-        if v == 0:
-            assert row.sum() == 0
-        else:
-            k = int(v).bit_length() - 1
-            assert row[k] == 1 and row.sum() == 1
-    assert meter.rounds == 14
+    for shape in _SHAPES:
+        x = _signed_values(rng, shape)  # x.flat[0] = 0: the all-zero row
+        x0, x1 = _shared(rng, x)
+        o0, o1, meter = run_two_party(highest_one_hot, (x0,), (x1,))
+        top = np.array([int(v).bit_length() - 1 for v in x.flat])
+        onehot = np.arange(64) == top.reshape(shape + (1,))
+        assert np.array_equal(reconstruct(o0, o1), onehot.astype(np.uint64))
+        assert meter.rounds == 14
 
 
 @pytest.mark.parametrize("n", [1, 7, 65, 1000])
@@ -98,7 +112,8 @@ def test_highest_one_hot(rng):
     (msb, 724, 181, 7, 14),  # 63 + 61 + 31 + 15 + 7 + 3 + 1 gates
     (relu, 1236, 309, 9, 22),
     (highest_one_hot, 18944, 4736, 14, 30),
-], ids=["bit_decompose", "msb", "relu", "highest_one_hot"])
+    (_prefix_or_high, 768, 192, 6, 12),  # 6 levels of 32 gates
+], ids=["bit_decompose", "msb", "relu", "highest_one_hot", "prefix_or_high"])
 def test_gmw_layer_costs(rng, n, fn, online, offline, rounds, messages):
     """Online and offline bits per element, rounds and messages per call."""
     x0, x1 = _shared(rng, random_ring(rng, (n,)))

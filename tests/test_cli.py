@@ -24,11 +24,9 @@ def _run(capsys, argv):
 def test_decompose_identity(tmp_path, capsys):
     coo = tmp_path / "id.txt"
     coo.write_text("3 3 3\n1 1 1.0\n2 2 1.0\n3 3 1.0\n")
-    out = tmp_path / "bundle.json"
-    code, doc = _run(capsys, ["decompose", str(coo), "--out", str(out)])
+    code, doc = _run(capsys, ["decompose", str(coo)])
     assert code == 0
-    assert (doc["m"], doc["n"], doc["t"]) == (3, 3, 3)
-    assert out.exists()
+    assert [doc[k] for k in ("m", "n", "t", "ncol", "nrow")] == [3] * 5
 
 
 def test_bench_op_rounds_one(capsys):
