@@ -14,25 +14,47 @@ take 61 + 31 + 15 + 7 + 3 + 1 gates: 181 per element in 7 rounds.
 bit_decompose keeps the full adder, as highest_one_hot reads all 64 sum bits.
 Level l pairs bit i of each 2^(l+1)-bit block with the edge bit j of the
 other half. The adder ANDs [p_i, p_i] with [g_j, p_j] on the 32 upper-half
-rows, j the top bit of the lower half: 64 + 6 * 64 = 448 gates in 7 rounds.
-prefix_or_high runs the tree from the top, ORing the bottom bit of the upper
-half into the 32 lower-half rows: 6 * 32 = 192 gates in 6 rounds.
+rows, j the top bit of the lower half, skipping the gates no sum bit reads:
+the bit-0 block's P and bit 63's G and P. That is 63 + 61 + 60 + 58 + 54 +
+46 + 31 = 373 gates in 7 rounds. prefix_or_high runs the tree from the top,
+ORing the bottom bit of the upper half into the 32 lower-half rows: 6 * 32 =
+192 gates in 6 rounds.
+
+b2a turns XOR-shared bits into additive shares with dealer daBits, a random
+bit r dealt both XOR-shared and as [r]: each party sends b_i ^ r_i, and
+[b] = c + (1 - 2c)[r] for the opened c = b ^ r. That is 2 bits per element in
+1 round. relu opens c for its 0/1 mask and x - u in the same round, the
+masked daBit also dealing [u] and [r*u], so b*x = c*x + (1 - 2c)(r*(x - u) +
+r*u) is local: 724 + 2 + 128 = 854 bits per element in 8 rounds.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .protocols import and_bits, beaver_mult
+from .protocols import and_bits
 from .ring import RING_BITS
 from .runtime import PartyContext
 
 _ONE = np.uint64(1)
+_TWO = np.uint64(2)
 # level l's half-block width h = 2^l: a (block, half, bit) view of 64 rows or
 # bits pairs each half of every 2h-bit block with the other
 _HALVES = [1 << level for level in range(6)]
 # U of level l: the positions with bit l set, the upper half of each block
 _UPPER = [np.uint64(sum(1 << i for i in range(64) if i & h)) for h in _HALVES]
+
+
+def _read_rows(h: int) -> np.ndarray:
+    """The rows of an adder level's (g/p, block, bit) gates that some sum bit
+    reads: all but the bit-0 block's P (the carry into bit 0 is 0) and bit
+    63's G and P."""
+    read = np.ones((2, 32 // h, h), dtype=bool)
+    read[1, 0] = read[:, -1, -1] = False
+    return np.flatnonzero(read)
+
+
+_KEEP = [_read_rows(h) for h in _HALVES]
 _SHIFTS = np.arange(RING_BITS, dtype=np.uint64)[:, None]
 
 
@@ -42,19 +64,27 @@ def bit_decompose(ctx: PartyContext, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.uint64).ravel()
     whole = x.size // 64
     own = _bit_rows(x)
-    xy = np.zeros((2,) + own.shape, dtype=np.uint64)
-    xy[ctx.party] = own  # party 0 inputs (a, 0), party 1 (0, b)
-    gp = np.stack([_and_rows(ctx, xy, whole), own])  # a ^ b == own bits
-    for h in _HALVES:
-        q = gp.reshape(2, 32 // h, 2, h, own.shape[1])  # g, then p
+    gp = np.stack([np.zeros_like(own), own])  # g, then p = a ^ b
+    gp[0, :-1] = _generate(ctx, own, whole)
+    for h, keep in zip(_HALVES, _KEEP):
+        q = gp.reshape(2, 32 // h, 2, h, own.shape[1])
         xy = np.empty((2,) + q[:, :, 1].shape, dtype=np.uint64)
         xy[0], xy[1] = q[1, :, 1], q[:, :, 0, -1:]  # [p_i, p_i], [g_j, p_j]
-        z = _and_rows(ctx, xy.reshape(2, RING_BITS, -1), whole)
+        z = np.zeros_like(own)
+        z[keep] = _and_rows(ctx, xy.reshape(2, RING_BITS, -1)[:, keep], whole)
         z = z.reshape(xy[0].shape)
         q[0, :, 1] ^= z[0]
         q[1, :, 1] = z[1]
     own[1:] ^= gp[0, :-1]  # sum bit i = p_i xor carry_{i-1}
     return own
+
+
+def _generate(ctx: PartyContext, own: np.ndarray, whole: int) -> np.ndarray:
+    """Rows of g_i = a_i & b_i for bits 0..62: party 0 inputs (a, 0), party 1
+    (0, b)."""
+    xy = np.zeros((2, RING_BITS - 1, own.shape[1]), dtype=np.uint64)
+    xy[ctx.party] = own[:-1]
+    return _and_rows(ctx, xy, whole)
 
 
 def _bit_rows(x: np.ndarray) -> np.ndarray:
@@ -105,9 +135,7 @@ def msb(ctx: PartyContext, x: np.ndarray) -> np.ndarray:
     whole = x.size // 64
     own = _bit_rows(x.ravel())
     cols = own.shape[1]
-    xy = np.zeros((2, RING_BITS - 1, cols), dtype=np.uint64)
-    xy[ctx.party] = own[:-1]  # party 0 inputs (a, 0), party 1 (0, b)
-    g = _and_rows(ctx, xy, whole)
+    g = _generate(ctx, own, whole)
     p = own[:-1]  # p[0] is never read: the bit-0 group needs no P
     while len(g) > 1:  # pair k joins groups 2k (low) and 2k + 1 (high)
         m = len(g) // 2
@@ -120,27 +148,33 @@ def msb(ctx: PartyContext, x: np.ndarray) -> np.ndarray:
 
 
 def b2a(ctx: PartyContext, bits: np.ndarray) -> np.ndarray:
-    """Convert XOR-shared bits to arithmetic shares of the same 0/1 values.
-
-    b0 xor b1 = b0 + b1 - 2*b0*b1; the cross product is one Beaver multiply
-    of the two parties' locally-held bits.
-    """
-    own = np.asarray(bits, dtype=np.uint64)
-    zeros = np.zeros_like(own)
-    x = own if ctx.party == 0 else zeros
-    y = zeros if ctx.party == 0 else own
-    prod = beaver_mult(ctx, x, y)
-    return own - np.uint64(2) * prod
+    """Additive shares of the XOR-shared 0/1 bits b from daBits (r, [r]):
+    the parties open c = b ^ r, and [b] = c + (1 - 2c)[r]."""
+    bits = np.asarray(bits, dtype=np.uint64)
+    with ctx.section("b2a"):
+        tape = ctx.tape.dabits(bits.shape)
+        c = bits ^ tape.r
+        ctx.send_bits(c)
+        c ^= ctx.recv_bits(c.size).reshape(c.shape)
+        return c * np.uint64(1 - ctx.party) + (_ONE - _TWO * c) * tape.R
 
 
 def relu(ctx: PartyContext, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Shares of max(0, x) plus the arithmetic 0/1 derivative mask."""
+    """Shares of max(0, x) plus the arithmetic 0/1 derivative mask b. One
+    round after the sign bit opens c = b ^ r and x - u, so b = c + (1 - 2c)r
+    and b*x = c*x + (1 - 2c)(r*(x - u) + r*u) are local."""
     x = np.asarray(x, dtype=np.uint64)
-    sign = msb(ctx, x)
-    if ctx.party == 0:
-        sign = sign ^ _ONE
-    mask = b2a(ctx, sign)
-    return beaver_mult(ctx, mask, x), mask
+    b = msb(ctx, x) ^ np.uint64(1 - ctx.party)  # 1 iff x >= 0
+    with ctx.section("b2a"):
+        tape = ctx.tape.dabits(x.shape, masked=True)
+        c, e = b ^ tape.r, x - tape.u
+        ctx.send_bits(c)
+        ctx.send_ring(e)
+        c ^= ctx.recv_bits(c.size).reshape(c.shape)
+        e = e + ctx.recv_ring(e.shape)
+        flip = _ONE - _TWO * c
+        mask = c * np.uint64(1 - ctx.party) + flip * tape.R
+        return c * x + flip * (tape.R * e + tape.ru), mask
 
 
 def prefix_or_high(ctx: PartyContext, v: np.ndarray, whole: int) -> np.ndarray:

@@ -12,6 +12,13 @@ that argsort is dealt to party 0 as pi^-1, which is as uniform as pi and is
 the form the protocol uses. Within one two-party run each tuple is generated
 once: the first party to draw a counter keeps its own view and leaves the
 peer's view in a `Handoff`, which the peer's draw takes.
+
+A daBit (Rotaru and Wood, INDOCRYPT 2019) is a random bit r dealt both
+XOR-shared and additively shared; its masked form also deals a fresh additive
+mask u and [r*u]. The online phase opens c = b ^ r and, in ReLU, x - u. Each
+daBit is drawn for one opening only, so r is a uniform bit used once and c is
+independent of b; u is uniform over the ring and fresh, so x - u is
+independent of x. Neither opening tells a party anything about b or x.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ TAG_BEAVER = b"BEAV"
 TAG_SQUARE = b"SQRT"
 TAG_PRIVMUL = b"PMUL"
 TAG_BITS = b"BTRI"
+TAG_DABITS = b"DABT"
 
 _ZEROS = memoryview(bytes(1 << 16))  # keystream plaintext; read-only, shared
 
@@ -128,6 +136,14 @@ class SquarePair:
 
 
 @dataclass
+class DaBits:
+    r: np.ndarray          # XOR share of the random bit r, 0/1 words
+    R: np.ndarray          # additive share of r
+    u: np.ndarray | None   # masked form: additive share of a fresh mask u
+    ru: np.ndarray | None  # masked form: additive share of r*u
+
+
+@dataclass
 class BitTriples:
     a: np.ndarray  # packed words: bit i of word w is triple 64*w + i
     b: np.ndarray
@@ -223,6 +239,24 @@ class Dealer:
         c1 = ((a0 ^ a1) & (b0 ^ b1)) ^ c0
         return BitTriples(a0, b0, c0), BitTriples(a1, b1, c1), count
 
+    def gen_dabits(self, ctr: int, shape, masked: bool = False):
+        """daBits: r dealt both XOR-shared and additively shared, plus in the
+        masked form a fresh additive mask u and [r*u]. Party 1's additive
+        shares of r and r*u are the corrections: 64 or 128 offline bits per
+        element."""
+        s0, s1 = self._streams(TAG_DABITS, ctr)
+        size = int(np.prod(shape, dtype=np.int64))
+        r0, r1 = (s.bits(size).astype(np.uint64).reshape(shape)
+                  for s in (s0, s1))
+        R0 = s0.u64(shape)
+        r = r0 ^ r1
+        view0 = DaBits(r0, R0, None, None)
+        view1 = DaBits(r1, r - R0, None, None)
+        if masked:
+            view0.u, view0.ru, view1.u = (s.u64(shape) for s in (s0, s0, s1))
+            view1.ru = r * (view0.u + view1.u) - view0.ru
+        return view0, view1, size * 64 * (1 + masked)
+
 
 class Handoff:
     """Per-run slot that lets two paired TapeViews generate each tuple once.
@@ -297,3 +331,6 @@ class TapeView:
 
     def bits(self, count: int) -> BitTriples:
         return self._draw("gen_bit_triples", count)
+
+    def dabits(self, shape, masked: bool = False) -> DaBits:
+        return self._draw("gen_dabits", tuple(shape), masked)

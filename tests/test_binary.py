@@ -77,10 +77,26 @@ def test_msb_sign_property(values, seed):
 
 
 def test_b2a(rng):
-    b = rng.integers(0, 2, 100).astype(np.uint8)
-    mask = rng.integers(0, 2, 100).astype(np.uint8)
-    o0, o1, _ = run_two_party(b2a, (mask,), (b ^ mask,))
-    assert np.array_equal(reconstruct(o0, o1), (b ^ mask ^ mask).astype(np.uint64))
+    for shape in _SHAPES:
+        b = rng.integers(0, 2, shape).astype(np.uint8)
+        mask = rng.integers(0, 2, shape).astype(np.uint8)
+        o0, o1, meter = run_two_party(b2a, (mask,), (b ^ mask,))
+        assert o0.shape == shape
+        assert np.array_equal(reconstruct(o0, o1), b.astype(np.uint64))
+        n = b.size
+        assert meter.rounds == 1  # one opened bit c = b ^ r per party
+        assert meter.online_bits == 2 * n
+        assert meter.offline_bits == 64 * n  # party 1's share of [r]
+
+
+def test_b2a_and_relu_return_uint64(rng):
+    # numpy 1.24 promotes a uint64 array mixed with a Python int to float64
+    bits = rng.integers(0, 2, 70).astype(np.uint8)
+    o0, o1, _ = run_two_party(b2a, (bits,), (bits,))
+    assert o0.dtype == o1.dtype == np.uint64
+    x0, x1 = _shared(rng, _signed_values(rng, (70,)))
+    (v0, m0), (v1, m1), _ = run_two_party(relu, (x0,), (x1,))
+    assert {a.dtype for a in (v0, m0, v1, m1)} == {np.dtype(np.uint64)}
 
 
 def test_relu_exact(rng):
@@ -92,7 +108,26 @@ def test_relu_exact(rng):
         assert np.array_equal(got, np.maximum(lift_signed(x), 0))
         mask = reconstruct(m0, m1)
         assert np.array_equal(mask, (lift_signed(x) >= 0).astype(np.uint64))
-        assert meter.rounds == 9  # sign bit + b2a + final multiply
+        assert meter.rounds == 8  # sign bit + one daBit opening
+
+
+# ring elements at and around the signed extremes, 0 and -1
+_RELU_EDGES = [0, 1, 2 ** 64 - 1, 2 ** 63 - 1, 2 ** 63, 2 ** 63 + 1]
+
+
+@given(st.lists(st.one_of(st.integers(0, 2 ** 64 - 1),
+                          st.sampled_from(_RELU_EDGES)),
+                min_size=1, max_size=200),
+       st.integers(0, 2 ** 32))
+@settings(max_examples=60, deadline=None)
+def test_relu_property(values, seed):
+    x = np.array(values, dtype=np.uint64)
+    x0, x1 = _shared(np.random.default_rng(seed), x)
+    (v0, m0), (v1, m1), _ = run_two_party(relu, (x0,), (x1,))
+    assert np.array_equal(lift_signed(reconstruct(v0, v1)),
+                          np.maximum(lift_signed(x), 0))
+    assert np.array_equal(reconstruct(m0, m1),
+                          (lift_signed(x) >= 0).astype(np.uint64))
 
 
 def test_highest_one_hot(rng):
@@ -108,10 +143,10 @@ def test_highest_one_hot(rng):
 
 @pytest.mark.parametrize("n", [1, 7, 65, 1000])
 @pytest.mark.parametrize("fn, online, offline, rounds, messages", [
-    (bit_decompose, 1792, 448, 7, 14),
+    (bit_decompose, 1492, 373, 7, 14),  # 448 gates less 75 no sum bit reads
     (msb, 724, 181, 7, 14),  # 63 + 61 + 31 + 15 + 7 + 3 + 1 gates
-    (relu, 1236, 309, 9, 22),
-    (highest_one_hot, 18944, 4736, 14, 30),
+    (relu, 854, 309, 8, 18),  # msb + 2 + 128 bits; 181 + 128 offline
+    (highest_one_hot, 2388, 4661, 14, 28),  # + prefix OR + 64 b2a
     (_prefix_or_high, 768, 192, 6, 12),  # 6 levels of 32 gates
 ], ids=["bit_decompose", "msb", "relu", "highest_one_hot", "prefix_or_high"])
 def test_gmw_layer_costs(rng, n, fn, online, offline, rounds, messages):

@@ -140,6 +140,27 @@ def test_bit_triples(dealer):
             assert int(w[-1]) >> (count - 64 * (len(w) - 1)) == 0
 
 
+@pytest.mark.parametrize("masked", [False, True])
+def test_dabits_correlation(dealer, masked):
+    v0, v1, offline = dealer.gen_dabits(3, (40, 7), masked)
+    assert offline == 40 * 7 * 64 * (2 if masked else 1)
+    r = v0.r ^ v1.r
+    assert set(np.unique(r).tolist()) == {0, 1}
+    assert np.array_equal(r, reconstruct(v0.R, v1.R))
+    if masked:
+        u = reconstruct(v0.u, v1.u)
+        assert np.array_equal(reconstruct(v0.ru, v1.ru), r * u)
+    else:
+        assert v0.u is v0.ru is v1.u is v1.ru is None
+    again = Dealer(*dealer.keys).gen_dabits(3, (40, 7), masked)
+    for view, copy in zip((v0, v1), again):
+        for name in ("r", "R", "u", "ru"):
+            a, b = getattr(view, name), getattr(copy, name)
+            assert (a is b is None) or np.array_equal(a, b)
+    other, _, _ = dealer.gen_dabits(4, (40, 7), masked)
+    assert not np.array_equal(other.R, v0.R)
+
+
 def test_determinism_same_keys():
     d1 = Dealer.from_seed(42)
     d2 = Dealer.from_seed(42)

@@ -213,9 +213,13 @@ def test_smm_widths_follow_public_shapes(monkeypatch, d, h, widths):
     # carry-only sign bit then saved (1,792 - 724) / 8 = 133.5 B per ReLU
     # element: n*h hidden units plus n*(c - 1) in softmax's row max, with
     # n = 24 and c = 2, so 216 * 133.5 = 28,836 B (h = 8) and 72 * 133.5 =
-    # 9,612 B (h = 2).
-    (4, 8, 288_888 - 22 * 6_260 - 28_836, [2, 2], 69),
-    (16, 2, 244_728 - 22 * 6_260 - 9_612, [2, 2], 69),
+    # 9,612 B (h = 2). daBits then saved (1,236 - 854) / 8 = 47.75 B per
+    # ReLU element, 10,314 B (h = 8) and 3,438 B (h = 2), and with the 75
+    # unread adder gates dropped, (18,944 - 2,388) / 8 = 2,069.5 B per
+    # highest_one_hot element: 24 * 2,069.5 = 49,668 B for the n row sums
+    # of softmax's reciprocal. ReLU's B2A and multiply share 1 round.
+    (4, 8, 288_888 - 22 * 6_260 - 28_836 - 10_314 - 49_668, [2, 2], 67),
+    (16, 2, 244_728 - 22 * 6_260 - 9_612 - 3_438 - 49_668, [2, 2], 67),
 ], ids=["d4-h8", "d16-h2"])  # ids without the pinned bytes, which move
 def test_epoch_bytes_follow_smm_widths(monkeypatch, d, h, non_smm_bytes,
                                        epoch_widths, rounds):
@@ -232,9 +236,9 @@ def test_section_rounds_sum_to_meter_rounds(ds):
     # each section sums its calls' rounds, so the sections add up to the run
     _, meter = train_secure(ds, TrainConfig(epochs=1, hidden=4))
     rounds = {name: sec["rounds"] for name, sec in meter.sections.items()}
-    assert rounds == {"op": 20, "osm": 8, "mult": 33, "gmw_and": 34,
-                      "reveal": 2}
-    assert sum(rounds.values()) == meter.rounds == 97
+    assert rounds == {"op": 20, "osm": 8, "mult": 26, "gmw_and": 34,
+                      "b2a": 4, "reveal": 2}
+    assert sum(rounds.values()) == meter.rounds == 94
 
 
 def test_train_secure_history_and_meter(ds):
