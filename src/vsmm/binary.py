@@ -1,24 +1,23 @@
-"""Binary-share machinery on one bit-sliced layout: the sign bit by a
-carry-only GMW tree, bit decomposition by a Sklansky parallel-prefix adder,
-ReLU, and highest-set-bit extraction. x = a + b mod 2^64, party 0 holding a
-and party 1 holding b. A 64x64 word transpose bit-slices the shares into
-rows, row i holding bit i of every element, so each level of a prefix tree is
-one and_bits call of rows x n gates.
+"""Binary-share machinery on one bit-sliced layout: the sign bit and bit
+decomposition by one Sklansky parallel-prefix adder, ReLU, and highest-set-bit
+extraction. x = a + b mod 2^64, party 0 holding a and party 1 holding b. A
+64x64 word transpose bit-slices the shares into rows, row i holding bit i of
+every element, so each level of a prefix tree is one and_bits call of rows x n
+gates.
 
-The sign of x is a63 ^ b63 ^ c63, c63 being the carry into bit 63. msb
-computes only that carry: gi = ai & bi for bits 0..62 (63 gates; pi = ai ^ bi
-is local), then six levels G = G_hi ^ (P_hi & G_lo), P = P_hi & P_lo. The
-group holding bit 0 needs no P, as the carry into bit 0 is 0, so the levels
-take 61 + 31 + 15 + 7 + 3 + 1 gates: 181 per element in 7 rounds.
-
-bit_decompose keeps the full adder, as highest_one_hot reads all 64 sum bits.
-Level l pairs bit i of each 2^(l+1)-bit block with the edge bit j of the
-other half. The adder ANDs [p_i, p_i] with [g_j, p_j] on the 32 upper-half
-rows, j the top bit of the lower half, skipping the gates no sum bit reads:
-the bit-0 block's P and bit 63's G and P. That is 63 + 61 + 60 + 58 + 54 +
-46 + 31 = 373 gates in 7 rounds. prefix_or_high runs the tree from the top,
-ORing the bottom bit of the upper half into the 32 lower-half rows: 6 * 32 =
-192 gates in 6 rounds.
+The adder ANDs g_i = a_i & b_i for bits 0..62 (63 gates; p_i = a_i ^ b_i is
+local), then runs six levels. Level l pairs each bit i of the upper half of a
+2^(l+1)-bit block with j, the top bit of the lower half: a G gate sets
+g_i ^= p_i & g_j and a P gate p_i = p_i & p_j. After the last level g_i is the
+carry out of bit i. _levels derives each level's gates by walking back from
+the carries a caller reads, so no gate runs that no carry needs.
+bit_decompose reads all 63 carries: 63 + 61 + 60 + 58 + 54 + 46 + 31 = 373
+gates in 7 rounds, skipping the bit-0 block's P gates (the carry into bit 0
+is 0) and bit 63's G and P. msb runs the adder pruned to the carry into bit
+63, as the sign of x is a63 ^ b63 ^ c63: 63 + 61 + 31 + 15 + 7 + 3 + 1 = 181
+gates in 7 rounds.
+prefix_or_high runs the tree from the top, ORing the bottom bit of the upper
+half into the 32 lower-half rows: 6 * 32 = 192 gates in 6 rounds.
 
 b2a turns XOR-shared bits into additive shares with dealer daBits, a random
 bit r dealt both XOR-shared and as [r]: each party sends b_i ^ r_i, and
@@ -43,48 +42,56 @@ _TWO = np.uint64(2)
 _HALVES = [1 << level for level in range(6)]
 # U of level l: the positions with bit l set, the upper half of each block
 _UPPER = [np.uint64(sum(1 << i for i in range(64) if i & h)) for h in _HALVES]
-
-
-def _read_rows(h: int) -> np.ndarray:
-    """The rows of an adder level's (g/p, block, bit) gates that some sum bit
-    reads: all but the bit-0 block's P (the carry into bit 0 is 0) and bit
-    63's G and P."""
-    read = np.ones((2, 32 // h, h), dtype=bool)
-    read[1, 0] = read[:, -1, -1] = False
-    return np.flatnonzero(read)
-
-
-_KEEP = [_read_rows(h) for h in _HALVES]
 _SHIFTS = np.arange(RING_BITS, dtype=np.uint64)[:, None]
+# the adder's rows: g_0..g_62, then p_0..p_62 from row _P (no gate reads p_63)
+_P = RING_BITS - 1
+
+
+def _levels(carries) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The adder levels, first to last, that the carries g_i (i in carries)
+    read: per level the (2, gates) [x; y] rows, G gates then P gates each in
+    bit order, and the G gates' output rows. Walking back from the last
+    level, a G gate (kind 0) at upper-half bit i reads g_i, p_i and g_j, and
+    a P gate (kind 1) reads p_i and p_j."""
+    read, levels = {(0, i) for i in carries}, []
+    for h in reversed(_HALVES):
+        gates = sorted(v for v in read if v[1] & h)
+        rows = np.empty((2, len(gates)), dtype=np.intp)
+        for col, (kind, i) in enumerate(gates):
+            j = (i & -2 * h) + h - 1
+            read |= {(1, i), (kind, j)}
+            rows[:, col] = _P + i, kind * _P + j
+        g_gates = sum(kind == 0 for kind, _ in gates)
+        levels.append((rows, rows[0, :g_gates] - _P))
+    return levels[::-1]
+
+
+_SUM = _levels(range(RING_BITS - 1))  # every carry: bit_decompose
+_SIGN = _levels([RING_BITS - 2])  # the carry into bit 63: msb
+
+
+def _carries(ctx: PartyContext, own: np.ndarray, whole: int,
+             levels: list) -> np.ndarray:
+    """Rows g_0..g_62 after the adder levels, the carries they compute."""
+    gp = np.zeros((2, _P, own.shape[1]), dtype=np.uint64)
+    gp[ctx.party] = own[:-1]  # g_i = a_i & b_i from (a, 0) and (0, b)
+    gp[0] = _and_rows(ctx, gp, whole)
+    gp[1] = own[:-1]  # p_i = a_i ^ b_i
+    gp = gp.reshape(2 * _P, -1)
+    for rows, g_out in levels:
+        z = _and_rows(ctx, gp[rows], whole)
+        gp[g_out] ^= z[:len(g_out)]
+        gp[rows[0, len(g_out):]] = z[len(g_out):]
+    return gp[:_P]
 
 
 def bit_decompose(ctx: PartyContext, x: np.ndarray) -> np.ndarray:
     """XOR-shared bits of the reconstructed value: the 64 _bit_rows rows of
     x's elements in flat order."""
     x = np.asarray(x, dtype=np.uint64).ravel()
-    whole = x.size // 64
     own = _bit_rows(x)
-    gp = np.stack([np.zeros_like(own), own])  # g, then p = a ^ b
-    gp[0, :-1] = _generate(ctx, own, whole)
-    for h, keep in zip(_HALVES, _KEEP):
-        q = gp.reshape(2, 32 // h, 2, h, own.shape[1])
-        xy = np.empty((2,) + q[:, :, 1].shape, dtype=np.uint64)
-        xy[0], xy[1] = q[1, :, 1], q[:, :, 0, -1:]  # [p_i, p_i], [g_j, p_j]
-        z = np.zeros_like(own)
-        z[keep] = _and_rows(ctx, xy.reshape(2, RING_BITS, -1)[:, keep], whole)
-        z = z.reshape(xy[0].shape)
-        q[0, :, 1] ^= z[0]
-        q[1, :, 1] = z[1]
-    own[1:] ^= gp[0, :-1]  # sum bit i = p_i xor carry_{i-1}
+    own[1:] ^= _carries(ctx, own, x.size // 64, _SUM)  # s_i = p_i ^ c_(i-1)
     return own
-
-
-def _generate(ctx: PartyContext, own: np.ndarray, whole: int) -> np.ndarray:
-    """Rows of g_i = a_i & b_i for bits 0..62: party 0 inputs (a, 0), party 1
-    (0, b)."""
-    xy = np.zeros((2, RING_BITS - 1, own.shape[1]), dtype=np.uint64)
-    xy[ctx.party] = own[:-1]
-    return _and_rows(ctx, xy, whole)
 
 
 def _bit_rows(x: np.ndarray) -> np.ndarray:
@@ -134,17 +141,8 @@ def msb(ctx: PartyContext, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.uint64)
     whole = x.size // 64
     own = _bit_rows(x.ravel())
-    cols = own.shape[1]
-    g = _generate(ctx, own, whole)
-    p = own[:-1]  # p[0] is never read: the bit-0 group needs no P
-    while len(g) > 1:  # pair k joins groups 2k (low) and 2k + 1 (high)
-        m = len(g) // 2
-        p_hi = p[1:2 * m:2]
-        xy = np.concatenate([p_hi, p_hi[1:], g[0:2 * m:2], p[2:2 * m:2]])
-        z = _and_rows(ctx, xy.reshape(2, 2 * m - 1, cols), whole)
-        g = np.concatenate([g[1:2 * m:2] ^ z[:m], g[2 * m:]])
-        p = np.concatenate([p[:1], z[m:], p[2 * m:]])
-    return _unrows((own[-1] ^ g[0])[None], whole).reshape(x.shape)
+    carry = _carries(ctx, own, whole, _SIGN)[-1]
+    return _unrows((own[-1] ^ carry)[None], whole).reshape(x.shape)
 
 
 def b2a(ctx: PartyContext, bits: np.ndarray) -> np.ndarray:

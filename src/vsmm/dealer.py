@@ -101,8 +101,6 @@ def _matmul_u64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class OpRandomness:
     """One party's view of an oblivious-permutation tuple (d column instances)."""
 
-    k: int
-    d: int
     pinv: np.ndarray | None  # party 0: (d, k), row c is pi_c^-1
     piU: np.ndarray           # (k, d) shares of pi(U): piU[i, c] = U[pi_c[i], c]
     U: np.ndarray | None     # party 1: (k, d)
@@ -179,8 +177,8 @@ class Dealer:
         piU1 = np.empty_like(U)
         np.put_along_axis(piU1, pinv.T, U, axis=0)
         piU1 -= piU0
-        view0 = OpRandomness(k, d, pinv, piU0, None)
-        view1 = OpRandomness(k, d, None, piU1, U)
+        view0 = OpRandomness(pinv, piU0, None)
+        view1 = OpRandomness(None, piU1, U)
         return view0, view1, k * 64 * d
 
     def gen_osm_rand(self, ctr: int, count: int):

@@ -21,7 +21,8 @@ import numpy as np
 
 from .decompose import SparseMatrixCOO, decompose_full
 from .binary import relu
-from .nonlinear import AdamState, adam_step, scale_public, sgd_step, softmax_rows
+from .nonlinear import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, adam_step,
+                        scale_public, sgd_step, softmax_rows)
 from .protocols import beaver_mult, reveal
 from .ring import FRAC_BITS, decode_fixed, encode_fixed
 from .runtime import CommMeter, run_two_party
@@ -54,9 +55,6 @@ class TrainConfig:
     epochs: int = 50
     seed: int = 0
     hidden: int = 16
-    adam_eps: float = 0.01
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.9
 
     def __post_init__(self):
         if self.optimizer not in ("sgd", "adam"):
@@ -65,10 +63,6 @@ class TrainConfig:
             raise ValueError("lr must be finite and positive and epochs >= 1")
         if self.hidden < 1:
             raise ValueError("hidden must be >= 1")
-        if not self.adam_eps > 0:
-            raise ValueError("adam_eps must be positive")
-        if not (0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1):
-            raise ValueError("adam_beta1 and adam_beta2 must lie in [0, 1)")
 
 
 def normalize_adjacency(edges: np.ndarray, num_nodes: int) -> SparseMatrixCOO:
@@ -219,7 +213,7 @@ def reference_train_clear(ds: GraphDataset, cfg: TrainConfig) -> dict:
             w1 -= cfg.lr * gw1
             w2 -= cfg.lr * gw2
         else:
-            b1, b2, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps
+            b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
             u1 = b1 * u1 + (1 - b1) * gw1; v1 = b2 * v1 + (1 - b2) * gw1 ** 2
             u2 = b1 * u2 + (1 - b1) * gw2; v2 = b2 * v2 + (1 - b2) * gw2 ** 2
             w1 -= cfg.lr * u1 / np.sqrt(v1 + eps * eps)
@@ -285,11 +279,7 @@ def _train_protocol(ctx, bundle, x, onehot_enc, w1, w2, pub, cfg: TrainConfig):
     epoch; the host adds the two parties' counts after the run."""
     dims = pub["dims"]
     mask_vec = pub["train_mask"].astype(np.uint64)
-    if cfg.optimizer == "adam":
-        hyper = dict(beta1=cfg.adam_beta1, beta2=cfg.adam_beta2,
-                     eps=cfg.adam_eps, lr=cfg.lr)
-        st1 = AdamState.init(w1.shape, **hyper)
-        st2 = AdamState.init(w2.shape, **hyper)
+    u1, v1, u2, v2 = (np.zeros(w.shape, np.uint64) for w in (w1, w1, w2, w2))
     # AX, computed once, counts in the meter's totals, not in any epoch's row
     ax = smm(ctx, bundle, dims, x, shared=False, fixed_point=True)
     history, sent = [], []
@@ -303,8 +293,8 @@ def _train_protocol(ctx, bundle, x, onehot_enc, w1, w2, pub, cfg: TrainConfig):
             w1 = sgd_step(ctx, w1, gw1, cfg.lr)
             w2 = sgd_step(ctx, w2, gw2, cfg.lr)
         else:
-            w1 = adam_step(ctx, st1, w1, gw1)
-            w2 = adam_step(ctx, st2, w2, gw2)
+            w1, u1, v1 = adam_step(ctx, w1, gw1, u1, v1, cfg.lr)
+            w2, u2, v2 = adam_step(ctx, w2, gw2, u2, v2, cfg.lr)
         stats["rounds"] = ctx.ep.clock - prev_clock
         sent.append(ctx.ep.sent_bits - prev_bits)
         prev_bits, prev_clock = ctx.ep.sent_bits, ctx.ep.clock

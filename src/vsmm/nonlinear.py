@@ -14,8 +14,6 @@ place of 1/(sqrt(v) + eps).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .binary import highest_one_hot, relu
@@ -151,34 +149,19 @@ def sgd_step(ctx: PartyContext, w: np.ndarray, grad: np.ndarray,
     return np.asarray(w, dtype=np.uint64) - scale_public(grad, lr, ctx)
 
 
-@dataclass
-class AdamState:
-    """Shared moment estimates for the simplified Adam recurrence."""
-
-    u: np.ndarray
-    v: np.ndarray
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 0.01
-    lr: float = 0.001
-
-    @classmethod
-    def init(cls, shape, **hyper) -> "AdamState":
-        return cls(u=np.zeros(shape, dtype=np.uint64),
-                   v=np.zeros(shape, dtype=np.uint64), **hyper)
+ADAM_BETA1 = ADAM_BETA2 = 0.9  # beta2 = 0.9 keeps v above the fixed-point floor
+ADAM_EPS = 0.01
 
 
-def adam_step(ctx: PartyContext, state: AdamState, w: np.ndarray,
-              grad: np.ndarray) -> np.ndarray:
-    """One simplified Adam update (no bias correction):
-    u = b1 u + (1-b1) g; v = b2 v + (1-b2) g^2; W -= lr * u / sqrt(v + eps^2).
+def adam_step(ctx: PartyContext, w: np.ndarray, grad: np.ndarray,
+              u: np.ndarray, v: np.ndarray, lr: float):
+    """One simplified Adam update (no bias correction) of W and its shared
+    moments, returning (W, u, v): u = b1 u + (1-b1) g; v = b2 v + (1-b2) g^2;
+    W -= lr * u / sqrt(v + eps^2).
     """
     g = np.asarray(grad, dtype=np.uint64)
-    state.u = (scale_public(state.u, state.beta1, ctx)
-               + scale_public(g, 1.0 - state.beta1, ctx))
+    u = scale_public(u, ADAM_BETA1, ctx) + scale_public(g, 1 - ADAM_BETA1, ctx)
     g2 = beaver_square(ctx, g, truncate=True)
-    state.v = (scale_public(state.v, state.beta2, ctx)
-               + scale_public(g2, 1.0 - state.beta2, ctx))
-    inv_root = rsqrt_eps(ctx, state.v, state.eps)
-    direction = beaver_mult(ctx, state.u, inv_root, truncate=True)
-    return np.asarray(w, dtype=np.uint64) - scale_public(direction, state.lr, ctx)
+    v = scale_public(v, ADAM_BETA2, ctx) + scale_public(g2, 1 - ADAM_BETA2, ctx)
+    direction = beaver_mult(ctx, u, rsqrt_eps(ctx, v, ADAM_EPS), truncate=True)
+    return np.asarray(w, dtype=np.uint64) - scale_public(direction, lr, ctx), u, v

@@ -14,7 +14,6 @@ accounted separately so that formula assertions compare payload bits only.
 
 from __future__ import annotations
 
-import math
 import queue
 import threading
 from contextlib import contextmanager
@@ -243,7 +242,7 @@ class PartyContext:
         words, one shift/or pass per position in the group, and its first b
         bytes go on the wire. The last group is padded with zero indices.
         """
-        b = _index_bits(degree)
+        b = index_bits(degree)
         idx = np.ravel(indices)
         if b == 0:
             self.ep.send(b"", nbits=0)
@@ -263,7 +262,7 @@ class PartyContext:
     def recv_perm(self, degree: int, count: int | None = None) -> np.ndarray:
         """Receive `count` packed indices (default: degree, one permutation)."""
         count = degree if count is None else count
-        b = _index_bits(degree)
+        b = index_bits(degree)
         payload = self.ep.recv()
         if b == 0:
             return np.zeros(count, dtype=np.int64)
@@ -303,8 +302,9 @@ def _group_slots(b: int) -> list[tuple]:
     return slots
 
 
-def _index_bits(degree: int) -> int:
-    return math.ceil(math.log2(degree)) if degree > 1 else 0
+def index_bits(k: int) -> int:
+    """ceil(log2 k), the wire width of an index below k (0 for k <= 1)."""
+    return max(k - 1, 0).bit_length()
 
 
 def run_two_party(protocol, inputs0=(), inputs1=(), dealer: Dealer | None = None,

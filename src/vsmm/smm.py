@@ -14,7 +14,6 @@ weight multiplication. Fixed-point inputs truncate exactly once, at Weight.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +22,7 @@ from .decompose import (DecompositionBundle, Perm, Select, Weight,
                         factor_steps, resize)
 from .protocols import op, osm, priv_mult
 from .ring import RING_BITS, encode_fixed
-from .runtime import PartyContext
+from .runtime import PartyContext, index_bits
 
 
 @dataclass(frozen=True)
@@ -35,14 +34,10 @@ class SmmDims:
     t: int
 
 
-def _clog(k: int) -> int:
-    return math.ceil(math.log2(k)) if k > 1 else 0
-
-
 def smm_online_bits(m: int, n: int, t: int, d: int) -> int:
     """Online payload of one smm call in bits."""
     return ((5 * t + 2 * m + 2 * n) * RING_BITS
-            + 3 * t * _clog(t) + m * _clog(m) + n * _clog(n)
+            + 3 * t * index_bits(t) + m * index_bits(m) + n * index_bits(n)
             + m + n) * d
 
 

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vsmm.binary import (_bit_rows, _unrows, b2a, bit_decompose,
-                         highest_one_hot, msb, prefix_or_high, relu)
+from vsmm.binary import (_HALVES, _SIGN, _SUM, _bit_rows, _unrows, b2a,
+                         bit_decompose, highest_one_hot, msb, prefix_or_high,
+                         relu)
 from vsmm.ring import lift_signed, random_ring, reconstruct, share_secret
 from vsmm.runtime import FRAME_BITS, run_two_party
 
@@ -39,6 +40,32 @@ def test_bit_decompose_exact(rng):
         bits = _unrows(o0 ^ o1, x.size // 64)  # row i: bit i of each element
         assert np.array_equal(bits, x.ravel() >> _SHIFTS & np.uint64(1))
         assert meter.rounds == 7  # initial AND plus 6 prefix levels
+
+
+def _gates(level):
+    """A derived adder level as (kind, bit i, row read beside p_i) triples,
+    kind 0 for a G gate and 1 for a P gate."""
+    rows, g_out = level
+    kinds = (np.arange(rows.shape[1]) >= len(g_out)).astype(int)
+    assert np.array_equal(g_out, rows[0, :len(g_out)] - 63)
+    return [(int(k), int(x) - 63, int(y)) for k, x, y in zip(kinds, *rows)]
+
+
+def test_adder_gate_lists():
+    # gates per level after the 63 generate gates
+    assert [len(_gates(level)) for level in _SIGN] == [61, 31, 15, 7, 3, 1]
+    assert [len(_gates(level)) for level in _SUM] == [61, 60, 58, 54, 46, 31]
+    for h, level in zip(_HALVES, _SUM):
+        # every upper-half gate but the bit-0 block's P gates and bit 63's G
+        # and P, each reading g_j or p_j, j the lower half's top bit; rows
+        # 0..62 hold g_0..g_62 and rows 63.. hold p_0..p_62
+        hand = [(k, i, 63 * k + (i & -2 * h) + h - 1)
+                for k in (0, 1) for i in range(64)
+                if i & h and i != 63 and not (k == 1 and i < 2 * h)]
+        assert _gates(level) == hand
+    # the sign carry reads a subset of the full adder's gates
+    for sign, full in zip(_SIGN, _SUM):
+        assert set(_gates(sign)) <= set(_gates(full))
 
 
 def _prefix_or_high(ctx, x):

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from vsmm.nonlinear import (AdamState, QUAD_A, QUAD_B, QUAD_C, adam_step,
-                            quad_poly, reciprocal, rsqrt, rsqrt_eps,
-                            rsqrt_pow2, sgd_step, softmax_rows)
+from vsmm.nonlinear import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, QUAD_A, QUAD_B,
+                            QUAD_C, adam_step, quad_poly, reciprocal, rsqrt,
+                            rsqrt_eps, rsqrt_pow2, sgd_step, softmax_rows)
 from vsmm.ring import (FRAC_BITS, decode_fixed, encode_fixed, random_ring,
                        reconstruct, share_secret)
 from vsmm.runtime import run_two_party
@@ -117,17 +117,15 @@ def test_scale_public_and_sgd_step(rng):
 
 
 def test_adam_step_matches_float_recurrence(rng):
-    # beta2 = 0.9 keeps v well above the fixed-point quantization floor
-    hyper = dict(beta1=0.9, beta2=0.9, eps=0.01, lr=0.1)
+    lr = 0.1
     w = rng.uniform(-1, 1, 16)
     grads = [rng.uniform(-1, 1, 16) for _ in range(3)]
 
     def proto(ctx, wv, *gvs):
-        state = AdamState.init(wv.shape, **hyper)
-        cur = wv
+        u = v = np.zeros(wv.shape, np.uint64)
         for gv in gvs:
-            cur = adam_step(ctx, state, cur, gv)
-        return cur
+            wv, u, v = adam_step(ctx, wv, gv, u, v, lr)
+        return wv
 
     w_sh = _shared(rng, encode_fixed(w))
     g_sh = [_shared(rng, encode_fixed(g)) for g in grads]
@@ -140,7 +138,7 @@ def test_adam_step_matches_float_recurrence(rng):
     v = np.zeros_like(w)
     ref = w.copy()
     for g in grads:
-        u = hyper["beta1"] * u + (1 - hyper["beta1"]) * g
-        v = hyper["beta2"] * v + (1 - hyper["beta2"]) * g ** 2
-        ref -= hyper["lr"] * u / np.sqrt(v + hyper["eps"] ** 2)
+        u = ADAM_BETA1 * u + (1 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * g ** 2
+        ref -= lr * u / np.sqrt(v + ADAM_EPS ** 2)
     assert np.abs(got - ref).max() <= 0.02
