@@ -2,8 +2,9 @@
 decomposition by one Sklansky parallel-prefix adder, ReLU, and highest-set-bit
 extraction. x = a + b mod 2^64, party 0 holding a and party 1 holding b. A
 64x64 word transpose bit-slices the shares into rows, row i holding bit i of
-every element, so each level of a prefix tree is one and_bits call of rows x n
-gates.
+every element, so each level of a prefix tree is one and_bits call on its
+gates' rows: and_bits takes the rows as they are, packed words then one bit
+per tail element, and returns its result in the same layout.
 
 The adder ANDs g_i = a_i & b_i for bits 0..62 (63 gates; p_i = a_i ^ b_i is
 local), then runs six levels. Level l pairs each bit i of the upper half of a
@@ -75,11 +76,11 @@ def _carries(ctx: PartyContext, own: np.ndarray, whole: int,
     """Rows g_0..g_62 after the adder levels, the carries they compute."""
     gp = np.zeros((2, _P, own.shape[1]), dtype=np.uint64)
     gp[ctx.party] = own[:-1]  # g_i = a_i & b_i from (a, 0) and (0, b)
-    gp[0] = _and_rows(ctx, gp, whole)
+    gp[0] = and_bits(ctx, gp, whole)
     gp[1] = own[:-1]  # p_i = a_i ^ b_i
     gp = gp.reshape(2 * _P, -1)
     for rows, g_out in levels:
-        z = _and_rows(ctx, gp[rows], whole)
+        z = and_bits(ctx, gp[rows], whole)
         gp[g_out] ^= z[:len(g_out)]
         gp[rows[0, len(g_out):]] = z[len(g_out):]
     return gp[:_P]
@@ -110,23 +111,6 @@ def _bit_rows(x: np.ndarray) -> np.ndarray:
         lo ^= t << s
         hi ^= t
     return np.concatenate([blocks.T, x[64 * whole:] >> _SHIFTS & _ONE], axis=1)
-
-
-def _and_rows(ctx: PartyContext, xy: np.ndarray, whole: int) -> np.ndarray:
-    """and_bits of xy[0] and xy[1], each r _bit_rows rows of n elements: r*n
-    gates, the whole words first, then each row's tail bits back to back."""
-    _, r, cols = xy.shape
-    tail = cols - whole
-    bits = np.packbits(xy[:, :, whole:].astype(np.uint8).reshape(2, -1),
-                       axis=1, bitorder="little")
-    buf = np.zeros((2, 8 * -(-r * tail // 64)), dtype=np.uint8)
-    buf[:, :bits.shape[1]] = bits
-    gx, gy = np.concatenate([xy[:, :, :whole].reshape(2, -1),
-                             buf.view("<u8")], axis=1)
-    z = and_bits(ctx, gx, gy, count=r * (64 * whole + tail))
-    bits = np.unpackbits(z[r * whole:].view(np.uint8), bitorder="little")
-    return np.concatenate([z[:r * whole].reshape(r, whole),
-                           bits[:r * tail].reshape(r, tail)], axis=1)
 
 
 def _unrows(rows: np.ndarray, whole: int) -> np.ndarray:
@@ -182,7 +166,7 @@ def prefix_or_high(ctx: PartyContext, v: np.ndarray, whole: int) -> np.ndarray:
         q = v.reshape(32 // h, 2, h, v.shape[1])  # (block, half, bit)
         xy = np.empty((2,) + q[:, 0].shape, dtype=np.uint64)
         xy[0], xy[1] = q[:, 0], q[:, 1, :1]  # lower half, upper half's bottom
-        z = _and_rows(ctx, xy.reshape(2, RING_BITS // 2, -1), whole)
+        z = and_bits(ctx, xy.reshape(2, RING_BITS // 2, -1), whole)
         q[:, 0] ^= xy[1] ^ z.reshape(xy[0].shape)  # x ^ y ^ (x & y) = x | y
     return v
 

@@ -73,7 +73,7 @@ def _bench_op(args, rng):
     k, d = args.nodes, args.dim
     sigma = Permutation(rng.permutation(k))
     x0, x1 = share_secret(random_ring(rng, (k, d)), random_ring(rng, (k, d)))
-    return op, (sigma, x0, k, d, True), (None, x1, k, d, True), {}
+    return op, (sigma, x0, k, d), (None, x1, k, d), {}
 
 
 def _bench_osm(args, rng):

@@ -71,11 +71,11 @@ class PrfStream:
         buf = self.bytes((n + 7) // 8)
         return np.unpackbits(np.frombuffer(buf, dtype=np.uint8))[:n]
 
-    def bit_words(self, count: int) -> np.ndarray:
-        """`count` PRF bits packed into words, least significant first."""
-        words = self.u64((-(-count // 64),))
-        words[-1:] &= np.uint64(2 ** ((count - 1) % 64 + 1) - 1)
-        return words
+    def gate_bits(self, words: int, bits: int) -> np.ndarray:
+        """u64(words), then bits(bits) one per entry, from one keystream read."""
+        buf = np.frombuffer(self.bytes(8 * words + -(-bits // 8)), np.uint8)
+        return np.concatenate([buf[:8 * words].view("<u8"),
+                               np.unpackbits(buf[8 * words:])[:bits]])
 
     def permutation(self, k: int) -> np.ndarray:
         """Uniform element of S_k: the argsort of k PRF words.
@@ -143,7 +143,7 @@ class DaBits:
 
 @dataclass
 class BitTriples:
-    a: np.ndarray  # packed words: bit i of word w is triple 64*w + i
+    a: np.ndarray  # gate_bits: 64 triples per word, then one per 0/1 entry
     b: np.ndarray
     c: np.ndarray
 
@@ -231,11 +231,13 @@ class Dealer:
         size = int(np.prod(shape, dtype=np.int64))
         return SquarePair(a0, c0), SquarePair(a1, c1), size * 64
 
-    def gen_bit_triples(self, ctr: int, count: int):
+    def gen_bit_triples(self, ctr: int, words: int, bits: int):
+        """AND triples for 64*words + bits gates, in and_bits' layout."""
         s0, s1 = self._streams(TAG_BITS, ctr)
-        a0, b0, c0, a1, b1 = (s.bit_words(count) for s in (s0, s0, s0, s1, s1))
+        a0, b0, c0, a1, b1 = (s.gate_bits(words, bits)
+                              for s in (s0, s0, s0, s1, s1))
         c1 = ((a0 ^ a1) & (b0 ^ b1)) ^ c0
-        return BitTriples(a0, b0, c0), BitTriples(a1, b1, c1), count
+        return BitTriples(a0, b0, c0), BitTriples(a1, b1, c1), 64 * words + bits
 
     def gen_dabits(self, ctr: int, shape, masked: bool = False):
         """daBits: r dealt both XOR-shared and additively shared, plus in the
@@ -327,8 +329,8 @@ class TapeView:
     def square(self, shape) -> SquarePair:
         return self._draw("gen_square", shape)
 
-    def bits(self, count: int) -> BitTriples:
-        return self._draw("gen_bit_triples", count)
+    def bits(self, words: int, bits: int) -> BitTriples:
+        return self._draw("gen_bit_triples", words, bits)
 
     def dabits(self, shape, masked: bool = False) -> DaBits:
         return self._draw("gen_dabits", tuple(shape), masked)

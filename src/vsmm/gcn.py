@@ -281,7 +281,7 @@ def _train_protocol(ctx, bundle, x, onehot_enc, w1, w2, pub, cfg: TrainConfig):
     mask_vec = pub["train_mask"].astype(np.uint64)
     u1, v1, u2, v2 = (np.zeros(w.shape, np.uint64) for w in (w1, w1, w2, w2))
     # AX, computed once, counts in the meter's totals, not in any epoch's row
-    ax = smm(ctx, bundle, dims, x, shared=False, fixed_point=True)
+    ax = smm(ctx, bundle, dims, x, fixed_point=True)
     history, sent = [], []
     prev_bits, prev_clock = ctx.ep.sent_bits, ctx.ep.clock
     for _ in range(cfg.epochs):
@@ -308,14 +308,14 @@ def _train_protocol(ctx, bundle, x, onehot_enc, w1, w2, pub, cfg: TrainConfig):
 
 def _forward_protocol(ctx, bundle, x, onehot_enc, w1, w2, pub):
     dims = pub["dims"]
-    ax = smm(ctx, bundle, dims, x, shared=False, fixed_point=True)
+    ax = smm(ctx, bundle, dims, x, fixed_point=True)
     logits, _, _ = _secure_forward(ctx, bundle, dims, ax, w1, w2)
     return decode_fixed(reveal(ctx, logits))
 
 
 def _gradients_protocol(ctx, bundle, x, onehot_enc, w1, w2, pub):
     dims = pub["dims"]
-    ax = smm(ctx, bundle, dims, x, shared=False, fixed_point=True)
+    ax = smm(ctx, bundle, dims, x, fixed_point=True)
     logits, z, relu_mask = _secure_forward(ctx, bundle, dims, ax, w1, w2)
     gw1, gw2 = _secure_backward(ctx, bundle, dims, ax, z, relu_mask, w2,
                                 logits, onehot_enc,
@@ -350,8 +350,7 @@ def _run_secure(protocol, ds: GraphDataset, w1_shares, w2_shares, seed: int,
         seed=seed)
 
 
-def train_secure(ds: GraphDataset, cfg: TrainConfig,
-                 seed: int | None = None) -> tuple[dict, CommMeter]:
+def train_secure(ds: GraphDataset, cfg: TrainConfig) -> tuple[dict, CommMeter]:
     """Run the full secure training loop in-process and return the party-0
     view of the result (histories and revealed evaluations are identical on
     both sides) together with the communication meter."""
@@ -359,7 +358,7 @@ def train_secure(ds: GraphDataset, cfg: TrainConfig,
                             cfg.seed)
     out0, out1, meter = _run_secure(
         _train_protocol, ds, _public_shares(w1f), _public_shares(w2f),
-        cfg.seed if seed is None else seed, cfg)
+        cfg.seed, cfg)
     result = dict(out0)
     for row, b0, b1 in zip(result["history"], result.pop("sent_bits"),
                            out1["sent_bits"]):

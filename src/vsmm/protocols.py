@@ -21,11 +21,11 @@ def _as2d(x: np.ndarray) -> np.ndarray:
     return x.reshape(len(x), -1)
 
 
-def op(ctx: PartyContext, sigma: Permutation | None, x: np.ndarray | None,
-       k: int, d: int, shared: bool) -> np.ndarray:
-    """Oblivious permutation: party 0 holds sigma, the (k, d) input is
-    party 1's plaintext (shared=False) or additively shared (shared=True).
-    Returns this party's (k, d) share of sigma applied to the rows.
+def op(ctx: PartyContext, sigma: Permutation | None, x: np.ndarray, k: int,
+       d: int) -> np.ndarray:
+    """Oblivious permutation: party 0 holds sigma, and each party its share
+    of the (k, d) input; party 1's plaintext is a share whose party-0 half is
+    zero. Returns this party's (k, d) share of sigma applied to the rows.
     """
     with ctx.section("op"):
         tape = ctx.tape.op(k, d)
@@ -34,9 +34,8 @@ def op(ctx: PartyContext, sigma: Permutation | None, x: np.ndarray | None,
                 raise ValueError("party 0 must supply a degree-k permutation")
             delta_sigma = tape.pinv[:, sigma.p]  # (d, k): pi_c^{-1}[sigma[i]]
             ctx.send_perm(delta_sigma, k)
-            delta_x = ctx.recv_ring((k, d))
-            if shared:  # permute delta_x + x with one gather
-                delta_x = delta_x + _as2d(np.asarray(x, dtype=np.uint64))
+            # permute delta_x + x with one gather
+            delta_x = ctx.recv_ring((k, d)) + _as2d(np.asarray(x, dtype=np.uint64))
             return delta_x[sigma.p] + np.take_along_axis(
                 tape.piU, delta_sigma.T, axis=0)
         x2 = _as2d(np.asarray(x, dtype=np.uint64))
@@ -158,28 +157,30 @@ def mux_shared_bit(ctx: PartyContext, s: np.ndarray, x: np.ndarray,
     return out
 
 
-def and_bits(ctx: PartyContext, x: np.ndarray, y: np.ndarray,
-             count: int | None = None) -> np.ndarray:
-    """GMW AND of XOR-shared packed bits, 2 bits per gate per party, 1 round.
+def and_bits(ctx: PartyContext, xy: np.ndarray, whole: int) -> np.ndarray:
+    """GMW AND of XOR-shared bits, 2 bits per gate per party, 1 round.
 
-    Bit i of word w is gate 64*w + i. Only the first `count` gates (default
-    all) are computed and sent, so x and y hold ceil(count/64) words.
+    xy holds both operands as (2, r, n) _bit_rows rows: packed words in the
+    first `whole` columns, then one 0/1 bit per entry, r*(64*whole + n -
+    whole) gates. Triples, openings and the AND run on the rows flattened to
+    their r*whole words, then their tail bits; the result is xy[0] & xy[1]
+    back in the rows layout.
     """
-    x = np.asarray(x, dtype=np.uint64)
-    y = np.asarray(y, dtype=np.uint64)
-    count = 64 * x.size if count is None else count
-    if y.shape != x.shape or count < 0 or -(-count // 64) != x.size:
-        raise ValueError(f"{count} gates on {x.shape} and {y.shape} words")
+    _, r, n = xy.shape
+    w, bits = r * whole, r * (n - whole)
     with ctx.section("gmw_and"):
-        tape = ctx.tape.bits(count)
-        d, e = x.ravel() ^ tape.a, y.ravel() ^ tape.b
-        ctx.send_gates(d, e, count)
-        d_peer, e_peer = ctx.recv_gates(count)
-        d, e = d ^ d_peer, e ^ e_peer
+        tape = ctx.tape.bits(w, bits)
+        de = np.concatenate([xy[:, :, :whole].reshape(2, w),
+                             xy[:, :, whole:].reshape(2, -1)], axis=1)
+        de[0] ^= tape.a
+        de[1] ^= tape.b
+        ctx.send_gates(de, w)
+        d, e = de ^ ctx.recv_gates(w, bits)
         z = tape.c ^ (d & tape.b) ^ (e & tape.a)
         if ctx.party == 0:
             z ^= d & e
-        return z.reshape(x.shape)
+        return np.concatenate([z[:w].reshape(r, whole), z[w:].reshape(r, -1)],
+                              axis=1)
 
 
 def reveal(ctx: PartyContext, share: np.ndarray) -> np.ndarray:

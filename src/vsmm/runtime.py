@@ -206,32 +206,24 @@ class PartyContext:
             raise ValueError(f"{len(payload)}-byte payload for {n} bits")
         return np.unpackbits(np.frombuffer(payload, dtype=np.uint8))[:n]
 
-    def send_gates(self, x: np.ndarray, y: np.ndarray, count: int) -> None:
-        """The first `count` bits of packed words x, then those of y, least
-        significant first and back to back: 2*count bits in one message."""
-        q, r = divmod(count, 8)
-        xb, yb = (np.asarray(w, "<u8").ravel().view(np.uint8)[:-(-count // 8)]
-                  .astype(np.uint16) for w in (x, y))
-        for b in (xb, yb):  # clear the bits after `count`
-            b[-1:] &= 0xff >> (-count % 8)
-        yb <<= r  # y starts at bit r of byte q
-        msg = np.zeros(q + yb.size + 1, dtype=np.uint16)
-        msg[:xb.size] = xb
-        msg[q:-1] |= yb & 0xff
-        msg[q + 1:] |= yb >> 8
-        self.ep.send(msg[:-(-count // 4)].astype(np.uint8).tobytes(), nbits=2 * count)
+    def send_gates(self, gates: np.ndarray, words: int) -> None:
+        """GMW openings, a (2, words + b) array: its first `words` columns as
+        little-endian words, then its b 0/1 columns packed 8 to a byte;
+        2*(64*words + b) bits in one message."""
+        head = np.ascontiguousarray(gates[:, :words], dtype="<u8")
+        tail = gates[:, words:]
+        self.ep.send(head.tobytes() + np.packbits(tail).tobytes(),
+                     nbits=64 * head.size + tail.size)
 
-    def recv_gates(self, count: int) -> tuple[np.ndarray, np.ndarray]:
-        """The peer's send_gates x and y as packed words, later bits unspecified."""
-        payload = self.ep.recv()
-        if len(payload) != -(-count // 4):
-            raise ValueError(f"{len(payload)}-byte payload for 2x{count} gates")
-        q, r = divmod(count, 8)
-        nb = 8 * -(-count // 64)
-        msg = np.zeros(q + nb + 1, dtype=np.uint16)
-        msg[:len(payload)] = np.frombuffer(payload, dtype=np.uint8)
-        ys = (msg[q:-1] | msg[q + 1:] << 8) >> r
-        return msg[:nb].astype(np.uint8).view("<u8"), ys.astype(np.uint8).view("<u8")
+    def recv_gates(self, words: int, bits: int) -> np.ndarray:
+        """The peer's send_gates openings as a (2, words + bits) array."""
+        raw = np.frombuffer(self.ep.recv(), dtype=np.uint8)
+        if raw.size != 16 * words + -(-bits // 4):
+            raise ValueError(f"{raw.size}-byte payload for 2x{words} words "
+                             f"and 2x{bits} bits")
+        tail = np.unpackbits(raw[16 * words:])[:2 * bits].reshape(2, bits)
+        return np.concatenate(
+            [raw[:16 * words].view("<u8").reshape(2, words), tail], axis=1)
 
     def send_perm(self, indices: np.ndarray, degree: int) -> None:
         """Bit-packed permutation indices: ceil(log2 degree) bits each,

@@ -52,17 +52,14 @@ def beaver_dense_online_bits(m: int, n: int, d: int) -> int:
     return 2 * (m * n + n * d) * RING_BITS
 
 
-def _run_steps(ctx: PartyContext, steps: list, x: np.ndarray, shared: bool,
+def _run_steps(ctx: PartyContext, steps: list, x: np.ndarray,
                fixed_point: bool) -> np.ndarray:
-    """Shares of the step list applied to X. Only the first permutation may
-    take party 1's plaintext (shared=False); everything after it is shared."""
-    p0 = ctx.party == 0
+    """Shares of the step list applied to this party's share of X."""
     y = np.asarray(x, dtype=np.uint64).reshape(steps[0].k, -1)
     d = y.shape[1]
     for s in steps:
         if isinstance(s, Perm):
-            y = op(ctx, s.sigma, y if shared or not p0 else None, s.k, d, shared)
-            shared = True
+            y = op(ctx, s.sigma, y, s.k, d)
         elif isinstance(s, Select):
             # one OSM instance per cell of the n- or m-length side
             sel = None if s.keep is None else np.broadcast_to(
@@ -84,19 +81,18 @@ def _run_steps(ctx: PartyContext, steps: list, x: np.ndarray, shared: bool,
 
 
 def smm(ctx: PartyContext, bundle: DecompositionBundle | None, dims: SmmDims,
-        x: np.ndarray, shared: bool = True, fixed_point: bool = False) -> np.ndarray:
-    """Shares of A @ X for X of shape (n, d); X is party 1's plaintext when
-    shared=False, otherwise additively shared between the parties."""
+        x: np.ndarray, fixed_point: bool = False) -> np.ndarray:
+    """Shares of A @ X for additively shared X of shape (n, d). Party 1's
+    plaintext X is shared as (0, X)."""
     steps = factor_steps(dims, bundle if ctx.party == 0 else None)
-    return _run_steps(ctx, steps, x, shared, fixed_point)
+    return _run_steps(ctx, steps, x, fixed_point)
 
 
 def smm_transpose(ctx: PartyContext, bundle: DecompositionBundle | None,
-                  dims: SmmDims, g: np.ndarray, shared: bool = True,
+                  dims: SmmDims, g: np.ndarray,
                   fixed_point: bool = False) -> np.ndarray:
     """Shares of A.T @ G for G of shape (m, d), reusing the forward bundle:
     the transposed step list needs no re-decomposition and consumes tapes
     of exactly the same shapes as the forward call."""
     steps = factor_steps(dims, bundle if ctx.party == 0 else None)
-    return _run_steps(ctx, [s.T for s in reversed(steps)], g, shared,
-                      fixed_point)
+    return _run_steps(ctx, [s.T for s in reversed(steps)], g, fixed_point)

@@ -65,7 +65,7 @@ def test_2_op_osm_correctness(capsys):
             x0, x1 = _shared(rng, x)
 
             def proto(ctx, s, xin, k=k, d=d):
-                return op(ctx, s, xin, k, d, shared=True)
+                return op(ctx, s, xin, k, d)
 
             o0, o1, meter = run_two_party(proto, (sigma, x0), (None, x1))
             assert np.array_equal(reconstruct(o0, o1), x[sigma.p])
@@ -98,7 +98,7 @@ def test_3_smm_exactness_rounds_formula(capsys):
             x0, x1 = _shared(rng, x)
 
             def proto(ctx, b, xin, dims=dims):
-                return smm(ctx, b, dims, xin, shared=True)
+                return smm(ctx, b, dims, xin)
 
             o0, o1, meter = run_two_party(proto, (bundle, x0), (None, x1))
             expect = a.to_dense().astype(np.int64) @ lift_signed(x)
@@ -116,7 +116,7 @@ def _measure_smm_saving(nodes: int, seed: int) -> float:
     x0, x1 = share_secret(x, random_ring(rng, x.shape))
 
     def proto(ctx, b, xin):
-        return smm(ctx, b, dims, xin, shared=True)
+        return smm(ctx, b, dims, xin)
 
     _, _, meter = run_two_party(proto, (bundle, x0), (None, x1))
     baseline = beaver_dense_online_bits(nodes, nodes, 1)
@@ -188,7 +188,7 @@ def test_8_transcript_data_independence(capsys):
             x0, x1 = share_secret(x, random_ring(rng, x.shape))
 
             def proto(ctx, b, xin, dims=dims):
-                return smm(ctx, b, dims, xin, shared=True)
+                return smm(ctx, b, dims, xin)
 
             _, _, meter = run_two_party(proto, (bundle, x0), (None, x1))
             reports.append(meter.report())

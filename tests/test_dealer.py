@@ -34,10 +34,11 @@ def test_prf_words_are_the_keystream():
     assert np.array_equal(PrfStream(key, tag, ctr).u64((2, 4)).ravel(), keystream)
     assert first.flags.writeable
     first += np.uint64(1)  # the caller owns the words
-    for count in (1, 64, 65, 130):
-        words = PrfStream(key, tag, ctr).u64((-(-count // 64),))
-        words[-1] &= np.uint64(2 ** ((count - 1) % 64 + 1) - 1)
-        assert np.array_equal(PrfStream(key, tag, ctr).bit_words(count), words)
+    for words, bits in ((0, 1), (1, 0), (2, 13), (3, 130)):
+        s = PrfStream(key, tag, ctr)
+        want = np.concatenate([s.u64((words,)), s.bits(bits)])
+        got = PrfStream(key, tag, ctr).gate_bits(words, bits)
+        assert got.dtype == np.uint64 and np.array_equal(got, want)
 
 
 def test_prf_key_length():
@@ -130,14 +131,14 @@ def test_square_correlation(dealer):
 
 
 def test_bit_triples(dealer):
-    for count in (256, 100):
-        v0, v1, offline = dealer.gen_bit_triples(0, count)
-        assert offline == count
+    for words, bits in ((4, 0), (0, 100), (3, 37)):
+        v0, v1, offline = dealer.gen_bit_triples(0, words, bits)
+        assert offline == 64 * words + bits
         assert np.array_equal((v0.a ^ v1.a) & (v0.b ^ v1.b), v0.c ^ v1.c)
-        words = [v.a for v in (v0, v1)] + [v.b for v in (v0, v1)] + [v0.c]
-        for w in words:  # packed, with the bits after `count` zero
-            assert w.dtype == np.uint64 and w.shape == (-(-count // 64),)
-            assert int(w[-1]) >> (count - 64 * (len(w) - 1)) == 0
+        for v in (v0, v1):  # words, then one 0/1 entry per tail gate
+            for t in (v.a, v.b, v.c):
+                assert t.dtype == np.uint64 and t.shape == (words + bits,)
+                assert set(np.unique(t[words:])) <= {0, 1}
 
 
 @pytest.mark.parametrize("masked", [False, True])

@@ -22,9 +22,10 @@ def test_op_plain_correct(rng):
     x = random_ring(rng, (k, d))
 
     def proto(ctx, s, xin):
-        return op(ctx, s, xin, k, d, shared=False)
+        return op(ctx, s, xin, k, d)
 
-    o0, o1, meter = run_two_party(proto, (sigma, None), (None, x))
+    # party 1's plaintext is a share whose party-0 half is zero
+    o0, o1, meter = run_two_party(proto, (sigma, np.zeros_like(x)), (None, x))
     assert np.array_equal(reconstruct(o0, o1), x[sigma.p])
     assert meter.rounds == 1
     # payload: d ring columns from party 1 plus d packed index vectors
@@ -37,7 +38,7 @@ def test_op_shared_correct(rng):
     x, (x0, x1) = _shared(rng, (k, d))
 
     def proto(ctx, s, xin):
-        return op(ctx, s, xin, k, d, shared=True)
+        return op(ctx, s, xin, k, d)
 
     o0, o1, meter = run_two_party(proto, (sigma, x0), (None, x1))
     assert np.array_equal(reconstruct(o0, o1), x[sigma.p])
@@ -54,10 +55,10 @@ def test_op_columns_use_independent_masks(rng):
 
 def test_op_degree_validation(rng):
     def proto(ctx, s, xin):
-        return op(ctx, s, xin, 4, 1, shared=False)
+        return op(ctx, s, xin, 4, 1)
+    x = random_ring(rng, (4, 1))
     with pytest.raises(ValueError):
-        run_two_party(proto, (Permutation([0, 1]), None),
-                      (None, random_ring(rng, (4, 1))))
+        run_two_party(proto, (Permutation([0, 1]), np.zeros_like(x)), (None, x))
 
 
 def test_osm_correct_and_payload(rng):
@@ -137,48 +138,69 @@ def test_mux_shared_bit(rng):
     assert np.array_equal(reconstruct(o0, o1), expect)
 
 
+def _rows(rng, r, whole, tail):
+    """Random (2, r, whole + tail) _bit_rows rows: words, then 0/1 entries."""
+    return np.concatenate([random_ring(rng, (2, r, whole)),
+                           rng.integers(0, 2, (2, r, tail), dtype=np.uint64)],
+                          axis=2)
+
+
 def test_and_bits(rng):
-    x, y, x0, y0 = (random_ring(rng, (4,)) for _ in range(4))  # 256 gates
-    o0, o1, meter = run_two_party(and_bits, (x0, y0), (x ^ x0, y ^ y0))
-    assert np.array_equal(o0 ^ o1, x & y)
+    xy, xy0 = _rows(rng, 3, 4, 5), _rows(rng, 3, 4, 5)
+    o0, o1, meter = run_two_party(and_bits, (xy0, 4), (xy ^ xy0, 4))
+    assert np.array_equal(o0 ^ o1, xy[0] & xy[1])
     assert meter.rounds == 1
-    assert meter.online_bits == 2 * 2 * 256  # 2 bits per gate per party
+    assert meter.online_bits == 2 * 2 * 3 * (64 * 4 + 5)
 
 
-@pytest.mark.parametrize("count", [1, 63, 65, 7 * 32])
-def test_and_bits_count(rng, count):
-    """Only the first `count` gates are computed, sent and metered: the
-    payload is 2*count bits, whatever the later bits of the inputs hold."""
-    words = -(-count // 64)
-    x, y, x0, y0 = (random_ring(rng, (words,)) for _ in range(4))
-    live = np.packbits(np.arange(64 * words) < count,
-                       bitorder="little").view("<u8")
+# (r, whole, tail), each case named by its gate count r * (64 * whole + tail)
+_LAYOUTS = [(1, 0, 1), (63, 0, 1), (1, 1, 1), (7, 0, 32), (63, 1, 0),
+            (2, 3, 0), (5, 2, 37), (63, 2, 63), (32, 1, 17)]
+
+
+@pytest.mark.parametrize("r, whole, tail", [
+    pytest.param(*case, id=str(case[0] * (64 * case[1] + case[2])))
+    for case in _LAYOUTS])
+def test_and_bits_count(rng, r, whole, tail):
+    """count = r * (64 * whole + tail) gates cost 2 bits per gate per party
+    online and 1 offline, in 1 round, and each party sends one payload of
+    ceil(2 * count / 8) bytes: both operands' words, then their packed bits."""
+    count = r * (64 * whole + tail)
+    xy, xy0 = _rows(rng, r, whole, tail), _rows(rng, r, whole, tail)
     sent = []
 
-    def proto(ctx, xv, yv):
+    def proto(ctx, rows):
         send = ctx.ep.send
 
         def spy(payload, nbits=None):
-            sent.append((ctx.party, payload, nbits))
+            sent.append((ctx.party, len(payload), nbits))
             send(payload, nbits)
 
         ctx.ep.send = spy
-        return and_bits(ctx, xv, yv, count)
+        return and_bits(ctx, rows, whole)
 
-    o0, o1, meter = run_two_party(proto, (x0, y0), (x ^ x0, y ^ y0))
-    assert np.array_equal((o0 ^ o1) & live, x & y & live)
+    o0, o1, meter = run_two_party(proto, (xy0,), (xy ^ xy0,))
+    assert np.array_equal(o0 ^ o1, xy[0] & xy[1])
+    for o in (o0, o1):  # words and tail entries stay uint64 under numpy 1.x
+        assert o.dtype == np.uint64 and o.shape == (r, whole + tail)
+        assert set(np.unique(o[:, whole:])) <= {0, 1}
     assert meter.rounds == 1
     assert meter.online_bits == 2 * 2 * count
     assert meter.offline_bits == count
-    first = sorted(sent)
-    assert [(len(p), n) for _, p, n in first] == [(-(-count // 4), 2 * count)] * 2
-    sent.clear()
-    pad = ~live  # flip every input bit after gate `count`
-    run_two_party(proto, (x0 ^ pad, y0 ^ pad), (x ^ x0, y ^ y0 ^ pad))
-    assert sorted(sent) == first
-    for bad in (64 * words + 1, 64 * words - 64):  # too many or unused words
-        with pytest.raises(ValueError):
-            run_two_party(and_bits, (x0, y0, bad), (x0, y0, bad))
+    assert sorted(sent) == [(p, -(-2 * count // 8), 2 * count) for p in (0, 1)]
+
+
+@pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
+def test_recv_gates_checks_payload_length(extra):
+    # 2 x 3 words and 2 x 5 bits travel in 48 + 2 bytes
+    def proto(ctx):
+        if ctx.party == 0:
+            ctx.ep.send(bytes(50 + extra))
+        else:
+            ctx.recv_gates(3, 5)
+
+    with pytest.raises(ValueError, match=f"{50 + extra}-byte payload"):
+        run_two_party(proto)
 
 
 def test_reveal(rng):

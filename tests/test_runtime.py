@@ -260,7 +260,7 @@ _PLAN = [("op", ("gen_op_rand", (9, 3))), ("osm", ("gen_osm_rand", (17,))),
          ("privmul", ("gen_privmul", ((4, 2),))),
          ("beaver", ("gen_beaver", ((3, 4), (4, 2), True))),
          ("square", ("gen_square", ((5,),))),
-         ("bits", ("gen_bit_triples", (40,)))]
+         ("bits", ("gen_bit_triples", (3, 40)))]
 
 
 def _draw_plan(ctx):

@@ -16,7 +16,7 @@ def _run_smm(a, x, rng, shared=True, variant="forward", fixed_point=False):
     fn = {"forward": smm, "transpose": smm_transpose}[variant]
 
     def proto(ctx, b, xin):
-        return fn(ctx, b, dims, xin, shared=shared, fixed_point=fixed_point)
+        return fn(ctx, b, dims, xin, fixed_point=fixed_point)
 
     if shared:
         x0, x1 = share_secret(x, random_ring(rng, x.shape))
