@@ -19,6 +19,17 @@ mask u and [r*u]. The online phase opens c = b ^ r and, in ReLU, x - u. Each
 daBit is drawn for one opening only, so r is a uniform bit used once and c is
 independent of b; u is uniform over the ring and fresh, so x - u is
 independent of x. Neither opening tells a party anything about b or x.
+
+Every additive mask covers exactly one value, and that value is opened once.
+A Beaver opening x - a may be reused by several products (SecureML, Mohassel
+and Zhang, S&P 2017, section 4.2): `gen_mask` deals a uniform a for one
+opening, each party expanding its share from its own key, and a product that
+names it by a `MaskRef` gets a fresh [op(A) op(B)] whose C is computed from
+the mask regenerated from its counter, never stored. A party then sees x - a
+once and only fresh correlations besides, so reuse reveals nothing that one
+opening does not. The Weight mask of `gen_privmul` is one uniform value per
+row, fresh in every call, broadcast over the columns: it masks party 0's
+per-row lambda, opened once per row.
 """
 
 from __future__ import annotations
@@ -37,6 +48,7 @@ TAG_SQUARE = b"SQRT"
 TAG_PRIVMUL = b"PMUL"
 TAG_BITS = b"BTRI"
 TAG_DABITS = b"DABT"
+TAG_MASK = b"MASK"
 
 _ZEROS = memoryview(bytes(1 << 16))  # keystream plaintext; read-only, shared
 
@@ -115,21 +127,31 @@ class OsmRandomness:
 
 @dataclass
 class PrivMulRandomness:
-    a: np.ndarray | None  # party 0: mask for the private factor
+    a: np.ndarray | None  # party 0: (rows, 1) mask for the private factor
     u: np.ndarray
     au: np.ndarray
 
 
+@dataclass(frozen=True)
+class MaskRef:
+    """A Beaver operand opened earlier under the gen_mask tuple `ctr`, whose
+    mask has `shape`; the product reads it transposed if `transposed`."""
+
+    ctr: int
+    shape: tuple
+    transposed: bool = False
+
+
 @dataclass
 class BeaverTriple:
-    a: np.ndarray
-    b: np.ndarray
+    a: np.ndarray | None  # None for an operand named by a MaskRef
+    b: np.ndarray | None
     c: np.ndarray
 
 
 @dataclass
 class SquarePair:
-    a: np.ndarray
+    a: np.ndarray | None  # None for an operand named by a MaskRef
     c: np.ndarray
 
 
@@ -193,8 +215,11 @@ class Dealer:
         return OsmRandomness(b, u0, bu0), OsmRandomness(None, u1, bu1), count * 64
 
     def gen_privmul(self, ctr: int, shape):
+        """Weight-step randomness for a shared operand of `shape`: a per-row
+        mask a of shape (rows, 1, ...), broadcast over the columns, and u
+        and [a*u] of the operand's shape; offline cost L per element."""
         s0, s1 = self._streams(TAG_PRIVMUL, ctr)
-        a = s0.u64(shape)
+        a = s0.u64((shape[0],) + (1,) * (len(shape) - 1))
         u0 = s0.u64(shape)
         au0 = s0.u64(shape)
         u1 = s1.u64(shape)
@@ -203,33 +228,52 @@ class Dealer:
         return (PrivMulRandomness(a, u0, au0),
                 PrivMulRandomness(None, u1, au1), size * 64)
 
-    def gen_beaver(self, ctr: int, shape_x, shape_y, matmul: bool = False):
-        s0, s1 = self._streams(TAG_BEAVER, ctr)
-        a0, b0 = s0.u64(shape_x), s0.u64(shape_y)
-        a1, b1 = s1.u64(shape_x), s1.u64(shape_y)
-        if matmul:
-            if len(shape_x) != 2 or len(shape_y) != 2 or shape_x[1] != shape_y[0]:
-                raise ValueError("matmul triples need compatible 2-d shapes")
-            out_shape = (shape_x[0], shape_y[1])
-        else:
-            if tuple(shape_x) != tuple(shape_y):
-                raise ValueError("elementwise triples need equal shapes")
-            out_shape = tuple(shape_x)
-        c0 = s0.u64(out_shape)
-        a, b = a0 + a1, b0 + b1
-        c = _matmul_u64(a, b) if matmul else a * b
-        c1 = c - c0
-        size = int(np.prod(c.shape, dtype=np.int64))
-        return BeaverTriple(a0, b0, c0), BeaverTriple(a1, b1, c1), size * 64
+    def gen_mask(self, ctr: int, shape):
+        """Both shares of a uniform mask for one opening. Each party expands
+        its share from its own key, so the mask costs no offline bits."""
+        s0, s1 = self._streams(TAG_MASK, ctr)
+        return s0.u64(shape), s1.u64(shape), 0
 
-    def gen_square(self, ctr: int, shape):
+    def _operand(self, s0: PrfStream, s1: PrfStream, spec):
+        """Both shares of one operand's mask: fresh from the tuple's streams
+        for a shape, regenerated from its counter for a MaskRef."""
+        if not isinstance(spec, MaskRef):
+            return s0.u64(spec), s1.u64(spec)
+        a0, a1 = (s.u64(spec.shape) for s in self._streams(TAG_MASK, spec.ctr))
+        return (a0.T, a1.T) if spec.transposed else (a0, a1)
+
+    def gen_beaver(self, ctr: int, x, y, matmul: bool = False):
+        """A triple for op(A) op(B), elementwise (broadcasting) or a matrix
+        product. x and y are each an operand's shape, for a fresh mask, or a
+        MaskRef to an opened one, whose mask the views leave out. C is fresh
+        either way; offline cost L per element of C."""
+        s0, s1 = self._streams(TAG_BEAVER, ctr)
+        (a0, a1), (b0, b1) = (self._operand(s0, s1, s) for s in (x, y))
+        a, b = a0 + a1, b0 + b1
+        if matmul:
+            if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+                raise ValueError("matmul triples need compatible 2-d shapes")
+            out_shape = (a.shape[0], b.shape[1])
+        else:
+            out_shape = np.broadcast_shapes(a.shape, b.shape)
+        c0 = s0.u64(out_shape)
+        c1 = (_matmul_u64(a, b) if matmul else a * b) - c0
+        fresh_a, fresh_b = (not isinstance(s, MaskRef) for s in (x, y))
+        return (BeaverTriple(a0 if fresh_a else None, b0 if fresh_b else None, c0),
+                BeaverTriple(a1 if fresh_a else None, b1 if fresh_b else None, c1),
+                int(np.prod(out_shape, dtype=np.int64)) * 64)
+
+    def gen_square(self, ctr: int, x):
+        """A pair (A, A^2) for an operand's shape, or for the opened operand
+        a MaskRef names (its mask left out of the views)."""
         s0, s1 = self._streams(TAG_SQUARE, ctr)
-        a0, c0 = s0.u64(shape), s0.u64(shape)
-        a1 = s1.u64(shape)
+        a0, a1 = self._operand(s0, s1, x)
+        c0 = s0.u64(a0.shape)
         a = a0 + a1
         c1 = a * a - c0
-        size = int(np.prod(shape, dtype=np.int64))
-        return SquarePair(a0, c0), SquarePair(a1, c1), size * 64
+        fresh = not isinstance(x, MaskRef)
+        return (SquarePair(a0 if fresh else None, c0),
+                SquarePair(a1 if fresh else None, c1), a.size * 64)
 
     def gen_bit_triples(self, ctr: int, words: int, bits: int):
         """AND triples for 64*words + bits gates, in and_bits' layout."""
@@ -323,11 +367,16 @@ class TapeView:
     def privmul(self, shape) -> PrivMulRandomness:
         return self._draw("gen_privmul", shape)
 
-    def beaver(self, shape_x, shape_y, matmul: bool = False) -> BeaverTriple:
-        return self._draw("gen_beaver", shape_x, shape_y, matmul)
+    def mask(self, shape) -> tuple[int, np.ndarray]:
+        """This party's share of a fresh gen_mask tuple, with its counter."""
+        ctr = self.ctr
+        return ctr, self._draw("gen_mask", tuple(shape))
 
-    def square(self, shape) -> SquarePair:
-        return self._draw("gen_square", shape)
+    def beaver(self, x, y, matmul: bool = False) -> BeaverTriple:
+        return self._draw("gen_beaver", x, y, matmul)
+
+    def square(self, x) -> SquarePair:
+        return self._draw("gen_square", x)
 
     def bits(self, words: int, bits: int) -> BitTriples:
         return self._draw("gen_bit_triples", words, bits)

@@ -8,6 +8,12 @@ throughout; only logits revealed for evaluation leave the sharing. AX is
 computed once per run, and layer 2's smm runs on the narrower side chosen from
 public shapes (see `_secure_forward`), so per-epoch transcript sizes depend
 only on (|V|, t, feature dim, hidden, classes), never on values.
+
+Each dense operand that several products read is opened once
+(`protocols.open_masked`): AX once per training run, Z and W2 once per
+forward pass, and A^T g once per backward pass, where it serves both
+gw2 = Z^T A^T g and dz = A^T g W2^T. Inference reads AX once, so it does not
+open it ahead.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from .decompose import SparseMatrixCOO, decompose_full
 from .binary import relu
 from .nonlinear import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, adam_step,
                         scale_public, sgd_step, softmax_rows)
-from .protocols import beaver_mult, reveal
+from .protocols import beaver_mult, open_masked, reveal
 from .ring import FRAC_BITS, decode_fixed, encode_fixed
 from .runtime import CommMeter, run_two_party
 from .smm import SmmDims, smm, smm_transpose
@@ -239,26 +245,32 @@ def _matmul(ctx, a, b):
 def _secure_forward(ctx, bundle, dims, ax, w1, w2):
     """Layer 1: dense multiply on the hoisted AX, then ReLU. Layer 2 runs its
     smm on the narrower side, chosen from public shapes: A(ZW2) at width c
-    when c < h, and (AZ)W2 at width h otherwise."""
+    when c < h, and (AZ)W2 at width h otherwise. Returns the logits, Z, the
+    ReLU mask and W2 opened; Z comes back opened in the A(ZW2) order only."""
     z, mask = relu(ctx, _matmul(ctx, ax, w1))
     if w2.shape[1] < w2.shape[0]:
+        z, w2 = open_masked(ctx, z, w2)
         logits = smm(ctx, bundle, dims, _matmul(ctx, z, w2), fixed_point=True)
     else:
-        logits = _matmul(ctx, smm(ctx, bundle, dims, z, fixed_point=True), w2)
-    return logits, z, mask
+        az, w2 = open_masked(ctx, smm(ctx, bundle, dims, z, fixed_point=True),
+                             w2)
+        logits = _matmul(ctx, az, w2)
+    return logits, z, mask, w2
 
 
 def _secure_backward(ctx, bundle, dims, ax, z, relu_mask, w2, logits,
                      onehot_scaled, mask_vec):
     """Gradients of the masked cross-entropy; see the clear oracle for the
     plaintext identities. ax is the hoisted AX, so gw1 = (AX)^T dpre needs
-    no second smm: it equals X^T (A^T dpre)."""
+    no second smm: it equals X^T (A^T dpre). w2, and z if the forward pass
+    opened it, are its openings, so gw2 and dz open only A^T g."""
     sm = softmax_rows(ctx, logits)
     g = sm - onehot_scaled if ctx.party == 1 else sm
     g = g * mask_vec[:, None]  # public 0/1 train mask, unscaled
     inv_n = 1.0 / max(int(mask_vec.sum()), 1)
     g = scale_public(g, inv_n, ctx)
-    atg = smm_transpose(ctx, bundle, dims, g, fixed_point=True)
+    atg, z = open_masked(
+        ctx, smm_transpose(ctx, bundle, dims, g, fixed_point=True), z)
     gw2 = _matmul(ctx, z.T, atg)
     dz = _matmul(ctx, atg, w2.T)
     dpre = beaver_mult(ctx, dz, relu_mask)  # 0/1 mask, no truncation
@@ -280,15 +292,17 @@ def _train_protocol(ctx, bundle, x, onehot_enc, w1, w2, pub, cfg: TrainConfig):
     dims = pub["dims"]
     mask_vec = pub["train_mask"].astype(np.uint64)
     u1, v1, u2, v2 = (np.zeros(w.shape, np.uint64) for w in (w1, w1, w2, w2))
-    # AX, computed once, counts in the meter's totals, not in any epoch's row
-    ax = smm(ctx, bundle, dims, x, fixed_point=True)
+    # AX, computed and opened once, counts in the meter's totals, not in any
+    # epoch's row
+    ax, = open_masked(ctx, smm(ctx, bundle, dims, x, fixed_point=True))
     history, sent = [], []
     prev_bits, prev_clock = ctx.ep.sent_bits, ctx.ep.clock
     for _ in range(cfg.epochs):
-        logits, z, relu_mask = _secure_forward(ctx, bundle, dims, ax, w1, w2)
+        logits, z, relu_mask, w2_open = _secure_forward(ctx, bundle, dims, ax,
+                                                        w1, w2)
         _, stats = _eval_logits(ctx, logits, pub)
-        gw1, gw2 = _secure_backward(ctx, bundle, dims, ax, z, relu_mask, w2,
-                                    logits, onehot_enc, mask_vec)
+        gw1, gw2 = _secure_backward(ctx, bundle, dims, ax, z, relu_mask,
+                                    w2_open, logits, onehot_enc, mask_vec)
         if cfg.optimizer == "sgd":
             w1 = sgd_step(ctx, w1, gw1, cfg.lr)
             w2 = sgd_step(ctx, w2, gw2, cfg.lr)
@@ -299,7 +313,7 @@ def _train_protocol(ctx, bundle, x, onehot_enc, w1, w2, pub, cfg: TrainConfig):
         sent.append(ctx.ep.sent_bits - prev_bits)
         prev_bits, prev_clock = ctx.ep.sent_bits, ctx.ep.clock
         history.append(stats)
-    logits, _, _ = _secure_forward(ctx, bundle, dims, ax, w1, w2)
+    logits = _secure_forward(ctx, bundle, dims, ax, w1, w2)[0]
     opened, stats = _eval_logits(ctx, logits, pub)
     return {"w1": w1, "w2": w2, "history": history, "sent_bits": sent,
             "logits": opened, "test_acc": stats["acc"],
@@ -309,14 +323,14 @@ def _train_protocol(ctx, bundle, x, onehot_enc, w1, w2, pub, cfg: TrainConfig):
 def _forward_protocol(ctx, bundle, x, onehot_enc, w1, w2, pub):
     dims = pub["dims"]
     ax = smm(ctx, bundle, dims, x, fixed_point=True)
-    logits, _, _ = _secure_forward(ctx, bundle, dims, ax, w1, w2)
+    logits = _secure_forward(ctx, bundle, dims, ax, w1, w2)[0]
     return decode_fixed(reveal(ctx, logits))
 
 
 def _gradients_protocol(ctx, bundle, x, onehot_enc, w1, w2, pub):
     dims = pub["dims"]
-    ax = smm(ctx, bundle, dims, x, fixed_point=True)
-    logits, z, relu_mask = _secure_forward(ctx, bundle, dims, ax, w1, w2)
+    ax, = open_masked(ctx, smm(ctx, bundle, dims, x, fixed_point=True))
+    logits, z, relu_mask, w2 = _secure_forward(ctx, bundle, dims, ax, w1, w2)
     gw1, gw2 = _secure_backward(ctx, bundle, dims, ax, z, relu_mask, w2,
                                 logits, onehot_enc,
                                 pub["train_mask"].astype(np.uint64))

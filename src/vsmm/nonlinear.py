@@ -139,8 +139,7 @@ def softmax_rows(ctx: PartyContext, y: np.ndarray) -> np.ndarray:
         e = beaver_square(ctx, e, truncate=True)
     total = e.sum(axis=1, dtype=np.uint64)
     inv = reciprocal(ctx, total)
-    return beaver_mult(ctx, e, np.broadcast_to(inv[:, None], e.shape),
-                       truncate=True)
+    return beaver_mult(ctx, e, inv[:, None], truncate=True)  # opens n, not n*c
 
 
 def sgd_step(ctx: PartyContext, w: np.ndarray, grad: np.ndarray,

@@ -1,17 +1,21 @@
 """Core two-party primitives: oblivious permutation, oblivious
 selection-multiplication, Beaver multiplication and small composites.
 
-Every primitive is one round: each party sends its message(s) before blocking
-on the peer's, so the logical clock advances once per invocation. Payload
-encodings are bit-exact: permutations are k indices of ceil(log2 k) bits,
-selector masks are 1 bit per instance, ring elements are 8 bytes
-little-endian.
+Every primitive is at most one round: each party sends its message(s) before
+blocking on the peer's, so the logical clock advances once per invocation. A
+Beaver product whose operands were all opened earlier (`open_masked`) sends
+nothing. Payload encodings are bit-exact: permutations are k indices of
+ceil(log2 k) bits, selector masks are 1 bit per instance, ring elements are 8
+bytes little-endian.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, replace
+
 import numpy as np
 
+from .dealer import MaskRef
 from .decompose import Permutation
 from .ring import FRAC_BITS, truncate_share
 from .runtime import PartyContext
@@ -75,49 +79,105 @@ def osm(ctx: PartyContext, s: np.ndarray | None, x: np.ndarray) -> np.ndarray:
 
 def priv_mult(ctx: PartyContext, lam: np.ndarray | None, y: np.ndarray,
               truncate: bool = False) -> np.ndarray:
-    """Multiply party 0's private ring vector lam (broadcast over columns)
-    elementwise into the shared tensor y. One round, 2L bits per element.
+    """Multiply party 0's private ring vector lam, one value per row, into
+    the shared tensor y, broadcast over the columns. One round: party 0
+    opens lam - a, L bits per row, and party 1 opens y - u, L bits per
+    element.
     """
     y = np.asarray(y, dtype=np.uint64)
     shape = y.shape
+    rows = (shape[0],) + (1,) * (len(shape) - 1)
     with ctx.section("mult"):
         tape = ctx.tape.privmul(shape)
         if ctx.party == 0:
-            lam_b = np.broadcast_to(
-                np.asarray(lam, dtype=np.uint64).reshape(
-                    (shape[0],) + (1,) * (len(shape) - 1)), shape)
-            ctx.send_ring(lam_b - tape.a)
+            lam = np.asarray(lam, dtype=np.uint64).reshape(rows)
+            ctx.send_ring(lam - tape.a)
             delta_y = (y - tape.u) + ctx.recv_ring(shape)
-            out = lam_b * delta_y + (lam_b - tape.a) * tape.u + tape.au
+            out = lam * delta_y + (lam - tape.a) * tape.u + tape.au
         else:
             ctx.send_ring(y - tape.u)
-            delta_lam = ctx.recv_ring(shape)
+            delta_lam = ctx.recv_ring(rows)
             out = delta_lam * tape.u + tape.au
         if truncate:
             out = truncate_share(out, ctx.party, FRAC_BITS)
         return out
 
 
-def beaver_mult(ctx: PartyContext, x: np.ndarray, y: np.ndarray,
-                matmul: bool = False, truncate: bool = False) -> np.ndarray:
-    """Beaver multiplication of two shared tensors (elementwise or matrix
-    product); masked openings are exchanged simultaneously, one round.
+@dataclass(frozen=True, eq=False)
+class Opened:
+    """A shared tensor x opened once under a `gen_mask` tuple: the dealer's
+    name for the mask (its counter, shape and whether it is read
+    transposed), this party's share of the mask a, and the public x - a.
+    `.T` reads the same opening transposed. Only `open_masked` makes one."""
+
+    ref: MaskRef
+    mask: np.ndarray
+    public: np.ndarray
+
+    def __post_init__(self):
+        self.mask.flags.writeable = self.public.flags.writeable = False
+
+    @property
+    def T(self) -> "Opened":
+        return Opened(replace(self.ref, transposed=not self.ref.transposed),
+                      self.mask.T, self.public.T)
+
+
+def _operand(x):
+    return x if isinstance(x, Opened) else np.asarray(x, dtype=np.uint64)
+
+
+def _spec(x):
+    """An operand as a Beaver request names it: its shape, or its mask."""
+    return x.ref if isinstance(x, Opened) else x.shape
+
+
+def _open(ctx: PartyContext, pairs) -> list:
+    """(public x - a, this party's a) for each (operand, fresh mask) pair.
+    An Opened keeps its earlier opening; the arrays' x - a are all sent,
+    then all received: one round, or none if every operand is Opened."""
+    masked = [None if isinstance(x, Opened) else x - a for x, a in pairs]
+    for m in masked:
+        if m is not None:
+            ctx.send_ring(m)
+    return [(x.public, x.mask) if m is None else (m + ctx.recv_ring(m.shape), a)
+            for (x, a), m in zip(pairs, masked)]
+
+
+def open_masked(ctx: PartyContext, *xs) -> tuple[Opened, ...]:
+    """Open each shared array in xs under a fresh `gen_mask` tuple, all in
+    one round; an Opened in xs comes back as it is. Any number of
+    beaver_mult and beaver_square calls can then take the results in place
+    of the arrays without opening them again.
     """
-    x = np.asarray(x, dtype=np.uint64)
-    y = np.asarray(y, dtype=np.uint64)
+    xs = [_operand(x) for x in xs]
     with ctx.section("mult"):
-        tape = ctx.tape.beaver(x.shape, y.shape, matmul)
-        ctx.send_ring(x - tape.a)
-        ctx.send_ring(y - tape.b)
-        dx = (x - tape.a) + ctx.recv_ring(x.shape)
-        dy = (y - tape.b) + ctx.recv_ring(y.shape)
+        masks = [(None, None) if isinstance(x, Opened) else ctx.tape.mask(x.shape)
+                 for x in xs]
+        opened = _open(ctx, [(x, a) for x, (_, a) in zip(xs, masks)])
+        return tuple(x if isinstance(x, Opened) else
+                     Opened(MaskRef(ctr, x.shape), a, e)
+                     for x, (ctr, a), (e, _) in zip(xs, masks, opened))
+
+
+def beaver_mult(ctx: PartyContext, x, y, matmul: bool = False,
+                truncate: bool = False) -> np.ndarray:
+    """Beaver multiplication of two shared tensors: elementwise, with
+    numpy broadcasting, or a matrix product. Either operand may be an
+    Opened, which is not opened again; array operands are opened together,
+    in one round. Every call takes a fresh [op(A) op(B)] from the dealer.
+    """
+    x, y = _operand(x), _operand(y)
+    with ctx.section("mult"):
+        tape = ctx.tape.beaver(_spec(x), _spec(y), matmul)
+        (dx, a), (dy, b) = _open(ctx, ((x, tape.a), (y, tape.b)))
         if matmul:
-            out = tape.c + np.matmul(dx, tape.b, dtype=np.uint64) \
-                + np.matmul(tape.a, dy, dtype=np.uint64)
+            out = tape.c + np.matmul(dx, b, dtype=np.uint64) \
+                + np.matmul(a, dy, dtype=np.uint64)
             if ctx.party == 0:
                 out += np.matmul(dx, dy, dtype=np.uint64)
         else:
-            out = tape.c + dx * tape.b + tape.a * dy
+            out = tape.c + dx * b + a * dy
             if ctx.party == 0:
                 out += dx * dy
         if truncate:
@@ -125,15 +185,14 @@ def beaver_mult(ctx: PartyContext, x: np.ndarray, y: np.ndarray,
         return out
 
 
-def beaver_square(ctx: PartyContext, x: np.ndarray,
-                  truncate: bool = False) -> np.ndarray:
-    """Square a shared tensor with a (a, a^2) pair; one opening, one round."""
-    x = np.asarray(x, dtype=np.uint64)
+def beaver_square(ctx: PartyContext, x, truncate: bool = False) -> np.ndarray:
+    """Square a shared tensor, or an Opened, with an (a, a^2) pair; at most
+    one opening, one round."""
+    x = _operand(x)
     with ctx.section("mult"):
-        tape = ctx.tape.square(x.shape)
-        ctx.send_ring(x - tape.a)
-        dx = (x - tape.a) + ctx.recv_ring(x.shape)
-        out = tape.c + np.uint64(2) * dx * tape.a
+        tape = ctx.tape.square(_spec(x))
+        ((dx, a),) = _open(ctx, ((x, tape.a),))
+        out = tape.c + np.uint64(2) * dx * a
         if ctx.party == 0:
             out += dx * dx
         if truncate:

@@ -10,6 +10,11 @@ selection-multiplication on the n- or m-length side plus a resize, Weight to
 a private multiplication, and Diff / Prefix to local maps on the shares.
 One call is 8 rounds: five permutations, two selection batches and one
 weight multiplication. Fixed-point inputs truncate exactly once, at Weight.
+
+The online bits of a call are `smm_online_bits`. The permutations, the
+selections and party 1's Weight message grow with the width d of X; party
+0's Weight message, lambda - a, is one ring element per term, t in all,
+whatever d.
 """
 
 from __future__ import annotations
@@ -35,10 +40,11 @@ class SmmDims:
 
 
 def smm_online_bits(m: int, n: int, t: int, d: int) -> int:
-    """Online payload of one smm call in bits."""
-    return ((5 * t + 2 * m + 2 * n) * RING_BITS
+    """Online payload of one smm call in bits: the per-column terms times
+    d, plus Weight's per-row lambda - a, t ring elements."""
+    return ((4 * t + 2 * m + 2 * n) * RING_BITS
             + 3 * t * index_bits(t) + m * index_bits(m) + n * index_bits(n)
-            + m + n) * d
+            + m + n) * d + t * RING_BITS
 
 
 def smm_offline_bits(m: int, n: int, t: int, d: int) -> int:

@@ -5,7 +5,7 @@ import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from vsmm.decompose import invert
-from vsmm.dealer import Dealer, PrfStream
+from vsmm.dealer import Dealer, MaskRef, PrfStream
 from vsmm.ring import reconstruct
 
 
@@ -101,7 +101,9 @@ def test_osm_rand_correlation(dealer):
 
 
 def test_privmul_correlation(dealer):
-    v0, v1, _ = dealer.gen_privmul(0, (5, 4))
+    v0, v1, offline = dealer.gen_privmul(0, (5, 4))
+    assert offline == 5 * 4 * 64
+    assert v0.a.shape == (5, 1) and v1.a is None  # one mask per row
     u = reconstruct(v0.u, v1.u)
     au = reconstruct(v0.au, v1.au)
     assert np.array_equal(au, v0.a * u)
@@ -114,6 +116,20 @@ def test_beaver_matmul_correlation(dealer):
     b = reconstruct(v0.b, v1.b)
     c = reconstruct(v0.c, v1.c)
     assert np.array_equal(c, np.matmul(a, b, dtype=np.uint64))
+    # fresh masks are each party's tuple stream: a, then b, then party 0's c
+    for p, view in enumerate((v0, v1)):
+        s = PrfStream(dealer.keys[p], b"BEAV", 0)
+        assert np.array_equal(view.a, s.u64((3, 4)))
+        assert np.array_equal(view.b, s.u64((4, 2)))
+        if p == 0:
+            assert np.array_equal(view.c, s.u64((3, 2)))
+
+
+def test_beaver_elementwise_broadcasts(dealer):
+    v0, v1, offline = dealer.gen_beaver(0, (5, 3), (5, 1))
+    assert offline == 5 * 3 * 64 and v0.b.shape == (5, 1)
+    a, b = reconstruct(v0.a, v1.a), reconstruct(v0.b, v1.b)
+    assert np.array_equal(reconstruct(v0.c, v1.c), a * b)
 
 
 def test_beaver_shape_validation(dealer):
@@ -121,6 +137,39 @@ def test_beaver_shape_validation(dealer):
         dealer.gen_beaver(0, (3, 4), (5, 2), matmul=True)
     with pytest.raises(ValueError):
         dealer.gen_beaver(0, (3,), (4,))
+    with pytest.raises(ValueError):  # a (3, 4) mask read transposed is (4, 3)
+        dealer.gen_beaver(1, MaskRef(0, (3, 4), True), (3, 2), matmul=False)
+
+
+def test_mask_refs_reuse_the_dealt_mask(dealer):
+    m0, m1, offline = dealer.gen_mask(3, (4, 6))
+    assert offline == 0  # each party expands its share from its own key
+    assert np.array_equal(m0, PrfStream(dealer.keys[0], b"MASK", 3).u64((4, 6)))
+    a = reconstruct(m0, m1)
+    n0, n1, _ = dealer.gen_mask(5, (6, 2))
+    b = reconstruct(n0, n1)
+    products = [  # (request, op(A) op(B) it must deal C for)
+        ((MaskRef(3, (4, 6)), MaskRef(5, (6, 2)), True), a @ b),
+        ((MaskRef(5, (6, 2), True), MaskRef(3, (4, 6), True), True), b.T @ a.T),
+        ((MaskRef(3, (4, 6)), MaskRef(3, (4, 6))), a * a),
+    ]
+    for ctr, (args, want) in enumerate(products, start=10):
+        v0, v1, offline = dealer.gen_beaver(ctr, *args)
+        assert v0.a is v0.b is v1.a is v1.b is None  # the masks are not re-dealt
+        assert np.array_equal(reconstruct(v0.c, v1.c), want)
+        assert offline == want.size * 64
+    # an opened operand with a fresh one: only the fresh mask is dealt
+    v0, v1, _ = dealer.gen_beaver(20, MaskRef(3, (4, 6), True), (4, 7), True)
+    assert v0.a is None and v0.b.shape == (4, 7)
+    assert np.array_equal(reconstruct(v0.c, v1.c),
+                          a.T @ reconstruct(v0.b, v1.b))
+    # two products of the same masks get independent C shares
+    again, _, _ = dealer.gen_beaver(21, MaskRef(3, (4, 6)), MaskRef(5, (6, 2)), True)
+    assert not np.array_equal(again.c, dealer.gen_beaver(
+        10, MaskRef(3, (4, 6)), MaskRef(5, (6, 2)), True)[0].c)
+    s0, s1, offline = dealer.gen_square(22, MaskRef(3, (4, 6), True))
+    assert s0.a is s1.a is None and offline == 24 * 64
+    assert np.array_equal(reconstruct(s0.c, s1.c), a.T * a.T)
 
 
 def test_square_correlation(dealer):

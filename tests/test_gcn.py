@@ -209,8 +209,19 @@ def test_smm_widths_follow_public_shapes(monkeypatch, d, h, widths):
     # unread adder gates dropped, (18,944 - 2,388) / 8 = 2,069.5 B per
     # highest_one_hot element: 24 * 2,069.5 = 49,668 B for the n row sums
     # of softmax's reciprocal. ReLU's B2A and multiply share 1 round.
-    (4, 8, 288_888 - 22 * 6_260 - 28_836 - 10_314 - 49_668, [2, 2], 67),
-    (16, 2, 244_728 - 22 * 6_260 - 9_612 - 3_438 - 49_668, [2, 2], 67),
+    # Opening each dense operand once then saved 2 * 8 B per element no
+    # longer re-opened in an epoch: AX twice (n*d each), A^T g (n*c), W2
+    # (h*c), and Z (n*h) in the A(ZW2) order (c < h), whose forward pass
+    # opens it; the (AZ)W2 order opens Z once, in the backward pass. That is
+    # (2*96 + 48 + 16 + 192) * 16 = 7,168 B (d = 4, h = 8) and
+    # (2*384 + 48 + 4) * 16 = 13,120 B (d = 16, h = 2), and the backward
+    # pass's gw2 and dz share one round, 67 -> 66. Softmax's last multiply
+    # opens 1/sum at (n, 1): n*(c - 1) * 16 = 384 B. smm_online_bits carries
+    # the per-row Weight mask.
+    (4, 8, 288_888 - 22 * 6_260 - 28_836 - 10_314 - 49_668 - 7_168 - 384,
+     [2, 2], 66),
+    (16, 2, 244_728 - 22 * 6_260 - 9_612 - 3_438 - 49_668 - 13_120 - 384,
+     [2, 2], 66),
 ], ids=["d4-h8", "d16-h2"])  # ids without the pinned bytes, which move
 def test_epoch_bytes_follow_smm_widths(monkeypatch, d, h, non_smm_bytes,
                                        epoch_widths, rounds):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from vsmm.decompose import Permutation
-from vsmm.protocols import (and_bits, beaver_mult, beaver_square,
-                            mux_shared_bit, op, osm, priv_mult, reveal)
+from vsmm.protocols import (Opened, and_bits, beaver_mult, beaver_square,
+                            mux_shared_bit, op, open_masked, osm, priv_mult,
+                            reveal)
 from vsmm.ring import (decode_fixed, encode_fixed, random_ring, reconstruct,
                        share_secret)
 from vsmm.runtime import run_two_party
@@ -14,6 +15,17 @@ from vsmm.runtime import run_two_party
 def _shared(rng, shape):
     x = random_ring(rng, shape)
     return x, share_secret(x, random_ring(rng, shape))
+
+
+def _spy(ctx, sent):
+    """Record (party, payload bytes) for every message ctx sends."""
+    send = ctx.ep.send
+
+    def spy(payload, nbits=None):
+        sent.append((ctx.party, len(payload)))
+        send(payload, nbits)
+
+    ctx.ep.send = spy
 
 
 def test_op_plain_correct(rng):
@@ -74,15 +86,34 @@ def test_osm_correct_and_payload(rng):
 def test_priv_mult_broadcasts_columns(rng):
     lam = random_ring(rng, (6,))
     y, (y0, y1) = _shared(rng, (6, 4))
-    o0, o1, meter = run_two_party(priv_mult, (lam, y0), (None, y1))
+    sent, masks = [], []
+
+    def proto(ctx, lv, yv):
+        _spy(ctx, sent)
+        draw = ctx.tape.privmul
+
+        def recorded(shape):
+            view = draw(shape)
+            masks.append(view)
+            return view
+
+        ctx.tape.privmul = recorded
+        return priv_mult(ctx, lv, yv)
+
+    o0, o1, meter = run_two_party(proto, (lam, y0), (None, y1))
     assert np.array_equal(reconstruct(o0, o1), lam[:, None] * y)
     assert meter.rounds == 1
-    assert meter.online_bits == 2 * 6 * 4 * 64  # 2L bits per element
+    # party 0 opens lam - a, one ring element per row (6); party 1 opens
+    # y - u, one per element (6 * 4): L bits per element plus L per row
+    assert meter.online_bits == (6 + 6 * 4) * 64 == 1_920
+    assert sorted(sent) == [(0, 6 * 8), (1, 6 * 4 * 8)]
+    assert [m.a.shape for m in masks if m.a is not None] == [(6, 1)]
 
 
-def test_beaver_elementwise(rng):
+@pytest.mark.parametrize("y_shape", [(5, 3), (5, 1)], ids=["equal", "broadcast"])
+def test_beaver_elementwise(rng, y_shape):
     x, (x0, x1) = _shared(rng, (5, 3))
-    y, (y0, y1) = _shared(rng, (5, 3))
+    y, (y0, y1) = _shared(rng, y_shape)
 
     def proto(ctx, a, b):
         return beaver_mult(ctx, a, b)
@@ -90,6 +121,9 @@ def test_beaver_elementwise(rng):
     o0, o1, meter = run_two_party(proto, (x0, y0), (x1, y1))
     assert np.array_equal(reconstruct(o0, o1), x * y)
     assert meter.rounds == 1
+    # each operand opened at its own shape; C is dealt at the product's
+    assert meter.online_bits == 2 * (15 + y.size) * 64
+    assert meter.offline_bits == 15 * 64
 
 
 def test_beaver_matmul(rng):
@@ -122,6 +156,72 @@ def test_beaver_square(rng):
     o0, o1, meter = run_two_party(beaver_square, (x0,), (x1,))
     assert np.array_equal(reconstruct(o0, o1), x * x)
     assert meter.online_bits == 2 * 40 * 64  # one opening each way
+
+
+def test_opened_operand_serves_two_products(rng):
+    """One opening of x serves x @ y and x.T @ z, both exact, and x is paid
+    for once: each party sends x - a, then y - b and z - b', one message
+    each, and the dealer deals a fresh C per product and nothing for the
+    mask."""
+    x, (x0, x1) = _shared(rng, (5, 3))
+    y, (y0, y1) = _shared(rng, (3, 2))
+    z, (z0, z1) = _shared(rng, (5, 4))
+    sent = []
+
+    def proto(ctx, xv, yv, zv):
+        _spy(ctx, sent)
+        xo, = open_masked(ctx, xv)
+        return (beaver_mult(ctx, xo, yv, matmul=True),
+                beaver_mult(ctx, xo.T, zv, matmul=True))
+
+    (p0, q0), (p1, q1), meter = run_two_party(proto, (x0, y0, z0),
+                                              (x1, y1, z1))
+    assert np.array_equal(reconstruct(p0, p1), np.matmul(x, y, dtype=np.uint64))
+    assert np.array_equal(reconstruct(q0, q1),
+                          np.matmul(x.T, z, dtype=np.uint64))
+    assert meter.online_bits == 2 * (15 + 6 + 20) * 64
+    assert sorted(sent) == sorted((p, 8 * n) for p in (0, 1) for n in (15, 6, 20))
+    assert meter.offline_bits == (5 * 2 + 3 * 4) * 64
+    assert meter.rounds == 3
+
+
+def test_product_of_opened_operands_is_local(rng):
+    x, (x0, x1) = _shared(rng, (4, 6))
+    y, (y0, y1) = _shared(rng, (6, 2))
+
+    def proto(ctx, xv, yv):
+        xo, yo = open_masked(ctx, xv, yv)
+        again = open_masked(ctx, xo, yv)  # an Opened comes back as it is
+        assert again[0] is xo and isinstance(again[1], Opened)
+        clock, bits = ctx.ep.clock, ctx.ep.sent_bits
+        out = (beaver_mult(ctx, xo, yo, matmul=True),
+               beaver_mult(ctx, yo.T, xo.T, matmul=True),
+               beaver_square(ctx, xo))
+        return out, ctx.ep.clock - clock, ctx.ep.sent_bits - bits
+
+    (o0, r0, b0), (o1, r1, b1), meter = run_two_party(proto, (x0, y0), (x1, y1))
+    assert (r0, b0, r1, b1) == (0, 0, 0, 0)
+    xy = np.matmul(x, y, dtype=np.uint64)
+    for got, want in zip(zip(o0, o1), (xy, xy.T, x * x)):
+        assert np.array_equal(reconstruct(*got), want)
+    assert meter.rounds == 2
+
+
+def test_open_masked_draws_a_fresh_mask_per_call(rng):
+    x, (x0, x1) = _shared(rng, (8,))
+
+    def proto(ctx, xv):
+        return open_masked(ctx, xv, xv) + open_masked(ctx, xv)
+
+    out0, out1, meter = run_two_party(proto, (x0,), (x1,))
+    assert len({o.ref.ctr for o in out0}) == 3
+    assert [o.ref for o in out0] == [o.ref for o in out1]
+    for o0, o1 in zip(out0, out1):
+        assert np.array_equal(o0.public, o1.public)
+        assert np.array_equal(o0.public + reconstruct(o0.mask, o1.mask), x)
+    publics = {o.public.tobytes() for o in out0}
+    assert len(publics) == 3  # three uniform masks, three different openings
+    assert meter.offline_bits == 0 and meter.rounds == 2
 
 
 def test_mux_shared_bit(rng):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from vsmm import runtime
-from vsmm.dealer import Dealer, TapeExhausted
+from vsmm.dealer import Dealer, MaskRef, TapeExhausted
 from vsmm.ring import reconstruct
 from vsmm.runtime import (CommMeter, DeadlockError, NETWORK_CONDITIONS,
                           NetworkModel, estimate_time, run_two_party)
@@ -260,7 +260,11 @@ _PLAN = [("op", ("gen_op_rand", (9, 3))), ("osm", ("gen_osm_rand", (17,))),
          ("privmul", ("gen_privmul", ((4, 2),))),
          ("beaver", ("gen_beaver", ((3, 4), (4, 2), True))),
          ("square", ("gen_square", ((5,),))),
-         ("bits", ("gen_bit_triples", (3, 40)))]
+         ("bits", ("gen_bit_triples", (3, 40))),
+         ("mask", ("gen_mask", ((4, 3),))),
+         ("beaver", ("gen_beaver", (MaskRef(6, (4, 3), True), (4, 2), True))),
+         ("beaver", ("gen_beaver", ((4, 7), (4, 1), False))),
+         ("square", ("gen_square", (MaskRef(6, (4, 3)),)))]
 
 
 def _draw_plan(ctx):
@@ -269,7 +273,7 @@ def _draw_plan(ctx):
 
 def test_run_deals_each_tuple_once(monkeypatch):
     calls = []
-    for _, (method, _) in _PLAN:
+    for method in {method for _, (method, _) in _PLAN}:
         original = getattr(Dealer, method)
 
         def counted(self, ctr, *args, _method=method, _original=original,
@@ -291,6 +295,9 @@ def test_dealt_views_match_fresh_dealer():
         want0, want1, bits = getattr(fresh, method)(ctr, *args)
         offline += bits
         for got, want in ((views0[ctr], want0), (views1[ctr], want1)):
+            if method == "gen_mask":  # TapeView.mask pairs it with the counter
+                assert got[0] == ctr and np.array_equal(got[1], want)
+                continue
             assert type(got) is type(want)
             for name, value in vars(want).items():
                 if isinstance(value, np.ndarray):
@@ -343,6 +350,10 @@ def test_deal_once_with_frequent_thread_switches(monkeypatch):
     (("osm", (4,)), ("osm", (5,))),
     (("op", (4, 1)), ("osm", (4,))),
     (("beaver", ((2, 2), (2, 2), True)), ("beaver", ((2, 2), (2, 2), False))),
+    # the peer names another opened mask, or reads the same one transposed
+    (("beaver", (MaskRef(0, (2, 2)), (2, 2), True)),
+     ("beaver", (MaskRef(1, (2, 2)), (2, 2), True))),
+    (("square", (MaskRef(0, (2, 2)),)), ("square", (MaskRef(0, (2, 2), True),))),
 ])
 def test_mismatched_draws_raise(requests):
     def proto(ctx):
