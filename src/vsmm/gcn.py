@@ -291,7 +291,8 @@ def _train_protocol(ctx, bundle, x, onehot_enc, w1, w2, pub, cfg: TrainConfig):
     epoch; the host adds the two parties' counts after the run."""
     dims = pub["dims"]
     mask_vec = pub["train_mask"].astype(np.uint64)
-    u1, v1, u2, v2 = (np.zeros(w.shape, np.uint64) for w in (w1, w1, w2, w2))
+    # Adam moments of w1 and w2 flattened together: one adam_step updates both
+    u, v = np.zeros((2, w1.size + w2.size), np.uint64)
     # AX, computed and opened once, counts in the meter's totals, not in any
     # epoch's row
     ax, = open_masked(ctx, smm(ctx, bundle, dims, x, fixed_point=True))
@@ -307,8 +308,10 @@ def _train_protocol(ctx, bundle, x, onehot_enc, w1, w2, pub, cfg: TrainConfig):
             w1 = sgd_step(ctx, w1, gw1, cfg.lr)
             w2 = sgd_step(ctx, w2, gw2, cfg.lr)
         else:
-            w1, u1, v1 = adam_step(ctx, w1, gw1, u1, v1, cfg.lr)
-            w2, u2, v2 = adam_step(ctx, w2, gw2, u2, v2, cfg.lr)
+            w, u, v = adam_step(ctx, np.concatenate((w1.ravel(), w2.ravel())),
+                                np.concatenate((gw1.ravel(), gw2.ravel())),
+                                u, v, cfg.lr)
+            w1, w2 = w[:w1.size].reshape(w1.shape), w[w1.size:].reshape(w2.shape)
         stats["rounds"] = ctx.ep.clock - prev_clock
         sent.append(ctx.ep.sent_bits - prev_bits)
         prev_bits, prev_clock = ctx.ep.sent_bits, ctx.ep.clock

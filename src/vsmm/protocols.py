@@ -2,7 +2,11 @@
 selection-multiplication, Beaver multiplication and small composites.
 
 Every primitive is at most one round: each party sends its message(s) before
-blocking on the peer's, so the logical clock advances once per invocation. A
+blocking on the peer's, so the logical clock advances once per invocation.
+Party 0's message in op, osm and priv_mult does not depend on the shared
+input, so its half of each starts with a `*_correction` function that draws
+the tuple, sends the message and returns the constant its output share adds;
+`smm` sends every correction of a call before it receives anything. A
 Beaver product whose operands were all opened earlier (`open_masked`) sends
 nothing. Payload encodings are bit-exact: permutations are k indices of
 ceil(log2 k) bits, selector masks are 1 bit per instance, ring elements are 8
@@ -25,6 +29,22 @@ def _as2d(x: np.ndarray) -> np.ndarray:
     return x.reshape(len(x), -1)
 
 
+def op_correction(ctx: PartyContext, sigma: Permutation, k: int,
+                  d: int) -> np.ndarray:
+    """Party 0's half of op that needs no input: draw the tuple, send
+    pi_c^-1 sigma and return the constant c of its output share, which is
+    sigma applied to the rows of (x0 + x1 - U), plus c."""
+    tape = ctx.tape.op(k, d)
+    if sigma is None or sigma.degree != k:
+        raise ValueError("party 0 must supply a degree-k permutation")
+    # (d, k): pi_c^{-1}[sigma[i]], built C-contiguous for send_perm
+    delta_sigma = np.take(tape.pinv, sigma.p, axis=1)
+    piU = tape.piU
+    del tape  # frees pi^-1 before the packing and the gather
+    ctx.send_perm(delta_sigma, k)
+    return np.take_along_axis(piU, delta_sigma.T, axis=0)
+
+
 def op(ctx: PartyContext, sigma: Permutation | None, x: np.ndarray, k: int,
        d: int) -> np.ndarray:
     """Oblivious permutation: party 0 holds sigma, and each party its share
@@ -32,22 +52,34 @@ def op(ctx: PartyContext, sigma: Permutation | None, x: np.ndarray, k: int,
     zero. Returns this party's (k, d) share of sigma applied to the rows.
     """
     with ctx.section("op"):
-        tape = ctx.tape.op(k, d)
         if ctx.party == 0:
-            if sigma is None or sigma.degree != k:
-                raise ValueError("party 0 must supply a degree-k permutation")
-            delta_sigma = tape.pinv[:, sigma.p]  # (d, k): pi_c^{-1}[sigma[i]]
-            ctx.send_perm(delta_sigma, k)
-            # permute delta_x + x with one gather
-            delta_x = ctx.recv_ring((k, d)) + _as2d(np.asarray(x, dtype=np.uint64))
-            return delta_x[sigma.p] + np.take_along_axis(
-                tape.piU, delta_sigma.T, axis=0)
+            c = op_correction(ctx, sigma, k, d)
+            # permute x1 - U + x0 with one gather
+            c += sigma.apply(ctx.recv_ring((k, d))
+                             + _as2d(np.asarray(x, dtype=np.uint64)))
+            return c
+        tape = ctx.tape.op(k, d)
         x2 = _as2d(np.asarray(x, dtype=np.uint64))
         if x2.shape != (k, d):
             raise ValueError(f"expected ({k}, {d}) input, got {x2.shape}")
         ctx.send_ring(x2 - tape.U)
+        piU = tape.piU
+        del tape  # frees U while party 1 waits
         delta_sigma = ctx.recv_perm(k, count=d * k).reshape(d, k)
-        return np.take_along_axis(tape.piU, delta_sigma.T, axis=0)
+        return np.take_along_axis(piU, delta_sigma.T, axis=0)
+
+
+def osm_correction(ctx: PartyContext, s: np.ndarray, n: int) -> np.ndarray:
+    """Party 0's half of osm that needs no input: draw the tuple, send
+    s xor b and return the constant c of its output share s*(x0 + x1 - u)
+    + c, as a flat vector of the n instances."""
+    tape = ctx.tape.osm(n)
+    s = np.asarray(s, dtype=np.uint64).ravel()
+    delta_s = (s ^ tape.b).astype(np.uint8)
+    ctx.send_bits(delta_s)
+    ds = delta_s.astype(np.uint64)
+    sign = np.uint64(1) - np.uint64(2) * ds
+    return (ds - s) * tape.u + sign * tape.bu
 
 
 def osm(ctx: PartyContext, s: np.ndarray | None, x: np.ndarray) -> np.ndarray:
@@ -60,21 +92,27 @@ def osm(ctx: PartyContext, s: np.ndarray | None, x: np.ndarray) -> np.ndarray:
     shape = x.shape
     n = x.size
     with ctx.section("osm"):
-        tape = ctx.tape.osm(n)
         if ctx.party == 0:
+            c = osm_correction(ctx, s, n)
             s = np.asarray(s, dtype=np.uint64).ravel()
-            delta_s = (s ^ tape.b).astype(np.uint8)
-            ctx.send_bits(delta_s)
-            delta_x1 = ctx.recv_ring((n,))
-            delta_x = x.ravel() - tape.u + delta_x1
-            ds = delta_s.astype(np.uint64)
-            sign = np.uint64(1) - np.uint64(2) * ds
-            out = s * delta_x + ds * tape.u + sign * tape.bu
-            return out.reshape(shape)
+            c += s * (x.ravel() + ctx.recv_ring((n,)))
+            return c.reshape(shape)
+        tape = ctx.tape.osm(n)
         ctx.send_ring(x.ravel() - tape.u)
         delta_s = ctx.recv_bits(n).astype(np.uint64)
         sign = np.uint64(1) - np.uint64(2) * delta_s
         return (delta_s * tape.u + sign * tape.bu).reshape(shape)
+
+
+def priv_mult_correction(ctx: PartyContext, lam: np.ndarray,
+                         shape) -> np.ndarray:
+    """Party 0's half of priv_mult that needs no input: draw the tuple for
+    an operand of `shape`, send lam - a and return the constant c of its
+    output share lam*(y0 + y1 - u) + c, before any truncation. lam is a
+    ring array of one value per row, shaped to broadcast over the rest."""
+    tape = ctx.tape.privmul(shape)
+    ctx.send_ring(lam - tape.a)
+    return tape.au - tape.a * tape.u
 
 
 def priv_mult(ctx: PartyContext, lam: np.ndarray | None, y: np.ndarray,
@@ -88,13 +126,12 @@ def priv_mult(ctx: PartyContext, lam: np.ndarray | None, y: np.ndarray,
     shape = y.shape
     rows = (shape[0],) + (1,) * (len(shape) - 1)
     with ctx.section("mult"):
-        tape = ctx.tape.privmul(shape)
         if ctx.party == 0:
             lam = np.asarray(lam, dtype=np.uint64).reshape(rows)
-            ctx.send_ring(lam - tape.a)
-            delta_y = (y - tape.u) + ctx.recv_ring(shape)
-            out = lam * delta_y + (lam - tape.a) * tape.u + tape.au
+            out = priv_mult_correction(ctx, lam, shape)
+            out += lam * (y + ctx.recv_ring(shape))
         else:
+            tape = ctx.tape.privmul(shape)
             ctx.send_ring(y - tape.u)
             delta_lam = ctx.recv_ring(rows)
             out = delta_lam * tape.u + tape.au

@@ -84,7 +84,9 @@ def truncate_share(share, party: int, f: int) -> np.ndarray:
     shift = np.uint64(f)
     if party == 0:
         return s >> shift
-    return np.zeros_like(s) - ((np.zeros_like(s) - s) >> shift)
+    out = np.negative(s)
+    out >>= shift
+    return np.negative(out, out=out)
 
 
 def lift_signed(e) -> np.ndarray:

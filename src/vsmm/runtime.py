@@ -44,8 +44,9 @@ class CommMeter:
         self.offline_bits = 0
         self.framing_bits = 0
         self.rounds = 0
+        self.clocks = [0, 0]  # each party's logical clock at the end of a run
         self.sections: dict[str, dict] = {}
-        self._party_rounds: dict[str, list[int]] = {}
+        self.party_rounds: dict[str, list[int]] = {}
 
     def _section(self, name: str) -> dict:
         return self.sections.setdefault(
@@ -64,9 +65,12 @@ class CommMeter:
 
     def note_section_rounds(self, section: str, party: int, delta: int) -> None:
         """Per-section round cost: each party's clock deltas are summed over
-        the section's calls, and the section reports the larger sum."""
+        the section's calls in `party_rounds`, and the section reports the
+        larger sum. The parties' clocks can differ (smm advances party 0's
+        by 2 and party 1's by 1), so the sections' rounds can add up to more
+        than the run's."""
         with self._lock:
-            sums = self._party_rounds.setdefault(section, [0, 0])
+            sums = self.party_rounds.setdefault(section, [0, 0])
             sums[party] += delta
             self._section(section)["rounds"] = max(sums)
 
@@ -331,5 +335,6 @@ def run_two_party(protocol, inputs0=(), inputs1=(), dealer: Dealer | None = None
     failed = [exc for exc in errs if exc is not None]
     if failed:  # the root cause before a PeerFailedError it caused
         raise min(failed, key=lambda exc: isinstance(exc, PeerFailedError))
-    meter.rounds = max(ctxs[0].ep.clock, ctxs[1].ep.clock)
+    meter.clocks = [ctx.ep.clock for ctx in ctxs]
+    meter.rounds = max(meter.clocks)
     return outs[0], outs[1], meter

@@ -8,8 +8,15 @@ is built from SmmDims alone); `smm` runs it in order and `smm_transpose` runs
 Perm to an oblivious permutation, Select to an oblivious
 selection-multiplication on the n- or m-length side plus a resize, Weight to
 a private multiplication, and Diff / Prefix to local maps on the shares.
-One call is 8 rounds: five permutations, two selection batches and one
-weight multiplication. Fixed-point inputs truncate exactly once, at Weight.
+Fixed-point inputs truncate exactly once, at Weight.
+
+One call is 2 rounds, whatever the factors. Party 0's eight messages (five
+permutations, two selector masks and lambda - a) depend only on its factors
+and tuples, so it sends them all first. Party 1 sends x - U for the first
+permutation at once; each later masked share depends only on its tuples and
+party 0's messages, so it follows one round later. Party 0's clock advances
+by 2 and party 1's by 1. The messages are those of the eight one-round
+protocols, in another order.
 
 The online bits of a call are `smm_online_bits`. The permutations, the
 selections and party 1's Weight message grow with the width d of X; party
@@ -23,10 +30,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decompose import (DecompositionBundle, Perm, Select, Weight,
+from .decompose import (DecompositionBundle, Local, Perm, Select, Weight,
                         factor_steps, resize)
-from .protocols import op, osm, priv_mult
-from .ring import RING_BITS, encode_fixed
+from .protocols import (op, op_correction, osm, osm_correction, priv_mult,
+                        priv_mult_correction)
+from .ring import FRAC_BITS, RING_BITS, encode_fixed, truncate_share
 from .runtime import PartyContext, index_bits
 
 
@@ -58,29 +66,99 @@ def beaver_dense_online_bits(m: int, n: int, d: int) -> int:
     return 2 * (m * n + n * d) * RING_BITS
 
 
+def _weights(s: Weight, fixed_point: bool) -> np.ndarray:
+    """Party 0's Weight factor as a (t, 1) ring column."""
+    lam = (encode_fixed(s.lam) if fixed_point else
+           np.asarray(np.round(s.lam), dtype=np.int64).astype(np.uint64))
+    return lam.reshape(-1, 1)
+
+
+def _correction(ctx: PartyContext, s, d: int):
+    """Party 0's round-1 message for a Perm or Select step. Returns the
+    constant its output share adds, in the step's output shape."""
+    if isinstance(s, Perm):
+        with ctx.section("op"):
+            return op_correction(ctx, s.sigma, s.k, d)
+    # one OSM instance per cell of the n- or m-length side
+    sel = np.broadcast_to(
+        (np.arange(s.side) < s.keep).astype(np.uint64)[:, None], (s.side, d))
+    with ctx.section("osm"):
+        c = osm_correction(ctx, sel, s.side * d).reshape(s.side, d)
+    return resize(c, s.t) if s.widen else c
+
+
+_SECTIONS = {Perm: "op", Select: "osm", Weight: "mult"}
+
+
+def _run_steps_party0(ctx: PartyContext, steps: list, y: np.ndarray,
+                      fixed_point: bool) -> np.ndarray:
+    """Party 0's share in two passes, 2 rounds in all. Each step's output
+    share is step.apply(y0 + m) + c for party 1's masked share m and a
+    constant c, and every step's map is linear, so y0 splits as r + K.
+
+    Pass 1 sends every correction and folds the constants into K <-
+    step.apply(K) + c. Truncation is not linear, so at Weight it keeps
+    Kw = lam*K + c and restarts K at 0. Pass 2 receives party 1's masked
+    shares in step order and runs r <- step.apply(r + m), or r <-
+    trunc(lam*(r + m) + Kw) at Weight; the share is r + K.
+    """
+    d = y.shape[1]
+    k, weights = None, []  # K is None while it is 0
+    for s in steps:
+        if isinstance(s, Local):
+            k = None if k is None else s.apply(k)
+        elif isinstance(s, Weight):
+            lam = _weights(s, fixed_point)
+            with ctx.section("mult"):
+                kw = priv_mult_correction(ctx, lam, k.shape)
+            k *= lam
+            kw += k
+            weights.append((lam, kw))
+            k = None
+        else:
+            c = _correction(ctx, s, d)
+            if k is not None:
+                c += s.apply(k)
+            k = c
+    r = y.copy()
+    for s in steps:
+        if isinstance(s, Local):
+            r = s.apply(r)
+            continue
+        with ctx.section(_SECTIONS[type(s)]):
+            side = s.side if isinstance(s, Select) else len(r)
+            if len(r) != side:
+                r = resize(r, side)
+            r += ctx.recv_ring((side, d))
+        if isinstance(s, Weight):
+            lam, kw = weights.pop(0)
+            r *= lam
+            r += kw
+            if fixed_point:
+                r = truncate_share(r, 0, FRAC_BITS)
+        else:
+            r = s.apply(r)
+    r += k
+    return r
+
+
 def _run_steps(ctx: PartyContext, steps: list, x: np.ndarray,
                fixed_point: bool) -> np.ndarray:
-    """Shares of the step list applied to this party's share of X."""
+    """Shares of the step list applied to this party's share of X. Party 1
+    runs the one-round protocols step by step; its masked shares after the
+    first depend only on its tuples and party 0's corrections."""
     y = np.asarray(x, dtype=np.uint64).reshape(steps[0].k, -1)
+    if ctx.party == 0:
+        return _run_steps_party0(ctx, steps, y, fixed_point)
     d = y.shape[1]
     for s in steps:
         if isinstance(s, Perm):
-            y = op(ctx, s.sigma, y, s.k, d)
+            y = op(ctx, None, y, s.k, d)
         elif isinstance(s, Select):
-            # one OSM instance per cell of the n- or m-length side
-            sel = None if s.keep is None else np.broadcast_to(
-                (np.arange(s.side) < s.keep).astype(np.uint64)[:, None],
-                (s.side, d))
-            if s.widen:
-                y = resize(osm(ctx, sel, y), s.t)
-            else:
-                y = osm(ctx, sel, resize(y, s.side))
+            y = (resize(osm(ctx, None, y), s.t) if s.widen else
+                 osm(ctx, None, resize(y, s.side)))
         elif isinstance(s, Weight):
-            lam = s.lam
-            if lam is not None:
-                lam = (encode_fixed(lam) if fixed_point else
-                       np.asarray(np.round(lam), dtype=np.int64).astype(np.uint64))
-            y = priv_mult(ctx, lam, y, truncate=fixed_point)
+            y = priv_mult(ctx, None, y, truncate=fixed_point)
         else:  # Local: each party maps its own share
             y = s.apply(y)
     return y

@@ -48,7 +48,7 @@ def test_bench_smm_saving(capsys):
     code, doc = _run(capsys, ["bench", "smm", "--nodes", "200",
                               "--edges-per-node", "1", "--dim", "1"])
     assert code == 0
-    assert doc["rounds"] == 8
+    assert doc["rounds"] == 2
     assert doc["online_bits"] == doc["formula_online_bits"]
     assert doc["saving_pct"] > 90
 

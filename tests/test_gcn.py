@@ -218,10 +218,24 @@ def test_smm_widths_follow_public_shapes(monkeypatch, d, h, widths):
     # pass's gw2 and dz share one round, 67 -> 66. Softmax's last multiply
     # opens 1/sum at (n, 1): n*(c - 1) * 16 = 384 B. smm_online_bits carries
     # the per-row Weight mask.
+    #
+    # rounds: an epoch's row holds party 0's clock delta: 50 outside smm,
+    # plus 8 for each of the two calls at 8 rounds a call (66). A two-round
+    # call advances party 0's clock by 2 and party 1's by 1, so party 0
+    # leads after it; each one-round exchange swaps the lead, and the
+    # 8-round ReLU and the 36-round softmax keep it. A call that starts with
+    # party 1 a round ahead adds 1 round, not 2: party 0's corrections,
+    # stamped a round earlier, reach party 1 without moving its clock. In
+    # the A(ZW2) order (h = 8) the opening of Z and W2 before the forward
+    # call and the reveal before softmax give party 1 the lead before both
+    # calls: 50 + 2 * 1 = 52. In the (AZ)W2 order (h = 2 = c) the forward
+    # call follows ReLU with party 0 ahead, and the opening of AZ after it
+    # puts one more swap before the backward call, which starts with party
+    # 0 ahead too: 50 + 2 * 2 = 54.
     (4, 8, 288_888 - 22 * 6_260 - 28_836 - 10_314 - 49_668 - 7_168 - 384,
-     [2, 2], 66),
+     [2, 2], 52),
     (16, 2, 244_728 - 22 * 6_260 - 9_612 - 3_438 - 49_668 - 13_120 - 384,
-     [2, 2], 66),
+     [2, 2], 54),
 ], ids=["d4-h8", "d16-h2"])  # ids without the pinned bytes, which move
 def test_epoch_bytes_follow_smm_widths(monkeypatch, d, h, non_smm_bytes,
                                        epoch_widths, rounds):
@@ -235,12 +249,19 @@ def test_epoch_bytes_follow_smm_widths(monkeypatch, d, h, non_smm_bytes,
 
 
 def test_section_rounds_sum_to_meter_rounds(ds):
-    # each section sums its calls' rounds, so the sections add up to the run
+    # each party's clock deltas, summed per section, add up to its clock,
+    # and the run's rounds are the larger clock. smm's receives land in op
+    # and osm on party 0 (its 2 rounds) and in op on party 1 (its 1 round).
     _, meter = train_secure(ds, TrainConfig(epochs=1, hidden=4))
-    rounds = {name: sec["rounds"] for name, sec in meter.sections.items()}
-    assert rounds == {"op": 20, "osm": 8, "mult": 26, "gmw_and": 34,
-                      "b2a": 4, "reveal": 2}
-    assert sum(rounds.values()) == meter.rounds == 94
+    assert meter.party_rounds == {
+        "op": [7, 1], "osm": [1, 0], "mult": [20, 24], "gmw_and": [34, 34],
+        "b2a": [4, 4], "reveal": [0, 4]}
+    for party in (0, 1):
+        assert sum(r[party] for r in meter.party_rounds.values()) \
+            == meter.clocks[party]
+    assert meter.clocks == [66, 67] and meter.rounds == 67
+    assert {name: sec["rounds"] for name, sec in meter.sections.items()} \
+        == {name: max(r) for name, r in meter.party_rounds.items()}
 
 
 def test_train_secure_history_and_meter(ds):

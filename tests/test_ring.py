@@ -61,6 +61,19 @@ def test_truncation_error_at_most_one_ulp(rng):
     assert err.max() <= 2.0 ** -15  # one ulp plus the encoding half-ulp
 
 
+def test_truncate_share_matches_integer_floor(rng):
+    # party 0: floor(s / 2^f); party 1: -floor(-s / 2^f), both mod 2^64
+    s = np.concatenate([random_ring(rng, (200,)), np.array(
+        [0, 1, 2 ** 16 - 1, 2 ** 16, 2 ** 63, 2 ** 64 - 1], dtype=np.uint64)])
+    before = s.copy()
+    for party in (0, 1):
+        got = truncate_share(s, party, 16)
+        want = [(int(v) >> 16 if party == 0 else -((-int(v) % 2 ** 64) >> 16))
+                % 2 ** 64 for v in s]
+        assert got.tolist() == want
+    assert np.array_equal(s, before)  # the share is not written in place
+
+
 def test_lift_signed_centered():
     assert lift_signed(np.array([np.uint64(2 ** 64 - 5)]))[0] == -5
     assert lift_signed(np.array([np.uint64(7)]))[0] == 7

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import random_sparse
-from vsmm.decompose import SparseMatrixCOO, decompose_full
+from vsmm.decompose import (Perm, Select, SparseMatrixCOO, Weight,
+                            decompose_full, factor_steps, resize)
+from vsmm.protocols import op, osm, priv_mult
 from vsmm.ring import (decode_fixed, encode_fixed, lift_signed, random_ring,
                        reconstruct, share_secret)
 from vsmm.runtime import run_two_party
@@ -32,7 +34,7 @@ def test_smm_integer_exact(rng):
     got, meter, dims = _run_smm(a, x, rng)
     expect = a.to_dense().astype(np.int64) @ lift_signed(x)
     assert np.array_equal(lift_signed(got), expect)
-    assert meter.rounds == 8
+    assert meter.rounds == 2
 
 
 def test_smm_plain_input_mode(rng):
@@ -61,7 +63,7 @@ def test_smm_transpose_exact(rng):
     got, meter, _ = _run_smm(a, g, rng, variant="transpose")
     expect = a.to_dense().astype(np.int64).T @ lift_signed(g)
     assert np.array_equal(lift_signed(got), expect)
-    assert meter.rounds == 8
+    assert meter.rounds == 2
 
 
 def test_smm_payload_matches_formula(rng):
@@ -126,3 +128,65 @@ def test_bundle_dims_mismatch(rng):
 
     with pytest.raises(ValueError):
         run_two_party(proto, (bundle, x), (None, x))
+
+
+def _one_round_walk(ctx, steps, x, fixed_point):
+    """The step list as the one-round op, osm and priv_mult, one step at a
+    time: 8 rounds, and the reference for the two-round schedule's shares."""
+    y = np.asarray(x, dtype=np.uint64).reshape(steps[0].k, -1)
+    d = y.shape[1]
+    for s in steps:
+        if isinstance(s, Perm):
+            y = op(ctx, s.sigma, y, s.k, d)
+        elif isinstance(s, Select):
+            sel = None if s.keep is None else np.broadcast_to(
+                (np.arange(s.side) < s.keep).astype(np.uint64)[:, None],
+                (s.side, d))
+            y = (resize(osm(ctx, sel, y), s.t) if s.widen else
+                 osm(ctx, sel, resize(y, s.side)))
+        elif isinstance(s, Weight):
+            lam = s.lam
+            if lam is not None:
+                lam = (encode_fixed(lam) if fixed_point else
+                       np.round(lam).astype(np.int64).astype(np.uint64))
+            y = priv_mult(ctx, lam, y, truncate=fixed_point)
+        else:
+            y = s.apply(y)
+    return y
+
+
+@pytest.mark.parametrize("variant", ["forward", "transpose"])
+@pytest.mark.parametrize("fixed_point", [False, True])
+def test_two_round_shares_match_one_round_walk(rng, variant, fixed_point):
+    """Both parties' shares are byte-identical to the one-round protocols
+    run step by step, with the same transcript sizes, in 2 rounds: party
+    0's clock advances by 2 and party 1's by 1."""
+    for d in (1, 2, 5):
+        m, n = (int(v) for v in rng.integers(1, 20, 2))
+        a = random_sparse(rng, m, n, int(rng.integers(1, 2 * max(m, n))),
+                          integer=not fixed_point)
+        bundle = decompose_full(a)
+        dims = SmmDims(bundle.m, bundle.n, bundle.t)
+        rows = n if variant == "forward" else m
+        x = (encode_fixed(rng.uniform(-5, 5, (rows, d))) if fixed_point else
+             rng.integers(-50, 50, (rows, d)).astype(np.uint64))
+        x0, x1 = share_secret(x, random_ring(rng, x.shape))
+
+        def fast(ctx, b, xin):
+            return (smm if variant == "forward" else smm_transpose)(
+                ctx, b, dims, xin, fixed_point=fixed_point)
+
+        def walk(ctx, b, xin):
+            steps = factor_steps(dims, b)
+            if variant == "transpose":
+                steps = [s.T for s in reversed(steps)]
+            return _one_round_walk(ctx, steps, xin, fixed_point)
+
+        f0, f1, fm = run_two_party(fast, (bundle, x0), (None, x1), seed=d)
+        w0, w1, wm = run_two_party(walk, (bundle, x0), (None, x1), seed=d)
+        assert f0.tobytes() == w0.tobytes() and f1.tobytes() == w1.tobytes()
+        assert (fm.online_bits, fm.offline_bits, fm.framing_bits) == \
+            (wm.online_bits, wm.offline_bits, wm.framing_bits)
+        assert {k: v["online_bits"] for k, v in fm.sections.items()} == \
+            {k: v["online_bits"] for k, v in wm.sections.items()}
+        assert fm.clocks == [2, 1] and fm.rounds == 2 and wm.rounds == 8
