@@ -185,7 +185,7 @@ class Dealer:
     def _streams(self, tag: bytes, ctr: int) -> tuple[PrfStream, PrfStream]:
         return PrfStream(self.keys[0], tag, ctr), PrfStream(self.keys[1], tag, ctr)
 
-    def gen_op_rand(self, ctr: int, k: int, d: int = 1):
+    def gen_op_rand(self, ctr: int, k: int, d: int):
         """Party 0 gets (pi^-1, <piU>0); party 1 gets (U, <piU>1); offline
         cost k*L*d. Row U[j] lands at row pi^-1[j] of piU."""
         if k < 1:
@@ -358,7 +358,7 @@ class TapeView:
             self.meter.add_offline(offline_bits, self.section)
         return view
 
-    def op(self, k: int, d: int = 1) -> OpRandomness:
+    def op(self, k: int, d: int) -> OpRandomness:
         return self._draw("gen_op_rand", k, d)
 
     def osm(self, count: int) -> OsmRandomness:

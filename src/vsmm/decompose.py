@@ -12,7 +12,13 @@ permutations have degrees (n, t, t, t, m), so transcript sizes downstream
 depend only on (m, n, t).
 
 `factor_steps` writes this product down once, as an ordered list of typed
-steps (Perm, Diff, Select, Prefix, Weight) applied right to left. Each step
+steps applied right to left, each Gamma split into a public Resize and a
+0/1 diagonal Select:
+
+    Perm s1, Diff, Select ncol, Resize n->t, Perm s2, Prefix, Perm s3,
+    Weight, Prefix.T, Perm s4, Resize t->m, Select nrow, Diff.T, Perm s5
+
+Every secure step (Perm, Select, Weight) keeps the number of rows. Each step
 has a `.T`, so A^T is `[s.T for s in reversed(steps)]`. The clear oracle
 `reconstruct_dense` runs the list on the identity; the secure protocol in
 `vsmm.smm` walks the same list.
@@ -28,6 +34,7 @@ a map as Q = Sig s2 Gin dn s1; P follows by transposition.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -109,9 +116,9 @@ class SparseMatrixCOO:
     def t(self) -> int:
         return len(self.rows)
 
-    def to_dense(self, dtype=np.float64) -> np.ndarray:
-        out = np.zeros((self.m, self.n), dtype=dtype)
-        out[self.rows, self.cols] = self.weights.astype(dtype)
+    def to_dense(self) -> np.ndarray:
+        out = np.zeros((self.m, self.n))
+        out[self.rows, self.cols] = self.weights
         return out
 
 
@@ -200,25 +207,25 @@ Diff = Local(apply_delta, apply_delta_T)    # delta; Diff.T is delta^T
 Prefix = Local(apply_Sigma, apply_Sigma_T)  # Sigma; Prefix.T is Sigma^T
 
 
+def Resize(k: int, out: int) -> Local:
+    """Zero-pad or truncate k rows to out; the transpose maps back."""
+    return Local(partial(resize, out_len=out), partial(resize, out_len=k))
+
+
 @dataclass(frozen=True)
 class Select:
-    """Gamma between the n- or m-length side and the t side: keeps the first
-    `keep` coordinates (None in party 1's list). widen maps side -> t."""
+    """The 0/1 diagonal keeping the first `keep` of `side` rows (keep is
+    None in party 1's list); its own transpose."""
 
     keep: int | None
     side: int
-    t: int
-    widen: bool
 
     @property
     def T(self) -> Select:
-        return Select(self.keep, self.side, self.t, not self.widen)
+        return self
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        out_len = self.t if self.widen else self.side
-        if self.keep > min(len(v), out_len):
-            raise DecomposeError("selector keeps more rows than the matrix has")
-        out = resize(v, out_len)
+        out = v.copy()
         out[self.keep:] = 0
         return out
 
@@ -248,16 +255,20 @@ def factor_steps(dims, bundle: DecompositionBundle | None = None) -> list:
     party 1 walks, step for step alongside party 0's.
     """
     m, n, t = dims.m, dims.n, dims.t
-    if bundle is not None and (bundle.m, bundle.n, bundle.t) != (m, n, t):
-        raise DecomposeError("bundle does not match declared dims")
+    if bundle is not None:
+        if (bundle.m, bundle.n, bundle.t) != (m, n, t):
+            raise DecomposeError("bundle does not match declared dims")
+        if bundle.ncol > min(n, t) or bundle.nrow > min(m, t):
+            raise DecomposeError("selector keeps more rows than the matrix has")
 
     def get(name):  # every field is None when bundle is None
         return getattr(bundle, name, None)
 
-    return [Perm(get("sigma1"), n), Diff, Select(get("ncol"), n, t, True),
+    return [Perm(get("sigma1"), n), Diff, Select(get("ncol"), n), Resize(n, t),
             Perm(get("sigma2"), t), Prefix, Perm(get("sigma3"), t),
             Weight(get("lam")), Prefix.T, Perm(get("sigma4"), t),
-            Select(get("nrow"), m, t, False), Diff.T, Perm(get("sigma5"), m)]
+            Resize(t, m), Select(get("nrow"), m), Diff.T,
+            Perm(get("sigma5"), m)]
 
 
 def apply_steps(steps: list, x: np.ndarray) -> np.ndarray:
@@ -326,9 +337,9 @@ def decompose_full(a: SparseMatrixCOO) -> DecompositionBundle:
                                sigma5_t.inverse(), a.weights.copy())
 
 
-def reconstruct_dense(b: DecompositionBundle, dtype=np.float64) -> np.ndarray:
+def reconstruct_dense(b: DecompositionBundle) -> np.ndarray:
     """Apply the factor pipeline to the identity; the exact inverse oracle."""
-    return apply_steps(factor_steps(b, b), np.eye(b.n, dtype=dtype))
+    return apply_steps(factor_steps(b, b), np.eye(b.n))
 
 
 # I/O -----------------------------------------------------------------------

@@ -95,22 +95,23 @@ def normalize_adjacency(edges: np.ndarray, num_nodes: int) -> SparseMatrixCOO:
     return SparseMatrixCOO(n, n, rows, cols, dinv[rows] * w * dinv[cols])
 
 
+SYNTH_P_IN, SYNTH_P_OUT, SYNTH_TRAIN_FRAC = 0.4, 0.04, 0.5
+
+
 def make_synthetic_community(num_nodes: int = 32, seed: int = 0,
-                             dim: int = 4, p_in: float = 0.4,
-                             p_out: float = 0.04,
-                             train_frac: float = 0.5) -> GraphDataset:
+                             dim: int = 4) -> GraphDataset:
     """Two-community graph with noisy community-indicator features."""
     rng = np.random.default_rng(seed)
     labels = (np.arange(num_nodes) >= num_nodes // 2).astype(np.int64)
     # one draw per pair i < j, in row-major order: the seeded stream's order
     i, j = np.triu_indices(num_nodes, 1)
-    p = np.where(labels[i] == labels[j], p_in, p_out)
+    p = np.where(labels[i] == labels[j], SYNTH_P_IN, SYNTH_P_OUT)
     hit = rng.random(len(i)) < p
     feats = rng.normal(0, 0.3, (num_nodes, dim))
     feats[:, 0] += np.where(labels == 0, 1.0, -1.0)
     feats[:, 1] += np.where(labels == 1, 1.0, -1.0)
     perm = rng.permutation(num_nodes)
-    n_train = int(round(train_frac * num_nodes))
+    n_train = int(round(SYNTH_TRAIN_FRAC * num_nodes))
     train_mask = np.zeros(num_nodes, dtype=bool)
     train_mask[perm[:n_train]] = True
     return GraphDataset(num_nodes, np.stack((i[hit], j[hit]), axis=1), feats,
@@ -152,6 +153,11 @@ def load_dataset(path: str) -> GraphDataset:
         raise ValueError(f"{path}: empty graph (no feature rows)")
     if len(labels) != n or len(masks) != n:
         raise ValueError(f"{path}: labels/masks row count does not match features")
+    if np.any(labels < 0):
+        _fail("labels.csv", np.argmax(labels < 0) + 1, "negative class label")
+    if masks.shape[1] != 2 or not np.isin(masks, (0, 1)).all():
+        raise ValueError(f"{os.path.join(path, 'masks.csv')}: expected two "
+                         "0/1 columns 'train,test'")
     return GraphDataset(n, np.array(edges, dtype=np.int64).reshape(-1, 2),
                         features, labels, masks[:, 0].astype(bool),
                         masks[:, 1].astype(bool))

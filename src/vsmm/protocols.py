@@ -108,15 +108,15 @@ def priv_mult_correction(ctx: PartyContext, lam: np.ndarray,
                          shape) -> np.ndarray:
     """Party 0's half of priv_mult that needs no input: draw the tuple for
     an operand of `shape`, send lam - a and return the constant c of its
-    output share lam*(y0 + y1 - u) + c, before any truncation. lam is a
-    ring array of one value per row, shaped to broadcast over the rest."""
+    output share lam*(y0 + y1 - u) + c. lam is a ring array of one value
+    per row, shaped to broadcast over the rest."""
     tape = ctx.tape.privmul(shape)
     ctx.send_ring(lam - tape.a)
     return tape.au - tape.a * tape.u
 
 
-def priv_mult(ctx: PartyContext, lam: np.ndarray | None, y: np.ndarray,
-              truncate: bool = False) -> np.ndarray:
+def priv_mult(ctx: PartyContext, lam: np.ndarray | None,
+              y: np.ndarray) -> np.ndarray:
     """Multiply party 0's private ring vector lam, one value per row, into
     the shared tensor y, broadcast over the columns. One round: party 0
     opens lam - a, L bits per row, and party 1 opens y - u, L bits per
@@ -130,14 +130,10 @@ def priv_mult(ctx: PartyContext, lam: np.ndarray | None, y: np.ndarray,
             lam = np.asarray(lam, dtype=np.uint64).reshape(rows)
             out = priv_mult_correction(ctx, lam, shape)
             out += lam * (y + ctx.recv_ring(shape))
-        else:
-            tape = ctx.tape.privmul(shape)
-            ctx.send_ring(y - tape.u)
-            delta_lam = ctx.recv_ring(rows)
-            out = delta_lam * tape.u + tape.au
-        if truncate:
-            out = truncate_share(out, ctx.party, FRAC_BITS)
-        return out
+            return out
+        tape = ctx.tape.privmul(shape)
+        ctx.send_ring(y - tape.u)
+        return ctx.recv_ring(rows) * tape.u + tape.au
 
 
 @dataclass(frozen=True, eq=False)

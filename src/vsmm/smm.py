@@ -6,9 +6,10 @@ Both parties walk the step list of `decompose.factor_steps` (party 1's copy
 is built from SmmDims alone); `smm` runs it in order and `smm_transpose` runs
 `[s.T for s in reversed(steps)]`. Each step maps to one secure operation:
 Perm to an oblivious permutation, Select to an oblivious
-selection-multiplication on the n- or m-length side plus a resize, Weight to
-a private multiplication, and Diff / Prefix to local maps on the shares.
-Fixed-point inputs truncate exactly once, at Weight.
+selection-multiplication, Weight to a private multiplication, and Diff,
+Prefix and Resize to local maps on the shares. Every secure step maps an
+L-row share to an L-row share. Fixed-point inputs truncate exactly once,
+after Weight, in the step runner.
 
 One call is 2 rounds, whatever the factors. Party 0's eight messages (five
 permutations, two selector masks and lambda - a) depend only on its factors
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decompose import (DecompositionBundle, Local, Perm, Select, Weight,
-                        factor_steps, resize)
+                        factor_steps)
 from .protocols import (op, op_correction, osm, osm_correction, priv_mult,
                         priv_mult_correction)
 from .ring import FRAC_BITS, RING_BITS, encode_fixed, truncate_share
@@ -66,78 +67,59 @@ def beaver_dense_online_bits(m: int, n: int, d: int) -> int:
     return 2 * (m * n + n * d) * RING_BITS
 
 
-def _weights(s: Weight, fixed_point: bool) -> np.ndarray:
-    """Party 0's Weight factor as a (t, 1) ring column."""
-    lam = (encode_fixed(s.lam) if fixed_point else
-           np.asarray(np.round(s.lam), dtype=np.int64).astype(np.uint64))
-    return lam.reshape(-1, 1)
-
-
-def _correction(ctx: PartyContext, s, d: int):
-    """Party 0's round-1 message for a Perm or Select step. Returns the
-    constant its output share adds, in the step's output shape."""
-    if isinstance(s, Perm):
-        with ctx.section("op"):
-            return op_correction(ctx, s.sigma, s.k, d)
-    # one OSM instance per cell of the n- or m-length side
-    sel = np.broadcast_to(
-        (np.arange(s.side) < s.keep).astype(np.uint64)[:, None], (s.side, d))
-    with ctx.section("osm"):
-        c = osm_correction(ctx, sel, s.side * d).reshape(s.side, d)
-    return resize(c, s.t) if s.widen else c
-
-
 _SECTIONS = {Perm: "op", Select: "osm", Weight: "mult"}
+
+
+def _correction(ctx: PartyContext, s, d: int) -> np.ndarray:
+    """Party 0's round-1 message for a secure step. Returns the constant
+    its output share adds."""
+    with ctx.section(_SECTIONS[type(s)]):
+        if isinstance(s, Perm):
+            return op_correction(ctx, s.sigma, s.k, d)
+        if isinstance(s, Weight):
+            return priv_mult_correction(ctx, s.lam, (len(s.lam), d))
+        # one OSM instance per cell; the selector bits are Select on ones
+        sel = s.apply(np.ones((s.side, d), dtype=np.uint64))
+        return osm_correction(ctx, sel, s.side * d).reshape(s.side, d)
 
 
 def _run_steps_party0(ctx: PartyContext, steps: list, y: np.ndarray,
                       fixed_point: bool) -> np.ndarray:
-    """Party 0's share in two passes, 2 rounds in all. Each step's output
-    share is step.apply(y0 + m) + c for party 1's masked share m and a
-    constant c, and every step's map is linear, so y0 splits as r + K.
+    """Party 0's share in two passes, 2 rounds in all. Each secure step's
+    output share is step.apply(y0 + m) + c for party 1's masked share m and
+    a constant c, and every step is linear, so y0 splits as r + K.
 
-    Pass 1 sends every correction and folds the constants into K <-
-    step.apply(K) + c. Truncation is not linear, so at Weight it keeps
-    Kw = lam*K + c and restarts K at 0. Pass 2 receives party 1's masked
-    shares in step order and runs r <- step.apply(r + m), or r <-
-    trunc(lam*(r + m) + Kw) at Weight; the share is r + K.
+    Pass 1 sends every correction and folds the constants, K <-
+    step.apply(K) + c (K <- step.apply(K) for a Local). Truncation is not
+    linear, so in fixed point it keeps Kw = K after Weight and restarts K
+    at 0. Pass 2 receives party 1's masked shares in step order and runs
+    r <- step.apply(r + m), then r <- trunc(r + Kw) after Weight in fixed
+    point; the share is r + K.
     """
-    d = y.shape[1]
-    k, weights = None, []  # K is None while it is 0
+    ring = (encode_fixed if fixed_point else
+            lambda lam: np.round(lam).astype(np.int64).astype(np.uint64))
+    steps = [Weight(ring(s.lam).reshape(-1, 1)) if isinstance(s, Weight)
+             else s for s in steps]  # lambda as a (t, 1) ring column
+    k = kw = None  # K is None while it is 0
     for s in steps:
         if isinstance(s, Local):
             k = None if k is None else s.apply(k)
-        elif isinstance(s, Weight):
-            lam = _weights(s, fixed_point)
-            with ctx.section("mult"):
-                kw = priv_mult_correction(ctx, lam, k.shape)
-            k *= lam
-            kw += k
-            weights.append((lam, kw))
-            k = None
-        else:
-            c = _correction(ctx, s, d)
-            if k is not None:
-                c += s.apply(k)
-            k = c
+            continue
+        c = _correction(ctx, s, y.shape[1])
+        if k is not None:
+            c += s.apply(k)
+        k = c
+        if fixed_point and isinstance(s, Weight):
+            k, kw = None, k
     r = y.copy()
     for s in steps:
-        if isinstance(s, Local):
-            r = s.apply(r)
-            continue
-        with ctx.section(_SECTIONS[type(s)]):
-            side = s.side if isinstance(s, Select) else len(r)
-            if len(r) != side:
-                r = resize(r, side)
-            r += ctx.recv_ring((side, d))
-        if isinstance(s, Weight):
-            lam, kw = weights.pop(0)
-            r *= lam
+        if not isinstance(s, Local):
+            with ctx.section(_SECTIONS[type(s)]):
+                r += ctx.recv_ring(r.shape)
+        r = s.apply(r)
+        if fixed_point and isinstance(s, Weight):
             r += kw
-            if fixed_point:
-                r = truncate_share(r, 0, FRAC_BITS)
-        else:
-            r = s.apply(r)
+            r = truncate_share(r, 0, FRAC_BITS)
     r += k
     return r
 
@@ -146,7 +128,8 @@ def _run_steps(ctx: PartyContext, steps: list, x: np.ndarray,
                fixed_point: bool) -> np.ndarray:
     """Shares of the step list applied to this party's share of X. Party 1
     runs the one-round protocols step by step; its masked shares after the
-    first depend only on its tuples and party 0's corrections."""
+    first depend only on its tuples and party 0's corrections. Fixed-point
+    shares truncate once, after Weight."""
     y = np.asarray(x, dtype=np.uint64).reshape(steps[0].k, -1)
     if ctx.party == 0:
         return _run_steps_party0(ctx, steps, y, fixed_point)
@@ -155,10 +138,11 @@ def _run_steps(ctx: PartyContext, steps: list, x: np.ndarray,
         if isinstance(s, Perm):
             y = op(ctx, None, y, s.k, d)
         elif isinstance(s, Select):
-            y = (resize(osm(ctx, None, y), s.t) if s.widen else
-                 osm(ctx, None, resize(y, s.side)))
+            y = osm(ctx, None, y)
         elif isinstance(s, Weight):
-            y = priv_mult(ctx, None, y, truncate=fixed_point)
+            y = priv_mult(ctx, None, y)
+            if fixed_point:
+                y = truncate_share(y, 1, FRAC_BITS)
         else:  # Local: each party maps its own share
             y = s.apply(y)
     return y

@@ -111,6 +111,29 @@ def test_train_rejects_nan_feature(tmp_path, capsys):
     assert "error: value out of range" in capsys.readouterr().err
 
 
+def test_train_rejects_negative_label(dataset_dir, capsys):
+    path = f"{dataset_dir}/labels.csv"
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    lines[0] = "-1"
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    argv = ["train", "--dataset", dataset_dir, "--epochs", "1", "--hidden", "4"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}:1: negative class label\n")
+
+
+@pytest.mark.parametrize("masks", ["train\n" + "1\n" * 16,
+                                   "train,test\n" + "2,0\n" * 16])
+def test_train_rejects_bad_masks(dataset_dir, capsys, masks):
+    path = f"{dataset_dir}/masks.csv"
+    with open(path, "w") as fh:
+        fh.write(masks)
+    assert main(["train", "--dataset", dataset_dir, "--epochs", "1"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
 def test_infer_rejects_other_precision(tmp_path, dataset_dir, capsys):
     model = tmp_path / "model.json"
     w1, w2 = np.zeros((4, 4), np.uint64), np.zeros((4, 2), np.uint64)

@@ -4,11 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_sparse
-from vsmm.decompose import (DecomposeError, Permutation, SparseMatrixCOO,
-                            apply_Sigma, apply_Sigma_T, apply_delta,
-                            apply_delta_T, apply_steps, decompose_full,
-                            factor_steps, pad_perm, read_coo_text,
-                            reconstruct_dense)
+from vsmm.decompose import (DecomposeError, Local, Permutation,
+                            SparseMatrixCOO, apply_Sigma, apply_Sigma_T,
+                            apply_delta, apply_delta_T, apply_steps,
+                            decompose_full, factor_steps, pad_perm,
+                            read_coo_text, reconstruct_dense)
 
 
 def test_permutation_basics():
@@ -99,6 +99,26 @@ def test_decompose_reconstruct_property(m, n, t, seed):
     steps_t = [s.T for s in reversed(factor_steps(b, b))]
     assert np.allclose(apply_steps(steps_t, np.eye(a.m)), a.to_dense().T,
                        atol=1e-9)
+
+
+@pytest.mark.parametrize("shape", [(9, 7, 3), (4, 11, 2), (12, 3, 2),
+                                   (6, 6, 20), (1, 1, 1), "random"])
+def test_secure_steps_keep_length(rng, shape):
+    """Every step other than a public Local maps L rows to L rows, in both
+    directions, and transposing the transposed list gives A back."""
+    m, n, t = (int(v) for v in rng.integers(1, 16, 3)) \
+        if shape == "random" else shape
+    b = decompose_full(random_sparse(rng, m, n, t))
+    steps = factor_steps(b, b)
+    steps_t = [s.T for s in reversed(steps)]
+    for lst, rows in ((steps, b.n), (steps_t, b.m)):
+        x = rng.normal(size=(rows, 2))
+        for s in lst:
+            y = s.apply(x)
+            assert isinstance(s, Local) or len(y) == len(x)
+            x = y
+    twice = [s.T for s in reversed(steps_t)]
+    assert np.array_equal(apply_steps(twice, np.eye(b.n)), reconstruct_dense(b))
 
 
 def test_coo_text_roundtrip(tmp_path, rng):

@@ -1,12 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import random_sparse
-from vsmm.decompose import (Perm, Select, SparseMatrixCOO, Weight,
-                            decompose_full, factor_steps, resize)
+from vsmm.decompose import (DecomposeError, Perm, Select, SparseMatrixCOO,
+                            Weight, decompose_full, factor_steps,
+                            reconstruct_dense)
 from vsmm.protocols import op, osm, priv_mult
-from vsmm.ring import (decode_fixed, encode_fixed, lift_signed, random_ring,
-                       reconstruct, share_secret)
+from vsmm.ring import (FRAC_BITS, decode_fixed, encode_fixed, lift_signed,
+                       random_ring, reconstruct, share_secret, truncate_share)
 from vsmm.runtime import run_two_party
 from vsmm.smm import (SmmDims, beaver_dense_online_bits, smm, smm_online_bits,
                       smm_offline_bits, smm_transpose)
@@ -130,6 +133,25 @@ def test_bundle_dims_mismatch(rng):
         run_two_party(proto, (bundle, x), (None, x))
 
 
+@pytest.mark.parametrize("field", ["ncol", "nrow"])
+def test_selector_bound_is_checked(rng, field):
+    """A selector that keeps more rows than min(side, t) is rejected by the
+    clear oracle and by party 0's smm."""
+    m, n = (5, 8) if field == "ncol" else (8, 5)
+    bad = replace(decompose_full(random_sparse(rng, m, n, 3, integer=True)),
+                  **{field: 4})  # min(side, t) is 3
+    with pytest.raises(DecomposeError, match="selector"):
+        reconstruct_dense(bad)
+    dims = SmmDims(bad.m, bad.n, bad.t)
+    x = np.zeros((bad.n, 1), dtype=np.uint64)
+
+    def proto(ctx, b, xin):
+        return smm(ctx, b, dims, xin)
+
+    with pytest.raises(DecomposeError, match="selector"):
+        run_two_party(proto, (bad, x), (None, x))
+
+
 def _one_round_walk(ctx, steps, x, fixed_point):
     """The step list as the one-round op, osm and priv_mult, one step at a
     time: 8 rounds, and the reference for the two-round schedule's shares."""
@@ -142,14 +164,15 @@ def _one_round_walk(ctx, steps, x, fixed_point):
             sel = None if s.keep is None else np.broadcast_to(
                 (np.arange(s.side) < s.keep).astype(np.uint64)[:, None],
                 (s.side, d))
-            y = (resize(osm(ctx, sel, y), s.t) if s.widen else
-                 osm(ctx, sel, resize(y, s.side)))
+            y = osm(ctx, sel, y)
         elif isinstance(s, Weight):
             lam = s.lam
             if lam is not None:
                 lam = (encode_fixed(lam) if fixed_point else
                        np.round(lam).astype(np.int64).astype(np.uint64))
-            y = priv_mult(ctx, lam, y, truncate=fixed_point)
+            y = priv_mult(ctx, lam, y)
+            if fixed_point:
+                y = truncate_share(y, ctx.party, FRAC_BITS)
         else:
             y = s.apply(y)
     return y
