@@ -3,8 +3,7 @@ training / inference, and network-time reporting.
 
 All subcommands emit JSON to stdout (and optionally to a file); `train` can
 additionally mirror the per-epoch table as CSV. Usage errors exit 2, protocol
-or input errors exit 1. The VSMM_SEED environment variable overrides any
-configured seed.
+or input errors exit 1.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from types import SimpleNamespace
 
@@ -28,11 +26,6 @@ from .ring import FRAC_BITS, random_ring, share_secret
 from .runtime import (DeadlockError, NETWORK_CONDITIONS, PeerFailedError,
                       estimate_time, run_two_party)
 from .smm import SmmDims, beaver_dense_online_bits, smm, smm_online_bits
-
-
-def _seed(args) -> int:
-    env = os.environ.get("VSMM_SEED")
-    return int(env) if env else args.seed
 
 
 def _emit(doc: dict, out_path: str | None) -> None:
@@ -97,9 +90,9 @@ _BENCHES = {"smm": _bench_smm, "op": _bench_op, "osm": _bench_osm}
 
 
 def cmd_bench(args) -> int:
-    rng = np.random.default_rng(_seed(args))
+    rng = np.random.default_rng(args.seed)
     protocol, inputs0, inputs1, extra = _BENCHES[args.protocol](args, rng)
-    _, _, meter = run_two_party(protocol, inputs0, inputs1, seed=_seed(args))
+    _, _, meter = run_two_party(protocol, inputs0, inputs1, seed=args.seed)
     report = meter.report(args.protocol)
     report["est_time_by_condition"] = _est_times(meter)
     report.update(extra)
@@ -113,7 +106,7 @@ def cmd_bench(args) -> int:
 def cmd_train(args) -> int:
     ds = load_dataset(args.dataset)
     cfg = TrainConfig(optimizer=args.opt, lr=args.lr, epochs=args.epochs,
-                      seed=_seed(args), hidden=args.hidden)
+                      seed=args.seed, hidden=args.hidden)
     result, meter = train_secure(ds, cfg)
     report = {
         "dataset": args.dataset,
@@ -146,7 +139,7 @@ def cmd_infer(args) -> int:
         check_weight_shapes(ds, w1, w2)
     except ValueError as exc:
         raise ValueError(f"{args.model}: {exc}") from None
-    preds, meter = infer_secure(ds, w1, w2, seed=_seed(args))
+    preds, meter = infer_secure(ds, w1, w2, seed=args.seed)
     acc = float((preds[ds.test_mask] == ds.labels[ds.test_mask]).mean()) \
         if ds.test_mask.any() else 0.0
     _emit({"predictions": preds.tolist(), "test_acc": acc,

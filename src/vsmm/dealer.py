@@ -2,9 +2,9 @@
 
 The dealer owns both party keys and derives every tuple as a pure function of
 (key, tag, counter), so every tuple is reproducible from the keys alone. Values
-a party can expand locally from its own key cost zero offline bytes; only the
-dealer-to-party-1 correction messages are charged to the offline meter. The
-dealer never receives anything online: the API exposes generation only.
+a party can expand locally from its own key cost zero offline bytes; party 1's
+tally is charged only for the dealer-to-party-1 correction messages. The dealer
+never receives anything online: the API exposes generation only.
 
 Permutations are the argsort of k PRF words, redrawn when two words tie, so
 each is an exactly uniform element of S_k. In an oblivious-permutation tuple
@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import struct
 import threading
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -339,23 +340,22 @@ class TapeView:
     Both parties issue the identical request sequence (protocol structure is
     data-independent), so their counters stay aligned without coordination.
     The two views of a run share a `Handoff`, so each tuple is generated once
-    between them; offline bytes are charged when party 1 draws its correction
-    view.
+    between them; party 1's view passes the offline bits of each correction
+    view it draws to `charge`.
     """
 
     dealer: Dealer
     party: int
-    meter: object
     handoff: Handoff
+    charge: Callable[[int], None]
     ctr: int = 0
-    section: str = ""
 
     def _draw(self, method: str, *args):
         view, offline_bits = self.handoff.draw(
             self.dealer, self.party, self.ctr, (method, args))
         self.ctr += 1
         if self.party == 1:
-            self.meter.add_offline(offline_bits, self.section)
+            self.charge(offline_bits)
         return view
 
     def op(self, k: int, d: int) -> OpRandomness:

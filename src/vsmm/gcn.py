@@ -134,6 +134,12 @@ def load_dataset(path: str) -> GraphDataset:
     def _fail(name, line_no, msg):
         raise ValueError(f"{os.path.join(path, name)}:{line_no}: {msg}")
 
+    def _table(name, **kwargs):  # numpy's parse errors, with the file's path
+        try:
+            return np.loadtxt(os.path.join(path, name), **kwargs)
+        except ValueError as exc:
+            raise ValueError(f"{os.path.join(path, name)}: {exc}") from None
+
     edges = []
     with open(os.path.join(path, "edges.tsv")) as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -143,11 +149,10 @@ def load_dataset(path: str) -> GraphDataset:
             if len(parts) != 2:
                 _fail("edges.tsv", line_no, "expected 'u<TAB>v'")
             edges.append((int(parts[0]), int(parts[1])))
-    features = np.loadtxt(os.path.join(path, "features.csv"),
-                          delimiter=",", ndmin=2)
-    labels = np.loadtxt(os.path.join(path, "labels.csv"), dtype=np.int64, ndmin=1)
-    masks = np.loadtxt(os.path.join(path, "masks.csv"), delimiter=",",
-                       skiprows=1, dtype=np.int64, ndmin=2)
+    features = _table("features.csv", delimiter=",", ndmin=2)
+    labels = _table("labels.csv", dtype=np.int64, ndmin=1)
+    masks = _table("masks.csv", delimiter=",", skiprows=1, dtype=np.int64,
+                   ndmin=2)
     n = len(features)
     if n == 0:
         raise ValueError(f"{path}: empty graph (no feature rows)")

@@ -7,15 +7,19 @@ advances the receiver's clock past the stamp. Two independent simultaneous
 sends therefore cost one round, while a send that could only happen after a
 receive starts a new round.
 
-Payload bits are metered exactly as placed on the wire; a modelled 6-byte
-frame per message (4-byte little-endian length + 2-byte protocol tag) is
-accounted separately so that formula assertions compare payload bits only.
+Each party meters itself: its Endpoint charges the bits it sends, the offline
+bits party 1 draws and the rounds a receive adds to its clock to its innermost
+open section ("default" outside any). The run's `CommMeter` sums the two
+tallies once both threads have joined. Payload bits are metered exactly as
+placed on the wire; a modelled 6-byte frame per message (4-byte little-endian
+length + 2-byte protocol tag) is accounted separately so that formula
+assertions compare payload bits only.
 """
 
 from __future__ import annotations
 
-import queue
 import threading
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -36,10 +40,9 @@ class PeerFailedError(RuntimeError):
 
 
 class CommMeter:
-    """Online/offline payload bits, framing overhead and round counts."""
+    """A run's online/offline payload bits, framing overhead and rounds."""
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self.online_bits = 0
         self.offline_bits = 0
         self.framing_bits = 0
@@ -48,31 +51,28 @@ class CommMeter:
         self.sections: dict[str, dict] = {}
         self.party_rounds: dict[str, list[int]] = {}
 
-    def _section(self, name: str) -> dict:
-        return self.sections.setdefault(
-            name, {"online_bits": 0, "offline_bits": 0, "rounds": 0})
+    @classmethod
+    def total(cls, parties: list[Endpoint]) -> CommMeter:
+        """The run's meter, summed from both parties' tallies after the run.
 
-    def add_online(self, bits: int, section: str) -> None:
-        with self._lock:
-            self.online_bits += bits
-            self.framing_bits += FRAME_BITS
-            self._section(section)["online_bits"] += bits
-
-    def add_offline(self, bits: int, section: str) -> None:
-        with self._lock:
-            self.offline_bits += bits
-            self._section(section)["offline_bits"] += bits
-
-    def note_section_rounds(self, section: str, party: int, delta: int) -> None:
-        """Per-section round cost: each party's clock deltas are summed over
-        the section's calls in `party_rounds`, and the section reports the
-        larger sum. The parties' clocks can differ (smm advances party 0's
-        by 2 and party 1's by 1), so the sections' rounds can add up to more
-        than the run's."""
-        with self._lock:
-            sums = self.party_rounds.setdefault(section, [0, 0])
-            sums[party] += delta
-            self._section(section)["rounds"] = max(sums)
+        A section's rounds are the larger of the parties' sums over its
+        calls, which `party_rounds` keeps. The parties' clocks can differ
+        (smm advances party 0's by 2 and party 1's by 1), so the sections'
+        rounds can add up to more than the run's."""
+        meter = cls()
+        meter.online_bits = sum(ep.sent_bits for ep in parties)
+        meter.framing_bits = FRAME_BITS * sum(ep.messages for ep in parties)
+        meter.clocks = [ep.clock for ep in parties]
+        meter.rounds = max(meter.clocks)
+        for name in dict.fromkeys(n for ep in parties for n in ep.tally):
+            online, offline, rounds = zip(*(ep.tally.get(name, (0, 0, 0))
+                                            for ep in parties))
+            meter.party_rounds[name] = list(rounds)
+            meter.sections[name] = {"online_bits": sum(online),
+                                    "offline_bits": sum(offline),
+                                    "rounds": max(rounds)}
+            meter.offline_bits += sum(offline)
+        return meter
 
     @property
     def online_bytes(self) -> int:
@@ -115,48 +115,53 @@ def estimate_time(meter: CommMeter, model: NetworkModel) -> float:
 
 
 class _Runtime:
-    """Shared channel state. Inboxes, waiting flags and failure flags change
-    only under `cond`, so a party never sees its peer marked waiting after
-    the peer has already taken a message."""
+    """The channels the parties share. Inboxes, waiting flags and failure
+    flags change only under `cond`, so a party never sees its peer marked
+    waiting after the peer has already taken a message."""
 
-    def __init__(self, meter: CommMeter):
-        self.meter = meter
+    def __init__(self):
         self.cond = threading.Condition()
-        self.queues = (queue.Queue(), queue.Queue())  # inbox per party
+        self.inboxes = (deque(), deque())  # per party: (payload, sender clock)
         self.waiting = [False, False]
         self.failed = [False, False]
 
 
 class Endpoint:
-    """One party's channel endpoint, carrying the logical round clock."""
+    """One party's channel endpoint: its logical round clock and its own
+    tally, each cost charged to its current section as it happens."""
 
     def __init__(self, runtime: _Runtime, party: int):
         self._rt = runtime
         self.party = party
         self.clock = 0
         self.sent_bits = 0
-        self.sections: list[str] = []
+        self.messages = 0
+        self.section = "default"
+        self.tally: dict[str, list[int]] = {}  # [online bits, offline, rounds]
 
-    @property
-    def section(self) -> str:
-        return self.sections[0] if self.sections else "default"
+    def _charge(self, slot: int, amount: int) -> None:
+        self.tally.setdefault(self.section, [0, 0, 0])[slot] += amount
+
+    def charge_offline(self, bits: int) -> None:
+        self._charge(1, bits)
 
     def send(self, payload: bytes, nbits: int | None = None) -> None:
         bits = len(payload) * 8 if nbits is None else nbits
         self.sent_bits += bits
-        self._rt.meter.add_online(bits, self.section)
+        self.messages += 1
+        self._charge(0, bits)
         with self._rt.cond:
-            self._rt.queues[1 - self.party].put((payload, self.clock))
+            self._rt.inboxes[1 - self.party].append((payload, self.clock))
             self._rt.cond.notify_all()
 
     def recv(self) -> bytes:
         rt, me, peer = self._rt, self.party, 1 - self.party
-        inbox = rt.queues[me]
+        inbox = rt.inboxes[me]
         with rt.cond:
-            while inbox.empty():
+            while not inbox:
                 if rt.failed[peer]:
                     raise PeerFailedError("peer thread failed")
-                if rt.waiting[peer] and rt.queues[peer].empty():
+                if rt.waiting[peer] and not rt.inboxes[peer]:
                     raise DeadlockError(
                         "both parties blocked on receive with empty channels")
                 rt.waiting[me] = True
@@ -164,8 +169,10 @@ class Endpoint:
                 rt.waiting[me] = False
                 if not woke:
                     raise DeadlockError("receive timed out")
-            payload, stamp = inbox.get_nowait()
-        self.clock = max(self.clock, stamp + 1)
+            payload, stamp = inbox.popleft()
+        clock = max(self.clock, stamp + 1)
+        self._charge(2, clock - self.clock)
+        self.clock = clock
         return payload
 
 
@@ -179,16 +186,12 @@ class PartyContext:
 
     @contextmanager
     def section(self, name: str):
-        self.ep.sections.append(name)
-        self.tape.section = self.ep.section
-        start = self.ep.clock
+        """Charge this party's costs inside the block to `name`."""
+        outer, self.ep.section = self.ep.section, name
         try:
             yield
         finally:
-            self.ep.sections.pop()
-            self.tape.section = self.ep.section
-            self.ep._rt.meter.note_section_rounds(
-                name, self.party, self.ep.clock - start)
+            self.ep.section = outer
 
     # wire encodings ------------------------------------------------------
 
@@ -309,11 +312,11 @@ def run_two_party(protocol, inputs0=(), inputs1=(), dealer: Dealer | None = None
 
     Returns (out0, out1, meter). Exceptions from either party propagate.
     """
-    meter, handoff = CommMeter(), Handoff()
     dealer = dealer if dealer is not None else Dealer.from_seed(seed)
-    rt = _Runtime(meter)
-    ctxs = [PartyContext(Endpoint(rt, p), TapeView(dealer, p, meter, handoff))
-            for p in range(2)]
+    rt, handoff = _Runtime(), Handoff()
+    eps = [Endpoint(rt, p) for p in range(2)]
+    ctxs = [PartyContext(ep, TapeView(dealer, ep.party, handoff,
+                                      ep.charge_offline)) for ep in eps]
     outs: list = [None, None]
     errs: list = [None, None]
 
@@ -335,6 +338,4 @@ def run_two_party(protocol, inputs0=(), inputs1=(), dealer: Dealer | None = None
     failed = [exc for exc in errs if exc is not None]
     if failed:  # the root cause before a PeerFailedError it caused
         raise min(failed, key=lambda exc: isinstance(exc, PeerFailedError))
-    meter.clocks = [ctx.ep.clock for ctx in ctxs]
-    meter.rounds = max(meter.clocks)
-    return outs[0], outs[1], meter
+    return outs[0], outs[1], CommMeter.total(eps)

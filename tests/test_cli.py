@@ -80,14 +80,6 @@ def test_train_infer_report_pipeline(tmp_path, dataset_dir, capsys):
     assert doc["est_time_by_condition"]["hl"] > 0
 
 
-def test_seed_env_override(dataset_dir, capsys, monkeypatch):
-    monkeypatch.setenv("VSMM_SEED", "99")
-    code, doc = _run(capsys, ["train", "--dataset", dataset_dir,
-                              "--epochs", "1", "--seed", "1"])
-    assert code == 0
-    assert doc["config"]["seed"] == 99
-
-
 def test_train_rejects_zero_hidden(dataset_dir, capsys):
     assert main(["train", "--dataset", dataset_dir, "--epochs", "1",
                  "--hidden", "0"]) == 1
@@ -122,6 +114,21 @@ def test_train_rejects_negative_label(dataset_dir, capsys):
     assert main(argv) == 1
     assert capsys.readouterr().err == (
         f"error: {path}:1: negative class label\n")
+
+
+@pytest.mark.parametrize("name, line, value", [
+    ("labels.csv", 0, "1.5"), ("features.csv", 2, "x,0,0,0")],
+    ids=["fractional-label", "text-feature"])
+def test_train_unreadable_table_names_the_file(dataset_dir, capsys, name,
+                                               line, value):
+    path = f"{dataset_dir}/{name}"
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    lines[line] = value
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    assert main(["train", "--dataset", dataset_dir, "--epochs", "1"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: could not ")
 
 
 @pytest.mark.parametrize("masks", ["train\n" + "1\n" * 16,

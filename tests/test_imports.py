@@ -1,10 +1,12 @@
-"""Every name a module imports is used in that module, and every private
-module-level name in `src/vsmm` is used in its own module.
+"""Every name a module imports is used in that module, every private
+module-level name in `src/vsmm` is used in its own module, and `src/vsmm`
+touches `_`-prefixed attributes only on `self` or `cls`.
 
 An unused import or private helper is either dead code or the leftover of a
 removed path, and it keeps the removed name looking live to anyone who
-searches for it. The package `__init__.py` is skipped: its imports are the
-package's re-exports.
+searches for it. A private attribute reached through another object couples
+the two classes behind their interfaces' backs. The package `__init__.py` is
+skipped: its imports are the package's re-exports.
 """
 
 import ast
@@ -75,3 +77,27 @@ def test_private_checker_finds_unread_names():
                          ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_private_names(path):
     assert unused_private_names(path.read_text()) == []
+
+
+def foreign_private_attributes(source: str) -> list[str]:
+    """The `_`-prefixed attributes (dunders excepted) that `source` reaches
+    on anything but `self` or `cls`."""
+    return sorted(
+        ast.unparse(n) for n in ast.walk(ast.parse(source))
+        if isinstance(n, ast.Attribute) and n.attr.startswith("_")
+        and not n.attr.endswith("__")
+        and not (isinstance(n.value, ast.Name)
+                 and n.value.id in ("self", "cls")))
+
+
+def test_private_attribute_checker_finds_foreign_reads():
+    source = ("class A:\n    def f(self, other):\n"
+              "        self._x = other._y + self.b._z\n"
+              "        return cls._w, type(self).__name__, other.__dict__\n")
+    assert foreign_private_attributes(source) == ["other._y", "self.b._z"]
+
+
+@pytest.mark.parametrize("path", SRC_MODULES,
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_foreign_private_attributes(path):
+    assert foreign_private_attributes(path.read_text()) == []

@@ -1,5 +1,4 @@
 import math
-import queue
 import sys
 import threading
 import time
@@ -10,8 +9,9 @@ import pytest
 from vsmm import runtime
 from vsmm.dealer import Dealer, MaskRef, TapeExhausted
 from vsmm.ring import reconstruct
-from vsmm.runtime import (CommMeter, DeadlockError, NETWORK_CONDITIONS,
-                          NetworkModel, estimate_time, run_two_party)
+from vsmm.runtime import (FRAME_BITS, CommMeter, DeadlockError,
+                          NETWORK_CONDITIONS, NetworkModel, estimate_time,
+                          run_two_party)
 
 
 def test_empty_protocol_zero_rounds():
@@ -55,13 +55,13 @@ def test_deadlock_detection():
 def test_no_false_deadlock_after_dequeue(monkeypatch):
     """A party that has taken its message off the queue, but not yet returned
     from recv, must not look blocked to its peer."""
-    class SlowQueue(queue.Queue):
-        def get(self, *args, **kwargs):
-            item = super().get(*args, **kwargs)
+    class SlowQueue(runtime.deque):
+        def popleft(self):
+            item = super().popleft()
             time.sleep(0.1)  # preempted between dequeue and bookkeeping
             return item
 
-    monkeypatch.setattr(runtime.queue, "Queue", SlowQueue)
+    monkeypatch.setattr(runtime, "deque", SlowQueue)
 
     def proto(ctx):
         if ctx.party == 0:
@@ -77,7 +77,7 @@ def test_no_false_deadlock_after_dequeue(monkeypatch):
 def test_message_storm_with_frequent_thread_switches():
     """Simultaneous and dependent exchanges while the interpreter switches
     threads as often as it can: no false deadlock, every message arrives in
-    order, and the parties' own sent counts add up to the shared meter."""
+    order, and the parties' own sent counts add up to the run's meter."""
     def proto(ctx):
         got = []
         for i in range(150):
@@ -237,6 +237,41 @@ def test_sections_and_report():
     report = meter.report("demo")
     assert report["sections"]["phase_a"]["online_bits"] == 128
     assert report["sections"]["phase_a"]["rounds"] == 1
+
+
+def test_costs_charge_the_innermost_section():
+    """Bits, offline bits and rounds go to the innermost section open when
+    they happen, and a receive outside any section to "default"; each
+    party's rounds add up to its clock, and the run's totals are the sum of
+    the parties' own counts."""
+    def proto(ctx):
+        with ctx.section("outer"):
+            ctx.send_ring(np.zeros(1, np.uint64))
+            with ctx.section("inner"):
+                ctx.send_ring(np.zeros(2, np.uint64))
+                ctx.tape.osm(3)
+                ctx.recv_ring((1,))
+            ctx.recv_ring((2,))
+        if ctx.party == 0:
+            ctx.send_bits(np.ones(5, np.uint8))
+        else:
+            ctx.recv_bits(5)
+        return ctx.ep.sent_bits, ctx.ep.clock
+
+    (bits0, clock0), (bits1, clock1), meter = run_two_party(proto)
+    assert meter.sections == {
+        "outer": {"online_bits": 2 * 64, "offline_bits": 0, "rounds": 0},
+        "inner": {"online_bits": 2 * 128, "offline_bits": 3 * 64, "rounds": 1},
+        "default": {"online_bits": 5, "offline_bits": 0, "rounds": 1}}
+    assert meter.party_rounds == {"outer": [0, 0], "inner": [1, 1],
+                                  "default": [0, 1]}
+    assert meter.online_bits == bits0 + bits1 == 2 * 3 * 64 + 5
+    assert meter.offline_bits == 3 * 64
+    assert meter.framing_bits == FRAME_BITS * 5  # 3 messages by p0, 2 by p1
+    assert meter.clocks == [clock0, clock1] == [1, 2]
+    for party in (0, 1):
+        assert sum(r[party] for r in meter.party_rounds.values()) \
+            == meter.clocks[party]
 
 
 def test_estimate_time_formula():
