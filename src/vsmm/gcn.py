@@ -261,10 +261,9 @@ def _secure_forward(ctx, bundle, dims, ax, w1, w2):
     z, mask = relu(ctx, _matmul(ctx, ax, w1))
     if w2.shape[1] < w2.shape[0]:
         z, w2 = open_masked(ctx, z, w2)
-        logits = smm(ctx, bundle, dims, _matmul(ctx, z, w2), fixed_point=True)
+        logits = smm(ctx, bundle, dims, _matmul(ctx, z, w2))
     else:
-        az, w2 = open_masked(ctx, smm(ctx, bundle, dims, z, fixed_point=True),
-                             w2)
+        az, w2 = open_masked(ctx, smm(ctx, bundle, dims, z), w2)
         logits = _matmul(ctx, az, w2)
     return logits, z, mask, w2
 
@@ -280,8 +279,7 @@ def _secure_backward(ctx, bundle, dims, ax, z, relu_mask, w2, logits,
     g = g * mask_vec[:, None]  # public 0/1 train mask, unscaled
     inv_n = 1.0 / max(int(mask_vec.sum()), 1)
     g = scale_public(g, inv_n, ctx)
-    atg, z = open_masked(
-        ctx, smm_transpose(ctx, bundle, dims, g, fixed_point=True), z)
+    atg, z = open_masked(ctx, smm_transpose(ctx, bundle, dims, g), z)
     gw2 = _matmul(ctx, z.T, atg)
     dz = _matmul(ctx, atg, w2.T)
     dpre = beaver_mult(ctx, dz, relu_mask)  # 0/1 mask, no truncation
@@ -306,7 +304,7 @@ def _train_protocol(ctx, bundle, x, onehot_enc, w1, w2, pub, cfg: TrainConfig):
     u, v = np.zeros((2, w1.size + w2.size), np.uint64)
     # AX, computed and opened once, counts in the meter's totals, not in any
     # epoch's row
-    ax, = open_masked(ctx, smm(ctx, bundle, dims, x, fixed_point=True))
+    ax, = open_masked(ctx, smm(ctx, bundle, dims, x))
     history, sent = [], []
     prev_bits, prev_clock = ctx.ep.sent_bits, ctx.ep.clock
     for _ in range(cfg.epochs):
@@ -336,14 +334,14 @@ def _train_protocol(ctx, bundle, x, onehot_enc, w1, w2, pub, cfg: TrainConfig):
 
 def _forward_protocol(ctx, bundle, x, onehot_enc, w1, w2, pub):
     dims = pub["dims"]
-    ax = smm(ctx, bundle, dims, x, fixed_point=True)
+    ax = smm(ctx, bundle, dims, x)
     logits = _secure_forward(ctx, bundle, dims, ax, w1, w2)[0]
     return decode_fixed(reveal(ctx, logits))
 
 
 def _gradients_protocol(ctx, bundle, x, onehot_enc, w1, w2, pub):
     dims = pub["dims"]
-    ax, = open_masked(ctx, smm(ctx, bundle, dims, x, fixed_point=True))
+    ax, = open_masked(ctx, smm(ctx, bundle, dims, x))
     logits, z, relu_mask, w2 = _secure_forward(ctx, bundle, dims, ax, w1, w2)
     gw1, gw2 = _secure_backward(ctx, bundle, dims, ax, z, relu_mask, w2,
                                 logits, onehot_enc,

@@ -15,6 +15,8 @@ The format is fixed: FRAC_BITS fractional bits, and encodable reals satisfy
 
 from __future__ import annotations
 
+from operator import index
+
 import numpy as np
 
 RING_BITS = 64
@@ -30,12 +32,15 @@ class OverflowRangeError(ValueError):
 def as_ring(x) -> np.ndarray:
     """Coerce python ints / arrays to a uint64 ring array (at least 1-d)."""
     arr = np.asarray(x)
+    if np.issubdtype(arr.dtype, np.inexact):
+        raise TypeError(f"as_ring takes integers, not {arr.dtype}; "
+                        "encode reals with encode_fixed")
     if arr.dtype == np.uint64:
         out = arr
     elif np.issubdtype(arr.dtype, np.integer):
         out = arr.astype(np.int64).astype(np.uint64)
     else:
-        out = np.array([int(v) & MASK for v in np.atleast_1d(arr).ravel()],
+        out = np.array([index(v) & MASK for v in np.atleast_1d(arr).ravel()],
                        dtype=np.uint64).reshape(np.shape(arr))
     return np.atleast_1d(out)
 

@@ -8,8 +8,9 @@ is built from SmmDims alone); `smm` runs it in order and `smm_transpose` runs
 Perm to an oblivious permutation, Select to an oblivious
 selection-multiplication, Weight to a private multiplication, and Diff,
 Prefix and Resize to local maps on the shares. Every secure step maps an
-L-row share to an L-row share. Fixed-point inputs truncate exactly once,
-after Weight, in the step runner.
+L-row share to an L-row share. Every factor is linear over the ring, so with
+lambda encoded in fixed point the walk is one exact ring map, and each party
+truncates its share once, at the end.
 
 One call is 2 rounds, whatever the factors. Party 0's eight messages (five
 permutations, two selector masks and lambda - a) depend only on its factors
@@ -83,56 +84,44 @@ def _correction(ctx: PartyContext, s, d: int) -> np.ndarray:
         return osm_correction(ctx, sel, s.side * d).reshape(s.side, d)
 
 
-def _run_steps_party0(ctx: PartyContext, steps: list, y: np.ndarray,
-                      fixed_point: bool) -> np.ndarray:
+def _run_steps_party0(ctx: PartyContext, steps: list,
+                      y: np.ndarray) -> np.ndarray:
     """Party 0's share in two passes, 2 rounds in all. Each secure step's
     output share is step.apply(y0 + m) + c for party 1's masked share m and
     a constant c, and every step is linear, so y0 splits as r + K.
 
     Pass 1 sends every correction and folds the constants, K <-
-    step.apply(K) + c (K <- step.apply(K) for a Local). Truncation is not
-    linear, so in fixed point it keeps Kw = K after Weight and restarts K
-    at 0. Pass 2 receives party 1's masked shares in step order and runs
-    r <- step.apply(r + m), then r <- trunc(r + Kw) after Weight in fixed
-    point; the share is r + K.
+    step.apply(K) + c (K <- step.apply(K) for a Local). Pass 2 receives
+    party 1's masked shares in step order and runs r <- step.apply(r + m).
+    The share is r + K, truncated once.
     """
-    ring = (encode_fixed if fixed_point else
-            lambda lam: np.round(lam).astype(np.int64).astype(np.uint64))
-    steps = [Weight(ring(s.lam).reshape(-1, 1)) if isinstance(s, Weight)
+    steps = [Weight(encode_fixed(s.lam).reshape(-1, 1)) if isinstance(s, Weight)
              else s for s in steps]  # lambda as a (t, 1) ring column
-    k = kw = None  # K is None while it is 0
+    k = np.zeros_like(y)
     for s in steps:
-        if isinstance(s, Local):
-            k = None if k is None else s.apply(k)
-            continue
-        c = _correction(ctx, s, y.shape[1])
-        if k is not None:
-            c += s.apply(k)
-        k = c
-        if fixed_point and isinstance(s, Weight):
-            k, kw = None, k
+        k = s.apply(k)
+        if not isinstance(s, Local):
+            k += _correction(ctx, s, y.shape[1])
     r = y.copy()
     for s in steps:
         if not isinstance(s, Local):
             with ctx.section(_SECTIONS[type(s)]):
                 r += ctx.recv_ring(r.shape)
         r = s.apply(r)
-        if fixed_point and isinstance(s, Weight):
-            r += kw
-            r = truncate_share(r, 0, FRAC_BITS)
     r += k
-    return r
+    return truncate_share(r, 0, FRAC_BITS)
 
 
-def _run_steps(ctx: PartyContext, steps: list, x: np.ndarray,
-               fixed_point: bool) -> np.ndarray:
+def _run_steps(ctx: PartyContext, steps: list, x: np.ndarray) -> np.ndarray:
     """Shares of the step list applied to this party's share of X. Party 1
     runs the one-round protocols step by step; its masked shares after the
-    first depend only on its tuples and party 0's corrections. Fixed-point
-    shares truncate once, after Weight."""
+    first depend only on its tuples and party 0's corrections. Both parties
+    truncate once, at the end."""
+    if len(x) != steps[0].k:
+        raise ValueError(f"X has {len(x)} rows, not {steps[0].k}")
     y = np.asarray(x, dtype=np.uint64).reshape(steps[0].k, -1)
     if ctx.party == 0:
-        return _run_steps_party0(ctx, steps, y, fixed_point)
+        return _run_steps_party0(ctx, steps, y)
     d = y.shape[1]
     for s in steps:
         if isinstance(s, Perm):
@@ -141,26 +130,23 @@ def _run_steps(ctx: PartyContext, steps: list, x: np.ndarray,
             y = osm(ctx, None, y)
         elif isinstance(s, Weight):
             y = priv_mult(ctx, None, y)
-            if fixed_point:
-                y = truncate_share(y, 1, FRAC_BITS)
         else:  # Local: each party maps its own share
             y = s.apply(y)
-    return y
+    return truncate_share(y, 1, FRAC_BITS)
 
 
 def smm(ctx: PartyContext, bundle: DecompositionBundle | None, dims: SmmDims,
-        x: np.ndarray, fixed_point: bool = False) -> np.ndarray:
-    """Shares of A @ X for additively shared X of shape (n, d). Party 1's
-    plaintext X is shared as (0, X)."""
+        x: np.ndarray) -> np.ndarray:
+    """Shares of A @ X for additively shared fixed-point X of shape (n, d).
+    Party 1's plaintext X is shared as (0, X)."""
     steps = factor_steps(dims, bundle if ctx.party == 0 else None)
-    return _run_steps(ctx, steps, x, fixed_point)
+    return _run_steps(ctx, steps, x)
 
 
 def smm_transpose(ctx: PartyContext, bundle: DecompositionBundle | None,
-                  dims: SmmDims, g: np.ndarray,
-                  fixed_point: bool = False) -> np.ndarray:
+                  dims: SmmDims, g: np.ndarray) -> np.ndarray:
     """Shares of A.T @ G for G of shape (m, d), reusing the forward bundle:
     the transposed step list needs no re-decomposition and consumes tapes
     of exactly the same shapes as the forward call."""
     steps = factor_steps(dims, bundle if ctx.party == 0 else None)
-    return _run_steps(ctx, [s.T for s in reversed(steps)], g, fixed_point)
+    return _run_steps(ctx, [s.T for s in reversed(steps)], g)

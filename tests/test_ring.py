@@ -82,3 +82,18 @@ def test_lift_signed_centered():
 def test_as_ring_python_ints():
     assert as_ring(-1)[0] == np.uint64(2 ** 64 - 1)
     assert as_ring([1, 2]).dtype == np.uint64
+
+
+def test_as_ring_rejects_floats():
+    """A float array would be truncated toward zero, so sharing 0.5 would
+    share 0; reals go through encode_fixed instead."""
+    for x in (np.array([1.5, -2.7]), 0.5, np.float32(1.0)):
+        with pytest.raises(TypeError, match="encode_fixed"):
+            as_ring(x)
+    with pytest.raises(TypeError, match="encode_fixed"):
+        share_secret(np.array([0.5]), np.zeros(1, dtype=np.uint64))
+    with pytest.raises(TypeError):  # a float inside an object array
+        as_ring(np.array([1, 1.5], dtype=object))
+    assert as_ring(np.array([2 ** 64 - 1, -1], dtype=object)).tolist() == \
+        [2 ** 64 - 1] * 2
+    assert as_ring(np.array([-3], dtype=np.int8))[0] == np.uint64(2 ** 64 - 3)

@@ -15,13 +15,13 @@ from vsmm.smm import (SmmDims, beaver_dense_online_bits, smm, smm_online_bits,
                       smm_offline_bits, smm_transpose)
 
 
-def _run_smm(a, x, rng, shared=True, variant="forward", fixed_point=False):
+def _run_smm(a, x, rng, shared=True, variant="forward"):
     bundle = decompose_full(a)
     dims = SmmDims(bundle.m, bundle.n, bundle.t)
     fn = {"forward": smm, "transpose": smm_transpose}[variant]
 
     def proto(ctx, b, xin):
-        return fn(ctx, b, dims, xin, fixed_point=fixed_point)
+        return fn(ctx, b, dims, xin)
 
     if shared:
         x0, x1 = share_secret(x, random_ring(rng, x.shape))
@@ -55,7 +55,7 @@ def test_smm_plain_input_mode(rng):
 def test_smm_fixed_point(rng):
     a = random_sparse(rng, 8, 8, 16)
     xf = rng.uniform(-5, 5, (8, 2))
-    got, _, _ = _run_smm(a, encode_fixed(xf), rng, fixed_point=True)
+    got, _, _ = _run_smm(a, encode_fixed(xf), rng)
     expect = a.to_dense() @ xf
     assert np.abs(decode_fixed(got) - expect).max() < 1e-3
 
@@ -133,6 +133,41 @@ def test_bundle_dims_mismatch(rng):
         run_two_party(proto, (bundle, x), (None, x))
 
 
+@pytest.mark.parametrize("variant", ["forward", "transpose"])
+def test_x_of_wrong_height_is_rejected(rng, variant):
+    """X must have n rows for smm and m rows for smm_transpose; a flat
+    reshape would read an (8, 1) X for n = 4 as (4, 2)."""
+    a = random_sparse(rng, 3, 4, 6, integer=True)
+    bundle = decompose_full(a)
+    dims = SmmDims(bundle.m, bundle.n, bundle.t)
+    fn = smm if variant == "forward" else smm_transpose
+    rows = 2 * (dims.n if variant == "forward" else dims.m)
+    x = np.zeros((rows, 1), dtype=np.uint64)
+
+    def proto(ctx, b, xin):
+        return fn(ctx, b, dims, xin)
+
+    with pytest.raises(ValueError, match="rows"):
+        run_two_party(proto, (bundle, x), (None, x))
+
+
+@pytest.mark.parametrize("variant", ["forward", "transpose"])
+def test_one_truncation_within_one_ulp(rng, variant):
+    """smm is one exact ring map and one truncation, so each output is
+    within 1 ulp of floor(sum encode(lam) * x_enc / 2^f), however many terms
+    its row sums: here about 30, with fractional weights."""
+    for _ in range(5):
+        a = random_sparse(rng, 6, 40, 180)
+        dense = a.to_dense() if variant == "forward" else a.to_dense().T
+        lam = [[int(v) for v in row] for row in lift_signed(encode_fixed(dense))]
+        x = encode_fixed(rng.uniform(-5, 5, (dense.shape[1], 3)))
+        xs = [[int(v) for v in row] for row in lift_signed(x)]
+        got, _, _ = _run_smm(a, x, rng, variant=variant)
+        want = [[sum(lam[i][k] * xs[k][j] for k in range(len(xs)))
+                 >> FRAC_BITS for j in range(3)] for i in range(len(lam))]
+        assert np.abs(lift_signed(got) - np.array(want)).max() <= 1
+
+
 @pytest.mark.parametrize("field", ["ncol", "nrow"])
 def test_selector_bound_is_checked(rng, field):
     """A selector that keeps more rows than min(side, t) is rejected by the
@@ -152,9 +187,10 @@ def test_selector_bound_is_checked(rng, field):
         run_two_party(proto, (bad, x), (None, x))
 
 
-def _one_round_walk(ctx, steps, x, fixed_point):
+def _one_round_walk(ctx, steps, x):
     """The step list as the one-round op, osm and priv_mult, one step at a
-    time: 8 rounds, and the reference for the two-round schedule's shares."""
+    time, then one truncation: 8 rounds, and the reference for the two-round
+    schedule's shares."""
     y = np.asarray(x, dtype=np.uint64).reshape(steps[0].k, -1)
     d = y.shape[1]
     for s in steps:
@@ -166,44 +202,40 @@ def _one_round_walk(ctx, steps, x, fixed_point):
                 (s.side, d))
             y = osm(ctx, sel, y)
         elif isinstance(s, Weight):
-            lam = s.lam
-            if lam is not None:
-                lam = (encode_fixed(lam) if fixed_point else
-                       np.round(lam).astype(np.int64).astype(np.uint64))
+            lam = None if s.lam is None else encode_fixed(s.lam)
             y = priv_mult(ctx, lam, y)
-            if fixed_point:
-                y = truncate_share(y, ctx.party, FRAC_BITS)
         else:
             y = s.apply(y)
-    return y
+    return truncate_share(y, ctx.party, FRAC_BITS)
 
 
 @pytest.mark.parametrize("variant", ["forward", "transpose"])
-@pytest.mark.parametrize("fixed_point", [False, True])
-def test_two_round_shares_match_one_round_walk(rng, variant, fixed_point):
+@pytest.mark.parametrize("fractional", [False, True])
+def test_two_round_shares_match_one_round_walk(rng, variant, fractional):
     """Both parties' shares are byte-identical to the one-round protocols
     run step by step, with the same transcript sizes, in 2 rounds: party
-    0's clock advances by 2 and party 1's by 1."""
+    0's clock advances by 2 and party 1's by 1. Integer weights times
+    integer X, or fractional weights times fixed-point X."""
     for d in (1, 2, 5):
         m, n = (int(v) for v in rng.integers(1, 20, 2))
         a = random_sparse(rng, m, n, int(rng.integers(1, 2 * max(m, n))),
-                          integer=not fixed_point)
+                          integer=not fractional)
         bundle = decompose_full(a)
         dims = SmmDims(bundle.m, bundle.n, bundle.t)
         rows = n if variant == "forward" else m
-        x = (encode_fixed(rng.uniform(-5, 5, (rows, d))) if fixed_point else
+        x = (encode_fixed(rng.uniform(-5, 5, (rows, d))) if fractional else
              rng.integers(-50, 50, (rows, d)).astype(np.uint64))
         x0, x1 = share_secret(x, random_ring(rng, x.shape))
 
         def fast(ctx, b, xin):
             return (smm if variant == "forward" else smm_transpose)(
-                ctx, b, dims, xin, fixed_point=fixed_point)
+                ctx, b, dims, xin)
 
         def walk(ctx, b, xin):
             steps = factor_steps(dims, b)
             if variant == "transpose":
                 steps = [s.T for s in reversed(steps)]
-            return _one_round_walk(ctx, steps, xin, fixed_point)
+            return _one_round_walk(ctx, steps, xin)
 
         f0, f1, fm = run_two_party(fast, (bundle, x0), (None, x1), seed=d)
         w0, w1, wm = run_two_party(walk, (bundle, x0), (None, x1), seed=d)
