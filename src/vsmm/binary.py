@@ -23,9 +23,10 @@ half into the 32 lower-half rows: 6 * 32 = 192 gates in 6 rounds.
 b2a turns XOR-shared bits into additive shares with dealer daBits, a random
 bit r dealt both XOR-shared and as [r]: each party sends b_i ^ r_i, and
 [b] = c + (1 - 2c)[r] for the opened c = b ^ r. That is 2 bits per element in
-1 round. relu opens c for its 0/1 mask and x - u in the same round, the
-masked daBit also dealing [u] and [r*u], so b*x = c*x + (1 - 2c)(r*(x - u) +
-r*u) is local: 724 + 2 + 128 = 854 bits per element in 8 rounds.
+1 round. bit_mult opens c and x - u in the same round, the masked daBit also
+dealing [u] and [r*u], so [b] and b*x = c*x + (1 - 2c)(r*(x - u) + r*u) are
+local. relu is msb, then bit_mult on the sign bit: 724 + 2 + 128 = 854 bits
+per element in 8 rounds.
 """
 
 from __future__ import annotations
@@ -141,15 +142,13 @@ def b2a(ctx: PartyContext, bits: np.ndarray) -> np.ndarray:
         return c * np.uint64(1 - ctx.party) + (_ONE - _TWO * c) * tape.R
 
 
-def relu(ctx: PartyContext, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Shares of max(0, x) plus the arithmetic 0/1 derivative mask b. One
-    round after the sign bit opens c = b ^ r and x - u, so b = c + (1 - 2c)r
-    and b*x = c*x + (1 - 2c)(r*(x - u) + r*u) are local."""
-    x = np.asarray(x, dtype=np.uint64)
-    b = msb(ctx, x) ^ np.uint64(1 - ctx.party)  # 1 iff x >= 0
+def bit_mult(ctx: PartyContext, bits: np.ndarray,
+             x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Shares of b*x and of b for XOR-shared 0/1 bits b and a shared x of
+    one shape: one round from masked daBits (see the module docstring)."""
     with ctx.section("b2a"):
         tape = ctx.tape.dabits(x.shape, masked=True)
-        c, e = b ^ tape.r, x - tape.u
+        c, e = bits ^ tape.r, x - tape.u
         ctx.send_bits(c)
         ctx.send_ring(e)
         c ^= ctx.recv_bits(c.size).reshape(c.shape)
@@ -157,6 +156,13 @@ def relu(ctx: PartyContext, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         flip = _ONE - _TWO * c
         mask = c * np.uint64(1 - ctx.party) + flip * tape.R
         return c * x + flip * (tape.R * e + tape.ru), mask
+
+
+def relu(ctx: PartyContext, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Shares of max(0, x) plus the arithmetic 0/1 derivative mask b: the
+    sign bit, then one bit_mult round."""
+    x = np.asarray(x, dtype=np.uint64)
+    return bit_mult(ctx, msb(ctx, x) ^ np.uint64(1 - ctx.party), x)  # x >= 0
 
 
 def prefix_or_high(ctx: PartyContext, v: np.ndarray, whole: int) -> np.ndarray:

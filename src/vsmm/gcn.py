@@ -269,16 +269,19 @@ def _secure_forward(ctx, bundle, dims, ax, w1, w2):
 
 
 def _secure_backward(ctx, bundle, dims, ax, z, relu_mask, w2, logits,
-                     onehot_scaled, mask_vec):
+                     onehot_scaled, train_mask):
     """Gradients of the masked cross-entropy; see the clear oracle for the
-    plaintext identities. ax is the hoisted AX, so gw1 = (AX)^T dpre needs
-    no second smm: it equals X^T (A^T dpre). w2, and z if the forward pass
-    opened it, are its openings, so gw2 and dz open only A^T g."""
-    sm = softmax_rows(ctx, logits)
-    g = sm - onehot_scaled if ctx.party == 1 else sm
-    g = g * mask_vec[:, None]  # public 0/1 train mask, unscaled
-    inv_n = 1.0 / max(int(mask_vec.sum()), 1)
-    g = scale_public(g, inv_n, ctx)
+    plaintext identities. g is zero outside the public train mask, so
+    softmax runs on the train rows only. ax is the hoisted AX, so
+    gw1 = (AX)^T dpre needs no second smm: it equals X^T (A^T dpre). w2,
+    and z if the forward pass opened it, are its openings, so gw2 and dz
+    open only A^T g."""
+    rows = np.flatnonzero(train_mask)
+    g = np.zeros_like(logits)
+    g[rows] = softmax_rows(ctx, logits[rows])
+    if ctx.party == 1:
+        g[rows] -= onehot_scaled[rows]
+    g = scale_public(g, 1.0 / max(rows.size, 1), ctx)
     atg, z = open_masked(ctx, smm_transpose(ctx, bundle, dims, g), z)
     gw2 = _matmul(ctx, z.T, atg)
     dz = _matmul(ctx, atg, w2.T)
@@ -299,7 +302,6 @@ def _train_protocol(ctx, bundle, x, onehot_enc, w1, w2, pub, cfg: TrainConfig):
     """Per-party training loop. Each party records the bits it sent in each
     epoch; the host adds the two parties' counts after the run."""
     dims = pub["dims"]
-    mask_vec = pub["train_mask"].astype(np.uint64)
     # Adam moments of w1 and w2 flattened together: one adam_step updates both
     u, v = np.zeros((2, w1.size + w2.size), np.uint64)
     # AX, computed and opened once, counts in the meter's totals, not in any
@@ -312,7 +314,8 @@ def _train_protocol(ctx, bundle, x, onehot_enc, w1, w2, pub, cfg: TrainConfig):
                                                         w1, w2)
         _, stats = _eval_logits(ctx, logits, pub)
         gw1, gw2 = _secure_backward(ctx, bundle, dims, ax, z, relu_mask,
-                                    w2_open, logits, onehot_enc, mask_vec)
+                                    w2_open, logits, onehot_enc,
+                                    pub["train_mask"])
         if cfg.optimizer == "sgd":
             w1 = sgd_step(ctx, w1, gw1, cfg.lr)
             w2 = sgd_step(ctx, w2, gw2, cfg.lr)
@@ -344,8 +347,7 @@ def _gradients_protocol(ctx, bundle, x, onehot_enc, w1, w2, pub):
     ax, = open_masked(ctx, smm(ctx, bundle, dims, x))
     logits, z, relu_mask, w2 = _secure_forward(ctx, bundle, dims, ax, w1, w2)
     gw1, gw2 = _secure_backward(ctx, bundle, dims, ax, z, relu_mask, w2,
-                                logits, onehot_enc,
-                                pub["train_mask"].astype(np.uint64))
+                                logits, onehot_enc, pub["train_mask"])
     return decode_fixed(reveal(ctx, gw1)), decode_fixed(reveal(ctx, gw2))
 
 

@@ -1,5 +1,5 @@
-"""Nonlinear secure protocols: the reciprocal-square-root family, reciprocal,
-softmax, and the SGD / simplified Adam optimizer steps.
+"""Nonlinear secure protocols: the reciprocal-square-root family, softmax
+with its reciprocal on [1, c], and the SGD / simplified Adam optimizer steps.
 
 rsqrt works in three stages on positive fixed-point x with highest set ring
 bit k and f = FRAC_BITS: (1) a one-hot inner product gives 1/sqrt(2^(k-f))
@@ -10,14 +10,28 @@ product and a Beaver multiply; (3) the quadratic
 the two results are multiplied. The Adam variant follows the
 simplified recurrence without bias correction and uses 1/sqrt(v + eps^2) in
 place of 1/(sqrt(v) + eps).
+
+softmax_rows runs four stages on (N, c) logits y, c >= 2, in 7 +
+ceil(log2(c - 1)) + 1 + 8 + 6 + 2k + 1 rounds for k Newton steps: 34 at
+c = 7 (k = 4) and 27 at c = 2 (k = 2). (1) The row max by CrypTen's pairwise
+argmax (Knott et al., NeurIPS 2021): one msb layer over the c(c - 1)/2
+differences y_i - y_j, an AND tree over each column's c - 1 comparisons that
+marks one winner per row, and x = y - sum_i win_i y_i by one bit_mult.
+(2) exp(x) ~ (1 + x/64)^64 with the base clamped at 0: relu(x + 64)/64, then
+six Beaver squarings. Each term lies in [0, 1] and the max's is about 1, so
+a row sum s lies in [1, c]. (3) 1/s by `reciprocal_bounded`, 2 rounds a
+Newton step. (4) One Beaver multiply of the terms by 1/s.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .binary import highest_one_hot, relu
-from .protocols import beaver_mult, beaver_square, mux_shared_bit
+from .binary import bit_mult, highest_one_hot, msb, relu
+from .protocols import (and_bits, beaver_mult, beaver_square, mux_shared_bit,
+                        open_masked)
 from .ring import FRAC_BITS, MAX_ABS, RING_BITS, encode_fixed, truncate_share
 from .runtime import PartyContext
 
@@ -97,48 +111,66 @@ def rsqrt_eps(ctx: PartyContext, v: np.ndarray, eps: float) -> np.ndarray:
     return mux_shared_bit(ctx, s, r, fallback)
 
 
-def reciprocal(ctx: PartyContext, x: np.ndarray) -> np.ndarray:
-    """Shares of 1/x for x > 0: the Beaver square of rsqrt(x), tightened by
-    one Newton step r(2 - x r)."""
-    x = np.asarray(x, dtype=np.uint64)
-    r = beaver_square(ctx, rsqrt(ctx, x), truncate=True)
-    xr = beaver_mult(ctx, x, r, truncate=True)
-    e = _add_public(np.zeros_like(xr) - xr, 2.0, ctx)
-    return beaver_mult(ctx, r, e, truncate=True)
+def reciprocal_bounded(ctx: PartyContext, s: np.ndarray, c: int) -> np.ndarray:
+    """Shares of 1/s for s in the public range [1, c], c >= 2: Newton steps
+    y <- y(2 - s y) from y0 = b(c + 1 - s), b = 8/q, q = c^2 + 6c + 1, until
+    the relative error (c - 1)^2/q, squared each step, is below 2^-16. The
+    first s*y0 = b((c + 1)s - s^2) squares s's opening: 2 rounds a step."""
+    q = c * c + 6 * c + 1
+    steps = math.ceil(math.log2(FRAC_BITS / math.log2(q / (c - 1) ** 2)))
+    s_open, = open_masked(ctx, s)
+    y = _add_public(scale_public(s, -8 / q, ctx), 8 * (c + 1) / q, ctx)
+    sy = scale_public(np.uint64(c + 1) * s
+                      - beaver_square(ctx, s_open, truncate=True), 8 / q, ctx)
+    for step in range(steps):
+        if step:
+            y, = open_masked(ctx, y)
+            sy = beaver_mult(ctx, s_open, y, truncate=True)
+        y = beaver_mult(ctx, y, _add_public(0 - sy, 2.0, ctx), truncate=True)
+    return y
 
 
-def _row_max(ctx: PartyContext, y: np.ndarray) -> np.ndarray:
-    """Shared per-row max of an (N, c) tensor via max(a,b) = b + relu(a-b)."""
-    cols = [y[:, i] for i in range(y.shape[1])]
-    while len(cols) > 1:
-        half = len(cols) // 2
-        a = np.stack(cols[:half], axis=1)
-        b = np.stack(cols[half:2 * half], axis=1)
-        r, _ = relu(ctx, a - b)
-        merged = b + r
-        cols = [merged[:, i] for i in range(half)] + cols[2 * half:]
-    return cols[0]
+def _and_all(ctx: PartyContext, bits: np.ndarray) -> np.ndarray:
+    """The XOR-shared AND over the last axis of 0/1 bits, pairing its halves
+    each round: ceil(log2 k) rounds for k bits."""
+    while bits.shape[-1] > 1:
+        half = bits.shape[-1] // 2
+        xy = np.stack((bits[..., :half], bits[..., half:2 * half]))
+        z = and_bits(ctx, xy.reshape(2, 1, -1), 0).reshape(xy.shape[1:])
+        bits = np.concatenate((z, bits[..., 2 * half:]), axis=-1)
+    return bits[..., 0]
+
+
+def _row_winners(ctx: PartyContext, y: np.ndarray) -> np.ndarray:
+    """XOR-shared one-hot of each row's max, ties to the lowest index: with
+    s_ij = [y_i < y_j], column i wins iff s_ji for all j < i and not s_ij for
+    all j > i."""
+    c = y.shape[1]
+    i, j = np.triu_indices(c, 1)
+    pair = np.zeros((c, c), dtype=np.intp)
+    pair[i, j] = pair[j, i] = np.arange(i.size)
+    col = np.arange(c)[:, None]
+    rival = np.arange(c - 1) + (np.arange(c - 1) >= col)  # (c, c - 1)
+    beats = msb(ctx, y[:, i] - y[:, j])[:, pair[col, rival]]
+    beats ^= np.uint64(1 - ctx.party) * (rival > col)  # not s_ij for j > i
+    return _and_all(ctx, beats)
 
 
 EXP_SQUARINGS = 6  # exp(x) ~ (1 + x/2^r)^(2^r) with r = 6
 
 
 def softmax_rows(ctx: PartyContext, y: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of a shared (N, c) logit matrix."""
+    """Row-wise softmax of a shared (N, c) logit matrix (module docstring)."""
     y = np.asarray(y, dtype=np.uint64)
-    n, c = y.shape
-    if c == 1:
-        out = np.zeros_like(y)
-        if ctx.party == 0:
-            out += encode_fixed(np.ones((n, 1)))
-        return out
-    mx = _row_max(ctx, y)
-    x = y - mx[:, None]
-    e = _add_public(truncate_share(x, ctx.party, EXP_SQUARINGS), 1.0, ctx)
+    if y.shape[1] == 1:  # the softmax of one logit is 1
+        return _add_public(np.zeros_like(y), 1.0, ctx)
+    top, _ = bit_mult(ctx, _row_winners(ctx, y), y)
+    x = y - top.sum(axis=1, dtype=np.uint64)[:, None]
+    e = relu(ctx, _add_public(x, 2.0 ** EXP_SQUARINGS, ctx))[0]
+    e = truncate_share(e, ctx.party, EXP_SQUARINGS)  # 1 + x/64, 0 below -64
     for _ in range(EXP_SQUARINGS):
         e = beaver_square(ctx, e, truncate=True)
-    total = e.sum(axis=1, dtype=np.uint64)
-    inv = reciprocal(ctx, total)
+    inv = reciprocal_bounded(ctx, e.sum(axis=1, dtype=np.uint64), y.shape[1])
     return beaver_mult(ctx, e, inv[:, None], truncate=True)  # opens n, not n*c
 
 

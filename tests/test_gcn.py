@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import re
@@ -138,6 +139,23 @@ def test_secure_gradients_both_orders(d, h):
     assert _cos(g2, c2) >= 0.99
 
 
+@pytest.mark.parametrize("classes", [2, 3])
+def test_secure_gradients_on_a_partial_train_mask(classes):
+    # softmax runs on the 5 train rows only; the other rows' g is zero in
+    # the clear oracle too. Labels i mod 3 give the c = 3 path an AND round.
+    g = make_synthetic_community(24, seed=3, dim=4)
+    mask = np.isin(np.arange(24), [1, 5, 6, 17, 20])
+    labels = np.arange(24) % 3 if classes == 3 else g.labels
+    g = dataclasses.replace(g, labels=labels, train_mask=mask)
+    w1, w2 = init_weights(4, 8, classes, 1)
+    g1, g2, _ = secure_gradients(g, w1, w2)
+    c1, c2, _ = clear_gradients(g.adj_norm.to_dense(), g.features, g.labels,
+                                g.train_mask, w1, w2)
+    for got, want in ((g1, c1), (g2, c2)):
+        assert _cos(got, want) >= 0.99
+        assert np.abs(got - want).max() <= 0.01
+
+
 @pytest.mark.parametrize("shapes, match", [
     (((3, 4), (4, 2)), "w1 has 3 rows but the dataset has 4 features"),
     (((4, 4), (3, 2)), "w1 has 4 columns but w2 has 3 rows"),
@@ -219,23 +237,35 @@ def test_smm_widths_follow_public_shapes(monkeypatch, d, h, widths):
     # opens 1/sum at (n, 1): n*(c - 1) * 16 = 384 B. smm_online_bits carries
     # the per-row Weight mask.
     #
-    # rounds: an epoch's row holds party 0's clock delta: 50 outside smm,
-    # plus 8 for each of the two calls at 8 rounds a call (66). A two-round
-    # call advances party 0's clock by 2 and party 1's by 1, so party 0
-    # leads after it; each one-round exchange swaps the lead, and the
-    # 8-round ReLU and the 36-round softmax keep it. A call that starts with
-    # party 1 a round ahead adds 1 round, not 2: party 0's corrections,
-    # stamped a round earlier, reach party 1 without moving its clock. In
-    # the A(ZW2) order (h = 8) the opening of Z and W2 before the forward
-    # call and the reveal before softmax give party 1 the lead before both
-    # calls: 50 + 2 * 1 = 52. In the (AZ)W2 order (h = 2 = c) the forward
-    # call follows ReLU with party 0 ahead, and the opening of AZ after it
-    # puts one more swap before the backward call, which starts with party
-    # 0 ahead too: 50 + 2 * 2 = 54.
-    (4, 8, 288_888 - 22 * 6_260 - 28_836 - 10_314 - 49_668 - 7_168 - 384,
-     [2, 2], 52),
-    (16, 2, 244_728 - 22 * 6_260 - 9_612 - 3_438 - 49_668 - 13_120 - 384,
-     [2, 2], 54),
+    # Softmax then ran on the n_train = 12 train rows only, in its 27-round
+    # form. Per row at c = 2 (both parties' bits) it sent 6,570 bits: the
+    # row max's ReLU 854, the squarings 6 * 2 * 128 = 1,536, the reciprocal
+    # 3,796 (highest_one_hot 2,388 and 11 Beaver openings of 128) and the
+    # last multiply 3 * 128 = 384. It now sends 5,252: the pairwise max's
+    # one sign tree 724 and bit_mult of 2 * (2 + 128) = 260, the clamp's
+    # 2 * 854 = 1,708 ReLU bits, the squarings 1,536, the [1, 2] reciprocal
+    # 640 (s opened 128, the first step's product 256, then y and the
+    # product's other factor opened, 128 each) and the last multiply 384.
+    # So 24 * 6,570 / 8 = 19,710 B became 12 * 5,252 / 8 = 7,878 B.
+    #
+    # rounds: an epoch's row holds party 0's clock delta: 41 outside smm,
+    # with the 27-round softmax (36 before), plus what the two smm calls
+    # add. A two-round call advances party 0's clock by 2 and party 1's by
+    # 1, so party 0 leads after it; each one-round exchange swaps the lead,
+    # the 8-round ReLU keeps it and the 27-round softmax swaps it. A call
+    # that starts with party 1 a round ahead adds 1 round, not 2: party 0's
+    # corrections, stamped a round earlier, reach party 1 without moving
+    # its clock. In the A(ZW2) order (h = 8) the opening of Z and W2 gives
+    # party 1 the lead before the forward call (1); the reveal before
+    # softmax gives party 1 the lead again, and softmax hands it to party 0
+    # before the backward call (2): 41 + 1 + 2 = 44. In the (AZ)W2 order (h = 2 = c)
+    # the forward call follows ReLU with party 0 ahead (2), and the opening
+    # of AZ, the reveal and softmax put three swaps before the backward
+    # call, which starts with party 1 ahead (1): 41 + 2 + 1 = 44.
+    (4, 8, 288_888 - 22 * 6_260 - 28_836 - 10_314 - 49_668 - 7_168 - 384
+     - 19_710 + 7_878, [2, 2], 44),
+    (16, 2, 244_728 - 22 * 6_260 - 9_612 - 3_438 - 49_668 - 13_120 - 384
+     - 19_710 + 7_878, [2, 2], 44),
 ], ids=["d4-h8", "d16-h2"])  # ids without the pinned bytes, which move
 def test_epoch_bytes_follow_smm_widths(monkeypatch, d, h, non_smm_bytes,
                                        epoch_widths, rounds):
@@ -252,14 +282,20 @@ def test_section_rounds_sum_to_meter_rounds(ds):
     # each party's clock deltas, summed per section, add up to its clock,
     # and the run's rounds are the larger clock. smm's receives land in op
     # and osm on party 0 (its 2 rounds) and in op on party 1 (its 1 round).
+    # Softmax at c = 2 takes 27 rounds: 14 in gmw_and (the pairwise max's
+    # and the clamp's sign trees), 2 in b2a and 11 in mult; before, it took
+    # 36 (20, 2 and 14). Its odd count hands the lead to party 0 before the
+    # backward smm call, which then adds 2 rounds, not 1, and moves where
+    # each party's waits in that call land among op and osm: the clocks
+    # fell by 9 - 1 = 8, from [66, 67].
     _, meter = train_secure(ds, TrainConfig(epochs=1, hidden=4))
     assert meter.party_rounds == {
-        "op": [7, 1], "osm": [1, 0], "mult": [20, 24], "gmw_and": [34, 34],
+        "op": [5, 3], "osm": [3, 0], "mult": [18, 20], "gmw_and": [28, 28],
         "b2a": [4, 4], "reveal": [0, 4]}
     for party in (0, 1):
         assert sum(r[party] for r in meter.party_rounds.values()) \
             == meter.clocks[party]
-    assert meter.clocks == [66, 67] and meter.rounds == 67
+    assert meter.clocks == [58, 59] and meter.rounds == 59
     assert {name: sec["rounds"] for name, sec in meter.sections.items()} \
         == {name: max(r) for name, r in meter.party_rounds.items()}
 

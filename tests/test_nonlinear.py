@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from vsmm.nonlinear import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, QUAD_A, QUAD_B,
-                            QUAD_C, adam_step, quad_poly, reciprocal, rsqrt,
-                            rsqrt_eps, rsqrt_pow2, sgd_step, softmax_rows)
+                            QUAD_C, adam_step, quad_poly, reciprocal_bounded,
+                            rsqrt, rsqrt_eps, rsqrt_pow2, sgd_step,
+                            softmax_rows)
 from vsmm.ring import (FRAC_BITS, decode_fixed, encode_fixed, random_ring,
                        reconstruct, share_secret)
 from vsmm.runtime import run_two_party
@@ -73,27 +74,61 @@ def test_rsqrt_eps_sweep(rng):
 
 
 def test_reciprocal(rng):
-    x = np.exp(rng.uniform(np.log(0.1), np.log(100.0), 200))
-    got, _ = _run(reciprocal, rng, encode_fixed(x))
-    assert (np.abs(decode_fixed(got) - 1 / x) * x).max() <= 0.01
+    # the Newton reciprocal on the public range [1, c] that softmax's row
+    # sums fall in, at both ends and in between
+    for c in (2, 3, 7):
+        s = np.concatenate(([1.0, c], rng.uniform(1, c, 200)))
+
+        def proto(ctx, v):
+            return reciprocal_bounded(ctx, v, c)
+
+        got, _ = _run(proto, rng, encode_fixed(s))
+        assert (np.abs(decode_fixed(got) - 1 / s) * s).max() <= 2 ** -13
+
+
+def _softmax(y):
+    e = np.exp(y - y.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def test_softmax_rows_close_and_normalized(rng):
     y = rng.uniform(-3, 3, (40, 5))
     got, _ = _run(softmax_rows, rng, encode_fixed(y))
     sm = decode_fixed(got)
-    e = np.exp(y - y.max(axis=1, keepdims=True))
-    expect = e / e.sum(axis=1, keepdims=True)
-    assert np.abs(sm - expect).max() <= 0.02
+    assert np.abs(sm - _softmax(y)).max() <= 0.02
     assert np.abs(sm.sum(axis=1) - 1).max() <= 0.01
 
 
-@pytest.mark.xfail(strict=True, reason="(1 + x/64)^64 leaves its valid range "
-                   "for logit gaps of 128 or more; the rows decode to [0, 0]")
 def test_softmax_large_logit_gap(rng):
-    y = np.array([[0.0, -150.0], [0.0, -300.0]])
+    # the clamp at -64 keeps every exp term in [0, 1]: without it the base
+    # 1 + x/64 drops below -1 at gaps over 128 and these rows decode to 0
+    y = np.array([[0.0, -150.0], [0.0, -300.0], [0.0, -64.0], [0.0, -127.9],
+                  [0.0, -1e4], [-1e4, 0.0]])
     got, _ = _run(softmax_rows, rng, encode_fixed(y))
-    assert np.abs(decode_fixed(got) - [[1.0, 0.0], [1.0, 0.0]]).max() <= 0.02
+    assert np.abs(decode_fixed(got) - _softmax(y)).max() <= 0.02
+
+
+@pytest.mark.parametrize("y", [
+    [[9.0] * 7, [-9.0] * 7],
+    [[2, 9, 1, 9, 0, 4, -3], [0, 0, -1, -2, -3, -4, -5],
+     [-3, 1, 1, -3, -3, -3, -3]],
+], ids=["all-equal", "two-tied-maxima"])
+def test_softmax_ties_have_one_winner(rng, y):
+    # a second winner would shift its row by twice the max and a row with
+    # none would not be shifted; either breaks the sum
+    y = np.array(y, dtype=np.float64)
+    got, _ = _run(softmax_rows, rng, encode_fixed(y))
+    sm = decode_fixed(got)
+    assert np.abs(sm - _softmax(y)).max() <= 0.02
+    assert np.abs(sm.sum(axis=1) - 1).max() <= 0.01
+
+
+@pytest.mark.parametrize("c, rounds", [(7, 34), (2, 27)])
+def test_softmax_round_budget(rng, c, rounds):
+    # row max 7 + ceil(log2(c - 1)) + 1, clamp 8, squarings 6, Newton 2 per
+    # step (4 steps at c = 7, 2 at c = 2), last multiply 1
+    _, meter = _run(softmax_rows, rng, encode_fixed(rng.uniform(-3, 3, (9, c))))
+    assert meter.rounds == max(meter.clocks) == rounds
 
 
 def test_softmax_single_class(rng):
