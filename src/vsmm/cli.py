@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from types import SimpleNamespace
 
@@ -19,8 +20,9 @@ import numpy as np
 from .decompose import (DecomposeError, Permutation, SparseMatrixCOO,
                         decompose_full, read_coo_text)
 from .dealer import TapeExhausted
-from .gcn import (TrainConfig, check_weight_shapes, infer_secure,
-                  load_dataset, load_model, save_model, train_secure)
+from .gcn import (TrainConfig, check_train_mask, check_weight_shapes,
+                  infer_secure, load_dataset, load_model, save_model,
+                  train_secure)
 from .protocols import op, osm
 from .ring import FRAC_BITS, random_ring, share_secret
 from .runtime import (DeadlockError, NETWORK_CONDITIONS, PeerFailedError,
@@ -105,6 +107,11 @@ def cmd_bench(args) -> int:
 
 def cmd_train(args) -> int:
     ds = load_dataset(args.dataset)
+    try:  # inference reads no train row, so only training needs one
+        check_train_mask(ds)
+    except ValueError as exc:
+        raise ValueError(f"{os.path.join(args.dataset, 'masks.csv')}: "
+                         f"{exc}") from None
     cfg = TrainConfig(optimizer=args.opt, lr=args.lr, epochs=args.epochs,
                       seed=args.seed, hidden=args.hidden)
     result, meter = train_secure(ds, cfg)

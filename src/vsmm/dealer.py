@@ -20,6 +20,18 @@ daBit is drawn for one opening only, so r is a uniform bit used once and c is
 independent of b; u is uniform over the ring and fresh, so x - u is
 independent of x. Neither opening tells a party anything about b or x.
 
+`gen_bit_triples` deals and_bits' multi-input AND, the dealer acting as the
+client of Ohata and Nuida's client-aided protocols (FC 2020). Each variable
+row gets a fresh uniform mask m and is opened once, as x ^ m. A shared row's
+mask is XOR-shared, each party expanding its share from its own key. A row
+one party holds in the clear is masked and sent by that party alone, and its
+mask belongs to its owner alone: the peer never learns m, so x ^ m is
+uniform to it. The AND of the masks over each subset of two or more rows
+that a monomial needs is dealt XOR-shared, party 0's share from its key and
+party 1's share the correction. Besides one opening per row, a party sees
+only its own shares of masks and mask products, so the openings reveal
+nothing about the rows.
+
 Every additive mask covers exactly one value, and that value is opened once.
 A Beaver opening x - a may be reused by several products (SecureML, Mohassel
 and Zhang, S&P 2017, section 4.2): `gen_mask` deals a uniform a for one
@@ -34,6 +46,7 @@ per-row lambda, opened once per row.
 
 from __future__ import annotations
 
+import functools
 import struct
 import threading
 from collections.abc import Callable
@@ -84,11 +97,15 @@ class PrfStream:
         buf = self.bytes((n + 7) // 8)
         return np.unpackbits(np.frombuffer(buf, dtype=np.uint8))[:n]
 
-    def gate_bits(self, words: int, bits: int) -> np.ndarray:
-        """u64(words), then bits(bits) one per entry, from one keystream read."""
-        buf = np.frombuffer(self.bytes(8 * words + -(-bits // 8)), np.uint8)
-        return np.concatenate([buf[:8 * words].view("<u8"),
-                               np.unpackbits(buf[8 * words:])[:bits]])
+    def gate_rows(self, rows: int, words: int, bits: int) -> np.ndarray:
+        """(rows, words + bits) in and_bits' layout: u64((rows, words)),
+        then bits(rows * bits) one per entry, read on from the keystream."""
+        if not bits:
+            return self.u64((rows, words))
+        out = np.empty((rows, words + bits), dtype=np.uint64)
+        out[:, :words] = self.u64((rows, words))
+        out[:, words:] = self.bits(rows * bits).reshape(rows, bits)
+        return out
 
     def permutation(self, k: int) -> np.ndarray:
         """Uniform element of S_k: the argsort of k PRF words.
@@ -104,6 +121,35 @@ class PrfStream:
             ranked = words[p]
             if not np.any(ranked[1:] == ranked[:-1]):
                 return p
+
+
+def rows_index(rows) -> slice | np.ndarray:
+    """Row indices as a slice when they rise in equal steps, so that numpy
+    reads a view, and as an index array otherwise."""
+    rows = np.asarray(rows, dtype=np.intp)
+    if len(rows) < 2:
+        return slice(int(rows[0]), int(rows[0]) + 1) if len(rows) else slice(0)
+    step = int(rows[1] - rows[0])
+    if step > 0 and np.all(np.diff(rows) == step):
+        return slice(int(rows[0]), int(rows[-1]) + 1, step)
+    return rows
+
+
+@functools.lru_cache(maxsize=None)
+def _deal_rows(owners: tuple, products: tuple):
+    """gen_bit_triples' indices for one request: per party, the rows whose
+    mask it draws and their count; per product size, which products have
+    that size and the rows ANDed at each position of them."""
+    held = []
+    for party in (0, 1):
+        rows = [i for i, o in enumerate(owners) if o != 1 - party]
+        held.append((rows_index(rows), len(rows)))
+    sizes = []
+    for size in sorted(set(map(len, products))):
+        sel = [j for j, t in enumerate(products) if len(t) == size]
+        sizes.append((rows_index(sel), [rows_index([products[j][q] for j in sel])
+                                        for q in range(size)]))
+    return held, sizes
 
 
 def _matmul_u64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -166,9 +212,11 @@ class DaBits:
 
 @dataclass
 class BitTriples:
-    a: np.ndarray  # gate_bits: 64 triples per word, then one per 0/1 entry
-    b: np.ndarray
-    c: np.ndarray
+    """One party's view of a multi-input AND tuple, in and_bits' rows: each
+    row holds packed words, then one 0/1 entry per tail gate."""
+
+    masks: np.ndarray     # share of the mask of each row this party sends
+    products: np.ndarray  # (len(products), ...) share of each mask product
 
 
 class Dealer:
@@ -276,13 +324,34 @@ class Dealer:
         return (SquarePair(a0 if fresh else None, c0),
                 SquarePair(a1 if fresh else None, c1), a.size * 64)
 
-    def gen_bit_triples(self, ctr: int, words: int, bits: int):
-        """AND triples for 64*words + bits gates, in and_bits' layout."""
+    def gen_bit_triples(self, ctr: int, words: int, bits: int,
+                        owners: tuple = (None, None),
+                        products: tuple = ((0, 1),)):
+        """Masks for len(owners) variable rows of `words` words and `bits`
+        0/1 entries each, and XOR shares of the AND of the masks over each
+        tuple of rows in products. A row whose owner is None has its mask
+        XOR-shared, each party expanding its share from its own key; a row
+        owned by party p has its whole mask from p's key, and the peer gets
+        nothing for it. Each view's masks hold its party's rows in order.
+        Party 1's product shares are the corrections: one offline bit per
+        product per gate. The defaults deal one AND triple per gate."""
         s0, s1 = self._streams(TAG_BITS, ctr)
-        a0, b0, c0, a1, b1 = (s.gate_bits(words, bits)
-                              for s in (s0, s0, s0, s1, s1))
-        c1 = ((a0 ^ a1) & (b0 ^ b1)) ^ c0
-        return BitTriples(a0, b0, c0), BitTriples(a1, b1, c1), 64 * words + bits
+        held, sizes = _deal_rows(tuple(owners), tuple(map(tuple, products)))
+        (rows0, count0), (rows1, count1) = held
+        drawn = s0.gate_rows(count0 + len(products), words, bits)
+        masks = [drawn[:count0], s1.gate_rows(count1, words, bits)]
+        c0 = drawn[count0:]
+        full = np.zeros((len(owners), words + bits), dtype=np.uint64)
+        full[rows0] = masks[0]
+        full[rows1] ^= masks[1]
+        c1 = np.empty_like(c0)
+        for sel, columns in sizes:
+            c1[sel] = full[columns[0]]
+            for rows in columns[1:]:
+                c1[sel] &= full[rows]
+        c1 ^= c0
+        return (BitTriples(masks[0], c0), BitTriples(masks[1], c1),
+                len(products) * (64 * words + bits))
 
     def gen_dabits(self, ctr: int, shape, masked: bool = False):
         """daBits: r dealt both XOR-shared and additively shared, plus in the
@@ -378,8 +447,9 @@ class TapeView:
     def square(self, x) -> SquarePair:
         return self._draw("gen_square", x)
 
-    def bits(self, words: int, bits: int) -> BitTriples:
-        return self._draw("gen_bit_triples", words, bits)
+    def bits(self, words: int, bits: int, owners: tuple = (None, None),
+             products: tuple = ((0, 1),)) -> BitTriples:
+        return self._draw("gen_bit_triples", words, bits, owners, products)
 
     def dabits(self, shape, masked: bool = False) -> DaBits:
         return self._draw("gen_dabits", tuple(shape), masked)

@@ -212,8 +212,16 @@ def clear_gradients(a, x, labels, mask, w1, w2):
     return gw1, gw2, logits
 
 
+def check_train_mask(ds: GraphDataset) -> None:
+    """Raise ValueError unless some node is a train node: the loss and the
+    gradients average over the train rows."""
+    if not np.any(ds.train_mask):
+        raise ValueError("the train mask selects no node")
+
+
 def reference_train_clear(ds: GraphDataset, cfg: TrainConfig) -> dict:
     """Plaintext trainer implementing the identical recurrences in floats."""
+    check_train_mask(ds)
     a = ds.adj_norm.to_dense()
     x = ds.features
     w1, w2 = init_weights(x.shape[1], cfg.hidden, ds.num_classes, cfg.seed)
@@ -382,6 +390,7 @@ def train_secure(ds: GraphDataset, cfg: TrainConfig) -> tuple[dict, CommMeter]:
     """Run the full secure training loop in-process and return the party-0
     view of the result (histories and revealed evaluations are identical on
     both sides) together with the communication meter."""
+    check_train_mask(ds)
     w1f, w2f = init_weights(ds.features.shape[1], cfg.hidden, ds.num_classes,
                             cfg.seed)
     out0, out1, meter = _run_secure(
@@ -424,6 +433,7 @@ def secure_gradients(ds: GraphDataset, w1f: np.ndarray, w2f: np.ndarray,
                      seed: int = 0):
     """One secure forward/backward pass at the given plaintext weights,
     returning the revealed (gw1, gw2); used to validate gradient direction."""
+    check_train_mask(ds)
     out0, _, meter = _run_secure(_gradients_protocol, ds, _public_shares(w1f),
                                  _public_shares(w2f), seed)
     return out0[0], out0[1], meter

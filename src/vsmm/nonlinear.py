@@ -11,12 +11,13 @@ the two results are multiplied. The Adam variant follows the
 simplified recurrence without bias correction and uses 1/sqrt(v + eps^2) in
 place of 1/(sqrt(v) + eps).
 
-softmax_rows runs four stages on (N, c) logits y, c >= 2, in 7 +
-ceil(log2(c - 1)) + 1 + 8 + 6 + 2k + 1 rounds for k Newton steps: 34 at
-c = 7 (k = 4) and 27 at c = 2 (k = 2). (1) The row max by CrypTen's pairwise
+softmax_rows runs four stages on (N, c) logits y, c >= 2, in 4 +
+ceil(log_6(c - 1)) + 1 + 5 + 6 + 2k + 1 rounds for k Newton steps: 26 at
+c = 7 (k = 4) and 21 at c = 2 (k = 2). (1) The row max by CrypTen's pairwise
 argmax (Knott et al., NeurIPS 2021): one msb layer over the c(c - 1)/2
-differences y_i - y_j, an AND tree over each column's c - 1 comparisons that
-marks one winner per row, and x = y - sum_i win_i y_i by one bit_mult.
+differences y_i - y_j, an AND over each column's c - 1 comparisons, in one
+round up to c = 7, that marks one winner per row, and x = y - sum_i win_i y_i
+by one bit_mult.
 (2) exp(x) ~ (1 + x/64)^64 with the base clamped at 0: relu(x + 64)/64, then
 six Beaver squarings. Each term lies in [0, 1] and the max's is about 1, so
 a row sum s lies in [1, c]. (3) 1/s by `reciprocal_bounded`, 2 rounds a
@@ -130,14 +131,19 @@ def reciprocal_bounded(ctx: PartyContext, s: np.ndarray, c: int) -> np.ndarray:
     return y
 
 
+AND_FANIN = 6  # one round up to c = 7: 2^6 - 6 - 1 = 57 products a bit
+
+
 def _and_all(ctx: PartyContext, bits: np.ndarray) -> np.ndarray:
-    """The XOR-shared AND over the last axis of 0/1 bits, pairing its halves
-    each round: ceil(log2 k) rounds for k bits."""
+    """The XOR-shared AND over the last axis of k 0/1 bits, AND_FANIN bits
+    to a monomial each round: ceil(log_6 k) rounds, 1 for 1 < k <= 6. The
+    dealt products grow as 2^fan-in, so wider rows take more rounds."""
     while bits.shape[-1] > 1:
-        half = bits.shape[-1] // 2
-        xy = np.stack((bits[..., :half], bits[..., half:2 * half]))
-        z = and_bits(ctx, xy.reshape(2, 1, -1), 0).reshape(xy.shape[1:])
-        bits = np.concatenate((z, bits[..., 2 * half:]), axis=-1)
+        k = bits.shape[-1]
+        groups = tuple(tuple(range(i, min(i + AND_FANIN, k)))
+                       for i in range(0, k, AND_FANIN))
+        z = and_bits(ctx, bits.reshape(-1, k).T, 0, groups)
+        bits = z.T.reshape(bits.shape[:-1] + (len(groups),))
     return bits[..., 0]
 
 
@@ -162,6 +168,8 @@ EXP_SQUARINGS = 6  # exp(x) ~ (1 + x/2^r)^(2^r) with r = 6
 def softmax_rows(ctx: PartyContext, y: np.ndarray) -> np.ndarray:
     """Row-wise softmax of a shared (N, c) logit matrix (module docstring)."""
     y = np.asarray(y, dtype=np.uint64)
+    if y.size == 0:
+        return y.copy()
     if y.shape[1] == 1:  # the softmax of one logit is 1
         return _add_public(np.zeros_like(y), 1.0, ctx)
     top, _ = bit_mult(ctx, _row_winners(ctx, y), y)

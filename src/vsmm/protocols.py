@@ -15,11 +15,13 @@ bytes little-endian.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dealer import MaskRef
+from .dealer import MaskRef, rows_index
 from .decompose import Permutation
 from .ring import FRAC_BITS, truncate_share
 from .runtime import PartyContext
@@ -249,30 +251,128 @@ def mux_shared_bit(ctx: PartyContext, s: np.ndarray, x: np.ndarray,
     return out
 
 
-def and_bits(ctx: PartyContext, xy: np.ndarray, whole: int) -> np.ndarray:
-    """GMW AND of XOR-shared bits, 2 bits per gate per party, 1 round.
+@dataclass(frozen=True)
+class _AndPlan:
+    """How and_bits evaluates its monomials over `rows` variable rows.
 
-    xy holds both operands as (2, r, n) _bit_rows rows: packed words in the
-    first `whole` columns, then one 0/1 bit per entry, r*(64*whole + n -
-    whole) gates. Triples, openings and the AND run on the rows flattened to
-    their r*whole words, then their tail bits; the result is xy[0] & xy[1]
-    back in the rows layout.
+    With e_i = x_i ^ m_i the opened row i and m_T the AND of the masks over
+    the rows T, a monomial S is the XOR over T in S of e_(S - T) & m_T:
+    e_S on party 0 alone for T empty, this party's share of m_T alone for
+    T = S. `products` lists the T of two or more rows that the terms read,
+    in order of first use. Per party, `groups` holds the monomials of one
+    size and one owner pattern, so that each term is one read per row
+    position across them: (output rows, their count, terms), a term being
+    (None for T empty, else whether m_T is a dealt product and its rows,
+    the opened rows it reads at each position of S - T). A party's terms
+    leave out those its share of m_T makes 0. Rows are slices where they
+    rise in equal steps."""
+
+    owners: tuple
+    products: tuple
+    exchange: tuple  # per party: the rows it sends, receives, and their count
+    groups: tuple
+
+
+@functools.lru_cache(maxsize=None)
+def _and_plan(rows: int, monomials: tuple, owners: tuple | None) -> _AndPlan:
+    owners = (None,) * rows if owners is None else owners
+    monomials = [tuple(sorted(set(m))) for m in monomials]
+    if not all(monomials):
+        raise ValueError("every monomial needs at least one row")
+    dealt = {}  # each product's index, in order of first use
+    for m in monomials:
+        for k in range(2, len(m) + 1):
+            for t in itertools.combinations(m, k):
+                dealt.setdefault(t, len(dealt))
+    sent = [[i for i, o in enumerate(owners) if o != 1 - p] for p in (0, 1)]
+    held = [{i: k for k, i in enumerate(rows_p)} for rows_p in sent]
+    patterns: dict[tuple, list[int]] = {}
+    for out, m in enumerate(monomials):
+        patterns.setdefault(tuple(owners[v] for v in m), []).append(out)
+    groups = ([], [])
+    for pattern, outs in patterns.items():
+        terms = ([], [])
+        for size in range(len(pattern) + 1):
+            for pos in itertools.combinations(range(len(pattern)), size):
+                subsets = [tuple(monomials[o][q] for q in pos) for o in outs]
+                public = tuple(rows_index([monomials[o][q] for o in outs])
+                               for q in range(len(pattern)) if q not in pos)
+                for p in (0, 1):
+                    if size == 0 and p == 0:
+                        terms[p].append((None, public))
+                    elif size == 1 and pattern[pos[0]] in (None, p):
+                        # an owned row's mask is its owner's alone
+                        terms[p].append(((False, rows_index(
+                            [held[p][t[0]] for t in subsets])), public))
+                    elif size > 1:
+                        terms[p].append(((True, rows_index(
+                            [dealt[t] for t in subsets])), public))
+        for p in (0, 1):
+            groups[p].append((rows_index(outs), len(outs), tuple(terms[p])))
+    return _AndPlan(owners, tuple(dealt),
+                    tuple((rows_index(sent[p]), rows_index(sent[1 - p]),
+                           len(sent[1 - p])) for p in (0, 1)),
+                    tuple(map(tuple, groups)))
+
+
+@functools.lru_cache(maxsize=None)
+def _pairs(r: int) -> tuple:
+    return tuple((i, r + i) for i in range(r))
+
+
+def and_bits(ctx: PartyContext, x: np.ndarray, whole: int, monomials=None,
+             owners: tuple | None = None) -> np.ndarray:
+    """GMW AND of XOR-shared bit rows in one round: any list of monomials
+    over the rows, each a tuple of row indices, from one opening per row.
+
+    x is (rows, n) _bit_rows rows: packed words in the first `whole`
+    columns, then one 0/1 bit per entry. Returns each monomial's AND of its
+    rows, an (len(monomials), n) XOR share. Without monomials, x is the
+    (2, r, n) pair of operands and the result is x[0] & x[1]: the monomials
+    (i, r + i) over its rows.
+
+    owners[i] is None for a row XOR-shared between the parties, or the party
+    that holds row i in the clear, whose row alone is read. Each party sends
+    every shared row and every row it owns, masked by a fresh dealer mask
+    (the dealer's docstring): 1 bit per row per sending party per element.
+    The dealer deals the AND of the masks over every subset of two or more
+    rows of a monomial, once per subset: 2^k - k - 1 offline bits per
+    element for a k-row monomial, 1 per two-input gate.
     """
-    _, r, n = xy.shape
-    w, bits = r * whole, r * (n - whole)
+    x = np.asarray(x, dtype=np.uint64)
+    if monomials is None:
+        _, r, n = x.shape
+        x, monomials = x.reshape(2 * r, n), _pairs(r)
+    rows, n = x.shape
+    plan = _and_plan(rows, tuple(map(tuple, monomials)),
+                     None if owners is None else tuple(owners))
     with ctx.section("gmw_and"):
-        tape = ctx.tape.bits(w, bits)
-        de = np.concatenate([xy[:, :, :whole].reshape(2, w),
-                             xy[:, :, whole:].reshape(2, -1)], axis=1)
-        de[0] ^= tape.a
-        de[1] ^= tape.b
-        ctx.send_gates(de, w)
-        d, e = de ^ ctx.recv_gates(w, bits)
-        z = tape.c ^ (d & tape.b) ^ (e & tape.a)
-        if ctx.party == 0:
-            z ^= d & e
-        return np.concatenate([z[:w].reshape(r, whole), z[w:].reshape(r, -1)],
-                              axis=1)
+        tape = ctx.tape.bits(whole, n - whole, plan.owners, plan.products)
+        mine, theirs, received = plan.exchange[ctx.party]
+        opened = np.zeros((rows, n), dtype=np.uint64)
+        opened[mine] = x[mine] ^ tape.masks
+        ctx.send_gates(opened[mine], whole)
+        opened[theirs] ^= ctx.recv_gates(whole, n - whole, received)
+        groups = plan.groups[ctx.party]
+        out = None if len(groups) == 1 else \
+            np.empty((len(monomials), n), dtype=np.uint64)
+        for outs, count, terms in groups:
+            acc, buf = np.zeros((count, n), dtype=np.uint64), None
+            for mask, public in terms:
+                reads = [opened[at] for at in public]
+                if mask is not None:
+                    dealt, at = mask
+                    reads.append((tape.products if dealt else tape.masks)[at])
+                if len(reads) > 1:
+                    buf = np.bitwise_and(reads[0], reads[1], out=buf)
+                    for more in reads[2:]:
+                        buf &= more
+                    reads[0] = buf
+                acc ^= reads[0]
+            if out is None:
+                return acc
+            out[outs] = acc
+        return out
 
 
 def reveal(ctx: PartyContext, share: np.ndarray) -> np.ndarray:

@@ -214,23 +214,24 @@ class PartyContext:
         return np.unpackbits(np.frombuffer(payload, dtype=np.uint8))[:n]
 
     def send_gates(self, gates: np.ndarray, words: int) -> None:
-        """GMW openings, a (2, words + b) array: its first `words` columns as
-        little-endian words, then its b 0/1 columns packed 8 to a byte;
-        2*(64*words + b) bits in one message."""
+        """GMW openings, an (r, words + b) array: its first `words` columns
+        as little-endian words, then its b 0/1 columns packed 8 to a byte;
+        r*(64*words + b) bits in one message."""
         head = np.ascontiguousarray(gates[:, :words], dtype="<u8")
         tail = gates[:, words:]
         self.ep.send(head.tobytes() + np.packbits(tail).tobytes(),
                      nbits=64 * head.size + tail.size)
 
-    def recv_gates(self, words: int, bits: int) -> np.ndarray:
-        """The peer's send_gates openings as a (2, words + bits) array."""
+    def recv_gates(self, words: int, bits: int, rows: int = 2) -> np.ndarray:
+        """The peer's send_gates openings as a (rows, words + bits) array."""
         raw = np.frombuffer(self.ep.recv(), dtype=np.uint8)
-        if raw.size != 16 * words + -(-bits // 4):
-            raise ValueError(f"{raw.size}-byte payload for 2x{words} words "
-                             f"and 2x{bits} bits")
-        tail = np.unpackbits(raw[16 * words:])[:2 * bits].reshape(2, bits)
+        head = 8 * rows * words
+        if raw.size != head + -(-rows * bits // 8):
+            raise ValueError(f"{raw.size}-byte payload for {rows}x{words} "
+                             f"words and {rows}x{bits} bits")
+        tail = np.unpackbits(raw[head:])[:rows * bits].reshape(rows, bits)
         return np.concatenate(
-            [raw[:16 * words].view("<u8").reshape(2, words), tail], axis=1)
+            [raw[:head].view("<u8").reshape(rows, words), tail], axis=1)
 
     def send_perm(self, indices: np.ndarray, degree: int) -> None:
         """Bit-packed permutation indices: ceil(log2 degree) bits each,

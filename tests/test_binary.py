@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vsmm.binary import (_HALVES, _SIGN, _SUM, _bit_rows, _unrows, b2a,
+from vsmm.binary import (_HALVES, _SUM, _bit_rows, _units, _unrows, b2a,
                          bit_decompose, highest_one_hot, msb, prefix_or_high,
                          relu)
 from vsmm.ring import lift_signed, random_ring, reconstruct, share_secret
@@ -53,7 +53,6 @@ def _gates(level):
 
 def test_adder_gate_lists():
     # gates per level after the 63 generate gates
-    assert [len(_gates(level)) for level in _SIGN] == [61, 31, 15, 7, 3, 1]
     assert [len(_gates(level)) for level in _SUM] == [61, 60, 58, 54, 46, 31]
     for h, level in zip(_HALVES, _SUM):
         # every upper-half gate but the bit-0 block's P gates and bit 63's G
@@ -63,9 +62,6 @@ def test_adder_gate_lists():
                 for k in (0, 1) for i in range(64)
                 if i & h and i != 63 and not (k == 1 and i < 2 * h)]
         assert _gates(level) == hand
-    # the sign carry reads a subset of the full adder's gates
-    for sign, full in zip(_SIGN, _SUM):
-        assert set(_gates(sign)) <= set(_gates(full))
 
 
 def _prefix_or_high(ctx, x):
@@ -90,7 +86,54 @@ def test_msb_matches_sign(rng):
         o0, o1, meter = run_two_party(msb, (x0,), (x1,))
         assert o0.shape == shape
         assert np.array_equal(o0 ^ o1, (lift_signed(x) < 0).astype(np.uint64))
-        assert meter.rounds == 7
+        assert meter.rounds == 4  # chunk carries, then radix 2, 4 and 4
+
+
+def _chunk_units(ctx, share):
+    whole = share.size // 64
+    g, p = _units(ctx, _bit_rows(share), whole)
+    return _unrows(g, whole), _unrows(p, whole)
+
+
+def test_chunk_carry_and_propagate_exhaustive():
+    # element 4a + b holds the 2-bit pair (a, b) in every chunk: party 0's
+    # share a and party 1's b, so every chunk sees all 16 pairs
+    a, b = np.divmod(np.arange(16, dtype=np.uint64), np.uint64(4))
+    spread = np.uint64(sum(1 << 2 * c for c in range(32)))  # bits 0, 2, .., 62
+    (g0, p0), (g1, p1), meter = run_two_party(
+        _chunk_units, (a * spread,), (b * spread,))
+    assert meter.rounds == 1
+    g, p = (g0 ^ g1).T, (p0 ^ p1).T  # (element, unit)
+    carry = (a + b) >> np.uint64(2)  # G = a1 b1 ^ (a1 a0) b0 ^ a0 (b1 b0)
+    both = (a ^ b) == 3  # P = a1 a0 ^ b1 b0 ^ a1 b0 ^ a0 b1
+    assert np.array_equal(g[:, :31], np.repeat(carry[:, None], 31, axis=1))
+    assert np.array_equal(p[:, :30], np.repeat(both[:, None], 30, axis=1))
+    # unit 31 is bit 62 alone, which holds a0 and b0 of the pair
+    assert np.array_equal(g[:, 31], a & b & np.uint64(1))
+    assert np.array_equal(p[:, 30], (a ^ b) & np.uint64(1))
+
+
+# carry chains that stop at, or run across, every chunk and radix boundary
+_CHAINS = np.array([(1 << j) - 1 for j in range(65)]
+                   + [2 ** 64 - (1 << j) for j in range(64)]
+                   + [0, 1, 2 ** 64 - 1, 2 ** 63 - 1, 2 ** 63], dtype=np.uint64)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_msb_carry_chains(seed):
+    x0, x1 = _shared(np.random.default_rng(seed), _CHAINS)
+    o0, o1, _ = run_two_party(msb, (x0,), (x1,))
+    assert np.array_equal(o0 ^ o1, (lift_signed(_CHAINS) < 0).astype(np.uint64))
+
+
+@pytest.mark.parametrize("fn", [msb, relu])
+@pytest.mark.parametrize("shape", [(0,), (0, 7)])
+def test_sign_layers_on_empty_input(fn, shape):
+    x = np.zeros(shape, dtype=np.uint64)
+    o0, o1, meter = run_two_party(fn, (x,), (x,))
+    for o in (o0, o1) if fn is msb else (*o0, *o1):
+        assert o.shape == shape and o.dtype == np.uint64
+    assert meter.rounds == meter.online_bits == meter.offline_bits == 0
 
 
 @given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=200),
@@ -135,7 +178,7 @@ def test_relu_exact(rng):
         assert np.array_equal(got, np.maximum(lift_signed(x), 0))
         mask = reconstruct(m0, m1)
         assert np.array_equal(mask, (lift_signed(x) >= 0).astype(np.uint64))
-        assert meter.rounds == 8  # sign bit + one daBit opening
+        assert meter.rounds == 5  # sign bit + one daBit opening
 
 
 # ring elements at and around the signed extremes, 0 and -1
@@ -171,8 +214,13 @@ def test_highest_one_hot(rng):
 @pytest.mark.parametrize("n", [1, 7, 65, 1000])
 @pytest.mark.parametrize("fn, online, offline, rounds, messages", [
     (bit_decompose, 1492, 373, 7, 14),  # 448 gates less 75 no sum bit reads
-    (msb, 724, 181, 7, 14),  # 63 + 61 + 31 + 15 + 7 + 3 + 1 gates
-    (relu, 854, 309, 8, 18),  # msb + 2 + 128 bits; 181 + 128 offline
+    # msb opens 94 rows a party in round 1 (bits 0..62 and one pair product
+    # per chunk), then 47, 27 and 6 shared rows from both parties:
+    # 2 * (94 + 47 + 27 + 6) = 348. Mask products: 3 + 30 * 5 + 1 = 154
+    # chunk terms, 16 + 15 radix-2 gates, 4 * 15 + 3 * 7 and 15 radix-4
+    # ones: 154 + 31 + 81 + 15 = 281. Each round is one message a party.
+    (msb, 348, 281, 4, 8),
+    (relu, 478, 409, 5, 12),  # msb + 2 + 128 bits; 281 + 128 offline
     (highest_one_hot, 2388, 4661, 14, 28),  # + prefix OR + 64 b2a
     (_prefix_or_high, 768, 192, 6, 12),  # 6 levels of 32 gates
 ], ids=["bit_decompose", "msb", "relu", "highest_one_hot", "prefix_or_high"])

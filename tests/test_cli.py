@@ -132,13 +132,26 @@ def test_train_unreadable_table_names_the_file(dataset_dir, capsys, name,
 
 
 @pytest.mark.parametrize("masks", ["train\n" + "1\n" * 16,
-                                   "train,test\n" + "2,0\n" * 16])
+                                   "train,test\n" + "2,0\n" * 16,
+                                   "train,test\n" + "0,1\n" * 16])
 def test_train_rejects_bad_masks(dataset_dir, capsys, masks):
     path = f"{dataset_dir}/masks.csv"
     with open(path, "w") as fh:
         fh.write(masks)
     assert main(["train", "--dataset", dataset_dir, "--epochs", "1"]) == 1
     assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
+def test_infer_needs_no_train_node(tmp_path, dataset_dir, capsys):
+    model = tmp_path / "model.json"
+    assert main(["train", "--dataset", dataset_dir, "--epochs", "1",
+                 "--hidden", "4", "--model-out", str(model)]) == 0
+    capsys.readouterr()
+    with open(f"{dataset_dir}/masks.csv", "w") as fh:
+        fh.write("train,test\n" + "0,1\n" * 16)
+    code, doc = _run(capsys, ["infer", "--dataset", dataset_dir,
+                              "--model", str(model)])
+    assert code == 0 and len(doc["predictions"]) == 16
 
 
 def test_infer_rejects_other_precision(tmp_path, dataset_dir, capsys):

@@ -34,10 +34,11 @@ def test_prf_words_are_the_keystream():
     assert np.array_equal(PrfStream(key, tag, ctr).u64((2, 4)).ravel(), keystream)
     assert first.flags.writeable
     first += np.uint64(1)  # the caller owns the words
-    for words, bits in ((0, 1), (1, 0), (2, 13), (3, 130)):
+    for rows, words, bits in ((1, 0, 1), (1, 1, 0), (2, 2, 13), (3, 3, 130)):
         s = PrfStream(key, tag, ctr)
-        want = np.concatenate([s.u64((words,)), s.bits(bits)])
-        got = PrfStream(key, tag, ctr).gate_bits(words, bits)
+        want = np.concatenate([s.u64((rows, words)),
+                               s.bits(rows * bits).reshape(rows, bits)], axis=1)
+        got = PrfStream(key, tag, ctr).gate_rows(rows, words, bits)
         assert got.dtype == np.uint64 and np.array_equal(got, want)
 
 
@@ -180,14 +181,27 @@ def test_square_correlation(dealer):
 
 
 def test_bit_triples(dealer):
+    # the defaults: one AND triple per gate over two XOR-shared rows
     for words, bits in ((4, 0), (0, 100), (3, 37)):
         v0, v1, offline = dealer.gen_bit_triples(0, words, bits)
         assert offline == 64 * words + bits
-        assert np.array_equal((v0.a ^ v1.a) & (v0.b ^ v1.b), v0.c ^ v1.c)
+        m = v0.masks ^ v1.masks
+        assert np.array_equal(m[0] & m[1], v0.products[0] ^ v1.products[0])
         for v in (v0, v1):  # words, then one 0/1 entry per tail gate
-            for t in (v.a, v.b, v.c):
-                assert t.dtype == np.uint64 and t.shape == (words + bits,)
-                assert set(np.unique(t[words:])) <= {0, 1}
+            for t, rows in ((v.masks, 2), (v.products, 1)):
+                assert t.dtype == np.uint64 and t.shape == (rows, words + bits)
+                assert set(np.unique(t[:, words:])) <= {0, 1}
+    # party 0 holds rows 0 and 2 in the clear, party 1 row 1; row 3 is
+    # shared. Each view has the masks of its own and the shared rows.
+    owners, products = (0, 1, 0, None), ((0, 1), (1, 2, 3), (0, 3))
+    v0, v1, offline = dealer.gen_bit_triples(1, 2, 9, owners, products)
+    assert offline == 3 * (64 * 2 + 9)
+    assert v0.masks.shape == (3, 11) and v1.masks.shape == (2, 11)
+    m = np.stack([v0.masks[0], v1.masks[0], v0.masks[1],
+                  v0.masks[2] ^ v1.masks[1]])
+    for t, p0, p1 in zip(products, v0.products, v1.products):
+        assert np.array_equal(np.bitwise_and.reduce(m[list(t)], axis=0),
+                              p0 ^ p1)
 
 
 @pytest.mark.parametrize("masked", [False, True])

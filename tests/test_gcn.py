@@ -92,6 +92,18 @@ def test_dataset_io_errors(tmp_path, ds):
         load_dataset(str(tmp_path))
 
 
+@pytest.mark.parametrize("run", [
+    lambda g, w1, w2: train_secure(g, TrainConfig(epochs=1, hidden=8)),
+    lambda g, w1, w2: secure_gradients(g, w1, w2),
+    lambda g, w1, w2: reference_train_clear(g, TrainConfig(epochs=1)),
+], ids=["train_secure", "secure_gradients", "reference_train_clear"])
+def test_training_rejects_an_empty_train_mask(ds, run):
+    g = dataclasses.replace(ds, train_mask=np.zeros(ds.num_nodes, dtype=bool))
+    w1, w2 = init_weights(g.features.shape[1], 8, g.num_classes, 1)
+    with pytest.raises(ValueError, match="the train mask selects no node"):
+        run(g, w1, w2)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(optimizer="rmsprop")
@@ -241,31 +253,36 @@ def test_smm_widths_follow_public_shapes(monkeypatch, d, h, widths):
     # form. Per row at c = 2 (both parties' bits) it sent 6,570 bits: the
     # row max's ReLU 854, the squarings 6 * 2 * 128 = 1,536, the reciprocal
     # 3,796 (highest_one_hot 2,388 and 11 Beaver openings of 128) and the
-    # last multiply 3 * 128 = 384. It now sends 5,252: the pairwise max's
-    # one sign tree 724 and bit_mult of 2 * (2 + 128) = 260, the clamp's
-    # 2 * 854 = 1,708 ReLU bits, the squarings 1,536, the [1, 2] reciprocal
-    # 640 (s opened 128, the first step's product 256, then y and the
-    # product's other factor opened, 128 each) and the last multiply 384.
-    # So 24 * 6,570 / 8 = 19,710 B became 12 * 5,252 / 8 = 7,878 B.
+    # last multiply 3 * 128 = 384. In its 27-round form it sent 5,252 (the
+    # pairwise max's sign tree 724 and bit_mult of 2 * (2 + 128) = 260, the
+    # clamp's 2 * 854 = 1,708 ReLU bits, the squarings 1,536, the [1, 2]
+    # reciprocal 640 and the last multiply 384), and with the 4-round sign
+    # bit of 348 bits it sends 348 + 260 + 2 * 478 + 1,536 + 640 + 384 =
+    # 4,124. So 24 * 6,570 / 8 = 19,710 B became 12 * 4,124 / 8 = 6,186 B.
+    # The 4-round sign bit also saved (724 - 348) / 8 = 47 B per hidden
+    # unit's ReLU: n*h = 192 * 47 = 9,024 B (h = 8) and 48 * 47 = 2,256 B
+    # (h = 2).
     #
-    # rounds: an epoch's row holds party 0's clock delta: 41 outside smm,
-    # with the 27-round softmax (36 before), plus what the two smm calls
-    # add. A two-round call advances party 0's clock by 2 and party 1's by
-    # 1, so party 0 leads after it; each one-round exchange swaps the lead,
-    # the 8-round ReLU keeps it and the 27-round softmax swaps it. A call
-    # that starts with party 1 a round ahead adds 1 round, not 2: party 0's
-    # corrections, stamped a round earlier, reach party 1 without moving
-    # its clock. In the A(ZW2) order (h = 8) the opening of Z and W2 gives
-    # party 1 the lead before the forward call (1); the reveal before
-    # softmax gives party 1 the lead again, and softmax hands it to party 0
-    # before the backward call (2): 41 + 1 + 2 = 44. In the (AZ)W2 order (h = 2 = c)
-    # the forward call follows ReLU with party 0 ahead (2), and the opening
-    # of AZ, the reveal and softmax put three swaps before the backward
-    # call, which starts with party 1 ahead (1): 41 + 2 + 1 = 44.
+    # rounds: an epoch's row holds party 0's clock delta: 32 outside smm,
+    # with the 5-round ReLU and the 21-round softmax (41 with the 8- and
+    # 27-round ones), plus what the two smm calls add. A two-round call
+    # advances party 0's clock by 2 and party 1's by 1, so party 0 leads
+    # after it; each one-round exchange swaps the lead, and so do the
+    # 5-round ReLU and the 21-round softmax. A call that starts with party
+    # 1 a round ahead adds 1 round, not 2: party 0's corrections, stamped a
+    # round earlier, reach party 1 without moving its clock. An epoch starts
+    # with party 1 ahead after AX's opening, and ax*w1 and ReLU hand the
+    # lead back to party 1. In the A(ZW2) order (h = 8) the opening of Z
+    # and W2 then gives party 0 the lead before the forward call (2); the
+    # reveal and softmax hand it back to party 0 before the backward call
+    # (2): 32 + 2 + 2 = 36. In the (AZ)W2 order (h = 2 = c) the forward
+    # call follows ReLU with party 1 ahead (1), and the opening of AZ, the
+    # reveal and softmax put three swaps before the backward call, which
+    # starts with party 1 ahead (1): 32 + 1 + 1 = 34.
     (4, 8, 288_888 - 22 * 6_260 - 28_836 - 10_314 - 49_668 - 7_168 - 384
-     - 19_710 + 7_878, [2, 2], 44),
+     - 19_710 + 6_186 - 9_024, [2, 2], 36),
     (16, 2, 244_728 - 22 * 6_260 - 9_612 - 3_438 - 49_668 - 13_120 - 384
-     - 19_710 + 7_878, [2, 2], 44),
+     - 19_710 + 6_186 - 2_256, [2, 2], 34),
 ], ids=["d4-h8", "d16-h2"])  # ids without the pinned bytes, which move
 def test_epoch_bytes_follow_smm_widths(monkeypatch, d, h, non_smm_bytes,
                                        epoch_widths, rounds):
@@ -282,20 +299,26 @@ def test_section_rounds_sum_to_meter_rounds(ds):
     # each party's clock deltas, summed per section, add up to its clock,
     # and the run's rounds are the larger clock. smm's receives land in op
     # and osm on party 0 (its 2 rounds) and in op on party 1 (its 1 round).
-    # Softmax at c = 2 takes 27 rounds: 14 in gmw_and (the pairwise max's
-    # and the clamp's sign trees), 2 in b2a and 11 in mult; before, it took
-    # 36 (20, 2 and 14). Its odd count hands the lead to party 0 before the
-    # backward smm call, which then adds 2 rounds, not 1, and moves where
-    # each party's waits in that call land among op and osm: the clocks
-    # fell by 9 - 1 = 8, from [66, 67].
+    # The run has two ReLUs (the epoch's forward pass and the final one),
+    # each 5 rounds: 4 in gmw_and and 1 in b2a, 8 before (7 and 1). Softmax
+    # at c = 2 takes 21: 8 in gmw_and (the pairwise max's and the clamp's
+    # sign bits), 2 in b2a and 11 in mult; 27 before (14, 2 and 11). So
+    # gmw_and holds 4 sign bits of 4 rounds, 16, not 28. The clocks fell by
+    # 2 * 3 + 6 - 2 = 10, from [58, 59]: the 5-round ReLU swaps the lead
+    # where the 8-round one kept it, so the opening of Z and W2 gives party
+    # 0 the lead before both forward smm calls (hidden 4 > c = 2: the
+    # A(ZW2) order), and each adds 2 rounds, not 1. An exchange that starts
+    # with one party a round ahead moves only the other party's clock, by
+    # 2, so the moved leads also move which party's clock each round of b2a,
+    # mult, op and osm lands on.
     _, meter = train_secure(ds, TrainConfig(epochs=1, hidden=4))
     assert meter.party_rounds == {
-        "op": [5, 3], "osm": [3, 0], "mult": [18, 20], "gmw_and": [28, 28],
-        "b2a": [4, 4], "reveal": [0, 4]}
+        "op": [1, 7], "osm": [7, 0], "mult": [22, 16], "gmw_and": [16, 16],
+        "b2a": [2, 6], "reveal": [0, 4]}
     for party in (0, 1):
         assert sum(r[party] for r in meter.party_rounds.values()) \
             == meter.clocks[party]
-    assert meter.clocks == [58, 59] and meter.rounds == 59
+    assert meter.clocks == [48, 49] and meter.rounds == 49
     assert {name: sec["rounds"] for name, sec in meter.sections.items()} \
         == {name: max(r) for name, r in meter.party_rounds.items()}
 

@@ -99,6 +99,15 @@ def test_softmax_rows_close_and_normalized(rng):
     assert np.abs(sm.sum(axis=1) - 1).max() <= 0.01
 
 
+def test_softmax_many_classes(rng):
+    # 39 comparisons per column AND in rounds of 6 inputs (3 rounds), so the
+    # dealt mask products stay at most 57 a bit rather than 2^39
+    y = rng.uniform(-3, 3, (3, 40))
+    got, meter = _run(softmax_rows, rng, encode_fixed(y))
+    assert np.abs(decode_fixed(got) - _softmax(y)).max() <= 0.02
+    assert meter.rounds == 4 + 3 + 1 + 5 + 6 + 2 * 6 + 1
+
+
 def test_softmax_large_logit_gap(rng):
     # the clamp at -64 keeps every exp term in [0, 1]: without it the base
     # 1 + x/64 drops below -1 at gaps over 128 and these rows decode to 0
@@ -123,12 +132,22 @@ def test_softmax_ties_have_one_winner(rng, y):
     assert np.abs(sm.sum(axis=1) - 1).max() <= 0.01
 
 
-@pytest.mark.parametrize("c, rounds", [(7, 34), (2, 27)])
+@pytest.mark.parametrize("c, rounds", [(7, 26), (2, 21), (12, 29)])
 def test_softmax_round_budget(rng, c, rounds):
-    # row max 7 + ceil(log2(c - 1)) + 1, clamp 8, squarings 6, Newton 2 per
-    # step (4 steps at c = 7, 2 at c = 2), last multiply 1
+    # row max: msb 4, the AND of c - 1 comparisons ceil(log_6(c - 1)) (0,
+    # 1 up to c = 7, 2 at c = 12), bit_mult 1; clamp: ReLU 5; squarings 6;
+    # Newton 2 per step (4 steps at c = 7, 2 at c = 2, 5 at c = 12); last
+    # multiply 1
     _, meter = _run(softmax_rows, rng, encode_fixed(rng.uniform(-3, 3, (9, c))))
     assert meter.rounds == max(meter.clocks) == rounds
+
+
+@pytest.mark.parametrize("c", [1, 2, 7])
+def test_softmax_of_no_rows(rng, c):
+    y = np.zeros((0, c), dtype=np.uint64)
+    o0, o1, meter = run_two_party(softmax_rows, (y,), (y,))
+    assert o0.shape == o1.shape == (0, c)
+    assert meter.rounds == meter.online_bits == meter.offline_bits == 0
 
 
 def test_softmax_single_class(rng):

@@ -1,7 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vsmm.decompose import Permutation
 from vsmm.protocols import (Opened, and_bits, beaver_mult, beaver_square,
@@ -313,6 +316,89 @@ def test_recv_gates_checks_payload_length(extra):
 
     with pytest.raises(ValueError, match=f"{50 + extra}-byte payload"):
         run_two_party(proto)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_and_bits_monomial_cost(rng, k):
+    """A k-row monomial opens each row once, 1 bit per element per party,
+    and charges 2^k - k - 1 dealt mask products per element, in 1 round."""
+    whole, tail = 2, 5
+    n = 64 * whole + tail
+    x, x0 = _rows(rng, k, whole, tail)[0], _rows(rng, k, whole, tail)[0]
+    monomial = (tuple(range(k)),)
+    o0, o1, meter = run_two_party(
+        lambda ctx, rows: and_bits(ctx, rows, whole, monomial),
+        (x0,), (x ^ x0,))
+    assert np.array_equal(o0 ^ o1, np.bitwise_and.reduce(x, axis=0)[None])
+    assert meter.rounds == 1
+    assert meter.online_bits == 2 * k * n
+    assert meter.offline_bits == (2 ** k - k - 1) * n
+
+
+def test_and_bits_owned_rows_are_sent_by_their_owner(rng):
+    # rows 0 and 1 are party 0's in the clear, row 2 party 1's, row 3 shared
+    whole, tail = 3, 9
+    n = 64 * whole + tail
+    owners = (0, 0, 1, None)
+    monomials = ((0, 2), (1, 2, 3), (0, 1), (3,))
+    x, mask = _rows(rng, 4, whole, tail)[0], _rows(rng, 4, whole, tail)[0]
+    view0, view1 = x.copy(), mask.copy()  # the non-owner's row is not read
+    view0[3], view1[2], view1[3] = mask[3], x[2], x[3] ^ mask[3]
+    got = []
+
+    def proto(ctx, rows):
+        recv = ctx.ep.recv
+
+        def spy():
+            payload = recv()
+            got.append((ctx.party, len(payload)))
+            return payload
+
+        ctx.ep.recv = spy
+        return and_bits(ctx, rows, whole, monomials, owners)
+
+    o0, o1, meter = run_two_party(proto, (view0,), (view1,))
+    want = [np.bitwise_and.reduce(x[list(m)], axis=0) for m in monomials]
+    assert np.array_equal(o0 ^ o1, np.array(want))
+    # party 1 receives rows 0, 1 and 3; party 0 receives rows 2 and 3
+    assert sorted(got) == [(0, 8 * 2 * whole + -(-2 * tail // 8)),
+                           (1, 8 * 3 * whole + -(-3 * tail // 8))]
+    assert meter.online_bits == (3 + 2) * n
+    # the products {0, 2}, {0, 1} and the 4 subsets of {1, 2, 3}
+    assert meter.offline_bits == 6 * n
+    assert meter.rounds == 1
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_and_bits_any_monomials(data):
+    """Random owners, monomials (rows may repeat) and layouts: each output is
+    the AND of its rows, each party sends its shared and owned rows once,
+    and one product is dealt per distinct subset of two or more rows."""
+    rows = data.draw(st.integers(1, 6))
+    owners = tuple(data.draw(st.lists(st.sampled_from([None, 0, 1]),
+                                      min_size=rows, max_size=rows)))
+    monomials = data.draw(st.lists(
+        st.lists(st.integers(0, rows - 1), min_size=1, max_size=4),
+        min_size=1, max_size=5))
+    whole, tail = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 9))
+    n = 64 * whole + tail
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32)))
+    x, mask = _rows(rng, rows, whole, tail)[0], _rows(rng, rows, whole, tail)[0]
+    views = [np.where(np.array([o != 1 for o in owners])[:, None], x, mask),
+             np.where(np.array([o != 0 for o in owners])[:, None], x, mask)]
+    shared = [o is None for o in owners]
+    views[0][shared], views[1][shared] = mask[shared], (x ^ mask)[shared]
+    o0, o1, meter = run_two_party(
+        lambda ctx, v: and_bits(ctx, v, whole, monomials, owners),
+        (views[0],), (views[1],))
+    want = [np.bitwise_and.reduce(x[sorted(set(m))], axis=0) for m in monomials]
+    assert np.array_equal(o0 ^ o1, np.array(want))
+    assert meter.rounds == 1
+    assert meter.online_bits == sum(1 + (o is None) for o in owners) * n
+    subsets = {t for m in monomials for k in range(2, len(set(m)) + 1)
+               for t in itertools.combinations(sorted(set(m)), k)}
+    assert meter.offline_bits == len(subsets) * n
 
 
 def test_reveal(rng):
