@@ -1,36 +1,43 @@
-"""Binary-share machinery on one bit-sliced layout: bit decomposition by a
-Sklansky parallel-prefix adder, the sign bit by a carry-lookahead tree, ReLU,
-and highest-set-bit extraction. x = a + b mod 2^64, party 0 holding a and
-party 1 holding b. A 64x64 word transpose bit-slices the shares into rows,
-row i holding bit i of every element, so each level of a tree is one
-and_bits call on its rows: and_bits takes the rows as they are, packed words
-then one bit per tail element, and returns its result in the same layout.
+"""Binary-share machinery on one bit-sliced layout: one carry pipeline for
+the sign bit and bit decomposition, ReLU, and highest-set-bit extraction.
+x = a + b mod 2^64, party 0 holding a and party 1 holding b. A 64x64 word
+transpose bit-slices the shares into rows, row i holding bit i of every
+element, so each round is one and_bits call on rows: and_bits takes the rows
+as they are, packed words then one bit per tail element, opens each row
+once and returns any monomials over them in the same layout.
 
-The adder ANDs g_i = a_i & b_i for bits 0..62 (63 gates; p_i = a_i ^ b_i is
-local), then runs six levels. Level l pairs each bit i of the upper half of a
-2^(l+1)-bit block with j, the top bit of the lower half: a G gate sets
-g_i ^= p_i & g_j and a P gate p_i = p_i & p_j. After the last level g_i is the
-carry out of bit i. _levels derives each level's gates by walking back from
-the carries a caller reads, so no gate runs that no carry needs.
-bit_decompose reads all 63 carries: 63 + 61 + 60 + 58 + 54 + 46 + 31 = 373
-gates in 7 rounds, skipping the bit-0 block's P gates (the carry into bit 0
-is 0) and bit 63's G and P.
-prefix_or_high runs the tree from the top, ORing the bottom bit of the upper
-half into the 32 lower-half rows: 6 * 32 = 192 gates in 6 rounds.
-
-msb is a63 ^ b63 ^ the carry into bit 63, in 4 rounds of multi-input ANDs.
-Round 1 splits bits 0..61 into 31 chunks of 2 bits and reads the parties'
-own bits, each party opening its rows a_0..a_62 and a_(2c+1) a_2c per chunk
-c as rows it owns: 94 rows a party. A chunk's carry is
-G = a1 b1 ^ (a1 a0) b0 ^ a0 (b1 b0) and its propagate
+The carry pipeline's round 1 splits bits 0..61 into 31 chunks of 2 bits and
+reads the parties' own bits, each party opening its rows a_0..a_62 and
+a_(2c+1) a_2c per chunk c as rows it owns: 94 rows a party. A chunk's carry
+is G = a1 b1 ^ (a1 a0) b0 ^ a0 (b1 b0) and its propagate
 P = a1 a0 ^ b1 b0 ^ a1 b0 ^ a0 b1, 5 products, or 3 for chunk 0 (no carry
 reads its P); bit 62 is a unit of its own, G = a62 b62 and P = a62 ^ b62:
-154 products. A radix-2 level then joins the 32 units into 16 (47 rows, 31
-products), and two radix-4 levels join 16 into 4 and 4 into 1 with
-G = G3 ^ P3 G2 ^ P3 P2 G1 ^ P3 P2 P1 G0: 15 mask products a node and 7
-more where its P = P3 P2 P1 P0 is read (27 rows and 81 products, then 6 and
-15). That is 2 * (94 + 47 + 27 + 6) = 348 online and
-154 + 31 + 81 + 15 = 281 offline bits per element.
+154 products. Three Sklansky levels then join the 32 units. A level of
+radix r over spans of s units gives unit i in span j of its rs-unit block
+G_i ^= sum over k < j of P_i P_(t_(j-1))..P_(t_(k+1)) G_(t_k), t_k the top
+unit of span k, and P_i = P_i P_(t_(j-1))..P_(t_0): each term is one
+monomial, each row one opening, and a k-row monomial deals the mask AND of
+each of its subsets of two or more rows once. _prefix_levels derives the
+levels by walking back from the rows read at the end, so no monomial runs
+that no carry reads.
+
+msb reads the carry into bit 63 alone, through radices 2, 4 and 4: 47, 27
+and 6 rows and 31, 81 and 15 products. That is 2 * (94 + 47 + 27 + 6) = 348
+online and 154 + 31 + 81 + 15 = 281 offline bits per element, 4 rounds.
+bit_decompose reads every carry, through radices 4, 4 and 2. Round 1 adds
+g_2c = a_2c b_2c for the 31 even bits below 62 (185 products), and the
+carry out of bit 2c, g_2c ^ p_2c C with C the carry into the chunk, is
+folded into the radix-2 level as p_2c times each term of C, monomials of at
+most 3 rows. Its levels open 55, 31 and 76 rows for 169, 148 and 88
+products: 2 * (94 + 55 + 31 + 76) = 512 online and
+185 + 169 + 148 + 88 = 590 offline bits per element, 4 rounds.
+
+prefix_or_high computes OR as NOT AND NOT, party 0 flipping its shares: a
+suffix AND over the 64 rows in three radix-4 levels, each row ANDed with
+the bottom row of every span above its own, at most 4 rows a monomial. The
+levels open 64, 52 and 49 rows for 176 products each: 330 online and 528
+offline bits per element, 3 rounds. highest_one_hot is bit_decompose,
+prefix_or_high, then b2a of the 64 bits: 8 rounds.
 
 b2a turns XOR-shared bits into additive shares with dealer daBits, a random
 bit r dealt both XOR-shared and as [r]: each party sends b_i ^ r_i, and
@@ -44,6 +51,7 @@ per element in 5 rounds.
 from __future__ import annotations
 
 import functools
+import itertools
 
 import numpy as np
 
@@ -59,82 +67,155 @@ _HALVES = [1 << level for level in range(6)]
 # U of level l: the positions with bit l set, the upper half of each block
 _UPPER = [np.uint64(sum(1 << i for i in range(64) if i & h)) for h in _HALVES]
 _SHIFTS = np.arange(RING_BITS, dtype=np.uint64)[:, None]
-# the adder's rows: g_0..g_62, then p_0..p_62 from row _P (no gate reads p_63)
-_P = RING_BITS - 1
+
+# The carry pipeline's state rows: G of the 32 units (chunks 0..30, then bit
+# 62), their P from row _P (unit 0's P is never read), and for bit_decompose
+# p_2c and g_2c of the even bits 2c < 62 from rows _EVEN_P and _EVEN_G, g_2c
+# becoming the carry out of bit 2c
+_UNITS = 32
+_P, _EVEN_P, _EVEN_G = 32, 64, 95
+# sum bit i + 1 reads the carry out of bit i: its g_2c row for even i < 62,
+# else its unit's G
+_CARRY_ROWS = np.array([_EVEN_G + i // 2 if i % 2 == 0 and i < 62 else i // 2
+                        for i in range(RING_BITS - 1)])
+# the radices of the levels, first to last: msb reads one carry and
+# bit_decompose every carry, the even bits' folded into its radix-2 level
+_RADICES = {False: (2, 4, 4), True: (4, 4, 2)}
 
 
-def _levels(carries) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The adder levels, first to last, that the carries g_i (i in carries)
-    read: per level the (2, gates) [x; y] rows, G gates then P gates each in
-    bit order, and the G gates' output rows. Walking back from the last
-    level, a G gate (kind 0) at upper-half bit i reads g_i, p_i and g_j, and
-    a P gate (kind 1) reads p_i and p_j."""
-    read, levels = {(0, i) for i in carries}, []
-    for h in reversed(_HALVES):
-        gates = sorted(v for v in read if v[1] & h)
-        rows = np.empty((2, len(gates)), dtype=np.intp)
-        for col, (kind, i) in enumerate(gates):
-            j = (i & -2 * h) + h - 1
-            read |= {(1, i), (kind, j)}
-            rows[:, col] = _P + i, kind * _P + j
-        g_gates = sum(kind == 0 for kind, _ in gates)
-        levels.append((rows, rows[0, :g_gates] - _P))
-    return levels[::-1]
-
-
-_SUM = _levels(range(RING_BITS - 1))  # every carry: bit_decompose
-
-
-def _chunk_monomials() -> tuple:
-    """msb's first round over each party's 94 rows, party 0's then party
-    1's: its bits 0..62, then a_(2c+1) & a_2c for each chunk c of bits
-    (2c, 2c + 1), c < 31. Chunk c's carry G = a1 b1 ^ (a1 a0) b0 ^ a0 (b1 b0)
-    and, for c > 0, its propagate P = a1 a0 ^ b1 b0 ^ a1 b0 ^ a0 b1; bit 62
-    is the last unit, G = a62 b62. The monomials come in blocks: G's three
-    terms (the first with bit 62's appended), then P's two cross terms."""
+@functools.lru_cache(maxsize=None)
+def _chunk_monomials(evens: bool = False) -> tuple:
+    """Round 1 over each party's 94 rows, party 0's then party 1's: its
+    bits 0..62, then a_(2c+1) & a_2c for each chunk c of bits (2c, 2c + 1),
+    c < 31. The monomials come in blocks: G's three terms (the first with
+    bit 62's G appended), then P's two cross terms for chunks 1..30, then
+    with evens g_2c = a_2c b_2c for each chunk."""
     a, aa, b, bb = range(63), range(63, 94), range(94, 157), range(157, 188)
     lo, hi = range(0, 62, 2), range(1, 62, 2)
     return tuple([(a[i], b[i]) for i in [*hi, 62]]
                  + [(aa[c], b[lo[c]]) for c in range(31)]
                  + [(a[lo[c]], bb[c]) for c in range(31)]
                  + [(a[hi[c]], b[lo[c]]) for c in range(1, 31)]
-                 + [(a[lo[c]], b[hi[c]]) for c in range(1, 31)])
+                 + [(a[lo[c]], b[hi[c]]) for c in range(1, 31)]
+                 + [(a[i], b[i]) for i in lo] * evens)
 
 
-@functools.lru_cache(maxsize=None)
-def _radix_monomials(radix: int, nodes: int) -> tuple:
-    """One carry level joining `radix` units into each of `nodes` nodes.
-    Its rows are blocks of `nodes` rows: G_0..G_(r-2), P_1..P_(r-1), then
-    P_0 of nodes 1.. (node 0 holds unit 0, whose P is never read). Node v
-    has G = G_(r-1) ^ the sum over k < r - 1 of P_(r-1)..P_(k+1) G_k, and
-    for v > 0 P = P_(r-1)..P_0; the monomials come in blocks, one per k,
-    then P's."""
-    g = [range(k * nodes, (k + 1) * nodes) for k in range(radix - 1)]
-    p = [None] + [range((radix + k - 2) * nodes, (radix + k - 1) * nodes)
-                  for k in range(1, radix)]
-    p0 = (2 * radix - 2) * nodes - 1  # node v's P_0 is row p0 + v
-    return tuple([(*(p[j][v] for j in range(k + 1, radix)), g[k][v])
-                  for k in range(radix - 1) for v in range(nodes)]
-                 + [(*(p[j][v] for j in range(1, radix)), p0 + v)
-                    for v in range(1, nodes)])
-
-
-_CHUNKS = _chunk_monomials()
 _CHUNK_OWNERS = (0,) * 94 + (1,) * 94
 
 
-def _carries(ctx: PartyContext, own: np.ndarray, whole: int) -> np.ndarray:
-    """Rows g_0..g_62 after the adder levels: every carry."""
-    gp = np.zeros((2, _P, own.shape[1]), dtype=np.uint64)
-    gp[ctx.party] = own[:-1]  # g_i = a_i & b_i from (a, 0) and (0, b)
-    gp[0] = and_bits(ctx, gp, whole)
-    gp[1] = own[:-1]  # p_i = a_i ^ b_i
-    gp = gp.reshape(2 * _P, -1)
-    for rows, g_out in _SUM:
-        z = and_bits(ctx, gp[rows], whole)
-        gp[g_out] ^= z[:len(g_out)]
-        gp[rows[0, len(g_out):]] = z[len(g_out):]
-    return gp[:_P]
+def _node(row: int, radix: int, span: int) -> tuple:
+    """A G or P state row after one level (module docstring): the row it
+    XORs its monomials into, or None if one monomial replaces it, and its
+    monomials over state rows."""
+    unit = row % _UNITS
+    base, j = unit - unit % (radix * span), unit % (radix * span) // span
+    tops = [base + k * span + span - 1 for k in range(j)]
+    if row < _P:
+        return row, [(_P + unit, *(_P + t for t in tops[k + 1:]), tops[k])
+                     for k in range(j)]
+    return (None, [(row, *(_P + t for t in tops))]) if j else (row, [])
+
+
+def _plan(nodes: dict) -> tuple:
+    """One level's and_bits call from its nodes, each a state row mapped to
+    (the row it XORs its monomials into, or None if its one monomial
+    replaces it; its monomials over state rows): the rows it opens, the
+    monomials over them, the rows it XORs and the (rows, terms) index of
+    their sums into the results padded with a zero row, and the rows it
+    replaces with their results."""
+    # rows in order of first use, position by position across the
+    # monomials, so that and_bits mostly reads a position's rows as a slice
+    size = max((len(m) for _, terms in nodes.values() for m in terms),
+               default=0)
+    opened = list(dict.fromkeys(m[q] for q in range(size)
+                                for _, terms in nodes.values()
+                                for m in terms if q < len(m)))
+    at = {v: k for k, v in enumerate(opened)}
+    monomials, xors, sets = [], [], []
+    for row, (keep, terms) in nodes.items():
+        first = len(monomials)
+        monomials += [tuple(at[v] for v in m) for m in terms]
+        if keep is None:
+            sets.append((row, first))
+        elif terms:
+            xors.append((row, range(first, len(monomials))))
+    width = max((len(t) for _, t in xors), default=0)
+    index = [[*t] + [len(monomials)] * (width - len(t)) for _, t in xors]
+    return (np.array(opened), tuple(monomials),
+            np.array([r for r, _ in xors], dtype=np.intp),
+            np.array(index, dtype=np.intp).reshape(len(xors), width),
+            np.array([r for r, _ in sets], dtype=np.intp),
+            np.array([k for _, k in sets], dtype=np.intp))
+
+
+def _run_level(ctx: PartyContext, state: np.ndarray, level: tuple,
+               whole: int) -> None:
+    """One _plan level on the state rows, in place: one round."""
+    opened, monomials, xors, index, sets, picks = level
+    z = and_bits(ctx, state[opened], whole, monomials)
+    state[sets] = z[picks]
+    z = np.concatenate([z, np.zeros((1, z.shape[1]), dtype=np.uint64)])
+    state[xors] ^= np.bitwise_xor.reduce(z[index], axis=1)
+
+
+@functools.lru_cache(maxsize=None)
+def _prefix_levels(evens: bool) -> tuple:
+    """msb's levels, or with evens bit_decompose's, first to last, walking
+    back from unit 31's G, or from every G and the even bits' carries
+    g_2c ^ p_2c C_(c-1), the last level multiplying p_2c into C_(c-1) and
+    into each of its terms."""
+    radices = _RADICES[evens]
+    need = {_UNITS - 1}
+    if evens:
+        need |= set(range(_UNITS)) | set(range(_EVEN_G + 1, _EVEN_G + 31))
+    levels = []
+    for depth in reversed(range(len(radices))):
+        radix, span = radices[depth], int(np.prod(radices[:depth]))
+        nodes = {}
+        for row in sorted(need):
+            if row < _EVEN_P:
+                nodes[row] = _node(row, radix, span)
+            elif row > _EVEN_G and depth == len(radices) - 1:
+                c = row - _EVEN_G
+                carry, terms = _node(c - 1, radix, span)
+                nodes[row] = row, [(_EVEN_P + c, *m)
+                                   for m in [(carry,), *terms]]
+            else:  # p_2c, or g_2c before the last level
+                nodes[row] = row, []
+        levels.append(_plan(nodes))
+        need = {v for keep, terms in nodes.values()
+                for v in [keep, *itertools.chain(*terms)] if v is not None}
+    return tuple(levels[::-1])
+
+
+def _units(ctx: PartyContext, own: np.ndarray, whole: int,
+           evens: bool) -> np.ndarray:
+    """Round 1: the carry pipeline's state rows from this party's
+    _bit_rows rows, with evens the even bits' rows too."""
+    rows = np.zeros((2, 94, own.shape[1]), dtype=np.uint64)
+    rows[ctx.party] = np.concatenate([own[:63], own[1:62:2] & own[:62:2]])
+    z = and_bits(ctx, rows.reshape(188, -1), whole, _chunk_monomials(evens),
+                 _CHUNK_OWNERS)
+    state = np.empty((_EVEN_G + 31 if evens else _EVEN_P, own.shape[1]),
+                     dtype=np.uint64)
+    state[:_UNITS] = z[:32]
+    state[:31] ^= z[32:63] ^ z[63:94]
+    state[_P] = 0
+    state[_P + 1:_EVEN_P - 1] = rows[ctx.party, 64:] ^ z[94:124] ^ z[124:154]
+    state[_EVEN_P - 1] = own[62]  # p_62 = a62 ^ b62
+    if evens:
+        state[_EVEN_P:_EVEN_G] = own[:62:2]  # p_2c = a_2c ^ b_2c
+        state[_EVEN_G:] = z[154:]
+    return state
+
+
+def _carries(ctx: PartyContext, own: np.ndarray, whole: int,
+             evens: bool) -> np.ndarray:
+    """The carry pipeline's state rows after its last level."""
+    state = _units(ctx, own, whole, evens)
+    for level in _prefix_levels(evens):
+        _run_level(ctx, state, level, whole)
+    return state
 
 
 def bit_decompose(ctx: PartyContext, x: np.ndarray) -> np.ndarray:
@@ -142,8 +223,8 @@ def bit_decompose(ctx: PartyContext, x: np.ndarray) -> np.ndarray:
     x's elements in flat order."""
     x = np.asarray(x, dtype=np.uint64).ravel()
     own = _bit_rows(x)
-    own[1:] ^= _carries(ctx, own, x.size // 64)  # s_i = p_i ^ c_(i-1)
-    return own
+    own[1:] ^= _carries(ctx, own, x.size // 64, True)[_CARRY_ROWS]
+    return own  # s_i = p_i ^ c_(i-1)
 
 
 def _bit_rows(x: np.ndarray) -> np.ndarray:
@@ -171,33 +252,6 @@ def _unrows(rows: np.ndarray, whole: int) -> np.ndarray:
     return np.concatenate([bits, rows[:, whole:]], axis=1)
 
 
-def _combine(ctx: PartyContext, g: np.ndarray, p: np.ndarray, r: int,
-             whole: int) -> tuple[np.ndarray, np.ndarray]:
-    """One radix-r carry level: the units' G rows g and their P rows p
-    (units 1.., unit 0's P is never read) to the nodes' G and P rows."""
-    nodes = len(g) // r
-    x = np.concatenate([g[k::r] for k in range(r - 1)]
-                       + [p[k - 1::r] for k in range(1, r)] + [p[r - 1::r]])
-    z = and_bits(ctx, x, whole, _radix_monomials(r, nodes))
-    g = g[r - 1::r] ^ np.bitwise_xor.reduce(
-        z[:(r - 1) * nodes].reshape(r - 1, nodes, -1), axis=0)
-    return g, z[(r - 1) * nodes:]
-
-
-def _units(ctx: PartyContext, own: np.ndarray,
-           whole: int) -> tuple[np.ndarray, np.ndarray]:
-    """msb's first round: the G rows of its 32 units (chunks 0..30, then bit
-    62) and the P rows of units 1..31, from this party's _bit_rows rows."""
-    rows = np.zeros((2, 94, own.shape[1]), dtype=np.uint64)
-    rows[ctx.party] = np.concatenate([own[:63], own[1:62:2] & own[:62:2]])
-    z = and_bits(ctx, rows.reshape(188, -1), whole, _CHUNKS, _CHUNK_OWNERS)
-    g = z[:32]
-    g[:31] ^= z[32:63] ^ z[63:94]
-    p = np.concatenate([rows[ctx.party, 64:] ^ z[94:124] ^ z[124:],
-                        own[62:63]])  # p_62 = a62 ^ b62
-    return g, p
-
-
 def msb(ctx: PartyContext, x: np.ndarray) -> np.ndarray:
     """XOR-shared sign bit of x: a63 ^ b63 ^ the carry into bit 63."""
     x = np.asarray(x, dtype=np.uint64)
@@ -205,10 +259,8 @@ def msb(ctx: PartyContext, x: np.ndarray) -> np.ndarray:
         return np.zeros(x.shape, dtype=np.uint64)
     whole = x.size // 64
     own = _bit_rows(x.ravel())
-    g, p = _units(ctx, own, whole)
-    for radix in (2, 4, 4):  # 32 units, then 16, 4 and 1
-        g, p = _combine(ctx, g, p, radix, whole)
-    return _unrows((own[-1] ^ g[0])[None], whole).reshape(x.shape)
+    sign = own[-1] ^ _carries(ctx, own, whole, False)[_UNITS - 1]
+    return _unrows(sign[None], whole).reshape(x.shape)
 
 
 def b2a(ctx: PartyContext, bits: np.ndarray) -> np.ndarray:
@@ -248,16 +300,40 @@ def relu(ctx: PartyContext, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return bit_mult(ctx, msb(ctx, x) ^ np.uint64(1 - ctx.party), x)  # x >= 0
 
 
-def prefix_or_high(ctx: PartyContext, v: np.ndarray, whole: int) -> np.ndarray:
-    """_bit_rows rows whose row i is the XOR-shared OR of rows i..63 of v."""
+@functools.lru_cache(maxsize=None)
+def _suffix_levels() -> tuple:
+    """prefix_or_high's suffix AND in three radix-4 levels: row i in span
+    j < 3 of its 4-span block becomes the AND of itself and the bottom row
+    of each span above j."""
+    levels = []
+    for span in (1, 4, 16):
+        nodes = {}
+        for i in range(RING_BITS):
+            base, j = i - i % (4 * span), i % (4 * span) // span
+            if j < 3:
+                nodes[i] = None, [(i, *range(base + (j + 1) * span,
+                                             base + 4 * span, span))]
+        levels.append(_plan(nodes))
+    return tuple(levels)
+
+
+def _negate(ctx: PartyContext, v: np.ndarray, whole: int) -> np.ndarray:
+    """XOR shares of NOT v: party 0 flips every bit its _bit_rows rows hold,
+    64 in a packed word and one in a tail entry."""
     v = v.copy()
-    for h in _HALVES:
-        q = v.reshape(32 // h, 2, h, v.shape[1])  # (block, half, bit)
-        xy = np.empty((2,) + q[:, 0].shape, dtype=np.uint64)
-        xy[0], xy[1] = q[:, 0], q[:, 1, :1]  # lower half, upper half's bottom
-        z = and_bits(ctx, xy.reshape(2, RING_BITS // 2, -1), whole)
-        q[:, 0] ^= xy[1] ^ z.reshape(xy[0].shape)  # x ^ y ^ (x & y) = x | y
+    if ctx.party == 0:
+        v[:, :whole] ^= np.uint64(2 ** 64 - 1)
+        v[:, whole:] ^= _ONE
     return v
+
+
+def prefix_or_high(ctx: PartyContext, v: np.ndarray, whole: int) -> np.ndarray:
+    """_bit_rows rows whose row i is the XOR-shared OR of rows i..63 of v:
+    NOT of the suffix AND of NOT v, in three radix-4 levels."""
+    v = _negate(ctx, v, whole)
+    for level in _suffix_levels():
+        _run_level(ctx, v, level, whole)
+    return _negate(ctx, v, whole)
 
 
 def highest_one_hot(ctx: PartyContext, x: np.ndarray) -> np.ndarray:

@@ -7,9 +7,20 @@ via quarter-power weights and one Beaver squaring, which needs 4 | f; (2) x
 is normalized to m = x / 2^(k-f) in [1, 2) with a second one-hot inner
 product and a Beaver multiply; (3) the quadratic
 (4.63887 (m/4)^2 - 5.77789 (m/4) + 3.14736) / 2 approximates 1/sqrt(m) and
-the two results are multiplied. The Adam variant follows the
-simplified recurrence without bias correction and uses 1/sqrt(v + eps^2) in
-place of 1/(sqrt(v) + eps).
+the two results are multiplied. The one-hot takes 8 rounds; one round opens
+the weight sum, x and the shift for both products of (1) and (2); m^2 and
+the last product take 1 each: 11 rounds.
+
+The Adam variant follows the simplified recurrence without bias correction
+and uses 1/sqrt(v + eps^2) in place of 1/(sqrt(v) + eps). rsqrt_eps falls
+back to 1/eps where v + eps^2 encodes to 0, with no round of its own: with
+s the one-hot sum, 1 iff x != 0, it returns r + (1 - s) encode(1/eps) for
+rsqrt's result r. That is the mux s r + (1 - s) encode(1/eps), as s r = r:
+at s = 1 plainly, and at s = 0 the one-hot is 0, so the weight sum, the
+shift and x are 0, each product is of an exact 0, and truncating shares
+of 0 gives 0 (party 0's floor(a / 2^f) and party 1's -floor(-b / 2^f)
+cancel for b = -a), so r = 0. So rsqrt_eps takes rsqrt's 11 rounds, and
+adam_step 13: g^2, rsqrt_eps, then the product u r.
 
 softmax_rows runs four stages on (N, c) logits y, c >= 2, in 4 +
 ceil(log_6(c - 1)) + 1 + 5 + 6 + 2k + 1 rounds for k Newton steps: 26 at
@@ -31,8 +42,7 @@ import math
 import numpy as np
 
 from .binary import bit_mult, highest_one_hot, msb, relu
-from .protocols import (and_bits, beaver_mult, beaver_square, mux_shared_bit,
-                        open_masked)
+from .protocols import and_bits, beaver_mult, beaver_square, open_masked
 from .ring import FRAC_BITS, MAX_ABS, RING_BITS, encode_fixed, truncate_share
 from .runtime import PartyContext
 
@@ -70,27 +80,31 @@ def _add_public(share: np.ndarray, c: float, ctx: PartyContext) -> np.ndarray:
     return out
 
 
-def rsqrt_pow2(ctx: PartyContext, y: np.ndarray) -> np.ndarray:
-    """From arithmetic one-hot shares y over bit positions, shares of
-    1/sqrt(2^(k-f)) where k is the marked position (0 if y is all-zero).
+def rsqrt_pow2(ctx: PartyContext, y: np.ndarray, x: np.ndarray):
+    """From arithmetic one-hot shares y over bit positions and shares of x,
+    shares of 1/sqrt(2^(k-f)) and of x / 2^(k-f), where k is the marked
+    position (both 0 if y is all-zero), in one round.
 
     The reversed vector is grouped in strides of four and combined with the
     coefficients (1, 2^(1/4), sqrt(2), 2^(3/4)); folding the coefficients into
-    the group weights keeps the whole combination local, and one Beaver
-    squaring with truncation produces the result.
+    the group weights keeps the whole combination w local, and its Beaver
+    square with truncation is the first result. The shift encode(2^(f-k)) is
+    local too. w, x and the shift are opened together, so the square and
+    the product of x and the shift send nothing more.
     """
     y = np.asarray(y, dtype=np.uint64)
     w = (y * POW2_WEIGHTS).sum(axis=-1, dtype=np.uint64)
-    return beaver_square(ctx, w, truncate=True)
+    scale = (y * POW2_SHIFTS).sum(axis=-1, dtype=np.uint64)
+    w, x, scale = open_masked(ctx, w, x, scale)
+    return (beaver_square(ctx, w, truncate=True),
+            beaver_mult(ctx, x, scale, truncate=True))
 
 
 def _rsqrt_core(ctx: PartyContext, x: np.ndarray):
     """Shares of 1/sqrt(x) plus the one-hot used (for the zero indicator)."""
     x = np.asarray(x, dtype=np.uint64)
     y = highest_one_hot(ctx, x)
-    v = rsqrt_pow2(ctx, y)
-    scale = (y * POW2_SHIFTS).sum(axis=-1, dtype=np.uint64)
-    norm = beaver_mult(ctx, x, scale, truncate=True)  # m = x / 2^(k-f) in [1,2)
+    v, norm = rsqrt_pow2(ctx, y, x)  # m = x / 2^(k-f) in [1, 2)
     m2 = beaver_square(ctx, norm, truncate=True)
     z = scale_public(m2, QUAD_A, ctx) + scale_public(norm, QUAD_B, ctx)
     z = _add_public(z, QUAD_C, ctx)
@@ -104,12 +118,13 @@ def rsqrt(ctx: PartyContext, x: np.ndarray) -> np.ndarray:
 
 def rsqrt_eps(ctx: PartyContext, v: np.ndarray, eps: float) -> np.ndarray:
     """Shares of 1/sqrt(v + eps^2), falling back to the public constant 1/eps
-    when v + eps^2 encodes to zero (the indicator is the one-hot sum)."""
+    when v + eps^2 encodes to zero: r + (1 - s) encode(1/eps), s the one-hot
+    sum, which is local (module docstring)."""
     x = _add_public(v, eps * eps, ctx)
     r, y = _rsqrt_core(ctx, x)
     s = y.sum(axis=-1, dtype=np.uint64)
-    fallback = encode_fixed(np.float64(1.0 / eps))[0]
-    return mux_shared_bit(ctx, s, r, fallback)
+    return _add_public(r - s * encode_fixed(np.float64(1.0 / eps))[0],
+                       1.0 / eps, ctx)
 
 
 def reciprocal_bounded(ctx: PartyContext, s: np.ndarray, c: int) -> np.ndarray:

@@ -235,22 +235,6 @@ def beaver_square(ctx: PartyContext, x, truncate: bool = False) -> np.ndarray:
         return out
 
 
-def mux_shared_bit(ctx: PartyContext, s: np.ndarray, x: np.ndarray,
-                   public_else: np.ndarray) -> np.ndarray:
-    """Select s*x + (1-s)*public_else from an arithmetic-shared 0/1 tensor s.
-
-    The selector is unscaled, so no truncation is needed; realized as one
-    Beaver multiply plus a public-constant blend.
-    """
-    x = np.asarray(x, dtype=np.uint64)
-    pub = np.broadcast_to(np.asarray(public_else, dtype=np.uint64), x.shape)
-    branch = x - pub if ctx.party == 0 else x
-    out = beaver_mult(ctx, np.asarray(s, dtype=np.uint64), branch)
-    if ctx.party == 0:
-        out = out + pub
-    return out
-
-
 @dataclass(frozen=True)
 class _AndPlan:
     """How and_bits evaluates its monomials over `rows` variable rows.
@@ -261,9 +245,9 @@ class _AndPlan:
     T = S. `products` lists the T of two or more rows that the terms read,
     in order of first use. Per party, `groups` holds the monomials of one
     size and one owner pattern, so that each term is one read per row
-    position across them: (output rows, their count, terms), a term being
-    (None for T empty, else whether m_T is a dealt product and its rows,
-    the opened rows it reads at each position of S - T). A party's terms
+    position across them: (output rows, their count, the opened rows at each
+    position, terms), a term being (None for T empty, else whether m_T is a
+    dealt product and its rows; the positions of S - T). A party's terms
     leave out those its share of m_T makes 0. Rows are slices where they
     rise in equal steps."""
 
@@ -295,8 +279,7 @@ def _and_plan(rows: int, monomials: tuple, owners: tuple | None) -> _AndPlan:
         for size in range(len(pattern) + 1):
             for pos in itertools.combinations(range(len(pattern)), size):
                 subsets = [tuple(monomials[o][q] for q in pos) for o in outs]
-                public = tuple(rows_index([monomials[o][q] for o in outs])
-                               for q in range(len(pattern)) if q not in pos)
+                public = tuple(q for q in range(len(pattern)) if q not in pos)
                 for p in (0, 1):
                     if size == 0 and p == 0:
                         terms[p].append((None, public))
@@ -307,8 +290,11 @@ def _and_plan(rows: int, monomials: tuple, owners: tuple | None) -> _AndPlan:
                     elif size > 1:
                         terms[p].append(((True, rows_index(
                             [dealt[t] for t in subsets])), public))
+        columns = tuple(rows_index([monomials[o][q] for o in outs])
+                        for q in range(len(pattern)))
         for p in (0, 1):
-            groups[p].append((rows_index(outs), len(outs), tuple(terms[p])))
+            groups[p].append((rows_index(outs), len(outs), columns,
+                              tuple(terms[p])))
     return _AndPlan(owners, tuple(dealt),
                     tuple((rows_index(sent[p]), rows_index(sent[1 - p]),
                            len(sent[1 - p])) for p in (0, 1)),
@@ -356,10 +342,11 @@ def and_bits(ctx: PartyContext, x: np.ndarray, whole: int, monomials=None,
         groups = plan.groups[ctx.party]
         out = None if len(groups) == 1 else \
             np.empty((len(monomials), n), dtype=np.uint64)
-        for outs, count, terms in groups:
+        for outs, count, columns, terms in groups:
             acc, buf = np.zeros((count, n), dtype=np.uint64), None
+            e = [opened[at] for at in columns]  # each position's rows once
             for mask, public in terms:
-                reads = [opened[at] for at in public]
+                reads = [e[q] for q in public]
                 if mask is not None:
                     dealt, at = mask
                     reads.append((tape.products if dealt else tape.masks)[at])

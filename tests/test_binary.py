@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vsmm.binary import (_HALVES, _SUM, _bit_rows, _units, _unrows, b2a,
-                         bit_decompose, highest_one_hot, msb, prefix_or_high,
-                         relu)
+from vsmm.binary import (_CARRY_ROWS, _EVEN_G, _EVEN_P, _P, _bit_rows,
+                         _prefix_levels, _units, _unrows, b2a, bit_decompose,
+                         highest_one_hot, msb, prefix_or_high, relu)
 from vsmm.ring import lift_signed, random_ring, reconstruct, share_secret
 from vsmm.runtime import FRAME_BITS, run_two_party
 
@@ -39,29 +39,44 @@ def test_bit_decompose_exact(rng):
         o0, o1, meter = run_two_party(bit_decompose, (x0,), (x1,))
         bits = _unrows(o0 ^ o1, x.size // 64)  # row i: bit i of each element
         assert np.array_equal(bits, x.ravel() >> _SHIFTS & np.uint64(1))
-        assert meter.rounds == 7  # initial AND plus 6 prefix levels
+        assert meter.rounds == 4  # chunk carries, then radix 4, 4 and 2
 
 
-def _gates(level):
-    """A derived adder level as (kind, bit i, row read beside p_i) triples,
-    kind 0 for a G gate and 1 for a P gate."""
-    rows, g_out = level
-    kinds = (np.arange(rows.shape[1]) >= len(g_out)).astype(int)
-    assert np.array_equal(g_out, rows[0, :len(g_out)] - 63)
-    return [(int(k), int(x) - 63, int(y)) for k, x, y in zip(kinds, *rows)]
+def _run_levels(state, evens):
+    """_prefix_levels evaluated in the clear on bit rows, as _carries does."""
+    state = state.copy()
+    for opened, monomials, xors, index, sets, picks in _prefix_levels(evens):
+        z = np.array([np.bitwise_and.reduce(state[opened][list(m)])
+                      for m in monomials] + [np.zeros_like(state[0])])
+        state[sets] = z[picks]
+        state[xors] ^= np.bitwise_xor.reduce(z[index], axis=1)
+    return state
 
 
-def test_adder_gate_lists():
-    # gates per level after the 63 generate gates
-    assert [len(_gates(level)) for level in _SUM] == [61, 60, 58, 54, 46, 31]
-    for h, level in zip(_HALVES, _SUM):
-        # every upper-half gate but the bit-0 block's P gates and bit 63's G
-        # and P, each reading g_j or p_j, j the lower half's top bit; rows
-        # 0..62 hold g_0..g_62 and rows 63.. hold p_0..p_62
-        hand = [(k, i, 63 * k + (i & -2 * h) + h - 1)
-                for k in (0, 1) for i in range(64)
-                if i & h and i != 63 and not (k == 1 and i < 2 * h)]
-        assert _gates(level) == hand
+@pytest.mark.parametrize("evens", [False, True])
+def test_prefix_level_monomials(rng, evens):
+    # unit u's carry is C_u = G_u ^ P_u C_(u-1) and an even bit's
+    # g_2c ^ p_2c C_(c-1), for any bits: 64 random rows a word
+    state = random_ring(rng, (_EVEN_G + 31 if evens else _EVEN_P, 4))
+    out = _run_levels(state, evens)
+    carry = np.zeros(4, dtype=np.uint64)
+    for u in range(32):
+        carry = state[u] ^ state[_P + u] & carry if u else state[0]
+        if evens or u == 31:
+            assert np.array_equal(out[u], carry)
+        if evens and u < 30:  # the carry out of bit 2(u + 1)
+            assert np.array_equal(out[_EVEN_G + u + 1], state[_EVEN_G + u + 1]
+                                  ^ state[_EVEN_P + u + 1] & carry)
+    if evens:
+        assert np.array_equal(out[_EVEN_G], state[_EVEN_G])  # c_0 = g_0
+        assert sorted(_CARRY_ROWS) == [*range(32), *range(_EVEN_G, _EVEN_G + 31)]
+    levels = _prefix_levels(evens)
+    # each row opened once a level; radix-4 monomials of at most 4 rows, the
+    # radix-2 level's of 2, or 3 where bit_decompose folds in p_2c
+    assert [len(set(level[0])) for level in levels] \
+        == ([55, 31, 76] if evens else [47, 27, 6])
+    assert [max(map(len, level[1])) for level in levels] \
+        == ([4, 4, 3] if evens else [2, 4, 4])
 
 
 def _prefix_or_high(ctx, x):
@@ -76,7 +91,7 @@ def test_prefix_or_high_exact(rng):
         o0, o1, meter = run_two_party(_prefix_or_high, (mask,), (x ^ mask,))
         bits = _unrows(o0 ^ o1, x.size // 64)  # row i: OR of bits i..63
         assert np.array_equal(bits, x.ravel() >> _SHIFTS != 0)
-        assert meter.rounds == 6
+        assert meter.rounds == 3  # three radix-4 levels
 
 
 def test_msb_matches_sign(rng):
@@ -91,8 +106,8 @@ def test_msb_matches_sign(rng):
 
 def _chunk_units(ctx, share):
     whole = share.size // 64
-    g, p = _units(ctx, _bit_rows(share), whole)
-    return _unrows(g, whole), _unrows(p, whole)
+    state = _units(ctx, _bit_rows(share), whole, False)
+    return _unrows(state[:32], whole), _unrows(state[_P + 1:_EVEN_P], whole)
 
 
 def test_chunk_carry_and_propagate_exhaustive():
@@ -117,6 +132,31 @@ def test_chunk_carry_and_propagate_exhaustive():
 _CHAINS = np.array([(1 << j) - 1 for j in range(65)]
                    + [2 ** 64 - (1 << j) for j in range(64)]
                    + [0, 1, 2 ** 64 - 1, 2 ** 63 - 1, 2 ** 63], dtype=np.uint64)
+
+
+# share pairs (a, b) whose sum carries through every bit: 2^k - 1 + 1, the
+# alternating 0x5555.. + 0xAAAA..+1, and 0, -1 and 2^63 split as x + 0
+_CHAIN_PAIRS = np.array(
+    [((1 << k) - 1, 1) for k in range(65)]
+    + [(0x5555555555555555, 0xAAAAAAAAAAAAAAAB),
+       (0xAAAAAAAAAAAAAAAA, 0x5555555555555556)]
+    + [(x, 0) for x in (0, 2 ** 64 - 1, 2 ** 63)]
+    + [(2 ** 64 - 1, 2 ** 64 - 1), (2 ** 63, 2 ** 63)],
+    dtype=np.uint64).T
+
+
+@pytest.mark.parametrize("repeat", [1, 2])
+def test_bit_decompose_and_one_hot_carry_chains(repeat):
+    # 72 pairs, one packed word and 8 tail entries, then 144, two and 16
+    a, b = np.tile(_CHAIN_PAIRS, repeat)
+    x = a + b
+    o0, o1, _ = run_two_party(bit_decompose, (a,), (b,))
+    bits = _unrows(o0 ^ o1, x.size // 64)
+    assert np.array_equal(bits, x >> _SHIFTS & np.uint64(1))
+    o0, o1, _ = run_two_party(highest_one_hot, (a,), (b,))
+    top = np.array([int(v).bit_length() - 1 for v in x])
+    onehot = np.arange(64) == top[:, None]
+    assert np.array_equal(reconstruct(o0, o1), onehot.astype(np.uint64))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -208,12 +248,21 @@ def test_highest_one_hot(rng):
         top = np.array([int(v).bit_length() - 1 for v in x.flat])
         onehot = np.arange(64) == top.reshape(shape + (1,))
         assert np.array_equal(reconstruct(o0, o1), onehot.astype(np.uint64))
-        assert meter.rounds == 14
+        assert meter.rounds == 8  # bit_decompose 4, prefix OR 3, b2a 1
 
 
 @pytest.mark.parametrize("n", [1, 7, 65, 1000])
 @pytest.mark.parametrize("fn, online, offline, rounds, messages", [
-    (bit_decompose, 1492, 373, 7, 14),  # 448 gates less 75 no sum bit reads
+    # bit_decompose opens msb's 94 owned rows a party in round 1, then 55,
+    # 31 and 76 shared rows from both parties: 2 * (94 + 55 + 31 + 76) =
+    # 512. Mask products: msb's 154 chunk terms and 31 g_2c = a_2c b_2c;
+    # radix 4 over the 32 units, 15 G products a group and 7 more for its P
+    # in groups 1..7: 8 * 15 + 7 * 7 = 169; radix 4 over the 8 groups, 60 G
+    # products a block and 28 for block 1's P: 148; radix 2, 16 G products
+    # P_i G_15 and p_2c folded into C_(c-1), 1 product for c <= 16 and 4 for
+    # the 14 above (p G, p P, p G_15, p P G_15): 16 + 16 + 56 = 88. So
+    # 185 + 169 + 148 + 88 = 590.
+    (bit_decompose, 512, 590, 4, 8),
     # msb opens 94 rows a party in round 1 (bits 0..62 and one pair product
     # per chunk), then 47, 27 and 6 shared rows from both parties:
     # 2 * (94 + 47 + 27 + 6) = 348. Mask products: 3 + 30 * 5 + 1 = 154
@@ -221,8 +270,17 @@ def test_highest_one_hot(rng):
     # ones: 154 + 31 + 81 + 15 = 281. Each round is one message a party.
     (msb, 348, 281, 4, 8),
     (relu, 478, 409, 5, 12),  # msb + 2 + 128 bits; 281 + 128 offline
-    (highest_one_hot, 2388, 4661, 14, 28),  # + prefix OR + 64 b2a
-    (_prefix_or_high, 768, 192, 6, 12),  # 6 levels of 32 gates
+    # bit_decompose + prefix OR + 64 b2a bits (2 online, 64 offline each):
+    # 512 + 330 + 128 and 590 + 528 + 4096
+    (highest_one_hot, 970, 5214, 8, 16),
+    # three radix-4 levels open 64, 52 and 49 rows: 2 * 165 = 330. A block
+    # of 4 deals all 11 subsets of 2+ rows: 16 * 11 = 176; a block of 4
+    # spans deals, per row i below the top span, the subsets holding i of i
+    # and the bottoms above it (4 * 7 + 3 * 3 + 3 * 1, a bottom row's own
+    # being the bottoms' subsets), and the 4 subsets of the three bottoms
+    # alone: 44 a block, 4 * 44 = 176; the last level likewise
+    # 16 * 7 + 15 * 3 + 15 + 4 = 176. So 528.
+    (_prefix_or_high, 330, 528, 3, 6),
 ], ids=["bit_decompose", "msb", "relu", "highest_one_hot", "prefix_or_high"])
 def test_gmw_layer_costs(rng, n, fn, online, offline, rounds, messages):
     """Online and offline bits per element, rounds and messages per call."""

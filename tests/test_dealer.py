@@ -1,3 +1,4 @@
+import hashlib
 import struct
 
 import numpy as np
@@ -232,3 +233,22 @@ def test_determinism_same_keys():
     b0, _, _ = d2.gen_op_rand(5, 16, 2)
     assert np.array_equal(a0.pinv, b0.pinv)
     assert np.array_equal(a0.piU, b0.piU)
+
+
+# sha256 of gen_bit_triples' views for msb's round-1 plan (94 owned rows a
+# party, 154 mask products) at seed 7, counter 5, 3 words and 37 tail bits
+_MSB_ROUND1_SHA256 = (
+    "eb3b639e9a4738b0adf764f3d405ec8721c8b76150731edb9f731bc362021d63")
+
+
+def test_bit_triples_msb_round1_digest(dealer):
+    from vsmm.binary import _CHUNK_OWNERS, _chunk_monomials
+    from vsmm.protocols import _and_plan
+    plan = _and_plan(len(_CHUNK_OWNERS), _chunk_monomials(), _CHUNK_OWNERS)
+    v0, v1, offline = dealer.gen_bit_triples(5, 3, 37, plan.owners,
+                                             plan.products)
+    assert offline == 154 * (64 * 3 + 37)
+    digest = hashlib.sha256()
+    for t in (v0.masks, v0.products, v1.masks, v1.products):
+        digest.update(np.ascontiguousarray(t, dtype="<u8").tobytes())
+    assert digest.hexdigest() == _MSB_ROUND1_SHA256

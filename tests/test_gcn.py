@@ -323,6 +323,28 @@ def test_section_rounds_sum_to_meter_rounds(ds):
         == {name: max(r) for name, r in meter.party_rounds.items()}
 
 
+def test_adam_section_rounds_sum_to_meter_rounds(ds):
+    # the run above with one Adam step in place of the local SGD update:
+    # adam_step takes 13 rounds, g^2 1, highest_one_hot 8 (bit_decompose 4
+    # and prefix OR 3 in gmw_and, b2a 1), one opening of w, x and the shift
+    # for the two rsqrt products 1, m^2 1, z v 1 and the direction 1; the
+    # 1/eps fallback is local. The run takes 61 rounds, 69 before (its
+    # highest_one_hot 14, a separate multiply round for each rsqrt product
+    # and one for the fallback). Party 1 leads when Adam starts, and the
+    # leads it moves change which party's clock the later rounds land on.
+    _, meter = train_secure(ds, TrainConfig(optimizer="adam", epochs=1,
+                                            hidden=4))
+    assert meter.party_rounds == {
+        "op": [3, 5], "osm": [5, 0], "mult": [24, 24], "gmw_and": [22, 24],
+        "b2a": [6, 4], "reveal": [0, 4]}
+    for party in (0, 1):
+        assert sum(r[party] for r in meter.party_rounds.values()) \
+            == meter.clocks[party]
+    assert meter.clocks == [60, 61] and meter.rounds == 61
+    assert {name: sec["rounds"] for name, sec in meter.sections.items()} \
+        == {name: max(r) for name, r in meter.party_rounds.items()}
+
+
 def test_train_secure_history_and_meter(ds):
     for optimizer in ("sgd", "adam"):
         cfg = TrainConfig(optimizer=optimizer, epochs=3, lr=0.5, seed=1,

@@ -31,11 +31,19 @@ def test_quad_poly_at_one():
 
 def test_rsqrt_pow2_exact_powers(rng):
     f = 16
-    onehots = np.zeros((2, 64), dtype=np.uint64)
-    onehots[0, f] = 1       # x = 1.0  -> 1/sqrt(1) = 1.0
-    onehots[1, f + 2] = 1   # x = 4.0  -> 1/sqrt(4) = 0.5
-    got, _ = _run(rsqrt_pow2, rng, onehots)
-    assert np.allclose(decode_fixed(got), [1.0, 0.5], atol=2 ** -14)
+    onehots = np.zeros((3, 64), dtype=np.uint64)
+    onehots[0, f] = 1       # x = 1.0  -> 1/sqrt(1) = 1.0, x / 1 = 1.0
+    onehots[1, f + 2] = 1   # x = 4.0  -> 1/sqrt(4) = 0.5, x / 4 = 1.0
+    onehots[2, f + 2] = 1   # x = 6.0  -> 1/sqrt(4) = 0.5, x / 4 = 1.5
+    x = encode_fixed(np.array([1.0, 4.0, 6.0]))
+    shares = [_shared(rng, t) for t in (onehots, x)]
+    (v0, m0), (v1, m1), meter = run_two_party(
+        rsqrt_pow2, tuple(s[0] for s in shares), tuple(s[1] for s in shares))
+    assert np.allclose(decode_fixed(reconstruct(v0, v1)), [1.0, 0.5, 0.5],
+                       atol=2 ** -14)
+    assert np.allclose(decode_fixed(reconstruct(m0, m1)), [1.0, 1.0, 1.5],
+                       atol=2 ** -14)
+    assert meter.rounds == 1  # w, x and the shift opened together
 
 
 def test_rsqrt_sweep_relative_error(rng):
@@ -59,6 +67,19 @@ def test_rsqrt_eps_zero_boundary(rng):
 
     got, _ = _run(proto, rng, zero)
     assert np.abs(decode_fixed(got) - 1 / eps).max() <= 0.01 / eps
+
+
+@pytest.mark.parametrize("eps", [0.001, 0.002])
+def test_rsqrt_eps_fallback_within_4_ulp(rng, eps):
+    # eps^2 encodes to 0, so at v = 0 the one-hot is all-zero and the
+    # result is r + encode(1/eps), rsqrt's r being the truncation of exact
+    # zeros (0 itself; the module docstring)
+    def proto(ctx, v):
+        return rsqrt_eps(ctx, v, eps)
+
+    got, _ = _run(proto, rng, np.zeros(200, dtype=np.uint64))
+    err = got - encode_fixed(np.float64(1 / eps))[0]
+    assert np.abs(err.astype(np.int64)).max() <= 4
 
 
 def test_rsqrt_eps_sweep(rng):
@@ -196,3 +217,28 @@ def test_adam_step_matches_float_recurrence(rng):
         v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * g ** 2
         ref -= lr * u / np.sqrt(v + ADAM_EPS ** 2)
     assert np.abs(got - ref).max() <= 0.02
+
+
+@pytest.mark.parametrize("fn, online, offline, rounds", [
+    # highest_one_hot 8 rounds (970 online, 5214 offline bits per element);
+    # w, x and the shift opened in 1 (3 * 128 bits), their square and
+    # product reading the opening (64 offline each); m^2 1 (128, 64); z v 1
+    # (256, 64); the 1/eps fallback is local: 11 rounds
+    ("rsqrt_eps", 970 + 384 + 128 + 256, 5214 + 4 * 64, 11),
+    # g^2 1 (128, 64), rsqrt_eps 11, the direction u r 1 (256, 64): 13
+    ("adam_step", 1738 + 128 + 256, 5470 + 2 * 64, 13),
+])
+def test_adam_round_budget(rng, fn, online, offline, rounds):
+    n = 96
+    w, g, u = (encode_fixed(rng.uniform(-1, 1, n)) for _ in range(3))
+    v = encode_fixed(rng.uniform(0, 1, n))
+
+    def proto(ctx, wv, gv, uv, vv):
+        if fn == "rsqrt_eps":
+            return rsqrt_eps(ctx, vv, ADAM_EPS)
+        return adam_step(ctx, wv, gv, uv, vv, 0.1)
+
+    _, meter = _run(proto, rng, w, g, u, v)
+    assert meter.rounds == max(meter.clocks) == rounds
+    assert meter.online_bits == online * n
+    assert meter.offline_bits == offline * n

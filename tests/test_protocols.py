@@ -7,9 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vsmm.decompose import Permutation
-from vsmm.protocols import (Opened, and_bits, beaver_mult, beaver_square,
-                            mux_shared_bit, op, open_masked, osm, priv_mult,
-                            reveal)
+from vsmm.protocols import (Opened, and_bits, beaver_mult, beaver_square, op,
+                            open_masked, osm, priv_mult, reveal)
 from vsmm.ring import (decode_fixed, encode_fixed, random_ring, reconstruct,
                        share_secret)
 from vsmm.runtime import run_two_party
@@ -237,20 +236,6 @@ def test_open_masked_draws_a_fresh_mask_per_call(rng):
     publics = {o.public.tobytes() for o in out0}
     assert len(publics) == 3  # three uniform masks, three different openings
     assert meter.offline_bits == 0 and meter.rounds == 2
-
-
-def test_mux_shared_bit(rng):
-    s = np.array([1, 0, 1, 0], dtype=np.uint64)
-    s0, s1 = share_secret(s, random_ring(rng, (4,)))
-    x, (x0, x1) = _shared(rng, (4,))
-    pub = np.uint64(12345)
-
-    def proto(ctx, sv, xv):
-        return mux_shared_bit(ctx, sv, xv, pub)
-
-    o0, o1, _ = run_two_party(proto, (s0, x0), (s1, x1))
-    expect = np.where(s == 1, x, pub)
-    assert np.array_equal(reconstruct(o0, o1), expect)
 
 
 def _rows(rng, r, whole, tail):
