@@ -84,22 +84,23 @@ _RADICES = {False: (2, 4, 4), True: (4, 4, 2)}
 
 
 @functools.lru_cache(maxsize=None)
-def _chunk_monomials(evens: bool = False) -> tuple:
-    """Round 1 over each party's 94 rows, party 0's then party 1's: its
-    bits 0..62, then a_(2c+1) & a_2c for each chunk c of bits (2c, 2c + 1),
-    c < 31. The monomials come in blocks: G's three terms (the first with
-    bit 62's G appended), then P's two cross terms for chunks 1..30, then
-    with evens g_2c = a_2c b_2c for each chunk."""
+def _chunk_monomials() -> tuple:
+    """msb's round 1 over each party's 94 rows, party 0's then party 1's:
+    its bits 0..62, then a_(2c+1) & a_2c for each chunk c of bits
+    (2c, 2c + 1), c < 31. The monomials come in blocks: G's three terms (the
+    first with bit 62's G appended), then P's two cross terms for chunks
+    1..30."""
     a, aa, b, bb = range(63), range(63, 94), range(94, 157), range(157, 188)
     lo, hi = range(0, 62, 2), range(1, 62, 2)
     return tuple([(a[i], b[i]) for i in [*hi, 62]]
                  + [(aa[c], b[lo[c]]) for c in range(31)]
                  + [(a[lo[c]], bb[c]) for c in range(31)]
                  + [(a[hi[c]], b[lo[c]]) for c in range(1, 31)]
-                 + [(a[lo[c]], b[hi[c]]) for c in range(1, 31)]
-                 + [(a[i], b[i]) for i in lo] * evens)
+                 + [(a[lo[c]], b[hi[c]]) for c in range(1, 31)])
 
 
+# bit_decompose's round 1 appends g_2c = a_2c b_2c for each chunk c
+_EVEN_MONOMIALS = tuple((i, 94 + i) for i in range(0, 62, 2))
 _CHUNK_OWNERS = (0,) * 94 + (1,) * 94
 
 
@@ -194,8 +195,8 @@ def _units(ctx: PartyContext, own: np.ndarray, whole: int,
     _bit_rows rows, with evens the even bits' rows too."""
     rows = np.zeros((2, 94, own.shape[1]), dtype=np.uint64)
     rows[ctx.party] = np.concatenate([own[:63], own[1:62:2] & own[:62:2]])
-    z = and_bits(ctx, rows.reshape(188, -1), whole, _chunk_monomials(evens),
-                 _CHUNK_OWNERS)
+    z = and_bits(ctx, rows.reshape(188, -1), whole,
+                 _chunk_monomials() + _EVEN_MONOMIALS * evens, _CHUNK_OWNERS)
     state = np.empty((_EVEN_G + 31 if evens else _EVEN_P, own.shape[1]),
                      dtype=np.uint64)
     state[:_UNITS] = z[:32]
@@ -222,6 +223,8 @@ def bit_decompose(ctx: PartyContext, x: np.ndarray) -> np.ndarray:
     """XOR-shared bits of the reconstructed value: the 64 _bit_rows rows of
     x's elements in flat order."""
     x = np.asarray(x, dtype=np.uint64).ravel()
+    if x.size == 0:
+        return np.zeros((RING_BITS, 0), dtype=np.uint64)
     own = _bit_rows(x)
     own[1:] ^= _carries(ctx, own, x.size // 64, True)[_CARRY_ROWS]
     return own  # s_i = p_i ^ c_(i-1)
@@ -340,6 +343,8 @@ def highest_one_hot(ctx: PartyContext, x: np.ndarray) -> np.ndarray:
     """Arithmetic shares of the (..., 64) one-hot marking the highest set bit
     of x; the all-zero vector iff x = 0."""
     x = np.asarray(x, dtype=np.uint64)
+    if x.size == 0:
+        return np.zeros(x.shape + (RING_BITS,), dtype=np.uint64)
     whole = x.size // 64
     por = prefix_or_high(ctx, bit_decompose(ctx, x), whole)
     por[:-1] ^= por[1:]  # bit i set and no bit above it

@@ -137,33 +137,18 @@ def rows_index(rows) -> slice | np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _deal_rows(owners: tuple, products: tuple):
-    """gen_bit_triples' indices for one request: per party, the count of
-    the rows whose mask it draws; the number of rows the products read and
-    their masks in three runs (rows both parties draw, XORed; party 0's
-    own; party 1's own), each its rows among them and its rows in each
-    party's draw (None for a party that draws none); and per product size,
-    which products have that size and the rows among those read ANDed at
-    each position of them."""
-    held = [[i for i, o in enumerate(owners) if o != 1 - party]
+    """gen_bit_triples' indices for one request: per party, the rows whose
+    mask it draws; and per product size, which products have that size and
+    the rows ANDed at each position of them."""
+    held = [np.flatnonzero([o != 1 - party for o in owners])
             for party in (0, 1)]
-    at = [{i: k for k, i in enumerate(rows)} for rows in held]
-    read = sorted({i for t in products for i in t})
-    runs = [[i for i in read if owners[i] == kind] for kind in (None, 0, 1)]
-    order = {i: k for k, i in enumerate(runs[0] + runs[1] + runs[2])}
-    gather, start = [], 0
-    for run, sides in zip(runs, ((0, 1), (0,), (1,))):
-        if run:
-            gather.append((slice(start, start + len(run)), *(
-                rows_index([at[p][i] for i in run]) if p in sides else None
-                for p in (0, 1))))
-            start += len(run)
     sizes = []
     for size in sorted(set(map(len, products))):
         sel = [j for j, t in enumerate(products) if len(t) == size]
-        sizes.append((rows_index(sel), [rows_index([order[products[j][q]]
+        sizes.append((rows_index(sel), [rows_index([products[j][q]
                                                     for j in sel])
                                         for q in range(size)]))
-    return [len(rows) for rows in held], len(read), gather, sizes
+    return held, sizes
 
 
 def _matmul_u64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -338,9 +323,8 @@ class Dealer:
         return (SquarePair(a0 if fresh else None, c0),
                 SquarePair(a1 if fresh else None, c1), a.size * 64)
 
-    def gen_bit_triples(self, ctr: int, words: int, bits: int,
-                        owners: tuple = (None, None),
-                        products: tuple = ((0, 1),)):
+    def gen_bit_triples(self, ctr: int, words: int, bits: int, owners: tuple,
+                        products: tuple):
         """Masks for len(owners) variable rows of `words` words and `bits`
         0/1 entries each, and XOR shares of the AND of the masks over each
         tuple of rows in products. A row whose owner is None has its mask
@@ -348,20 +332,15 @@ class Dealer:
         owned by party p has its whole mask from p's key, and the peer gets
         nothing for it. Each view's masks hold its party's rows in order.
         Party 1's product shares are the corrections: one offline bit per
-        product per gate. The defaults deal one AND triple per gate."""
+        product per gate."""
         s0, s1 = self._streams(TAG_BITS, ctr)
-        (count0, count1), read, gather, sizes = _deal_rows(
-            tuple(owners), tuple(map(tuple, products)))
-        drawn = s0.gate_rows(count0 + len(products), words, bits)
-        masks = [drawn[:count0], s1.gate_rows(count1, words, bits)]
-        c0 = drawn[count0:]
-        full = np.empty((read, words + bits), dtype=np.uint64)
-        for run, *ats in gather:  # the masks of the rows products read
-            m = [mask[at] for mask, at in zip(masks, ats) if at is not None]
-            if len(m) == 1:
-                full[run] = m[0]
-            else:
-                np.bitwise_xor(*m, out=full[run])
+        held, sizes = _deal_rows(tuple(owners), tuple(map(tuple, products)))
+        drawn = s0.gate_rows(len(held[0]) + len(products), words, bits)
+        masks = [drawn[:len(held[0])], s1.gate_rows(len(held[1]), words, bits)]
+        c0 = drawn[len(held[0]):]
+        full = np.zeros((len(owners), words + bits), dtype=np.uint64)
+        full[held[0]] = masks[0]
+        full[held[1]] ^= masks[1]
         c1 = np.empty_like(c0)
         for sel, columns in sizes:
             c1[sel] = full[columns[0]]
@@ -465,8 +444,8 @@ class TapeView:
     def square(self, x) -> SquarePair:
         return self._draw("gen_square", x)
 
-    def bits(self, words: int, bits: int, owners: tuple = (None, None),
-             products: tuple = ((0, 1),)) -> BitTriples:
+    def bits(self, words: int, bits: int, owners: tuple,
+             products: tuple) -> BitTriples:
         return self._draw("gen_bit_triples", words, bits, owners, products)
 
     def dabits(self, shape, masked: bool = False) -> DaBits:

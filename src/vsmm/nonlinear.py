@@ -104,6 +104,8 @@ def _rsqrt_core(ctx: PartyContext, x: np.ndarray):
     """Shares of 1/sqrt(x) plus the one-hot used (for the zero indicator)."""
     x = np.asarray(x, dtype=np.uint64)
     y = highest_one_hot(ctx, x)
+    if x.size == 0:
+        return x.copy(), y
     v, norm = rsqrt_pow2(ctx, y, x)  # m = x / 2^(k-f) in [1, 2)
     m2 = beaver_square(ctx, norm, truncate=True)
     z = scale_public(m2, QUAD_A, ctx) + scale_public(norm, QUAD_B, ctx)

@@ -101,7 +101,7 @@ def osm(ctx: PartyContext, s: np.ndarray | None, x: np.ndarray) -> np.ndarray:
             return c.reshape(shape)
         tape = ctx.tape.osm(n)
         ctx.send_ring(x.ravel() - tape.u)
-        delta_s = ctx.recv_bits(n).astype(np.uint64)
+        delta_s = ctx.recv_bits(n)
         sign = np.uint64(1) - np.uint64(2) * delta_s
         return (delta_s * tape.u + sign * tape.bu).reshape(shape)
 
@@ -301,21 +301,14 @@ def _and_plan(rows: int, monomials: tuple, owners: tuple | None) -> _AndPlan:
                     tuple(map(tuple, groups)))
 
 
-@functools.lru_cache(maxsize=None)
-def _pairs(r: int) -> tuple:
-    return tuple((i, r + i) for i in range(r))
-
-
-def and_bits(ctx: PartyContext, x: np.ndarray, whole: int, monomials=None,
+def and_bits(ctx: PartyContext, x: np.ndarray, whole: int, monomials,
              owners: tuple | None = None) -> np.ndarray:
     """GMW AND of XOR-shared bit rows in one round: any list of monomials
     over the rows, each a tuple of row indices, from one opening per row.
 
     x is (rows, n) _bit_rows rows: packed words in the first `whole`
     columns, then one 0/1 bit per entry. Returns each monomial's AND of its
-    rows, an (len(monomials), n) XOR share. Without monomials, x is the
-    (2, r, n) pair of operands and the result is x[0] & x[1]: the monomials
-    (i, r + i) over its rows.
+    rows, an (len(monomials), n) XOR share.
 
     owners[i] is None for a row XOR-shared between the parties, or the party
     that holds row i in the clear, whose row alone is read. Each party sends
@@ -326,9 +319,6 @@ def and_bits(ctx: PartyContext, x: np.ndarray, whole: int, monomials=None,
     element for a k-row monomial, 1 per two-input gate.
     """
     x = np.asarray(x, dtype=np.uint64)
-    if monomials is None:
-        _, r, n = x.shape
-        x, monomials = x.reshape(2 * r, n), _pairs(r)
     rows, n = x.shape
     plan = _and_plan(rows, tuple(map(tuple, monomials)),
                      None if owners is None else tuple(owners))

@@ -204,14 +204,12 @@ class PartyContext:
         return np.frombuffer(self.ep.recv(), dtype="<u8").reshape(shape)
 
     def send_bits(self, bits: np.ndarray) -> None:
-        b = np.ascontiguousarray(bits, dtype=np.uint8).ravel()
-        self.ep.send(np.packbits(b).tobytes(), nbits=b.size)
+        """0/1 entries packed 8 to a byte, as one send_gates row."""
+        self.send_gates(np.reshape(bits, (1, -1)), 0)
 
     def recv_bits(self, n: int) -> np.ndarray:
-        payload = self.ep.recv()
-        if len(payload) != -(-n // 8):
-            raise ValueError(f"{len(payload)}-byte payload for {n} bits")
-        return np.unpackbits(np.frombuffer(payload, dtype=np.uint8))[:n]
+        """The peer's send_bits entries as n 0/1 words."""
+        return self.recv_gates(0, n, 1)[0]
 
     def send_gates(self, gates: np.ndarray, words: int) -> None:
         """GMW openings, an (r, words + b) array: its first `words` columns
@@ -222,7 +220,7 @@ class PartyContext:
         self.ep.send(head.tobytes() + np.packbits(tail).tobytes(),
                      nbits=64 * head.size + tail.size)
 
-    def recv_gates(self, words: int, bits: int, rows: int = 2) -> np.ndarray:
+    def recv_gates(self, words: int, bits: int, rows: int) -> np.ndarray:
         """The peer's send_gates openings as a (rows, words + bits) array."""
         raw = np.frombuffer(self.ep.recv(), dtype=np.uint8)
         head = 8 * rows * words
@@ -259,21 +257,20 @@ class PartyContext:
         payload = words.astype(">u8").view(np.uint8)[:, :b].tobytes()
         self.ep.send(payload[:-(-idx.size * b // 8)], nbits=idx.size * b)
 
-    def recv_perm(self, degree: int, count: int | None = None) -> np.ndarray:
-        """Receive `count` packed indices (default: degree, one permutation)."""
-        count = degree if count is None else count
+    def recv_perm(self, degree: int, count: int) -> np.ndarray:
+        """The peer's `count` send_perm indices below `degree`, from exactly
+        ceil(count * b / 8) bytes at b = ceil(log2 degree)."""
         b = index_bits(degree)
         payload = self.ep.recv()
+        if len(payload) != -(-count * b // 8):
+            raise ValueError(f"{len(payload)}-byte payload for {count} "
+                             f"indices of {b} bits")
         if b == 0:
             return np.zeros(count, dtype=np.int64)
-        if 8 * len(payload) < count * b:
-            raise ValueError(f"{len(payload)}-byte payload is short of "
-                             f"{count} indices of {b} bits")
         n_groups = -(-count // 8)
         raw = np.zeros((n_groups, 8 * -(-b // 8)), dtype=np.uint8)
-        raw[:, :b] = np.frombuffer(
-            payload[:n_groups * b].ljust(n_groups * b, b"\0"),
-            dtype=np.uint8).reshape(n_groups, b)
+        raw[:, :b] = np.frombuffer(payload.ljust(n_groups * b, b"\0"),
+                                   dtype=np.uint8).reshape(n_groups, b)
         words = raw.view(">u8")
         out = np.empty((n_groups, 8), dtype=np.int64)
         bits = out.view(np.uint64)

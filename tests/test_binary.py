@@ -176,6 +176,17 @@ def test_sign_layers_on_empty_input(fn, shape):
     assert meter.rounds == meter.online_bits == meter.offline_bits == 0
 
 
+@pytest.mark.parametrize("fn", [bit_decompose, highest_one_hot])
+@pytest.mark.parametrize("shape", [(0,), (0, 7)])
+def test_bit_layers_on_empty_input(fn, shape):
+    x = np.zeros(shape, dtype=np.uint64)
+    o0, o1, meter = run_two_party(fn, (x,), (x,))
+    want = (64, 0) if fn is bit_decompose else shape + (64,)
+    for o in (o0, o1):
+        assert o.shape == want and o.dtype == np.uint64
+    assert meter.rounds == meter.online_bits == meter.offline_bits == 0
+
+
 @given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=200),
        st.integers(0, 2 ** 32))
 @settings(max_examples=60, deadline=None)

@@ -4,6 +4,8 @@ import struct
 import numpy as np
 import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vsmm.decompose import invert
 from vsmm.dealer import Dealer, MaskRef, PrfStream
@@ -181,25 +183,30 @@ def test_square_correlation(dealer):
     assert np.array_equal(c, a * a)
 
 
-def test_bit_triples(dealer):
-    # the defaults: one AND triple per gate over two XOR-shared rows
-    for words, bits in ((4, 0), (0, 100), (3, 37)):
-        v0, v1, offline = dealer.gen_bit_triples(0, words, bits)
-        assert offline == 64 * words + bits
-        m = v0.masks ^ v1.masks
-        assert np.array_equal(m[0] & m[1], v0.products[0] ^ v1.products[0])
-        for v in (v0, v1):  # words, then one 0/1 entry per tail gate
-            for t, rows in ((v.masks, 2), (v.products, 1)):
-                assert t.dtype == np.uint64 and t.shape == (rows, words + bits)
-                assert set(np.unique(t[:, words:])) <= {0, 1}
-    # party 0 holds rows 0 and 2 in the clear, party 1 row 1; row 3 is
-    # shared. Each view has the masks of its own and the shared rows.
-    owners, products = (0, 1, 0, None), ((0, 1), (1, 2, 3), (0, 3))
-    v0, v1, offline = dealer.gen_bit_triples(1, 2, 9, owners, products)
-    assert offline == 3 * (64 * 2 + 9)
-    assert v0.masks.shape == (3, 11) and v1.masks.shape == (2, 11)
-    m = np.stack([v0.masks[0], v1.masks[0], v0.masks[1],
-                  v0.masks[2] ^ v1.masks[1]])
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_bit_triples(data):
+    """Random owners (None, 0 or 1 per row) and products of 2-4 rows: each
+    view holds the masks of exactly its own and the shared rows, in order,
+    and each product's shares XOR to the AND of the rows' masks."""
+    rows = data.draw(st.integers(2, 7))
+    owners = tuple(data.draw(st.lists(st.sampled_from([None, 0, 1]),
+                                      min_size=rows, max_size=rows)))
+    products = tuple(tuple(sorted(t)) for t in data.draw(st.lists(
+        st.sets(st.integers(0, rows - 1), min_size=2, max_size=4),
+        min_size=1, max_size=6)))
+    words, bits = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 70))
+    dealer = Dealer.from_seed(data.draw(st.integers(0, 2 ** 32)))
+    v0, v1, offline = dealer.gen_bit_triples(data.draw(st.integers(0, 99)),
+                                             words, bits, owners, products)
+    assert offline == len(products) * (64 * words + bits)
+    m = np.zeros((rows, words + bits), dtype=np.uint64)
+    for party, v in enumerate((v0, v1)):
+        held = [i for i, o in enumerate(owners) if o in (None, party)]
+        for t, n in ((v.masks, len(held)), (v.products, len(products))):
+            assert t.dtype == np.uint64 and t.shape == (n, words + bits)
+            assert set(np.unique(t[:, words:])) <= {0, 1}  # one bit a gate
+        m[held] ^= v.masks  # a shared row's mask is the XOR of the shares
     for t, p0, p1 in zip(products, v0.products, v1.products):
         assert np.array_equal(np.bitwise_and.reduce(m[list(t)], axis=0),
                               p0 ^ p1)

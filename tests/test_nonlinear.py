@@ -171,6 +171,16 @@ def test_softmax_of_no_rows(rng, c):
     assert meter.rounds == meter.online_bits == meter.offline_bits == 0
 
 
+@pytest.mark.parametrize("shape", [(0,), (0, 7)])
+def test_rsqrt_eps_of_no_entries(shape):
+    v = np.zeros(shape, dtype=np.uint64)
+    o0, o1, meter = run_two_party(
+        lambda ctx, v: rsqrt_eps(ctx, v, ADAM_EPS), (v,), (v,))
+    for o in (o0, o1):
+        assert o.shape == shape and o.dtype == np.uint64
+    assert meter.rounds == meter.online_bits == meter.offline_bits == 0
+
+
 def test_softmax_single_class(rng):
     y = encode_fixed(rng.uniform(-3, 3, (5, 1)))
     got, _ = _run(softmax_rows, rng, y)

@@ -245,9 +245,16 @@ def _rows(rng, r, whole, tail):
                           axis=2)
 
 
+def _pairs(r):
+    """The monomials (i, r + i): x[0] & x[1] over the (2r, n) rows of a
+    (2, r, n) pair of operands."""
+    return tuple((i, r + i) for i in range(r))
+
+
 def test_and_bits(rng):
     xy, xy0 = _rows(rng, 3, 4, 5), _rows(rng, 3, 4, 5)
-    o0, o1, meter = run_two_party(and_bits, (xy0, 4), (xy ^ xy0, 4))
+    o0, o1, meter = run_two_party(and_bits, (xy0.reshape(6, -1), 4, _pairs(3)),
+                                  ((xy ^ xy0).reshape(6, -1), 4, _pairs(3)))
     assert np.array_equal(o0 ^ o1, xy[0] & xy[1])
     assert meter.rounds == 1
     assert meter.online_bits == 2 * 2 * 3 * (64 * 4 + 5)
@@ -277,7 +284,7 @@ def test_and_bits_count(rng, r, whole, tail):
             send(payload, nbits)
 
         ctx.ep.send = spy
-        return and_bits(ctx, rows, whole)
+        return and_bits(ctx, rows.reshape(2 * r, -1), whole, _pairs(r))
 
     o0, o1, meter = run_two_party(proto, (xy0,), (xy ^ xy0,))
     assert np.array_equal(o0 ^ o1, xy[0] & xy[1])
@@ -297,7 +304,7 @@ def test_recv_gates_checks_payload_length(extra):
         if ctx.party == 0:
             ctx.ep.send(bytes(50 + extra))
         else:
-            ctx.recv_gates(3, 5)
+            ctx.recv_gates(3, 5, 2)
 
     with pytest.raises(ValueError, match=f"{50 + extra}-byte payload"):
         run_two_party(proto)

@@ -128,7 +128,7 @@ def test_perm_packing_payload():
         if ctx.party == 0:
             ctx.send_perm(np.arange(8), 8)
         else:
-            got = ctx.recv_perm(8)
+            got = ctx.recv_perm(8, count=8)
             assert np.array_equal(got, np.arange(8))
     _, _, meter = run_two_party(proto)
     assert meter.online_bits == 8 * 3  # ceil(log2 8) bits per index
@@ -194,7 +194,9 @@ def test_bit_payload_length_is_checked(payload):
         else:
             ctx.recv_bits(13)
 
-    with pytest.raises(ValueError, match=f"{len(payload)}-byte payload for 13 bits"):
+    with pytest.raises(ValueError,
+                       match=f"{len(payload)}-byte payload for 1x0 words "
+                             "and 1x13 bits"):
         run_two_party(proto)
 
 
@@ -209,12 +211,26 @@ def test_short_perm_payload_is_rejected():
         run_two_party(proto)
 
 
+@pytest.mark.parametrize("degree, count", [(8, 5), (1, 0)])
+def test_long_perm_payload_is_rejected(degree, count):
+    # 8 indices of 3 bits travel in 3 bytes, 5 in 2; at degree 1 an index
+    # takes 0 bits, so any byte is too long
+    def proto(ctx):
+        if ctx.party == 0:
+            ctx.send_perm(np.arange(8), 8)
+        else:
+            ctx.recv_perm(degree, count=count)
+
+    with pytest.raises(ValueError, match=f"3-byte payload for {count} indices"):
+        run_two_party(proto)
+
+
 def test_degree_one_perm_costs_zero_bits():
     def proto(ctx):
         if ctx.party == 0:
             ctx.send_perm(np.zeros(1, np.int64), 1)
         else:
-            assert ctx.recv_perm(1)[0] == 0
+            assert ctx.recv_perm(1, count=1)[0] == 0
     _, _, meter = run_two_party(proto)
     assert meter.online_bits == 0
 
@@ -295,7 +311,7 @@ _PLAN = [("op", ("gen_op_rand", (9, 3))), ("osm", ("gen_osm_rand", (17,))),
          ("privmul", ("gen_privmul", ((4, 2),))),
          ("beaver", ("gen_beaver", ((3, 4), (4, 2), True))),
          ("square", ("gen_square", ((5,),))),
-         ("bits", ("gen_bit_triples", (3, 40))),
+         ("bits", ("gen_bit_triples", (3, 40, (None, None), ((0, 1),)))),
          ("mask", ("gen_mask", ((4, 3),))),
          ("beaver", ("gen_beaver", (MaskRef(6, (4, 3), True), (4, 2), True))),
          ("beaver", ("gen_beaver", ((4, 7), (4, 1), False))),
