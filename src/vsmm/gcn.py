@@ -13,7 +13,9 @@ Each dense operand that several products read is opened once
 (`protocols.open_masked`): AX once per training run, Z and W2 once per
 forward pass, and A^T g once per backward pass, where it serves both
 gw2 = Z^T A^T g and dz = A^T g W2^T. Inference reads AX once, so it does not
-open it ahead.
+open it ahead. An epoch's evaluation reveal and its backward pass read
+nothing of each other, so they run as `PartyContext.parallel` branches: the
+reveal's round overlaps the backward pass.
 """
 
 from __future__ import annotations
@@ -320,10 +322,11 @@ def _train_protocol(ctx, bundle, x, onehot_enc, w1, w2, pub, cfg: TrainConfig):
     for _ in range(cfg.epochs):
         logits, z, relu_mask, w2_open = _secure_forward(ctx, bundle, dims, ax,
                                                         w1, w2)
-        _, stats = _eval_logits(ctx, logits, pub)
-        gw1, gw2 = _secure_backward(ctx, bundle, dims, ax, z, relu_mask,
-                                    w2_open, logits, onehot_enc,
-                                    pub["train_mask"])
+        (gw1, gw2), (_, stats) = ctx.parallel(
+            lambda: _secure_backward(ctx, bundle, dims, ax, z, relu_mask,
+                                     w2_open, logits, onehot_enc,
+                                     pub["train_mask"]),
+            lambda: _eval_logits(ctx, logits, pub))
         if cfg.optimizer == "sgd":
             w1 = sgd_step(ctx, w1, gw1, cfg.lr)
             w2 = sgd_step(ctx, w2, gw2, cfg.lr)

@@ -1,5 +1,5 @@
 """Nonlinear secure protocols: the reciprocal-square-root family, softmax
-with its reciprocal on [1, c], and the SGD / simplified Adam optimizer steps.
+with its bounded quotient, and the SGD / simplified Adam optimizer steps.
 
 rsqrt works in three stages on positive fixed-point x with highest set ring
 bit k and f = FRAC_BITS: (1) a one-hot inner product gives 1/sqrt(2^(k-f))
@@ -22,17 +22,26 @@ of 0 gives 0 (party 0's floor(a / 2^f) and party 1's -floor(-b / 2^f)
 cancel for b = -a), so r = 0. So rsqrt_eps takes rsqrt's 11 rounds, and
 adam_step 13: g^2, rsqrt_eps, then the product u r.
 
-softmax_rows runs four stages on (N, c) logits y, c >= 2, in 4 +
-ceil(log_6(c - 1)) + 1 + 5 + 6 + 2k + 1 rounds for k Newton steps: 26 at
-c = 7 (k = 4) and 21 at c = 2 (k = 2). (1) The row max by CrypTen's pairwise
+softmax_rows runs three stages on (N, c) logits y, c >= 2, in 4 +
+ceil(log_6(c - 1)) + 1 + 6 + 1 + 1 + k rounds for k quotient steps: 18 at
+c = 7 (k = 4) and 15 at c = 2 (k = 2). (1) The row max by CrypTen's pairwise
 argmax (Knott et al., NeurIPS 2021): one msb layer over the c(c - 1)/2
 differences y_i - y_j, an AND over each column's c - 1 comparisons, in one
 round up to c = 7, that marks one winner per row, and x = y - sum_i win_i y_i
 by one bit_mult.
-(2) exp(x) ~ (1 + x/64)^64 with the base clamped at 0: relu(x + 64)/64, then
-six Beaver squarings. Each term lies in [0, 1] and the max's is about 1, so
-a row sum s lies in [1, c]. (3) 1/s by `reciprocal_bounded`, 2 rounds a
-Newton step. (4) One Beaver multiply of the terms by 1/s.
+(2) exp(x) ~ (1 + x/64)^64 with the base clamped at 0: msb(x + 64) runs
+beside the six squarings of the unclamped base (x + 64)/64 (`parallel`, 6
+rounds), then one bit_mult by NOT msb, which is exact ring arithmetic: a
+clamped term is exactly 0 whatever wrapped value its squares hold. A row
+sum s of terms in [0, 1], the max's about 1, lies in [1, c]. (3) The terms
+t over s by `quotient_bounded`: with y0 = b(c + 1 - s), b = 8/q, q = c^2 +
+6c + 1, P_0 = t y0 and e_0 = 1 - s y0, |e_0| <= (c - 1)^2/q, P_(k+1) =
+P_k (1 + e_k) = t/s (1 - e_(k+1)) for e_(k+1) = e_k^2, and k steps bring e_k
+below 2^-16. One round opens t and s, whose products give P_0 and e_0; each
+step opens (P_k, e_k) and multiplies the openings: 1 + k rounds. The chain
+carries GUARD_BITS more fractional bits, dropped once at the end, so its
+truncation errors stay below one final ulp; at c = 7 its products stay
+below 2^40, a truncation wrap chance below 2^-23 an entry.
 """
 
 from __future__ import annotations
@@ -41,7 +50,7 @@ import math
 
 import numpy as np
 
-from .binary import bit_mult, highest_one_hot, msb, relu
+from .binary import bit_mult, highest_one_hot, msb
 from .protocols import and_bits, beaver_mult, beaver_square, open_masked
 from .ring import FRAC_BITS, MAX_ABS, RING_BITS, encode_fixed, truncate_share
 from .runtime import PartyContext
@@ -104,8 +113,6 @@ def _rsqrt_core(ctx: PartyContext, x: np.ndarray):
     """Shares of 1/sqrt(x) plus the one-hot used (for the zero indicator)."""
     x = np.asarray(x, dtype=np.uint64)
     y = highest_one_hot(ctx, x)
-    if x.size == 0:
-        return x.copy(), y
     v, norm = rsqrt_pow2(ctx, y, x)  # m = x / 2^(k-f) in [1, 2)
     m2 = beaver_square(ctx, norm, truncate=True)
     z = scale_public(m2, QUAD_A, ctx) + scale_public(norm, QUAD_B, ctx)
@@ -129,23 +136,31 @@ def rsqrt_eps(ctx: PartyContext, v: np.ndarray, eps: float) -> np.ndarray:
                        1.0 / eps, ctx)
 
 
-def reciprocal_bounded(ctx: PartyContext, s: np.ndarray, c: int) -> np.ndarray:
-    """Shares of 1/s for s in the public range [1, c], c >= 2: Newton steps
-    y <- y(2 - s y) from y0 = b(c + 1 - s), b = 8/q, q = c^2 + 6c + 1, until
-    the relative error (c - 1)^2/q, squared each step, is below 2^-16. The
-    first s*y0 = b((c + 1)s - s^2) squares s's opening: 2 rounds a step."""
-    q = c * c + 6 * c + 1
-    steps = math.ceil(math.log2(FRAC_BITS / math.log2(q / (c - 1) ** 2)))
-    s_open, = open_masked(ctx, s)
-    y = _add_public(scale_public(s, -8 / q, ctx), 8 * (c + 1) / q, ctx)
-    sy = scale_public(np.uint64(c + 1) * s
-                      - beaver_square(ctx, s_open, truncate=True), 8 / q, ctx)
+GUARD_BITS = 4  # fractional bits the quotient chain carries beyond f
+
+
+def quotient_bounded(ctx: PartyContext, t: np.ndarray, s: np.ndarray,
+                     c: int) -> np.ndarray:
+    """Shares of t / s, broadcasting, for s in the public range [1, c],
+    c >= 2, in 1 + k rounds (module docstring)."""
+    q, f, wide = c * c + 6 * c + 1, FRAC_BITS, FRAC_BITS + GUARD_BITS
+    steps = math.ceil(math.log2(f / math.log2(q / (c - 1) ** 2)))
+    t_open, s_open = open_masked(ctx, t, s)
+
+    def times_y0(v, v_open):  # b((c + 1)v - v s) from 2f to `wide` bits
+        v = np.uint64((c + 1) << f) * v - beaver_mult(ctx, v_open, s_open)
+        return scale_public(truncate_share(v, ctx.party, f - GUARD_BITS),
+                            8 / q, ctx)
+
+    e = _add_public(0 - times_y0(s, s_open), 2.0 ** GUARD_BITS, ctx)
+    p = times_y0(t, t_open)
     for step in range(steps):
-        if step:
-            y, = open_masked(ctx, y)
-            sy = beaver_mult(ctx, s_open, y, truncate=True)
-        y = beaver_mult(ctx, y, _add_public(0 - sy, 2.0, ctx), truncate=True)
-    return y
+        p_open, e_open = open_masked(ctx, p, e)
+        p = p + truncate_share(beaver_mult(ctx, p_open, e_open), ctx.party,
+                               wide)
+        if step + 1 < steps:
+            e = truncate_share(beaver_square(ctx, e_open), ctx.party, wide)
+    return truncate_share(p, ctx.party, GUARD_BITS)
 
 
 AND_FANIN = 6  # one round up to c = 7: 2^6 - 6 - 1 = 57 products a bit
@@ -190,13 +205,19 @@ def softmax_rows(ctx: PartyContext, y: np.ndarray) -> np.ndarray:
     if y.shape[1] == 1:  # the softmax of one logit is 1
         return _add_public(np.zeros_like(y), 1.0, ctx)
     top, _ = bit_mult(ctx, _row_winners(ctx, y), y)
-    x = y - top.sum(axis=1, dtype=np.uint64)[:, None]
-    e = relu(ctx, _add_public(x, 2.0 ** EXP_SQUARINGS, ctx))[0]
-    e = truncate_share(e, ctx.party, EXP_SQUARINGS)  # 1 + x/64, 0 below -64
-    for _ in range(EXP_SQUARINGS):
-        e = beaver_square(ctx, e, truncate=True)
-    inv = reciprocal_bounded(ctx, e.sum(axis=1, dtype=np.uint64), y.shape[1])
-    return beaver_mult(ctx, e, inv[:, None], truncate=True)  # opens n, not n*c
+    x = _add_public(y - top.sum(axis=1, dtype=np.uint64)[:, None],
+                    2.0 ** EXP_SQUARINGS, ctx)  # x + 64
+
+    def powers():
+        e = truncate_share(x, ctx.party, EXP_SQUARINGS)  # 1 + x/64
+        for _ in range(EXP_SQUARINGS):
+            e = beaver_square(ctx, e, truncate=True)
+        return e
+
+    below, e = ctx.parallel(lambda: msb(ctx, x), powers)
+    e, _ = bit_mult(ctx, below ^ np.uint64(1 - ctx.party), e)  # 0 below -64
+    return quotient_bounded(ctx, e, e.sum(axis=1, keepdims=True,
+                                          dtype=np.uint64), y.shape[1])
 
 
 def sgd_step(ctx: PartyContext, w: np.ndarray, grad: np.ndarray,

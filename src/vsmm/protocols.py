@@ -153,6 +153,10 @@ class Opened:
         self.mask.flags.writeable = self.public.flags.writeable = False
 
     @property
+    def shape(self) -> tuple:
+        return self.public.shape
+
+    @property
     def T(self) -> "Opened":
         return Opened(replace(self.ref, transposed=not self.ref.transposed),
                       self.mask.T, self.public.T)
@@ -169,29 +173,30 @@ def _spec(x):
 
 def _open(ctx: PartyContext, pairs) -> list:
     """(public x - a, this party's a) for each (operand, fresh mask) pair.
-    An Opened keeps its earlier opening; the arrays' x - a are all sent,
-    then all received: one round, or none if every operand is Opened."""
-    masked = [None if isinstance(x, Opened) else x - a for x, a in pairs]
+    An operand without a mask, an Opened or an empty array, is not opened;
+    the others' x - a are all sent, then all received: one round, or none
+    if there are no others."""
+    masked = [None if a is None else x - a for x, a in pairs]
     for m in masked:
         if m is not None:
             ctx.send_ring(m)
-    return [(x.public, x.mask) if m is None else (m + ctx.recv_ring(m.shape), a)
+    return [(m + ctx.recv_ring(m.shape), a) if m is not None else
+            (x.public, x.mask) if isinstance(x, Opened) else (x, a)
             for (x, a), m in zip(pairs, masked)]
 
 
 def open_masked(ctx: PartyContext, *xs) -> tuple[Opened, ...]:
     """Open each shared array in xs under a fresh `gen_mask` tuple, all in
-    one round; an Opened in xs comes back as it is. Any number of
-    beaver_mult and beaver_square calls can then take the results in place
-    of the arrays without opening them again.
+    one round; an Opened or an empty array in xs comes back as it is. Any
+    number of beaver_mult and beaver_square calls can then take the results
+    in place of the arrays without opening them again.
     """
     xs = [_operand(x) for x in xs]
     with ctx.section("mult"):
-        masks = [(None, None) if isinstance(x, Opened) else ctx.tape.mask(x.shape)
-                 for x in xs]
+        masks = [(None, None) if isinstance(x, Opened) or 0 in x.shape
+                 else ctx.tape.mask(x.shape) for x in xs]
         opened = _open(ctx, [(x, a) for x, (_, a) in zip(xs, masks)])
-        return tuple(x if isinstance(x, Opened) else
-                     Opened(MaskRef(ctr, x.shape), a, e)
+        return tuple(x if ctr is None else Opened(MaskRef(ctr, x.shape), a, e)
                      for x, (ctr, a), (e, _) in zip(xs, masks, opened))
 
 
@@ -200,9 +205,13 @@ def beaver_mult(ctx: PartyContext, x, y, matmul: bool = False,
     """Beaver multiplication of two shared tensors: elementwise, with
     numpy broadcasting, or a matrix product. Either operand may be an
     Opened, which is not opened again; array operands are opened together,
-    in one round. Every call takes a fresh [op(A) op(B)] from the dealer.
+    in one round. Every call takes a fresh [op(A) op(B)] from the dealer,
+    except that a product with an empty operand is 0 and costs nothing.
     """
     x, y = _operand(x), _operand(y)
+    if 0 in x.shape + y.shape:
+        return np.zeros((x.shape[0], y.shape[1]) if matmul else
+                        np.broadcast_shapes(x.shape, y.shape), dtype=np.uint64)
     with ctx.section("mult"):
         tape = ctx.tape.beaver(_spec(x), _spec(y), matmul)
         (dx, a), (dy, b) = _open(ctx, ((x, tape.a), (y, tape.b)))
@@ -222,8 +231,10 @@ def beaver_mult(ctx: PartyContext, x, y, matmul: bool = False,
 
 def beaver_square(ctx: PartyContext, x, truncate: bool = False) -> np.ndarray:
     """Square a shared tensor, or an Opened, with an (a, a^2) pair; at most
-    one opening, one round."""
+    one opening, one round; an empty x costs nothing."""
     x = _operand(x)
+    if 0 in x.shape:
+        return np.zeros(x.shape, dtype=np.uint64)
     with ctx.section("mult"):
         tape = ctx.tape.square(_spec(x))
         ((dx, a),) = _open(ctx, ((x, tape.a),))

@@ -14,6 +14,11 @@ tallies once both threads have joined. Payload bits are metered exactly as
 placed on the wire; a modelled 6-byte frame per message (4-byte little-endian
 length + 2-byte protocol tag) is accounted separately so that formula
 assertions compare payload bits only.
+
+`PartyContext.parallel` runs branches that read no other branch's output in
+turn, each from the fork's clock, so messages and draws keep their order; a
+receive charges only the advance above the largest clock an earlier branch
+reached, so each party's section rounds still sum to its clock.
 """
 
 from __future__ import annotations
@@ -136,6 +141,7 @@ class Endpoint:
         self.clock = 0
         self.sent_bits = 0
         self.messages = 0
+        self.reached = 0  # the largest clock any branch has reached
         self.section = "default"
         self.tally: dict[str, list[int]] = {}  # [online bits, offline, rounds]
 
@@ -170,9 +176,9 @@ class Endpoint:
                 if not woke:
                     raise DeadlockError("receive timed out")
             payload, stamp = inbox.popleft()
-        clock = max(self.clock, stamp + 1)
-        self._charge(2, clock - self.clock)
-        self.clock = clock
+        self.clock = max(self.clock, stamp + 1)
+        self._charge(2, max(self.clock - self.reached, 0))
+        self.reached = max(self.reached, self.clock)
         return payload
 
 
@@ -192,6 +198,17 @@ class PartyContext:
             yield
         finally:
             self.ep.section = outer
+
+    def parallel(self, *branches) -> list:
+        """The zero-argument branches' results, each run in turn from the
+        fork's clock; the join's clock is the largest branch end."""
+        fork, ends, outs = self.ep.clock, [self.ep.clock], []
+        for branch in branches:
+            self.ep.clock = fork
+            outs.append(branch())
+            ends.append(self.ep.clock)
+        self.ep.clock = max(ends)
+        return outs
 
     # wire encodings ------------------------------------------------------
 
@@ -227,7 +244,10 @@ class PartyContext:
         if raw.size != head + -(-rows * bits // 8):
             raise ValueError(f"{raw.size}-byte payload for {rows}x{words} "
                              f"words and {rows}x{bits} bits")
-        tail = np.unpackbits(raw[head:])[:rows * bits].reshape(rows, bits)
+        tail = np.unpackbits(raw[head:])
+        if tail[rows * bits:].any():
+            raise ValueError(f"nonzero padding bits after {rows * bits} bits")
+        tail = tail[:rows * bits].reshape(rows, bits)
         return np.concatenate(
             [raw[:head].view("<u8").reshape(rows, words), tail], axis=1)
 
@@ -280,6 +300,8 @@ class PartyContext:
             else:
                 bits[:, j] = words[:, w] << hi | words[:, w + 1] >> lo
         bits &= np.uint64((1 << b) - 1)  # drop the bits of earlier indices
+        if out.ravel()[count:].any():  # the padding, then zero bytes
+            raise ValueError(f"nonzero padding bits after {count * b} bits")
         return out.ravel()[:count]
 
 

@@ -261,28 +261,34 @@ def test_smm_widths_follow_public_shapes(monkeypatch, d, h, widths):
     # 4,124. So 24 * 6,570 / 8 = 19,710 B became 12 * 4,124 / 8 = 6,186 B.
     # The 4-round sign bit also saved (724 - 348) / 8 = 47 B per hidden
     # unit's ReLU: n*h = 192 * 47 = 9,024 B (h = 8) and 48 * 47 = 2,256 B
-    # (h = 2).
+    # (h = 2). The bounded quotient then took the place of the reciprocal
+    # and the last multiply: per row at c = 2 it opens t and s (3 elements)
+    # and then p and e (3) in each of its 2 steps, 9 * 128 = 1,152 bits
+    # where they opened 640 + 384 = 1,024, so a row sends 4,252 bits and
+    # the 12 rows 12 * 128 / 8 = 192 B more.
     #
-    # rounds: an epoch's row holds party 0's clock delta: 32 outside smm,
-    # with the 5-round ReLU and the 21-round softmax (41 with the 8- and
-    # 27-round ones), plus what the two smm calls add. A two-round call
+    # rounds: an epoch's row holds party 0's clock delta: 25 outside smm,
+    # with the 5-round ReLU and the 15-round softmax, and the reveal beside
+    # the backward pass (32 with the 21-round softmax after the reveal, 41
+    # with the 8- and 27-round ones), plus what the two smm calls add. A two-round call
     # advances party 0's clock by 2 and party 1's by 1, so party 0 leads
     # after it; each one-round exchange swaps the lead, and so do the
-    # 5-round ReLU and the 21-round softmax. A call that starts with party
+    # 5-round ReLU and the 15-round softmax. A call that starts with party
     # 1 a round ahead adds 1 round, not 2: party 0's corrections, stamped a
     # round earlier, reach party 1 without moving its clock. An epoch starts
     # with party 1 ahead after AX's opening, and ax*w1 and ReLU hand the
     # lead back to party 1. In the A(ZW2) order (h = 8) the opening of Z
-    # and W2 then gives party 0 the lead before the forward call (2); the
-    # reveal and softmax hand it back to party 0 before the backward call
-    # (2): 32 + 2 + 2 = 36. In the (AZ)W2 order (h = 2 = c) the forward
-    # call follows ReLU with party 1 ahead (1), and the opening of AZ, the
-    # reveal and softmax put three swaps before the backward call, which
-    # starts with party 1 ahead (1): 32 + 1 + 1 = 34.
+    # and W2 then gives party 0 the lead before the forward call (2);
+    # softmax hands it to party 1 before the backward call (1): 25 + 2 + 1
+    # = 28, 36 when the reveal's swap came before softmax's. In the (AZ)W2
+    # order (h = 2 = c) the forward call follows ReLU with party 1 ahead
+    # (1), and the opening of AZ and softmax put two swaps before the
+    # backward call, which starts with party 0 ahead (2): 25 + 1 + 2 = 28,
+    # 34 with the reveal's third swap.
     (4, 8, 288_888 - 22 * 6_260 - 28_836 - 10_314 - 49_668 - 7_168 - 384
-     - 19_710 + 6_186 - 9_024, [2, 2], 36),
+     - 19_710 + 6_186 - 9_024 + 192, [2, 2], 28),
     (16, 2, 244_728 - 22 * 6_260 - 9_612 - 3_438 - 49_668 - 13_120 - 384
-     - 19_710 + 6_186 - 2_256, [2, 2], 34),
+     - 19_710 + 6_186 - 2_256 + 192, [2, 2], 28),
 ], ids=["d4-h8", "d16-h2"])  # ids without the pinned bytes, which move
 def test_epoch_bytes_follow_smm_widths(monkeypatch, d, h, non_smm_bytes,
                                        epoch_widths, rounds):
@@ -311,14 +317,25 @@ def test_section_rounds_sum_to_meter_rounds(ds):
     # with one party a round ahead moves only the other party's clock, by
     # 2, so the moved leads also move which party's clock each round of b2a,
     # mult, op and osm lands on.
+    #
+    # Softmax then took 15 rounds: the clamp's sign bit runs beside the 6
+    # squarings and keeps its 4 gmw_and rounds as the first branch, the
+    # squarings' branch adds 2 mult rounds past it, and the bounded
+    # quotient takes 3 (11 mult rounds before: the squarings 6, Newton 4
+    # and the last multiply 1). The epoch's reveal runs as a branch after
+    # the backward pass and reaches no clock past it, so it charges
+    # nothing; the final reveal keeps its round. The run takes 41 rounds,
+    # 49 before: softmax's 6, the reveal's 1, and 1 more because, without
+    # the reveal's lead swap before softmax, the backward smm call starts
+    # with party 1 ahead and adds 1 round, not 2.
     _, meter = train_secure(ds, TrainConfig(epochs=1, hidden=4))
     assert meter.party_rounds == {
-        "op": [1, 7], "osm": [7, 0], "mult": [22, 16], "gmw_and": [16, 16],
-        "b2a": [2, 6], "reveal": [0, 4]}
+        "op": [3, 5], "osm": [5, 0], "mult": [14, 12], "gmw_and": [16, 16],
+        "b2a": [2, 6], "reveal": [0, 2]}
     for party in (0, 1):
         assert sum(r[party] for r in meter.party_rounds.values()) \
             == meter.clocks[party]
-    assert meter.clocks == [48, 49] and meter.rounds == 49
+    assert meter.clocks == [40, 41] and meter.rounds == 41
     assert {name: sec["rounds"] for name, sec in meter.sections.items()} \
         == {name: max(r) for name, r in meter.party_rounds.items()}
 
@@ -332,15 +349,17 @@ def test_adam_section_rounds_sum_to_meter_rounds(ds):
     # highest_one_hot 14, a separate multiply round for each rsqrt product
     # and one for the fallback). Party 1 leads when Adam starts, and the
     # leads it moves change which party's clock the later rounds land on.
+    # The 15-round softmax and the overlapped reveal then took the run
+    # from 61 rounds to 53, as in the SGD run above.
     _, meter = train_secure(ds, TrainConfig(optimizer="adam", epochs=1,
                                             hidden=4))
     assert meter.party_rounds == {
-        "op": [3, 5], "osm": [5, 0], "mult": [24, 24], "gmw_and": [22, 24],
-        "b2a": [6, 4], "reveal": [0, 4]}
+        "op": [5, 3], "osm": [3, 0], "mult": [16, 20], "gmw_and": [22, 24],
+        "b2a": [6, 4], "reveal": [0, 2]}
     for party in (0, 1):
         assert sum(r[party] for r in meter.party_rounds.values()) \
             == meter.clocks[party]
-    assert meter.clocks == [60, 61] and meter.rounds == 61
+    assert meter.clocks == [52, 53] and meter.rounds == 53
     assert {name: sec["rounds"] for name, sec in meter.sections.items()} \
         == {name: max(r) for name, r in meter.party_rounds.items()}
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vsmm.nonlinear import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, QUAD_A, QUAD_B,
-                            QUAD_C, adam_step, quad_poly, reciprocal_bounded,
+                            QUAD_C, adam_step, quad_poly, quotient_bounded,
                             rsqrt, rsqrt_eps, rsqrt_pow2, sgd_step,
                             softmax_rows)
 from vsmm.ring import (FRAC_BITS, decode_fixed, encode_fixed, random_ring,
@@ -95,15 +95,16 @@ def test_rsqrt_eps_sweep(rng):
 
 
 def test_reciprocal(rng):
-    # the Newton reciprocal on the public range [1, c] that softmax's row
-    # sums fall in, at both ends and in between
+    # the bounded quotient t / s at t = 1 on the public range [1, c] that
+    # softmax's row sums fall in, at both ends and in between
     for c in (2, 3, 7):
         s = np.concatenate(([1.0, c], rng.uniform(1, c, 200)))
 
-        def proto(ctx, v):
-            return reciprocal_bounded(ctx, v, c)
+        def proto(ctx, v, t):
+            return quotient_bounded(ctx, t, v, c)
 
-        got, _ = _run(proto, rng, encode_fixed(s))
+        got, _ = _run(proto, rng, encode_fixed(s),
+                      encode_fixed(np.ones_like(s)))
         assert (np.abs(decode_fixed(got) - 1 / s) * s).max() <= 2 ** -13
 
 
@@ -122,11 +123,12 @@ def test_softmax_rows_close_and_normalized(rng):
 
 def test_softmax_many_classes(rng):
     # 39 comparisons per column AND in rounds of 6 inputs (3 rounds), so the
-    # dealt mask products stay at most 57 a bit rather than 2^39
+    # dealt mask products stay at most 57 a bit rather than 2^39; the
+    # quotient takes 6 steps at c = 40
     y = rng.uniform(-3, 3, (3, 40))
     got, meter = _run(softmax_rows, rng, encode_fixed(y))
     assert np.abs(decode_fixed(got) - _softmax(y)).max() <= 0.02
-    assert meter.rounds == 4 + 3 + 1 + 5 + 6 + 2 * 6 + 1
+    assert meter.rounds == 4 + 3 + 1 + 6 + 1 + 1 + 6
 
 
 def test_softmax_large_logit_gap(rng):
@@ -153,12 +155,14 @@ def test_softmax_ties_have_one_winner(rng, y):
     assert np.abs(sm.sum(axis=1) - 1).max() <= 0.01
 
 
-@pytest.mark.parametrize("c, rounds", [(7, 26), (2, 21), (12, 29)])
+@pytest.mark.parametrize("c, rounds", [(7, 18), (2, 15), (12, 20)])
 def test_softmax_round_budget(rng, c, rounds):
     # row max: msb 4, the AND of c - 1 comparisons ceil(log_6(c - 1)) (0,
-    # 1 up to c = 7, 2 at c = 12), bit_mult 1; clamp: ReLU 5; squarings 6;
-    # Newton 2 per step (4 steps at c = 7, 2 at c = 2, 5 at c = 12); last
-    # multiply 1
+    # 1 up to c = 7, 2 at c = 12), bit_mult 1; the clamp's msb (4) beside
+    # the 6 squarings: 6; the clamp's bit_mult 1; the quotient 1 + k for k
+    # steps (4 at c = 7, 2 at c = 2, 5 at c = 12). It was 26, 21 and 29
+    # with the clamp's ReLU (5) before the squarings and Newton's 2 rounds
+    # a step and last multiply (2k + 1)
     _, meter = _run(softmax_rows, rng, encode_fixed(rng.uniform(-3, 3, (9, c))))
     assert meter.rounds == max(meter.clocks) == rounds
 
@@ -177,6 +181,17 @@ def test_rsqrt_eps_of_no_entries(shape):
     o0, o1, meter = run_two_party(
         lambda ctx, v: rsqrt_eps(ctx, v, ADAM_EPS), (v,), (v,))
     for o in (o0, o1):
+        assert o.shape == shape and o.dtype == np.uint64
+    assert meter.rounds == meter.online_bits == meter.offline_bits == 0
+
+
+@pytest.mark.parametrize("shape", [(0,), (0, 7)])
+def test_adam_step_of_no_entries(shape):
+    # g^2 and the direction u r are products with an empty operand
+    v = np.zeros(shape, dtype=np.uint64)
+    o0, o1, meter = run_two_party(
+        lambda ctx, v: adam_step(ctx, v, v, v, v, 0.1), (v,), (v,))
+    for o in (*o0, *o1):
         assert o.shape == shape and o.dtype == np.uint64
     assert meter.rounds == meter.online_bits == meter.offline_bits == 0
 

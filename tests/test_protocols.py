@@ -310,6 +310,48 @@ def test_recv_gates_checks_payload_length(extra):
         run_two_party(proto)
 
 
+def test_recv_gates_checks_padding_bits():
+    # 2 x 5 bits travel in 2 bytes, the last 6 bits of the second padding
+    def proto(ctx):
+        if ctx.party == 0:
+            ctx.ep.send(bytes(48) + b"\0\x01")
+        else:
+            ctx.recv_gates(3, 5, 2)
+
+    with pytest.raises(ValueError, match="nonzero padding bits after 10 bits"):
+        run_two_party(proto)
+
+
+@pytest.mark.parametrize("fn", ["open_masked", "beaver_mult", "matmul",
+                                "beaver_square"])
+@pytest.mark.parametrize("shape", [(0,), (0, 7)])
+def test_beaver_layers_on_empty_input(fn, shape):
+    # nothing to open: no round, no bit and no dealer draw
+    x = np.zeros(shape, dtype=np.uint64)
+
+    def proto(ctx, x):
+        if fn == "open_masked":
+            out, = open_masked(ctx, x)
+        elif fn == "beaver_mult":
+            out = beaver_mult(ctx, x, open_masked(ctx, x)[0], truncate=True)
+        elif fn == "matmul":  # (0, 7) @ (7, 0) and (7, 0) @ (0, 7) are 0
+            out = beaver_mult(ctx, x.reshape(-1, 7).T, x.reshape(-1, 7),
+                              matmul=True)
+            assert out.shape == (7, 7) and not out.any()
+            out = beaver_mult(ctx, x.reshape(-1, 7), out, matmul=True)
+        else:
+            out = beaver_square(ctx, x, truncate=True)
+        return out, ctx.tape.ctr
+
+    (o0, ctr0), (o1, ctr1), meter = run_two_party(proto, (x,), (x,))
+    want = (0, 7) if fn == "matmul" else shape
+    for o in (o0, o1):
+        assert o.shape == want and o.dtype == np.uint64
+    assert ctr0 == ctr1 == 0
+    assert meter.rounds == meter.online_bits == meter.offline_bits == 0
+    assert meter.framing_bits == 0
+
+
 @pytest.mark.parametrize("k", range(1, 7))
 def test_and_bits_monomial_cost(rng, k):
     """A k-row monomial opens each row once, 1 bit per element per party,

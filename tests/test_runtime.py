@@ -5,9 +5,12 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vsmm import runtime
 from vsmm.dealer import Dealer, MaskRef, TapeExhausted
+from vsmm.protocols import beaver_square
 from vsmm.ring import reconstruct
 from vsmm.runtime import (FRAME_BITS, CommMeter, DeadlockError,
                           NETWORK_CONDITIONS, NetworkModel, estimate_time,
@@ -225,6 +228,19 @@ def test_long_perm_payload_is_rejected(degree, count):
         run_two_party(proto)
 
 
+def test_perm_padding_bits_are_checked():
+    # 8 indices of 3 bits fill 3 bytes, and so would 7 followed by 3 bits of
+    # zero padding: the eighth index, 7, is not zero padding
+    def proto(ctx):
+        if ctx.party == 0:
+            ctx.send_perm(np.arange(8), 8)
+        else:
+            ctx.recv_perm(8, count=7)
+
+    with pytest.raises(ValueError, match="nonzero padding bits after 21 bits"):
+        run_two_party(proto)
+
+
 def test_degree_one_perm_costs_zero_bits():
     def proto(ctx):
         if ctx.party == 0:
@@ -288,6 +304,106 @@ def test_costs_charge_the_innermost_section():
     for party in (0, 1):
         assert sum(r[party] for r in meter.party_rounds.values()) \
             == meter.clocks[party]
+
+
+def _squarings(ctx, x, rounds):
+    with ctx.section(f"sq{rounds}"):
+        for _ in range(rounds):
+            x = beaver_square(ctx, x)
+    return x
+
+
+@pytest.mark.parametrize("a, b", [(3, 1), (1, 3), (0, 2), (2, 2)])
+def test_parallel_matches_the_sequence(a, b):
+    """parallel(f, g) sends, draws and returns what f(); g() does; only the
+    clock differs: the fork's clock plus the larger branch cost."""
+    def proto(ctx, x, forked):
+        x = beaver_square(ctx, x)  # a fork clock of 1
+        branches = (lambda: _squarings(ctx, x, a),
+                    lambda: _squarings(ctx, x + np.uint64(1), b))
+        outs = ctx.parallel(*branches) if forked else [f() for f in branches]
+        return outs, ctx.tape.ctr
+
+    x = np.arange(5, dtype=np.uint64)
+    runs = [run_two_party(proto, (x, forked), (x, forked), seed=4)
+            for forked in (False, True)]
+    (seq0, seq1, seq), (par0, par1, par) = runs
+    for got, want in ((par0, seq0), (par1, seq1)):
+        assert got[1] == want[1] == 1 + a + b  # the same dealer draws
+        for g, w in zip(got[0], want[0]):
+            assert np.array_equal(g, w)
+    for key in ("online_bits", "offline_bits", "framing_bits"):
+        assert getattr(par, key) == getattr(seq, key)
+    assert seq.rounds == 1 + a + b
+    assert par.clocks == [1 + max(a, b)] * 2 and par.rounds == 1 + max(a, b)
+    for party in (0, 1):
+        assert sum(r[party] for r in par.party_rounds.values()) \
+            == par.clocks[party]
+
+
+_LEAF = st.integers(0, 4)
+_FORK = st.lists(_LEAF, min_size=1, max_size=3)  # a fork of leaves
+_NESTED = st.lists(st.one_of(_LEAF, _FORK), min_size=1, max_size=3)
+
+
+def _cost(node) -> int:
+    """A node's rounds when every exchange is simultaneous: a leaf's count,
+    a fork's largest branch."""
+    return max(map(_cost, node), default=0) if isinstance(node, list) else node
+
+
+def _leaves(node):
+    if isinstance(node, list):
+        return [leaf for n in node for leaf in _leaves(n)]
+    return [node]
+
+
+@given(st.lists(st.one_of(_LEAF, _NESTED), min_size=1, max_size=4),
+       st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_parallel_section_rounds_sum_to_clocks(program, lead):
+    """Leaves of 0-4 exchanges, each in a section of its own, forked up to
+    two deep: each party's section rounds add up to its clock. With `lead`
+    party 1 starts a round ahead, so an exchange moves only one clock."""
+    def run(ctx, node, got, path):
+        if isinstance(node, list):
+            ctx.parallel(*(lambda n=n, i=i: run(ctx, n, got, path + (i,))
+                           for i, n in enumerate(node)))
+            return
+        with ctx.section(f"leaf{path}"):
+            for k in range(node):
+                ctx.send_ring(np.array([k], np.uint64))
+                got.append(int(ctx.recv_ring((1,))[0]))
+
+    def proto(ctx):
+        got = []
+        if lead and ctx.party == 0:
+            ctx.send_ring(np.zeros(1, np.uint64))
+        elif lead:
+            ctx.recv_ring((1,))
+        for i, node in enumerate(program):
+            run(ctx, node, got, (i,))
+        return got
+
+    got0, got1, meter = run_two_party(proto)
+    assert got0 == got1 == [k for leaf in _leaves(program)
+                            for k in range(leaf)]
+    for party in (0, 1):
+        assert sum(r[party] for r in meter.party_rounds.values()) \
+            == meter.clocks[party]
+    assert meter.rounds == max(meter.clocks)
+    if not lead:
+        assert meter.clocks == [sum(map(_cost, program))] * 2
+
+
+def test_parallel_branch_cannot_wait_for_a_later_branch():
+    # both parties run the receiving branch first, so neither sends
+    def proto(ctx):
+        ctx.parallel(lambda: ctx.recv_ring((1,)),
+                     lambda: ctx.send_ring(np.zeros(1, np.uint64)))
+
+    with pytest.raises(DeadlockError):
+        run_two_party(proto)
 
 
 def test_estimate_time_formula():
