@@ -223,8 +223,6 @@ def bit_decompose(ctx: PartyContext, x: np.ndarray) -> np.ndarray:
     """XOR-shared bits of the reconstructed value: the 64 _bit_rows rows of
     x's elements in flat order."""
     x = np.asarray(x, dtype=np.uint64).ravel()
-    if x.size == 0:
-        return np.zeros((RING_BITS, 0), dtype=np.uint64)
     own = _bit_rows(x)
     own[1:] ^= _carries(ctx, own, x.size // 64, True)[_CARRY_ROWS]
     return own  # s_i = p_i ^ c_(i-1)
@@ -258,8 +256,6 @@ def _unrows(rows: np.ndarray, whole: int) -> np.ndarray:
 def msb(ctx: PartyContext, x: np.ndarray) -> np.ndarray:
     """XOR-shared sign bit of x: a63 ^ b63 ^ the carry into bit 63."""
     x = np.asarray(x, dtype=np.uint64)
-    if x.size == 0:
-        return np.zeros(x.shape, dtype=np.uint64)
     whole = x.size // 64
     own = _bit_rows(x.ravel())
     sign = own[-1] ^ _carries(ctx, own, whole, False)[_UNITS - 1]
@@ -270,6 +266,8 @@ def b2a(ctx: PartyContext, bits: np.ndarray) -> np.ndarray:
     """Additive shares of the XOR-shared 0/1 bits b from daBits (r, [r]):
     the parties open c = b ^ r, and [b] = c + (1 - 2c)[r]."""
     bits = np.asarray(bits, dtype=np.uint64)
+    if bits.size == 0:
+        return bits.copy()
     with ctx.section("b2a"):
         tape = ctx.tape.dabits(bits.shape)
         c = bits ^ tape.r
@@ -282,6 +280,8 @@ def bit_mult(ctx: PartyContext, bits: np.ndarray,
              x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Shares of b*x and of b for XOR-shared 0/1 bits b and a shared x of
     one shape: one round from masked daBits (see the module docstring)."""
+    if x.size == 0:
+        return tuple(np.zeros((2,) + x.shape, dtype=np.uint64))
     with ctx.section("b2a"):
         tape = ctx.tape.dabits(x.shape, masked=True)
         c, e = bits ^ tape.r, x - tape.u
@@ -298,8 +298,6 @@ def relu(ctx: PartyContext, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Shares of max(0, x) plus the arithmetic 0/1 derivative mask b: the
     sign bit, then one bit_mult round."""
     x = np.asarray(x, dtype=np.uint64)
-    if x.size == 0:
-        return x.copy(), x.copy()
     return bit_mult(ctx, msb(ctx, x) ^ np.uint64(1 - ctx.party), x)  # x >= 0
 
 
@@ -343,8 +341,6 @@ def highest_one_hot(ctx: PartyContext, x: np.ndarray) -> np.ndarray:
     """Arithmetic shares of the (..., 64) one-hot marking the highest set bit
     of x; the all-zero vector iff x = 0."""
     x = np.asarray(x, dtype=np.uint64)
-    if x.size == 0:
-        return np.zeros(x.shape + (RING_BITS,), dtype=np.uint64)
     whole = x.size // 64
     por = prefix_or_high(ctx, bit_decompose(ctx, x), whole)
     por[:-1] ^= por[1:]  # bit i set and no bit above it

@@ -33,15 +33,16 @@ only its own shares of masks and mask products, so the openings reveal
 nothing about the rows.
 
 Every additive mask covers exactly one value, and that value is opened once.
-A Beaver opening x - a may be reused by several products (SecureML, Mohassel
-and Zhang, S&P 2017, section 4.2): `gen_mask` deals a uniform a for one
-opening, each party expanding its share from its own key, and a product that
-names it by a `MaskRef` gets a fresh [op(A) op(B)] whose C is computed from
-the mask regenerated from its counter, never stored. A party then sees x - a
-once and only fresh correlations besides, so reuse reveals nothing that one
-opening does not. The Weight mask of `gen_privmul` is one uniform value per
-row, fresh in every call, broadcast over the columns: it masks party 0's
-per-row lambda, opened once per row.
+A Beaver product names the openings of its operands by `MaskRef`s, and an
+opening x - a may serve several products (SecureML, Mohassel and Zhang, S&P
+2017, section 4.2): `gen_mask` deals a uniform a for one opening, each party
+expanding its share from its own key, and each product gets a fresh
+[op(A) op(B)] whose C is formed from the masks regenerated from their
+counters, never stored. A party then sees x - a once and only fresh
+correlations besides, so reuse reveals nothing that one opening does not.
+The Weight mask of `gen_privmul` is one uniform value per row, fresh in
+every call, broadcast over the columns: it masks party 0's per-row lambda,
+opened once per row.
 """
 
 from __future__ import annotations
@@ -151,10 +152,6 @@ def _deal_rows(owners: tuple, products: tuple):
     return held, sizes
 
 
-def _matmul_u64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.matmul(a, b, dtype=np.uint64)
-
-
 @dataclass
 class OpRandomness:
     """One party's view of an oblivious-permutation tuple (d column instances)."""
@@ -186,19 +183,6 @@ class MaskRef:
     ctr: int
     shape: tuple
     transposed: bool = False
-
-
-@dataclass
-class BeaverTriple:
-    a: np.ndarray | None  # None for an operand named by a MaskRef
-    b: np.ndarray | None
-    c: np.ndarray
-
-
-@dataclass
-class SquarePair:
-    a: np.ndarray | None  # None for an operand named by a MaskRef
-    c: np.ndarray
 
 
 @dataclass
@@ -282,46 +266,29 @@ class Dealer:
         s0, s1 = self._streams(TAG_MASK, ctr)
         return s0.u64(shape), s1.u64(shape), 0
 
-    def _operand(self, s0: PrfStream, s1: PrfStream, spec):
-        """Both shares of one operand's mask: fresh from the tuple's streams
-        for a shape, regenerated from its counter for a MaskRef."""
-        if not isinstance(spec, MaskRef):
-            return s0.u64(spec), s1.u64(spec)
-        a0, a1 = (s.u64(spec.shape) for s in self._streams(TAG_MASK, spec.ctr))
-        return (a0.T, a1.T) if spec.transposed else (a0, a1)
+    def _mask(self, ref: MaskRef) -> np.ndarray:
+        """The whole mask of the opening `ref` names, as the product reads it."""
+        a0, a1 = (s.u64(ref.shape) for s in self._streams(TAG_MASK, ref.ctr))
+        return (a0 + a1).T if ref.transposed else a0 + a1
 
-    def gen_beaver(self, ctr: int, x, y, matmul: bool = False):
-        """A triple for op(A) op(B), elementwise (broadcasting) or a matrix
-        product. x and y are each an operand's shape, for a fresh mask, or a
-        MaskRef to an opened one, whose mask the views leave out. C is fresh
-        either way; offline cost L per element of C."""
-        s0, s1 = self._streams(TAG_BEAVER, ctr)
-        (a0, a1), (b0, b1) = (self._operand(s0, s1, s) for s in (x, y))
-        a, b = a0 + a1, b0 + b1
-        if matmul:
-            if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-                raise ValueError("matmul triples need compatible 2-d shapes")
-            out_shape = (a.shape[0], b.shape[1])
-        else:
-            out_shape = np.broadcast_shapes(a.shape, b.shape)
-        c0 = s0.u64(out_shape)
-        c1 = (_matmul_u64(a, b) if matmul else a * b) - c0
-        fresh_a, fresh_b = (not isinstance(s, MaskRef) for s in (x, y))
-        return (BeaverTriple(a0 if fresh_a else None, b0 if fresh_b else None, c0),
-                BeaverTriple(a1 if fresh_a else None, b1 if fresh_b else None, c1),
-                int(np.prod(out_shape, dtype=np.int64)) * 64)
+    def gen_beaver(self, ctr: int, x: MaskRef, y: MaskRef,
+                   matmul: bool = False):
+        """Shares of C = op(A) op(B) for the masks of two openings,
+        elementwise (broadcasting) or a matrix product: party 0's from its
+        key, party 1's the correction; offline cost L per element of C."""
+        a, b = self._mask(x), self._mask(y)
+        if matmul and (a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]):
+            raise ValueError("matmul triples need compatible 2-d shapes")
+        c = np.matmul(a, b, dtype=np.uint64) if matmul else a * b
+        c0 = PrfStream(self.keys[0], TAG_BEAVER, ctr).u64(c.shape)
+        return c0, c - c0, c.size * 64
 
-    def gen_square(self, ctr: int, x):
-        """A pair (A, A^2) for an operand's shape, or for the opened operand
-        a MaskRef names (its mask left out of the views)."""
-        s0, s1 = self._streams(TAG_SQUARE, ctr)
-        a0, a1 = self._operand(s0, s1, x)
-        c0 = s0.u64(a0.shape)
-        a = a0 + a1
-        c1 = a * a - c0
-        fresh = not isinstance(x, MaskRef)
-        return (SquarePair(a0 if fresh else None, c0),
-                SquarePair(a1 if fresh else None, c1), a.size * 64)
+    def gen_square(self, ctr: int, x: MaskRef):
+        """Shares of C = A^2 for the mask of an opening, dealt as in
+        gen_beaver."""
+        a = self._mask(x)
+        c0 = PrfStream(self.keys[0], TAG_SQUARE, ctr).u64(a.shape)
+        return c0, a * a - c0, a.size * 64
 
     def gen_bit_triples(self, ctr: int, words: int, bits: int, owners: tuple,
                         products: tuple):
@@ -438,10 +405,11 @@ class TapeView:
         ctr = self.ctr
         return ctr, self._draw("gen_mask", tuple(shape))
 
-    def beaver(self, x, y, matmul: bool = False) -> BeaverTriple:
+    def beaver(self, x: MaskRef, y: MaskRef,
+               matmul: bool = False) -> np.ndarray:
         return self._draw("gen_beaver", x, y, matmul)
 
-    def square(self, x) -> SquarePair:
+    def square(self, x: MaskRef) -> np.ndarray:
         return self._draw("gen_square", x)
 
     def bits(self, words: int, bits: int, owners: tuple,

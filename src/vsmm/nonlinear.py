@@ -200,8 +200,6 @@ EXP_SQUARINGS = 6  # exp(x) ~ (1 + x/2^r)^(2^r) with r = 6
 def softmax_rows(ctx: PartyContext, y: np.ndarray) -> np.ndarray:
     """Row-wise softmax of a shared (N, c) logit matrix (module docstring)."""
     y = np.asarray(y, dtype=np.uint64)
-    if y.size == 0:
-        return y.copy()
     if y.shape[1] == 1:  # the softmax of one logit is 1
         return _add_public(np.zeros_like(y), 1.0, ctx)
     top, _ = bit_mult(ctx, _row_winners(ctx, y), y)

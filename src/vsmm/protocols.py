@@ -7,10 +7,11 @@ Party 0's message in op, osm and priv_mult does not depend on the shared
 input, so its half of each starts with a `*_correction` function that draws
 the tuple, sends the message and returns the constant its output share adds;
 `smm` sends every correction of a call before it receives anything. A
-Beaver product whose operands were all opened earlier (`open_masked`) sends
-nothing. Payload encodings are bit-exact: permutations are k indices of
-ceil(log2 k) bits, selector masks are 1 bit per instance, ring elements are 8
-bytes little-endian.
+Beaver product reads its operands only as openings (`open_masked`): it opens
+the arrays among them together, in one round, and is local from there, so
+an operand opened earlier costs it nothing. Payload encodings are bit-exact:
+permutations are k indices of ceil(log2 k) bits, selector masks are 1 bit
+per instance, ring elements are 8 bytes little-endian.
 """
 
 from __future__ import annotations
@@ -162,88 +163,69 @@ class Opened:
                       self.mask.T, self.public.T)
 
 
-def _operand(x):
-    return x if isinstance(x, Opened) else np.asarray(x, dtype=np.uint64)
-
-
-def _spec(x):
-    """An operand as a Beaver request names it: its shape, or its mask."""
-    return x.ref if isinstance(x, Opened) else x.shape
-
-
-def _open(ctx: PartyContext, pairs) -> list:
-    """(public x - a, this party's a) for each (operand, fresh mask) pair.
-    An operand without a mask, an Opened or an empty array, is not opened;
-    the others' x - a are all sent, then all received: one round, or none
-    if there are no others."""
-    masked = [None if a is None else x - a for x, a in pairs]
-    for m in masked:
-        if m is not None:
-            ctx.send_ring(m)
-    return [(m + ctx.recv_ring(m.shape), a) if m is not None else
-            (x.public, x.mask) if isinstance(x, Opened) else (x, a)
-            for (x, a), m in zip(pairs, masked)]
-
-
 def open_masked(ctx: PartyContext, *xs) -> tuple[Opened, ...]:
     """Open each shared array in xs under a fresh `gen_mask` tuple, all in
     one round; an Opened or an empty array in xs comes back as it is. Any
     number of beaver_mult and beaver_square calls can then take the results
     in place of the arrays without opening them again.
     """
-    xs = [_operand(x) for x in xs]
+    xs = [x if isinstance(x, Opened) else np.asarray(x, dtype=np.uint64)
+          for x in xs]
+    fresh = [i for i, x in enumerate(xs) if not isinstance(x, Opened) and x.size]
     with ctx.section("mult"):
-        masks = [(None, None) if isinstance(x, Opened) or 0 in x.shape
-                 else ctx.tape.mask(x.shape) for x in xs]
-        opened = _open(ctx, [(x, a) for x, (_, a) in zip(xs, masks)])
-        return tuple(x if ctr is None else Opened(MaskRef(ctr, x.shape), a, e)
-                     for x, (ctr, a), (e, _) in zip(xs, masks, opened))
+        masks = [ctx.tape.mask(xs[i].shape) for i in fresh]
+        sent = [xs[i] - a for i, (_, a) in zip(fresh, masks)]
+        for e in sent:
+            ctx.send_ring(e)
+        for i, (ctr, a), e in zip(fresh, masks, sent):
+            xs[i] = Opened(MaskRef(ctr, e.shape), a, e + ctx.recv_ring(e.shape))
+    return tuple(xs)
+
+
+def _beaver_local(ctx: PartyContext, c: np.ndarray, x: Opened, y: Opened,
+                  matmul: bool, truncate: bool) -> np.ndarray:
+    """This party's share of the product of the openings x and y from its
+    share c of C = op(A) op(B): c + (x - a) b + a (y - b), and party 0 adds
+    (x - a)(y - b)."""
+    mul = functools.partial(np.matmul, dtype=np.uint64) if matmul \
+        else np.multiply
+    c += mul(x.public, y.mask) + mul(x.mask, y.public)
+    if ctx.party == 0:
+        c += mul(x.public, y.public)
+    if truncate:
+        c = truncate_share(c, ctx.party, FRAC_BITS)
+    return c
 
 
 def beaver_mult(ctx: PartyContext, x, y, matmul: bool = False,
                 truncate: bool = False) -> np.ndarray:
     """Beaver multiplication of two shared tensors: elementwise, with
-    numpy broadcasting, or a matrix product. Either operand may be an
-    Opened, which is not opened again; array operands are opened together,
-    in one round. Every call takes a fresh [op(A) op(B)] from the dealer,
-    except that a product with an empty operand is 0 and costs nothing.
+    numpy broadcasting, or a matrix product. The operands are openings:
+    `open_masked` opens those that are arrays, together, in one round, and
+    the product is local from each x - a, this party's a and a fresh C =
+    op(A) op(B) from the dealer. A product with an empty operand is 0 and
+    costs nothing.
     """
-    x, y = _operand(x), _operand(y)
-    if 0 in x.shape + y.shape:
-        return np.zeros((x.shape[0], y.shape[1]) if matmul else
-                        np.broadcast_shapes(x.shape, y.shape), dtype=np.uint64)
+    sx, sy = np.shape(x), np.shape(y)
+    if 0 in sx + sy:
+        return np.zeros((sx[0], sy[1]) if matmul else
+                        np.broadcast_shapes(sx, sy), dtype=np.uint64)
+    x, y = open_masked(ctx, x, y)
     with ctx.section("mult"):
-        tape = ctx.tape.beaver(_spec(x), _spec(y), matmul)
-        (dx, a), (dy, b) = _open(ctx, ((x, tape.a), (y, tape.b)))
-        if matmul:
-            out = tape.c + np.matmul(dx, b, dtype=np.uint64) \
-                + np.matmul(a, dy, dtype=np.uint64)
-            if ctx.party == 0:
-                out += np.matmul(dx, dy, dtype=np.uint64)
-        else:
-            out = tape.c + dx * b + a * dy
-            if ctx.party == 0:
-                out += dx * dy
-        if truncate:
-            out = truncate_share(out, ctx.party, FRAC_BITS)
-        return out
+        c = ctx.tape.beaver(x.ref, y.ref, matmul)
+    return _beaver_local(ctx, c, x, y, matmul, truncate)
 
 
 def beaver_square(ctx: PartyContext, x, truncate: bool = False) -> np.ndarray:
-    """Square a shared tensor, or an Opened, with an (a, a^2) pair; at most
-    one opening, one round; an empty x costs nothing."""
-    x = _operand(x)
+    """Square a shared tensor, or an Opened, from its opening x - a and a
+    fresh C = A^2; at most one opening, one round; an empty x costs
+    nothing."""
+    x, = open_masked(ctx, x)
     if 0 in x.shape:
         return np.zeros(x.shape, dtype=np.uint64)
     with ctx.section("mult"):
-        tape = ctx.tape.square(_spec(x))
-        ((dx, a),) = _open(ctx, ((x, tape.a),))
-        out = tape.c + np.uint64(2) * dx * a
-        if ctx.party == 0:
-            out += dx * dx
-        if truncate:
-            out = truncate_share(out, ctx.party, FRAC_BITS)
-        return out
+        c = ctx.tape.square(x.ref)
+    return _beaver_local(ctx, c, x, x, False, truncate)
 
 
 @dataclass(frozen=True)
@@ -333,6 +315,8 @@ def and_bits(ctx: PartyContext, x: np.ndarray, whole: int, monomials,
     rows, n = x.shape
     plan = _and_plan(rows, tuple(map(tuple, monomials)),
                      None if owners is None else tuple(owners))
+    if n == 0:
+        return np.zeros((len(monomials), 0), dtype=np.uint64)
     with ctx.section("gmw_and"):
         tape = ctx.tape.bits(whole, n - whole, plan.owners, plan.products)
         mine, theirs, received = plan.exchange[ctx.party]

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from vsmm.binary import (_CARRY_ROWS, _EVEN_G, _EVEN_P, _P, _bit_rows,
                          _prefix_levels, _units, _unrows, b2a, bit_decompose,
-                         highest_one_hot, msb, prefix_or_high, relu)
+                         bit_mult, highest_one_hot, msb, prefix_or_high, relu)
 from vsmm.ring import lift_signed, random_ring, reconstruct, share_secret
 from vsmm.runtime import FRAME_BITS, run_two_party
 
@@ -166,25 +166,35 @@ def test_msb_carry_chains(seed):
     assert np.array_equal(o0 ^ o1, (lift_signed(_CHAINS) < 0).astype(np.uint64))
 
 
-@pytest.mark.parametrize("fn", [msb, relu])
+def _run_empty(fn, *args):
+    """fn's two outputs on empty inputs, after checking that it sent
+    nothing, drew nothing from the dealer and took no round."""
+    def proto(ctx):
+        return fn(ctx, *args), ctx.tape.ctr
+
+    (o0, ctr0), (o1, ctr1), meter = run_two_party(proto)
+    assert ctr0 == ctr1 == 0
+    assert meter.rounds == meter.online_bits == meter.offline_bits == 0
+    assert meter.framing_bits == 0
+    return o0, o1
+
+
+@pytest.mark.parametrize("fn", [msb, relu, b2a, bit_mult])
 @pytest.mark.parametrize("shape", [(0,), (0, 7)])
 def test_sign_layers_on_empty_input(fn, shape):
     x = np.zeros(shape, dtype=np.uint64)
-    o0, o1, meter = run_two_party(fn, (x,), (x,))
-    for o in (o0, o1) if fn is msb else (*o0, *o1):
+    o0, o1 = _run_empty(fn, *((x, x) if fn is bit_mult else (x,)))
+    for o in (o0, o1) if fn in (msb, b2a) else (*o0, *o1):
         assert o.shape == shape and o.dtype == np.uint64
-    assert meter.rounds == meter.online_bits == meter.offline_bits == 0
 
 
 @pytest.mark.parametrize("fn", [bit_decompose, highest_one_hot])
 @pytest.mark.parametrize("shape", [(0,), (0, 7)])
 def test_bit_layers_on_empty_input(fn, shape):
-    x = np.zeros(shape, dtype=np.uint64)
-    o0, o1, meter = run_two_party(fn, (x,), (x,))
+    o0, o1 = _run_empty(fn, np.zeros(shape, dtype=np.uint64))
     want = (64, 0) if fn is bit_decompose else shape + (64,)
     for o in (o0, o1):
         assert o.shape == want and o.dtype == np.uint64
-    assert meter.rounds == meter.online_bits == meter.offline_bits == 0
 
 
 @given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=200),

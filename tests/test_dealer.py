@@ -113,36 +113,41 @@ def test_privmul_correlation(dealer):
     assert np.array_equal(au, v0.a * u)
 
 
+def _opened(dealer, ctr, shape):
+    """A MaskRef to the gen_mask tuple at `ctr`, and that whole mask."""
+    m0, m1, _ = dealer.gen_mask(ctr, shape)
+    return MaskRef(ctr, shape), reconstruct(m0, m1)
+
+
 def test_beaver_matmul_correlation(dealer):
-    v0, v1, offline = dealer.gen_beaver(0, (3, 4), (4, 2), matmul=True)
+    (x, a), (y, b) = _opened(dealer, 0, (3, 4)), _opened(dealer, 1, (4, 2))
+    c0, c1, offline = dealer.gen_beaver(2, x, y, matmul=True)
     assert offline == 3 * 2 * 64
-    a = reconstruct(v0.a, v1.a)
-    b = reconstruct(v0.b, v1.b)
-    c = reconstruct(v0.c, v1.c)
-    assert np.array_equal(c, np.matmul(a, b, dtype=np.uint64))
-    # fresh masks are each party's tuple stream: a, then b, then party 0's c
-    for p, view in enumerate((v0, v1)):
-        s = PrfStream(dealer.keys[p], b"BEAV", 0)
-        assert np.array_equal(view.a, s.u64((3, 4)))
-        assert np.array_equal(view.b, s.u64((4, 2)))
-        if p == 0:
-            assert np.array_equal(view.c, s.u64((3, 2)))
+    assert np.array_equal(reconstruct(c0, c1), np.matmul(a, b, dtype=np.uint64))
+    # each party's mask shares are its own MASK stream at the mask's
+    # counter, and party 0's C share is its BEAV stream at the product's
+    for ref in (x, y):
+        shares = dealer.gen_mask(ref.ctr, ref.shape)[:2]
+        for p, share in enumerate(shares):
+            s = PrfStream(dealer.keys[p], b"MASK", ref.ctr)
+            assert np.array_equal(share, s.u64(ref.shape))
+    assert np.array_equal(c0, PrfStream(dealer.keys[0], b"BEAV", 2).u64((3, 2)))
 
 
 def test_beaver_elementwise_broadcasts(dealer):
-    v0, v1, offline = dealer.gen_beaver(0, (5, 3), (5, 1))
-    assert offline == 5 * 3 * 64 and v0.b.shape == (5, 1)
-    a, b = reconstruct(v0.a, v1.a), reconstruct(v0.b, v1.b)
-    assert np.array_equal(reconstruct(v0.c, v1.c), a * b)
+    (x, a), (y, b) = _opened(dealer, 0, (5, 3)), _opened(dealer, 1, (5, 1))
+    c0, c1, offline = dealer.gen_beaver(2, x, y)
+    assert offline == 5 * 3 * 64 and c0.shape == c1.shape == (5, 3)
+    assert np.array_equal(reconstruct(c0, c1), a * b)
 
 
 def test_beaver_shape_validation(dealer):
     with pytest.raises(ValueError):
-        dealer.gen_beaver(0, (3, 4), (5, 2), matmul=True)
+        dealer.gen_beaver(2, MaskRef(0, (3, 4)), MaskRef(1, (5, 2)), True)
     with pytest.raises(ValueError):
-        dealer.gen_beaver(0, (3,), (4,))
+        dealer.gen_beaver(2, MaskRef(0, (3,)), MaskRef(1, (4,)))
     with pytest.raises(ValueError):  # a (3, 4) mask read transposed is (4, 3)
-        dealer.gen_beaver(1, MaskRef(0, (3, 4), True), (3, 2), matmul=False)
+        dealer.gen_beaver(2, MaskRef(0, (3, 4), True), MaskRef(1, (3, 2)))
 
 
 def test_mask_refs_reuse_the_dealt_mask(dealer):
@@ -150,37 +155,34 @@ def test_mask_refs_reuse_the_dealt_mask(dealer):
     assert offline == 0  # each party expands its share from its own key
     assert np.array_equal(m0, PrfStream(dealer.keys[0], b"MASK", 3).u64((4, 6)))
     a = reconstruct(m0, m1)
-    n0, n1, _ = dealer.gen_mask(5, (6, 2))
-    b = reconstruct(n0, n1)
+    _, b = _opened(dealer, 5, (6, 2))
+    _, d = _opened(dealer, 7, (4, 7))
     products = [  # (request, op(A) op(B) it must deal C for)
         ((MaskRef(3, (4, 6)), MaskRef(5, (6, 2)), True), a @ b),
         ((MaskRef(5, (6, 2), True), MaskRef(3, (4, 6), True), True), b.T @ a.T),
         ((MaskRef(3, (4, 6)), MaskRef(3, (4, 6))), a * a),
+        ((MaskRef(3, (4, 6), True), MaskRef(7, (4, 7)), True), a.T @ d),
     ]
     for ctr, (args, want) in enumerate(products, start=10):
         v0, v1, offline = dealer.gen_beaver(ctr, *args)
-        assert v0.a is v0.b is v1.a is v1.b is None  # the masks are not re-dealt
-        assert np.array_equal(reconstruct(v0.c, v1.c), want)
+        # the views are C's shares alone: the masks are not re-dealt
+        assert v0.shape == v1.shape == want.shape
+        assert np.array_equal(reconstruct(v0, v1), want)
         assert offline == want.size * 64
-    # an opened operand with a fresh one: only the fresh mask is dealt
-    v0, v1, _ = dealer.gen_beaver(20, MaskRef(3, (4, 6), True), (4, 7), True)
-    assert v0.a is None and v0.b.shape == (4, 7)
-    assert np.array_equal(reconstruct(v0.c, v1.c),
-                          a.T @ reconstruct(v0.b, v1.b))
     # two products of the same masks get independent C shares
     again, _, _ = dealer.gen_beaver(21, MaskRef(3, (4, 6)), MaskRef(5, (6, 2)), True)
-    assert not np.array_equal(again.c, dealer.gen_beaver(
-        10, MaskRef(3, (4, 6)), MaskRef(5, (6, 2)), True)[0].c)
+    assert not np.array_equal(again, dealer.gen_beaver(
+        10, MaskRef(3, (4, 6)), MaskRef(5, (6, 2)), True)[0])
     s0, s1, offline = dealer.gen_square(22, MaskRef(3, (4, 6), True))
-    assert s0.a is s1.a is None and offline == 24 * 64
-    assert np.array_equal(reconstruct(s0.c, s1.c), a.T * a.T)
+    assert s0.shape == s1.shape == (6, 4) and offline == 24 * 64
+    assert np.array_equal(reconstruct(s0, s1), a.T * a.T)
 
 
 def test_square_correlation(dealer):
-    v0, v1, _ = dealer.gen_square(0, (10,))
-    a = reconstruct(v0.a, v1.a)
-    c = reconstruct(v0.c, v1.c)
-    assert np.array_equal(c, a * a)
+    x, a = _opened(dealer, 0, (10,))
+    c0, c1, offline = dealer.gen_square(1, x)
+    assert offline == 10 * 64
+    assert np.array_equal(reconstruct(c0, c1), a * a)
 
 
 @given(st.data())

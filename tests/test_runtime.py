@@ -329,7 +329,9 @@ def test_parallel_matches_the_sequence(a, b):
             for forked in (False, True)]
     (seq0, seq1, seq), (par0, par1, par) = runs
     for got, want in ((par0, seq0), (par1, seq1)):
-        assert got[1] == want[1] == 1 + a + b  # the same dealer draws
+        # the same dealer draws: each squaring of an array draws the mask of
+        # its opening, then its (A, A^2) pair
+        assert got[1] == want[1] == 2 * (1 + a + b)
         for g, w in zip(got[0], want[0]):
             assert np.array_equal(g, w)
     for key in ("online_bits", "offline_bits", "framing_bits"):
@@ -423,15 +425,22 @@ def test_network_conditions_table():
 
 # deal-once: paired TapeViews in one run share each dealer tuple
 
+# a Beaver or square request names masks dealt at earlier counters
 _PLAN = [("op", ("gen_op_rand", (9, 3))), ("osm", ("gen_osm_rand", (17,))),
          ("privmul", ("gen_privmul", ((4, 2),))),
-         ("beaver", ("gen_beaver", ((3, 4), (4, 2), True))),
-         ("square", ("gen_square", ((5,),))),
+         ("mask", ("gen_mask", ((3, 4),))), ("mask", ("gen_mask", ((4, 2),))),
+         ("beaver", ("gen_beaver", (MaskRef(3, (3, 4)), MaskRef(4, (4, 2)),
+                                    True))),
+         ("mask", ("gen_mask", ((5,),))),
+         ("square", ("gen_square", (MaskRef(6, (5,)),))),
          ("bits", ("gen_bit_triples", (3, 40, (None, None), ((0, 1),)))),
          ("mask", ("gen_mask", ((4, 3),))),
-         ("beaver", ("gen_beaver", (MaskRef(6, (4, 3), True), (4, 2), True))),
-         ("beaver", ("gen_beaver", ((4, 7), (4, 1), False))),
-         ("square", ("gen_square", (MaskRef(6, (4, 3)),)))]
+         ("beaver", ("gen_beaver", (MaskRef(9, (4, 3), True),
+                                    MaskRef(4, (4, 2)), True))),
+         ("mask", ("gen_mask", ((4, 7),))), ("mask", ("gen_mask", ((4, 1),))),
+         ("beaver", ("gen_beaver", (MaskRef(11, (4, 7)), MaskRef(12, (4, 1)),
+                                    False))),
+         ("square", ("gen_square", (MaskRef(9, (4, 3)),)))]
 
 
 def _draw_plan(ctx):
@@ -463,9 +472,12 @@ def test_dealt_views_match_fresh_dealer():
         offline += bits
         for got, want in ((views0[ctr], want0), (views1[ctr], want1)):
             if method == "gen_mask":  # TapeView.mask pairs it with the counter
-                assert got[0] == ctr and np.array_equal(got[1], want)
-                continue
+                assert got[0] == ctr
+                got = got[1]
             assert type(got) is type(want)
+            if isinstance(want, np.ndarray):  # a mask share or a C share
+                assert np.array_equal(got, want), method
+                continue
             for name, value in vars(want).items():
                 if isinstance(value, np.ndarray):
                     assert np.array_equal(getattr(got, name), value), (method, name)
@@ -516,10 +528,11 @@ def test_deal_once_with_frequent_thread_switches(monkeypatch):
 @pytest.mark.parametrize("requests", [
     (("osm", (4,)), ("osm", (5,))),
     (("op", (4, 1)), ("osm", (4,))),
-    (("beaver", ((2, 2), (2, 2), True)), ("beaver", ((2, 2), (2, 2), False))),
+    (("beaver", (MaskRef(0, (2, 2)), MaskRef(1, (2, 2)), True)),
+     ("beaver", (MaskRef(0, (2, 2)), MaskRef(1, (2, 2)), False))),
     # the peer names another opened mask, or reads the same one transposed
-    (("beaver", (MaskRef(0, (2, 2)), (2, 2), True)),
-     ("beaver", (MaskRef(1, (2, 2)), (2, 2), True))),
+    (("beaver", (MaskRef(0, (2, 2)), MaskRef(2, (2, 2)), True)),
+     ("beaver", (MaskRef(1, (2, 2)), MaskRef(2, (2, 2)), True))),
     (("square", (MaskRef(0, (2, 2)),)), ("square", (MaskRef(0, (2, 2), True),))),
 ])
 def test_mismatched_draws_raise(requests):
