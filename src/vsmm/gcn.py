@@ -9,11 +9,12 @@ computed once per run, and layer 2's smm runs on the narrower side chosen from
 public shapes (see `_secure_forward`), so per-epoch transcript sizes depend
 only on (|V|, t, feature dim, hidden, classes), never on values.
 
-Each dense operand that several products read is opened once
-(`protocols.open_masked`): AX once per training run, Z and W2 once per
-forward pass, and A^T g once per backward pass, where it serves both
-gw2 = Z^T A^T g and dz = A^T g W2^T. Inference reads AX once, so it does not
-open it ahead. An epoch's evaluation reveal and its backward pass read
+One per-party program, `_train_protocol`, runs training, inference (no
+epoch) and the gradient check (one SGD epoch at lr 1). Each dense operand
+that several products read is opened once (`protocols.open_masked`): AX once
+per run, with W1 in the first forward pass, Z and W2 once per forward pass,
+and A^T g once per backward pass, where it serves both gw2 = Z^T A^T g and
+dz = A^T g W2^T. An epoch's evaluation reveal and its backward pass read
 nothing of each other, so they run as `PartyContext.parallel` branches: the
 reveal's round overlaps the backward pass.
 """
@@ -197,6 +198,8 @@ def clear_forward(a, x, w1, w2):
 
 
 def clear_loss(logits, labels, mask):
+    if not np.any(mask):
+        return 0.0
     sm = _softmax(logits)
     return float(-np.log(np.clip(sm[mask, labels[mask]], 1e-12, None)).mean())
 
@@ -264,10 +267,12 @@ def _matmul(ctx, a, b):
 
 
 def _secure_forward(ctx, bundle, dims, ax, w1, w2):
-    """Layer 1: dense multiply on the hoisted AX, then ReLU. Layer 2 runs its
-    smm on the narrower side, chosen from public shapes: A(ZW2) at width c
-    when c < h, and (AZ)W2 at width h otherwise. Returns the logits, Z, the
+    """Layer 1: AX, opened together with W1 in one round unless an earlier
+    pass opened it, times W1, then ReLU. Layer 2 runs its smm on the
+    narrower side, chosen from public shapes: A(ZW2) at width c when c < h,
+    and (AZ)W2 at width h otherwise. Returns the logits, AX opened, Z, the
     ReLU mask and W2 opened; Z comes back opened in the A(ZW2) order only."""
+    ax, w1 = open_masked(ctx, ax, w1)
     z, mask = relu(ctx, _matmul(ctx, ax, w1))
     if w2.shape[1] < w2.shape[0]:
         z, w2 = open_masked(ctx, z, w2)
@@ -275,14 +280,14 @@ def _secure_forward(ctx, bundle, dims, ax, w1, w2):
     else:
         az, w2 = open_masked(ctx, smm(ctx, bundle, dims, z), w2)
         logits = _matmul(ctx, az, w2)
-    return logits, z, mask, w2
+    return logits, ax, z, mask, w2
 
 
 def _secure_backward(ctx, bundle, dims, ax, z, relu_mask, w2, logits,
                      onehot_scaled, train_mask):
     """Gradients of the masked cross-entropy; see the clear oracle for the
     plaintext identities. g is zero outside the public train mask, so
-    softmax runs on the train rows only. ax is the hoisted AX, so
+    softmax runs on the train rows only. ax is AX's opening, so
     gw1 = (AX)^T dpre needs no second smm: it equals X^T (A^T dpre). w2,
     and z if the forward pass opened it, are its openings, so gw2 and dz
     open only A^T g."""
@@ -302,27 +307,27 @@ def _secure_backward(ctx, bundle, dims, ax, z, relu_mask, w2, logits,
 def _eval_logits(ctx, logits_share, pub):
     """Reveal logits (evaluation/reporting only) and score them in the clear."""
     opened = decode_fixed(reveal(ctx, logits_share))
-    return opened, {
-        "loss": clear_loss(opened, pub["labels"], pub["train_mask"]),
-        "acc": accuracy(opened, pub["labels"], pub["test_mask"]),
-    }
+    return {"loss": clear_loss(opened, pub["labels"], pub["train_mask"]),
+            "acc": accuracy(opened, pub["labels"], pub["test_mask"])}
 
 
-def _train_protocol(ctx, bundle, x, onehot_enc, w1, w2, pub, cfg: TrainConfig):
-    """Per-party training loop. Each party records the bits it sent in each
-    epoch; the host adds the two parties' counts after the run."""
+def _train_protocol(ctx, bundle, x, onehot_enc, w1, w2, pub, cfg):
+    """Per-party program of every secure entry point: cfg.epochs epochs of
+    cfg's optimizer (none when cfg is None), then a forward pass whose
+    logits are revealed and scored. Each party records the bits it sent in
+    each epoch; the host adds the two parties' counts after the run."""
     dims = pub["dims"]
     # Adam moments of w1 and w2 flattened together: one adam_step updates both
     u, v = np.zeros((2, w1.size + w2.size), np.uint64)
-    # AX, computed and opened once, counts in the meter's totals, not in any
-    # epoch's row
-    ax, = open_masked(ctx, smm(ctx, bundle, dims, x))
-    history, sent = [], []
+    # AX, computed once, counts in the meter's totals, not in any epoch's
+    # row; the first forward pass opens it, in epoch 1's row
+    ax = smm(ctx, bundle, dims, x)
+    history = []
     prev_bits, prev_clock = ctx.ep.sent_bits, ctx.ep.clock
-    for _ in range(cfg.epochs):
-        logits, z, relu_mask, w2_open = _secure_forward(ctx, bundle, dims, ax,
-                                                        w1, w2)
-        (gw1, gw2), (_, stats) = ctx.parallel(
+    for _ in range(cfg.epochs if cfg else 0):
+        logits, ax, z, relu_mask, w2_open = _secure_forward(ctx, bundle, dims,
+                                                            ax, w1, w2)
+        (gw1, gw2), stats = ctx.parallel(
             lambda: _secure_backward(ctx, bundle, dims, ax, z, relu_mask,
                                      w2_open, logits, onehot_enc,
                                      pub["train_mask"]),
@@ -336,30 +341,16 @@ def _train_protocol(ctx, bundle, x, onehot_enc, w1, w2, pub, cfg: TrainConfig):
                                 u, v, cfg.lr)
             w1, w2 = w[:w1.size].reshape(w1.shape), w[w1.size:].reshape(w2.shape)
         stats["rounds"] = ctx.ep.clock - prev_clock
-        sent.append(ctx.ep.sent_bits - prev_bits)
+        stats["sent"] = ctx.ep.sent_bits - prev_bits
         prev_bits, prev_clock = ctx.ep.sent_bits, ctx.ep.clock
         history.append(stats)
     logits = _secure_forward(ctx, bundle, dims, ax, w1, w2)[0]
-    opened, stats = _eval_logits(ctx, logits, pub)
-    return {"w1": w1, "w2": w2, "history": history, "sent_bits": sent,
-            "logits": opened, "test_acc": stats["acc"],
+    # only the test accuracy: inference's weights may have fewer classes
+    # than the labels, which the loss would index past
+    opened = decode_fixed(reveal(ctx, logits))
+    return {"w1": w1, "w2": w2, "history": history, "logits": opened,
+            "test_acc": accuracy(opened, pub["labels"], pub["test_mask"]),
             "predictions": opened.argmax(axis=1)}
-
-
-def _forward_protocol(ctx, bundle, x, onehot_enc, w1, w2, pub):
-    dims = pub["dims"]
-    ax = smm(ctx, bundle, dims, x)
-    logits = _secure_forward(ctx, bundle, dims, ax, w1, w2)[0]
-    return decode_fixed(reveal(ctx, logits))
-
-
-def _gradients_protocol(ctx, bundle, x, onehot_enc, w1, w2, pub):
-    dims = pub["dims"]
-    ax, = open_masked(ctx, smm(ctx, bundle, dims, x))
-    logits, z, relu_mask, w2 = _secure_forward(ctx, bundle, dims, ax, w1, w2)
-    gw1, gw2 = _secure_backward(ctx, bundle, dims, ax, z, relu_mask, w2,
-                                logits, onehot_enc, pub["train_mask"])
-    return decode_fixed(reveal(ctx, gw1)), decode_fixed(reveal(ctx, gw2))
 
 
 def _public_shares(w: np.ndarray):
@@ -367,10 +358,13 @@ def _public_shares(w: np.ndarray):
     return encode_fixed(w), np.zeros(w.shape, np.uint64)
 
 
-def _run_secure(protocol, ds: GraphDataset, w1_shares, w2_shares, seed: int,
-                *args):
+def _run_secure(ds: GraphDataset, w1_shares, w2_shares, seed: int,
+                cfg: TrainConfig | None) -> tuple[dict, CommMeter]:
     """Decompose the graph, encode party 1's features and labels, and run
-    protocol(ctx, bundle, x, onehot, w1, w2, pub, *args) for both parties.
+    `_train_protocol` for both parties. Returns the party-0 view of its
+    result (histories and revealed evaluations are identical on both
+    sides), with both parties' weight shares and each epoch's online bytes,
+    together with the communication meter.
 
     Party 0 gets the bundle and a zero share of the features; party 1 gets
     the encoded features (its plaintext, also its share) and one-hot labels.
@@ -381,31 +375,27 @@ def _run_secure(protocol, ds: GraphDataset, w1_shares, w2_shares, seed: int,
            "train_mask": ds.train_mask, "test_mask": ds.test_mask}
     x = encode_fixed(ds.features)
     onehot = encode_fixed(np.eye(ds.num_classes)[ds.labels])
-    return run_two_party(
-        protocol,
+    out0, out1, meter = run_two_party(
+        _train_protocol,
         inputs0=(bundle, np.zeros_like(x), None, w1_shares[0], w2_shares[0],
-                 pub, *args),
-        inputs1=(None, x, onehot, w1_shares[1], w2_shares[1], pub, *args),
+                 pub, cfg),
+        inputs1=(None, x, onehot, w1_shares[1], w2_shares[1], pub, cfg),
         seed=seed)
+    for row, peer in zip(out0["history"], out1["history"]):
+        row["online_bytes"] = (row.pop("sent") + peer["sent"] + 7) // 8
+    out0["w1"] = (out0["w1"], out1["w1"])
+    out0["w2"] = (out0["w2"], out1["w2"])
+    return out0, meter
 
 
 def train_secure(ds: GraphDataset, cfg: TrainConfig) -> tuple[dict, CommMeter]:
     """Run the full secure training loop in-process and return the party-0
-    view of the result (histories and revealed evaluations are identical on
-    both sides) together with the communication meter."""
+    view of the result together with the communication meter."""
     check_train_mask(ds)
     w1f, w2f = init_weights(ds.features.shape[1], cfg.hidden, ds.num_classes,
                             cfg.seed)
-    out0, out1, meter = _run_secure(
-        _train_protocol, ds, _public_shares(w1f), _public_shares(w2f),
-        cfg.seed, cfg)
-    result = dict(out0)
-    for row, b0, b1 in zip(result["history"], result.pop("sent_bits"),
-                           out1["sent_bits"]):
-        row["online_bytes"] = (b0 + b1 + 7) // 8
-    result["w1"] = (out0["w1"], out1["w1"])
-    result["w2"] = (out0["w2"], out1["w2"])
-    return result, meter
+    return _run_secure(ds, _public_shares(w1f), _public_shares(w2f), cfg.seed,
+                       cfg)
 
 
 def check_weight_shapes(ds: GraphDataset, w1_shares, w2_shares) -> None:
@@ -427,19 +417,21 @@ def infer_secure(ds: GraphDataset, w1_shares, w2_shares,
                  seed: int = 0) -> tuple[np.ndarray, CommMeter]:
     """Secure forward pass with shared weights; returns revealed predictions."""
     check_weight_shapes(ds, w1_shares, w2_shares)
-    out0, _, meter = _run_secure(_forward_protocol, ds, w1_shares, w2_shares,
-                                 seed)
-    return out0.argmax(axis=1), meter
+    result, meter = _run_secure(ds, w1_shares, w2_shares, seed, None)
+    return result["predictions"], meter
 
 
 def secure_gradients(ds: GraphDataset, w1f: np.ndarray, w2f: np.ndarray,
                      seed: int = 0):
-    """One secure forward/backward pass at the given plaintext weights,
-    returning the revealed (gw1, gw2); used to validate gradient direction."""
+    """The (gw1, gw2) that one secure SGD epoch at lr 1 subtracts from the
+    given plaintext weights, decoded from the difference of the weight
+    shares; used to validate the gradient training applies."""
     check_train_mask(ds)
-    out0, _, meter = _run_secure(_gradients_protocol, ds, _public_shares(w1f),
-                                 _public_shares(w2f), seed)
-    return out0[0], out0[1], meter
+    result, meter = _run_secure(ds, _public_shares(w1f), _public_shares(w2f),
+                                seed, TrainConfig(lr=1.0, epochs=1))
+    gw1, gw2 = (decode_fixed(encode_fixed(w) - s0 - s1)
+                for w, (s0, s1) in ((w1f, result["w1"]), (w2f, result["w2"])))
+    return gw1, gw2, meter
 
 
 # model share persistence ------------------------------------------------------

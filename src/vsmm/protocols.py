@@ -1,7 +1,8 @@
 """Core two-party primitives: oblivious permutation, oblivious
-selection-multiplication, Beaver multiplication and small composites.
+selection-multiplication, private multiplication, masked openings and the
+Beaver products on them, the GMW AND, and the reveal.
 
-Every primitive is at most one round: each party sends its message(s) before
+Every primitive is at most one round: each party sends one message before
 blocking on the peer's, so the logical clock advances once per invocation.
 Party 0's message in op, osm and priv_mult does not depend on the shared
 input, so its half of each starts with a `*_correction` function that draws
@@ -165,9 +166,9 @@ class Opened:
 
 def open_masked(ctx: PartyContext, *xs) -> tuple[Opened, ...]:
     """Open each shared array in xs under a fresh `gen_mask` tuple, all in
-    one round; an Opened or an empty array in xs comes back as it is. Any
-    number of beaver_mult and beaver_square calls can then take the results
-    in place of the arrays without opening them again.
+    one message each way, one round; an Opened or an empty array in xs comes
+    back as it is. Any number of beaver_mult and beaver_square calls can
+    then take the results in place of the arrays without opening them again.
     """
     xs = [x if isinstance(x, Opened) else np.asarray(x, dtype=np.uint64)
           for x in xs]
@@ -175,10 +176,12 @@ def open_masked(ctx: PartyContext, *xs) -> tuple[Opened, ...]:
     with ctx.section("mult"):
         masks = [ctx.tape.mask(xs[i].shape) for i in fresh]
         sent = [xs[i] - a for i, (_, a) in zip(fresh, masks)]
-        for e in sent:
-            ctx.send_ring(e)
-        for i, (ctr, a), e in zip(fresh, masks, sent):
-            xs[i] = Opened(MaskRef(ctr, e.shape), a, e + ctx.recv_ring(e.shape))
+        if sent:
+            ctx.send_ring(np.concatenate([e.ravel() for e in sent]))
+            peer = np.split(ctx.recv_ring(-1),
+                            np.cumsum([e.size for e in sent[:-1]]))
+            for i, (ctr, a), e, f in zip(fresh, masks, sent, peer):
+                xs[i] = Opened(MaskRef(ctr, e.shape), a, e + f.reshape(e.shape))
     return tuple(xs)
 
 

@@ -55,6 +55,21 @@ def test_normalize_adjacency_equals_dense_formula():
     assert np.array_equal(got.weights, want[rr, cc])
 
 
+def test_normalize_adjacency_at_fifty_thousand_nodes():
+    # int32 edges, whose keys u*n + v pass 2^31 from n = 46,341 on: nodes 0
+    # and n - 2 have degree 2 with the self-loop, node n - 1 degree 3
+    n = 50_000
+    a = normalize_adjacency(np.array([[0, n - 1], [n - 2, n - 1]], np.int32), n)
+    assert a.t == n + 4
+    got = dict(zip(zip(a.rows.tolist(), a.cols.tolist()), a.weights))
+    for (u, v), want in {(0, n - 1): 1 / np.sqrt(6), (n - 1, 0): 1 / np.sqrt(6),
+                         (n - 2, n - 1): 1 / np.sqrt(6),
+                         (n - 1, n - 2): 1 / np.sqrt(6), (0, 0): 0.5,
+                         (n - 2, n - 2): 0.5, (n - 1, n - 1): 1 / 3,
+                         (1, 1): 1.0}.items():
+        assert got[u, v] == pytest.approx(want, rel=1e-15)
+
+
 @pytest.mark.parametrize("n, seed, digest", [
     (16, 1, "18115648eb32e11096d61b511bfa8a5efefb08c1888630ce0c2778ac1e06ec42"),
     (32, 0, "e8eab3e57e5aa6e57783764e32bd8e827f886bbf6c86e396b6d1daea957b9141"),
@@ -285,10 +300,21 @@ def test_smm_widths_follow_public_shapes(monkeypatch, d, h, widths):
     # (1), and the opening of AZ and softmax put two swaps before the
     # backward call, which starts with party 0 ahead (2): 25 + 1 + 2 = 28,
     # 34 with the reveal's third swap.
+    #
+    # AX's opening then moved into epoch 1's forward pass, where it shares
+    # W1's round: epoch 1's row also carries its 2 * n*d * 8 bytes, 1,536 B
+    # (d = 4) and 6,144 B (d = 16), and the later rows are as before. Epoch
+    # 1 now starts right after AX's smm call, with party 0 ahead, and the
+    # joint opening and ReLU hand the lead to party 0, not party 1. In the
+    # A(ZW2) order the opening of Z and W2 gives it back to party 1 before
+    # the forward call, which adds 1 round, not 2: epoch 1 takes 26. In the
+    # (AZ)W2 order the forward call follows ReLU with party 0 ahead and adds
+    # 2, not 1: epoch 1 keeps 28. Epoch 2 starts with party 1 ahead, as
+    # every epoch did before, and keeps 28.
     (4, 8, 288_888 - 22 * 6_260 - 28_836 - 10_314 - 49_668 - 7_168 - 384
-     - 19_710 + 6_186 - 9_024 + 192, [2, 2], 28),
+     - 19_710 + 6_186 - 9_024 + 192, [2, 2], [26, 28]),
     (16, 2, 244_728 - 22 * 6_260 - 9_612 - 3_438 - 49_668 - 13_120 - 384
-     - 19_710 + 6_186 - 2_256 + 192, [2, 2], 28),
+     - 19_710 + 6_186 - 2_256 + 192, [2, 2], [28, 28]),
 ], ids=["d4-h8", "d16-h2"])  # ids without the pinned bytes, which move
 def test_epoch_bytes_follow_smm_widths(monkeypatch, d, h, non_smm_bytes,
                                        epoch_widths, rounds):
@@ -297,8 +323,10 @@ def test_epoch_bytes_follow_smm_widths(monkeypatch, d, h, non_smm_bytes,
     assert smm_online_bits(b.m, b.n, b.t, 1) == 50_080
     want = non_smm_bytes + sum(smm_online_bits(b.m, b.n, b.t, w)
                                for w in epoch_widths) // 8
-    assert [r["online_bytes"] for r in res["history"]] == [want] * 2
-    assert [r["rounds"] for r in res["history"]] == [rounds] * 2
+    ax_opening = 2 * g.num_nodes * d * 8
+    assert [r["online_bytes"] for r in res["history"]] == [want + ax_opening,
+                                                           want]
+    assert [r["rounds"] for r in res["history"]] == rounds
 
 
 def test_section_rounds_sum_to_meter_rounds(ds):
@@ -328,14 +356,20 @@ def test_section_rounds_sum_to_meter_rounds(ds):
     # 49 before: softmax's 6, the reveal's 1, and 1 more because, without
     # the reveal's lead swap before softmax, the backward smm call starts
     # with party 1 ahead and adds 1 round, not 2.
+    #
+    # AX's opening then joined W1's, 1 mult round less, and the ReLU after
+    # it hands the lead to party 0, so the opening of Z and W2 gives it to
+    # party 1 and the forward smm call adds 1 round, not 2: the run takes 39
+    # rounds, 41 before. The moved leads move which party's clock the
+    # rounds of op, osm, mult and b2a land on.
     _, meter = train_secure(ds, TrainConfig(epochs=1, hidden=4))
     assert meter.party_rounds == {
-        "op": [3, 5], "osm": [5, 0], "mult": [14, 12], "gmw_and": [16, 16],
-        "b2a": [2, 6], "reveal": [0, 2]}
+        "op": [5, 3], "osm": [3, 0], "mult": [10, 14], "gmw_and": [16, 16],
+        "b2a": [4, 4], "reveal": [0, 2]}
     for party in (0, 1):
         assert sum(r[party] for r in meter.party_rounds.values()) \
             == meter.clocks[party]
-    assert meter.clocks == [40, 41] and meter.rounds == 41
+    assert meter.clocks == [38, 39] and meter.rounds == 39
     assert {name: sec["rounds"] for name, sec in meter.sections.items()} \
         == {name: max(r) for name, r in meter.party_rounds.items()}
 
@@ -350,16 +384,17 @@ def test_adam_section_rounds_sum_to_meter_rounds(ds):
     # and one for the fallback). Party 1 leads when Adam starts, and the
     # leads it moves change which party's clock the later rounds land on.
     # The 15-round softmax and the overlapped reveal then took the run
-    # from 61 rounds to 53, as in the SGD run above.
+    # from 61 rounds to 53, as in the SGD run above. AX's opening joining
+    # W1's then took it to 51, the same 2 rounds the SGD run saved.
     _, meter = train_secure(ds, TrainConfig(optimizer="adam", epochs=1,
                                             hidden=4))
     assert meter.party_rounds == {
-        "op": [5, 3], "osm": [3, 0], "mult": [16, 20], "gmw_and": [22, 24],
-        "b2a": [6, 4], "reveal": [0, 2]}
+        "op": [7, 1], "osm": [1, 0], "mult": [12, 22], "gmw_and": [22, 24],
+        "b2a": [8, 2], "reveal": [0, 2]}
     for party in (0, 1):
         assert sum(r[party] for r in meter.party_rounds.values()) \
             == meter.clocks[party]
-    assert meter.clocks == [52, 53] and meter.rounds == 53
+    assert meter.clocks == [50, 51] and meter.rounds == 51
     assert {name: sec["rounds"] for name, sec in meter.sections.items()} \
         == {name: max(r) for name, r in meter.party_rounds.items()}
 
@@ -374,9 +409,11 @@ def test_train_secure_history_and_meter(ds):
             assert set(row) >= {"loss", "acc", "online_bytes", "rounds"}
             assert row["online_bytes"] > 0 and row["rounds"] > 0
         assert meter.rounds >= sum(r["rounds"] for r in res["history"])
-        # every epoch runs the same protocol, so its bytes are fixed; the
-        # history must not depend on how the two party threads interleave
-        assert len({r["online_bytes"] for r in res["history"]}) == 1
+        # every epoch runs the same protocol, so its bytes are fixed, but for
+        # AX's opening of 2 * n*d * 8 bytes in epoch 1; the history must not
+        # depend on how the two party threads interleave
+        first, *later = [r["online_bytes"] for r in res["history"]]
+        assert later == [first - 2 * ds.features.size * 8] * 2
         again, _ = train_secure(ds, cfg)
         assert again["history"] == res["history"]
 
@@ -409,3 +446,4 @@ def test_load_model_rejects_other_precision(tmp_path, f):
 def test_accuracy_empty_mask():
     logits = np.zeros((3, 2))
     assert accuracy(logits, np.zeros(3, np.int64), np.zeros(3, bool)) == 0.0
+    assert gcn.clear_loss(logits, np.zeros(3, np.int64), np.zeros(3, bool)) == 0.0

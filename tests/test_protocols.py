@@ -266,6 +266,29 @@ def test_open_masked_draws_a_fresh_mask_per_call(rng):
     assert meter.offline_bits == 0 and meter.rounds == 2
 
 
+def test_open_masked_sends_one_message_per_call(rng):
+    """Opening three arrays in one call costs 1 message a party and 1 round,
+    and the same bits, masks and openings as three calls at one seed."""
+    views = list(zip(*(_shared(rng, s)[1] for s in ((6,), (2, 3), (4, 1)))))
+
+    def run(together):
+        def proto(ctx, *xs):
+            opened = open_masked(ctx, *xs) if together else \
+                sum((open_masked(ctx, x) for x in xs), ())
+            return opened, ctx.ep.messages
+        return run_two_party(proto, views[0], views[1], seed=3)
+
+    (j0, m0), (j1, m1), joint = run(True)
+    (s0, n0), (s1, n1), apart = run(False)
+    assert (m0, m1, joint.rounds) == (1, 1, 1)
+    assert (n0, n1, apart.rounds) == (3, 3, 3)
+    assert joint.online_bits == apart.online_bits == 2 * (6 + 6 + 4) * 64
+    for j, s in zip(j0 + j1, s0 + s1):
+        assert j.ref == s.ref and j.shape == s.shape
+        assert np.array_equal(j.mask, s.mask)
+        assert np.array_equal(j.public, s.public)
+
+
 def _rows(rng, r, whole, tail):
     """Random (2, r, whole + tail) _bit_rows rows: words, then 0/1 entries."""
     return np.concatenate([random_ring(rng, (2, r, whole)),
