@@ -6,14 +6,17 @@ element, so each round is one and_bits call on rows: and_bits takes the rows
 as they are, packed words then one bit per tail element, opens each row
 once and returns any monomials over them in the same layout.
 
-The carry pipeline's round 1 splits bits 0..61 into 31 chunks of 2 bits and
-reads the parties' own bits, each party opening its rows a_0..a_62 and
-a_(2c+1) a_2c per chunk c as rows it owns: 94 rows a party. A chunk's carry
-is G = a1 b1 ^ (a1 a0) b0 ^ a0 (b1 b0) and its propagate
-P = a1 a0 ^ b1 b0 ^ a1 b0 ^ a0 b1, 5 products, or 3 for chunk 0 (no carry
-reads its P); bit 62 is a unit of its own, G = a62 b62 and P = a62 ^ b62:
-154 products. Three Sklansky levels then join the 32 units. A level of
-radix r over spans of s units gives unit i in span j of its rs-unit block
+The carry pipeline runs over the low l bits of the shares: l = 64, or a
+narrower msb's width. Its round 1 splits bits 0..l-3 into l/2 - 1 chunks of
+2 bits and reads the parties' own bits, each party opening its rows
+a_0..a_(l-2) and a_(2c+1) a_2c per chunk c as rows it owns: 3l/2 - 2 rows a
+party, 94 at l = 64. A chunk's carry is G = a1 b1 ^ (a1 a0) b0 ^ a0 (b1 b0)
+and its propagate P = a1 a0 ^ b1 b0 ^ a1 b0 ^ a0 b1, 5 products, or 3 for
+chunk 0 (no carry reads its P); bit l - 2 is a unit of its own, G = a b and
+P = a ^ b: 5l/2 - 6 products, 154 at l = 64. Sklansky levels then join the
+l/2 units, for l a power of two from 4 to 64: radix 4, and radix 2 once
+where log2(l/2) is odd. A level of radix r over spans of s units gives
+unit i in span j of its rs-unit block
 G_i ^= sum over k < j of P_i P_(t_(j-1))..P_(t_(k+1)) G_(t_k), t_k the top
 unit of span k, and P_i = P_i P_(t_(j-1))..P_(t_0): each term is one
 monomial, each row one opening, and a k-row monomial deals the mask AND of
@@ -21,15 +24,25 @@ each of its subsets of two or more rows once. _prefix_levels derives the
 levels by walking back from the rows read at the end, so no monomial runs
 that no carry reads.
 
-msb reads the carry into bit 63 alone, through radices 2, 4 and 4: 47, 27
-and 6 rows and 31, 81 and 15 products. That is 2 * (94 + 47 + 27 + 6) = 348
-online and 154 + 31 + 81 + 15 = 281 offline bits per element, 4 rounds.
-bit_decompose reads every carry, through radices 4, 4 and 2. Round 1 adds
-g_2c = a_2c b_2c for the 31 even bits below 62 (185 products), and the
-carry out of bit 2c, g_2c ^ p_2c C with C the carry into the chunk, is
-folded into the radix-2 level as p_2c times each term of C, monomials of at
-most 3 rows. Its levels open 55, 31 and 76 rows for 169, 148 and 88
-products: 2 * (94 + 55 + 31 + 76) = 512 online and
+msb reads the carry into bit l - 1 alone. At l = 64 its radices are 2, 4
+and 4: 47, 27 and 6 rows and 31, 81 and 15 products. That is
+2 * (94 + 47 + 27 + 6) = 348 online and 154 + 31 + 81 + 15 = 281 offline
+bits per element, 4 rounds. At l = 32 the 16 units (15 chunks and bit 30)
+take two radix-4 levels, 27 and 6 rows for 81 and 15 products, after a
+round 1 of 46 rows and 74 products: 2 * (46 + 27 + 6) = 158 online and
+74 + 81 + 15 = 170 offline bits per element, 3 rounds. Bit l - 1 of x mod
+2^l is the sign of x when |x| < 2^(l-1) as a ring integer, a precondition
+like truncation's: the reduced-bitwidth comparison of CrypTFlow2 (Rathee et
+al., CCS 2020) and SiRNN (Rathee et al., S&P 2021). A narrow call opens a
+subset of the full-width call's rows, each under a fresh dealer mask, so
+the party views add nothing.
+
+bit_decompose reads every carry at l = 64, through radices 4, 4 and 2.
+Round 1 adds g_2c = a_2c b_2c for the 31 even bits below 62 (185
+products), and the carry out of bit 2c, g_2c ^ p_2c C with C the carry into
+the chunk, is folded into the radix-2 level as p_2c times each term of C,
+monomials of at most 3 rows. Its levels open 55, 31 and 76 rows for 169,
+148 and 88 products: 2 * (94 + 55 + 31 + 76) = 512 online and
 185 + 169 + 148 + 88 = 590 offline bits per element, 4 rounds.
 
 prefix_or_high computes OR as NOT AND NOT, party 0 flipping its shares: a
@@ -45,7 +58,7 @@ bit r dealt both XOR-shared and as [r]: each party sends b_i ^ r_i, and
 1 round. bit_mult opens c and x - u in the same round, the masked daBit also
 dealing [u] and [r*u], so [b] and b*x = c*x + (1 - 2c)(r*(x - u) + r*u) are
 local. relu is msb, then bit_mult on the sign bit: 348 + 2 + 128 = 478 bits
-per element in 5 rounds.
+per element in 5 rounds, or 288 in 4 at l = 32.
 """
 
 from __future__ import annotations
@@ -68,53 +81,49 @@ _HALVES = [1 << level for level in range(6)]
 _UPPER = [np.uint64(sum(1 << i for i in range(64) if i & h)) for h in _HALVES]
 _SHIFTS = np.arange(RING_BITS, dtype=np.uint64)[:, None]
 
-# The carry pipeline's state rows: G of the 32 units (chunks 0..30, then bit
-# 62), their P from row _P (unit 0's P is never read), and for bit_decompose
-# p_2c and g_2c of the even bits 2c < 62 from rows _EVEN_P and _EVEN_G, g_2c
-# becoming the carry out of bit 2c
-_UNITS = 32
-_P, _EVEN_P, _EVEN_G = 32, 64, 95
-# sum bit i + 1 reads the carry out of bit i: its g_2c row for even i < 62,
-# else its unit's G
-_CARRY_ROWS = np.array([_EVEN_G + i // 2 if i % 2 == 0 and i < 62 else i // 2
-                        for i in range(RING_BITS - 1)])
-# the radices of the levels, first to last: msb reads one carry and
-# bit_decompose every carry, the even bits' folded into its radix-2 level
-_RADICES = {False: (2, 4, 4), True: (4, 4, 2)}
+# The ring bits of the GCN's sign bits: ReLU, softmax's row max and its
+# clamp. Exact for |x| < 2^31 as a ring integer, |value| < 2^15 at f = 16.
+SIGN_BITS = 32
 
 
 @functools.lru_cache(maxsize=None)
-def _chunk_monomials() -> tuple:
-    """msb's round 1 over each party's 94 rows, party 0's then party 1's:
-    its bits 0..62, then a_(2c+1) & a_2c for each chunk c of bits
-    (2c, 2c + 1), c < 31. The monomials come in blocks: G's three terms (the
-    first with bit 62's G appended), then P's two cross terms for chunks
-    1..30."""
-    a, aa, b, bb = range(63), range(63, 94), range(94, 157), range(157, 188)
-    lo, hi = range(0, 62, 2), range(1, 62, 2)
-    return tuple([(a[i], b[i]) for i in [*hi, 62]]
-                 + [(aa[c], b[lo[c]]) for c in range(31)]
-                 + [(a[lo[c]], bb[c]) for c in range(31)]
-                 + [(a[hi[c]], b[lo[c]]) for c in range(1, 31)]
-                 + [(a[lo[c]], b[hi[c]]) for c in range(1, 31)])
+def _chunk_monomials(bits: int, evens: bool) -> tuple:
+    """Round 1 over each party's 3 bits/2 - 2 rows, party 0's then party
+    1's: its bits 0..bits - 2, then a_(2c+1) & a_2c for each chunk c of
+    bits (2c, 2c + 1), 2c < bits - 2. The monomials come in blocks: G's
+    three terms (the first with the top unit's G appended), then P's two
+    cross terms for chunks 1 onward, and with evens g_2c = a_2c b_2c."""
+    top, size = bits - 2, 3 * bits // 2 - 2
+    a, aa = range(top + 1), range(top + 1, size)
+    b, bb = range(size, size + top + 1), range(size + top + 1, 2 * size)
+    lo, hi, chunks = range(0, top, 2), range(1, top, 2), range(bits // 2 - 1)
+    return tuple([(a[i], b[i]) for i in [*hi, top]]
+                 + [(aa[c], b[lo[c]]) for c in chunks]
+                 + [(a[lo[c]], bb[c]) for c in chunks]
+                 + [(a[hi[c]], b[lo[c]]) for c in chunks[1:]]
+                 + [(a[lo[c]], b[hi[c]]) for c in chunks[1:]]
+                 + [(a[i], b[i]) for i in lo] * evens)
 
 
-# bit_decompose's round 1 appends g_2c = a_2c b_2c for each chunk c
-_EVEN_MONOMIALS = tuple((i, 94 + i) for i in range(0, 62, 2))
-_CHUNK_OWNERS = (0,) * 94 + (1,) * 94
+def _carry_rows(bits: int) -> np.ndarray:
+    """The state row of the carry out of bit i, which sum bit i + 1 reads:
+    g_2c's for even i < bits - 2, else its unit's G."""
+    even_g = 3 * bits // 2 - 1
+    return np.array([even_g + i // 2 if i % 2 == 0 and i < bits - 2
+                     else i // 2 for i in range(bits - 1)])
 
 
-def _node(row: int, radix: int, span: int) -> tuple:
+def _node(row: int, radix: int, span: int, units: int) -> tuple:
     """A G or P state row after one level (module docstring): the row it
     XORs its monomials into, or None if one monomial replaces it, and its
     monomials over state rows."""
-    unit = row % _UNITS
+    unit = row % units
     base, j = unit - unit % (radix * span), unit % (radix * span) // span
     tops = [base + k * span + span - 1 for k in range(j)]
-    if row < _P:
-        return row, [(_P + unit, *(_P + t for t in tops[k + 1:]), tops[k])
-                     for k in range(j)]
-    return (None, [(row, *(_P + t for t in tops))]) if j else (row, [])
+    if row < units:
+        return row, [(units + unit, *(units + t for t in tops[k + 1:]),
+                      tops[k]) for k in range(j)]
+    return (None, [(row, *(units + t for t in tops))]) if j else (row, [])
 
 
 def _plan(nodes: dict) -> tuple:
@@ -160,27 +169,32 @@ def _run_level(ctx: PartyContext, state: np.ndarray, level: tuple,
 
 
 @functools.lru_cache(maxsize=None)
-def _prefix_levels(evens: bool) -> tuple:
-    """msb's levels, or with evens bit_decompose's, first to last, walking
-    back from unit 31's G, or from every G and the even bits' carries
-    g_2c ^ p_2c C_(c-1), the last level multiplying p_2c into C_(c-1) and
-    into each of its terms."""
-    radices = _RADICES[evens]
-    need = {_UNITS - 1}
+def _prefix_levels(evens: bool, bits: int) -> tuple:
+    """msb's levels over `bits` ring bits, or with evens bit_decompose's,
+    first to last, walking back from the top unit's G, or from every G and
+    the even bits' carries g_2c ^ p_2c C_(c-1), the last level multiplying
+    p_2c into C_(c-1) and into each of its terms. A radix-2 level comes
+    first for msb and last for bit_decompose."""
+    if bits not in (4, 8, 16, 32, RING_BITS):
+        raise ValueError(f"no radix plan for {bits} ring bits")
+    log = bits.bit_length() - 2  # log2 of the bits/2 units
+    two, fours = (2,) * (log % 2), (4,) * (log // 2)
+    radices = fours + two if evens else two + fours
+    units, even_g = bits // 2, 3 * bits // 2 - 1
+    need = {units - 1}
     if evens:
-        need |= set(range(_UNITS)) | set(range(_EVEN_G + 1, _EVEN_G + 31))
+        need |= set(range(units)) | set(range(even_g + 1, even_g + units - 1))
     levels = []
     for depth in reversed(range(len(radices))):
         radix, span = radices[depth], int(np.prod(radices[:depth]))
         nodes = {}
         for row in sorted(need):
-            if row < _EVEN_P:
-                nodes[row] = _node(row, radix, span)
-            elif row > _EVEN_G and depth == len(radices) - 1:
-                c = row - _EVEN_G
-                carry, terms = _node(c - 1, radix, span)
-                nodes[row] = row, [(_EVEN_P + c, *m)
-                                   for m in [(carry,), *terms]]
+            if row < bits:
+                nodes[row] = _node(row, radix, span, units)
+            elif row > even_g and depth == len(radices) - 1:
+                c = row - even_g
+                carry, terms = _node(c - 1, radix, span, units)
+                nodes[row] = row, [(bits + c, *m) for m in [(carry,), *terms]]
             else:  # p_2c, or g_2c before the last level
                 nodes[row] = row, []
         levels.append(_plan(nodes))
@@ -189,32 +203,41 @@ def _prefix_levels(evens: bool) -> tuple:
     return tuple(levels[::-1])
 
 
-def _units(ctx: PartyContext, own: np.ndarray, whole: int,
-           evens: bool) -> np.ndarray:
-    """Round 1: the carry pipeline's state rows from this party's
-    _bit_rows rows, with evens the even bits' rows too."""
-    rows = np.zeros((2, 94, own.shape[1]), dtype=np.uint64)
-    rows[ctx.party] = np.concatenate([own[:63], own[1:62:2] & own[:62:2]])
-    z = and_bits(ctx, rows.reshape(188, -1), whole,
-                 _chunk_monomials() + _EVEN_MONOMIALS * evens, _CHUNK_OWNERS)
-    state = np.empty((_EVEN_G + 31 if evens else _EVEN_P, own.shape[1]),
+def _units(ctx: PartyContext, own: np.ndarray, whole: int, evens: bool,
+           bits: int) -> np.ndarray:
+    """Round 1: the carry pipeline's state rows from this party's low
+    `bits` _bit_rows rows, with evens the even bits' rows too: G of the
+    bits/2 units from row 0 and their P from row bits/2 (unit 0's P is never
+    read), then p_2c and g_2c of the even bits 2c < bits - 2 from rows bits
+    and 3 bits/2 - 1, g_2c becoming the carry out of bit 2c."""
+    top, units, chunks = bits - 2, bits // 2, bits // 2 - 1
+    size = top + units  # rows a party
+    rows = np.zeros((2, size, own.shape[1]), dtype=np.uint64)
+    rows[ctx.party] = np.concatenate([own[:top + 1],
+                                      own[1:top:2] & own[:top:2]])
+    z = and_bits(ctx, rows.reshape(2 * size, -1), whole,
+                 _chunk_monomials(bits, evens), (0,) * size + (1,) * size)
+    g, g1, g2, p1, p2, g_2c = np.split(
+        z, np.cumsum([units, chunks, chunks, chunks - 1, chunks - 1]))
+    state = np.empty((bits + 2 * chunks * evens, own.shape[1]),
                      dtype=np.uint64)
-    state[:_UNITS] = z[:32]
-    state[:31] ^= z[32:63] ^ z[63:94]
-    state[_P] = 0
-    state[_P + 1:_EVEN_P - 1] = rows[ctx.party, 64:] ^ z[94:124] ^ z[124:154]
-    state[_EVEN_P - 1] = own[62]  # p_62 = a62 ^ b62
+    state[:units] = g
+    state[:chunks] ^= g1 ^ g2
+    state[units] = 0
+    state[units + 1:bits - 1] = rows[ctx.party, top + 2:] ^ p1 ^ p2
+    state[bits - 1] = own[top]  # the top unit's P = a_top ^ b_top
     if evens:
-        state[_EVEN_P:_EVEN_G] = own[:62:2]  # p_2c = a_2c ^ b_2c
-        state[_EVEN_G:] = z[154:]
+        state[bits:bits + chunks] = own[:top:2]  # p_2c = a_2c ^ b_2c
+        state[bits + chunks:] = g_2c
     return state
 
 
-def _carries(ctx: PartyContext, own: np.ndarray, whole: int,
-             evens: bool) -> np.ndarray:
+def _carries(ctx: PartyContext, own: np.ndarray, whole: int, evens: bool,
+             bits: int = RING_BITS) -> np.ndarray:
     """The carry pipeline's state rows after its last level."""
-    state = _units(ctx, own, whole, evens)
-    for level in _prefix_levels(evens):
+    levels = _prefix_levels(evens, bits)  # a width without a plan raises here
+    state = _units(ctx, own, whole, evens, bits)
+    for level in levels:
         _run_level(ctx, state, level, whole)
     return state
 
@@ -224,7 +247,7 @@ def bit_decompose(ctx: PartyContext, x: np.ndarray) -> np.ndarray:
     x's elements in flat order."""
     x = np.asarray(x, dtype=np.uint64).ravel()
     own = _bit_rows(x)
-    own[1:] ^= _carries(ctx, own, x.size // 64, True)[_CARRY_ROWS]
+    own[1:] ^= _carries(ctx, own, x.size // 64, True)[_carry_rows(RING_BITS)]
     return own  # s_i = p_i ^ c_(i-1)
 
 
@@ -253,12 +276,14 @@ def _unrows(rows: np.ndarray, whole: int) -> np.ndarray:
     return np.concatenate([bits, rows[:, whole:]], axis=1)
 
 
-def msb(ctx: PartyContext, x: np.ndarray) -> np.ndarray:
-    """XOR-shared sign bit of x: a63 ^ b63 ^ the carry into bit 63."""
+def msb(ctx: PartyContext, x: np.ndarray, bits: int = RING_BITS) -> np.ndarray:
+    """XOR-shared bit bits - 1 of x mod 2^bits, a_(bits-1) ^ b_(bits-1) ^
+    the carry into it: the sign of x for |x| < 2^(bits-1) as a ring integer
+    (module docstring)."""
     x = np.asarray(x, dtype=np.uint64)
     whole = x.size // 64
-    own = _bit_rows(x.ravel())
-    sign = own[-1] ^ _carries(ctx, own, whole, False)[_UNITS - 1]
+    own = _bit_rows(x.ravel())[:bits]
+    sign = own[-1] ^ _carries(ctx, own, whole, False, bits)[bits // 2 - 1]
     return _unrows(sign[None], whole).reshape(x.shape)
 
 
@@ -294,11 +319,12 @@ def bit_mult(ctx: PartyContext, bits: np.ndarray,
         return c * x + flip * (tape.R * e + tape.ru), mask
 
 
-def relu(ctx: PartyContext, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def relu(ctx: PartyContext, x: np.ndarray,
+         bits: int = RING_BITS) -> tuple[np.ndarray, np.ndarray]:
     """Shares of max(0, x) plus the arithmetic 0/1 derivative mask b: the
-    sign bit, then one bit_mult round."""
+    sign bit over `bits` ring bits (msb), then one bit_mult round."""
     x = np.asarray(x, dtype=np.uint64)
-    return bit_mult(ctx, msb(ctx, x) ^ np.uint64(1 - ctx.party), x)  # x >= 0
+    return bit_mult(ctx, msb(ctx, x, bits) ^ np.uint64(1 - ctx.party), x)  # x >= 0
 
 
 @functools.lru_cache(maxsize=None)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decompose import SparseMatrixCOO, decompose_full
-from .binary import relu
+from .binary import SIGN_BITS, relu
 from .nonlinear import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, adam_step,
                         scale_public, sgd_step, softmax_rows)
 from .protocols import beaver_mult, open_masked, reveal
@@ -273,7 +273,7 @@ def _secure_forward(ctx, bundle, dims, ax, w1, w2):
     and (AZ)W2 at width h otherwise. Returns the logits, AX opened, Z, the
     ReLU mask and W2 opened; Z comes back opened in the A(ZW2) order only."""
     ax, w1 = open_masked(ctx, ax, w1)
-    z, mask = relu(ctx, _matmul(ctx, ax, w1))
+    z, mask = relu(ctx, _matmul(ctx, ax, w1), SIGN_BITS)
     if w2.shape[1] < w2.shape[0]:
         z, w2 = open_masked(ctx, z, w2)
         logits = smm(ctx, bundle, dims, _matmul(ctx, z, w2))

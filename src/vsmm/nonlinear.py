@@ -22,13 +22,15 @@ of 0 gives 0 (party 0's floor(a / 2^f) and party 1's -floor(-b / 2^f)
 cancel for b = -a), so r = 0. So rsqrt_eps takes rsqrt's 11 rounds, and
 adam_step 13: g^2, rsqrt_eps, then the product u r.
 
-softmax_rows runs three stages on (N, c) logits y, c >= 2, in 4 +
-ceil(log_6(c - 1)) + 1 + 6 + 1 + 1 + k rounds for k quotient steps: 18 at
-c = 7 (k = 4) and 15 at c = 2 (k = 2). (1) The row max by CrypTen's pairwise
+softmax_rows runs three stages on (N, c) logits y, c >= 2, in 3 +
+ceil(log_6(c - 1)) + 1 + 6 + 1 + 1 + k rounds for k quotient steps: 17 at
+c = 7 (k = 4) and 14 at c = 2 (k = 2). (1) The row max by CrypTen's pairwise
 argmax (Knott et al., NeurIPS 2021): one msb layer over the c(c - 1)/2
 differences y_i - y_j, an AND over each column's c - 1 comparisons, in one
 round up to c = 7, that marks one winner per row, and x = y - sum_i win_i y_i
-by one bit_mult.
+by one bit_mult. Its sign bits run over SIGN_BITS = 32 ring bits (3 rounds),
+so every gap |y_i - y_j| must stay below 2^15 = 32,768; the clamp's x + 64
+then lies in (-2^15 + 64, 64], inside the same bound.
 (2) exp(x) ~ (1 + x/64)^64 with the base clamped at 0: msb(x + 64) runs
 beside the six squarings of the unclamped base (x + 64)/64 (`parallel`, 6
 rounds), then one bit_mult by NOT msb, which is exact ring arithmetic: a
@@ -50,7 +52,7 @@ import math
 
 import numpy as np
 
-from .binary import bit_mult, highest_one_hot, msb
+from .binary import SIGN_BITS, bit_mult, highest_one_hot, msb
 from .protocols import and_bits, beaver_mult, beaver_square, open_masked
 from .ring import FRAC_BITS, MAX_ABS, RING_BITS, encode_fixed, truncate_share
 from .runtime import PartyContext
@@ -189,7 +191,7 @@ def _row_winners(ctx: PartyContext, y: np.ndarray) -> np.ndarray:
     pair[i, j] = pair[j, i] = np.arange(i.size)
     col = np.arange(c)[:, None]
     rival = np.arange(c - 1) + (np.arange(c - 1) >= col)  # (c, c - 1)
-    beats = msb(ctx, y[:, i] - y[:, j])[:, pair[col, rival]]
+    beats = msb(ctx, y[:, i] - y[:, j], SIGN_BITS)[:, pair[col, rival]]
     beats ^= np.uint64(1 - ctx.party) * (rival > col)  # not s_ij for j > i
     return _and_all(ctx, beats)
 
@@ -212,7 +214,7 @@ def softmax_rows(ctx: PartyContext, y: np.ndarray) -> np.ndarray:
             e = beaver_square(ctx, e, truncate=True)
         return e
 
-    below, e = ctx.parallel(lambda: msb(ctx, x), powers)
+    below, e = ctx.parallel(lambda: msb(ctx, x, SIGN_BITS), powers)
     e, _ = bit_mult(ctx, below ^ np.uint64(1 - ctx.party), e)  # 0 below -64
     return quotient_bounded(ctx, e, e.sum(axis=1, keepdims=True,
                                           dtype=np.uint64), y.shape[1])

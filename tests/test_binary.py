@@ -1,11 +1,13 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vsmm.binary import (_CARRY_ROWS, _EVEN_G, _EVEN_P, _P, _bit_rows,
-                         _prefix_levels, _units, _unrows, b2a, bit_decompose,
-                         bit_mult, highest_one_hot, msb, prefix_or_high, relu)
+from vsmm.binary import (SIGN_BITS, _bit_rows, _carry_rows, _prefix_levels,
+                         _units, _unrows, b2a, bit_decompose, bit_mult,
+                         highest_one_hot, msb, prefix_or_high, relu)
 from vsmm.ring import lift_signed, random_ring, reconstruct, share_secret
 from vsmm.runtime import FRAME_BITS, run_two_party
 
@@ -42,10 +44,11 @@ def test_bit_decompose_exact(rng):
         assert meter.rounds == 4  # chunk carries, then radix 4, 4 and 2
 
 
-def _run_levels(state, evens):
+def _run_levels(state, evens, bits):
     """_prefix_levels evaluated in the clear on bit rows, as _carries does."""
     state = state.copy()
-    for opened, monomials, xors, index, sets, picks in _prefix_levels(evens):
+    for opened, monomials, xors, index, sets, picks in _prefix_levels(evens,
+                                                                      bits):
         z = np.array([np.bitwise_and.reduce(state[opened][list(m)])
                       for m in monomials] + [np.zeros_like(state[0])])
         state[sets] = z[picks]
@@ -53,30 +56,43 @@ def _run_levels(state, evens):
     return state
 
 
+# rows each level opens and its largest monomial, by width: radix-4
+# monomials of at most 4 rows, radix-2 ones of 2, and one more where
+# bit_decompose folds p_2c into the last level
+_LEVEL_SHAPES = {(False, 64): ([47, 27, 6], [2, 4, 4]),
+                 (True, 64): ([55, 31, 76], [4, 4, 3]),
+                 (False, 32): ([27, 6], [4, 4]),
+                 (True, 32): ([27, 40], [4, 5])}
+
+
 @pytest.mark.parametrize("evens", [False, True])
 def test_prefix_level_monomials(rng, evens):
     # unit u's carry is C_u = G_u ^ P_u C_(u-1) and an even bit's
-    # g_2c ^ p_2c C_(c-1), for any bits: 64 random rows a word
-    state = random_ring(rng, (_EVEN_G + 31 if evens else _EVEN_P, 4))
-    out = _run_levels(state, evens)
-    carry = np.zeros(4, dtype=np.uint64)
-    for u in range(32):
-        carry = state[u] ^ state[_P + u] & carry if u else state[0]
-        if evens or u == 31:
-            assert np.array_equal(out[u], carry)
-        if evens and u < 30:  # the carry out of bit 2(u + 1)
-            assert np.array_equal(out[_EVEN_G + u + 1], state[_EVEN_G + u + 1]
-                                  ^ state[_EVEN_P + u + 1] & carry)
-    if evens:
-        assert np.array_equal(out[_EVEN_G], state[_EVEN_G])  # c_0 = g_0
-        assert sorted(_CARRY_ROWS) == [*range(32), *range(_EVEN_G, _EVEN_G + 31)]
-    levels = _prefix_levels(evens)
-    # each row opened once a level; radix-4 monomials of at most 4 rows, the
-    # radix-2 level's of 2, or 3 where bit_decompose folds in p_2c
-    assert [len(set(level[0])) for level in levels] \
-        == ([55, 31, 76] if evens else [47, 27, 6])
-    assert [max(map(len, level[1])) for level in levels] \
-        == ([4, 4, 3] if evens else [2, 4, 4])
+    # g_2c ^ p_2c C_(c-1), for any bits: 64 random rows a word. The state
+    # holds G of the bits/2 units, their P, then p_2c and g_2c (_units)
+    for bits in (64, SIGN_BITS):
+        units = bits // 2
+        even_g = bits + units - 1
+        state = random_ring(rng, (bits + 2 * (units - 1) * evens, 4))
+        out = _run_levels(state, evens, bits)
+        carry = np.zeros(4, dtype=np.uint64)
+        for u in range(units):
+            carry = state[u] ^ state[units + u] & carry if u else state[0]
+            if evens or u == units - 1:
+                assert np.array_equal(out[u], carry)
+            if evens and u < units - 2:  # the carry out of bit 2(u + 1)
+                g = even_g + u + 1
+                assert np.array_equal(out[g],
+                                      state[g] ^ state[bits + u + 1] & carry)
+        if evens:
+            assert np.array_equal(out[even_g], state[even_g])  # c_0 = g_0
+            assert sorted(_carry_rows(bits)) \
+                == [*range(units), *range(even_g, even_g + units - 1)]
+        levels = _prefix_levels(evens, bits)
+        # each row opened once a level
+        assert ([len(set(level[0])) for level in levels],
+                [max(map(len, level[1])) for level in levels]) \
+            == _LEVEL_SHAPES[evens, bits]
 
 
 def _prefix_or_high(ctx, x):
@@ -104,10 +120,12 @@ def test_msb_matches_sign(rng):
         assert meter.rounds == 4  # chunk carries, then radix 2, 4 and 4
 
 
-def _chunk_units(ctx, share):
+def _chunk_units(ctx, share, bits):
     whole = share.size // 64
-    state = _units(ctx, _bit_rows(share), whole, False)
-    return _unrows(state[:32], whole), _unrows(state[_P + 1:_EVEN_P], whole)
+    state = _units(ctx, _bit_rows(share)[:bits], whole, False, bits)
+    units = bits // 2
+    return (_unrows(state[:units], whole),
+            _unrows(state[units + 1:bits], whole))
 
 
 def test_chunk_carry_and_propagate_exhaustive():
@@ -115,17 +133,23 @@ def test_chunk_carry_and_propagate_exhaustive():
     # share a and party 1's b, so every chunk sees all 16 pairs
     a, b = np.divmod(np.arange(16, dtype=np.uint64), np.uint64(4))
     spread = np.uint64(sum(1 << 2 * c for c in range(32)))  # bits 0, 2, .., 62
-    (g0, p0), (g1, p1), meter = run_two_party(
-        _chunk_units, (a * spread,), (b * spread,))
-    assert meter.rounds == 1
-    g, p = (g0 ^ g1).T, (p0 ^ p1).T  # (element, unit)
-    carry = (a + b) >> np.uint64(2)  # G = a1 b1 ^ (a1 a0) b0 ^ a0 (b1 b0)
-    both = (a ^ b) == 3  # P = a1 a0 ^ b1 b0 ^ a1 b0 ^ a0 b1
-    assert np.array_equal(g[:, :31], np.repeat(carry[:, None], 31, axis=1))
-    assert np.array_equal(p[:, :30], np.repeat(both[:, None], 30, axis=1))
-    # unit 31 is bit 62 alone, which holds a0 and b0 of the pair
-    assert np.array_equal(g[:, 31], a & b & np.uint64(1))
-    assert np.array_equal(p[:, 30], (a ^ b) & np.uint64(1))
+    for bits in (64, SIGN_BITS):  # a narrow round 1 reads the low bits only
+        units = bits // 2
+        (g0, p0), (g1, p1), meter = run_two_party(
+            functools.partial(_chunk_units, bits=bits),
+            (a * spread,), (b * spread,))
+        assert meter.rounds == 1
+        g, p = (g0 ^ g1).T, (p0 ^ p1).T  # (element, unit)
+        carry = (a + b) >> np.uint64(2)  # G = a1 b1 ^ (a1 a0) b0 ^ a0 (b1 b0)
+        both = (a ^ b) == 3  # P = a1 a0 ^ b1 b0 ^ a1 b0 ^ a0 b1
+        chunks = units - 1
+        assert np.array_equal(g[:, :chunks],
+                              np.repeat(carry[:, None], chunks, axis=1))
+        assert np.array_equal(p[:, :chunks - 1],
+                              np.repeat(both[:, None], chunks - 1, axis=1))
+        # the top unit is bit bits - 2 alone, which holds a0 and b0 of the pair
+        assert np.array_equal(g[:, chunks], a & b & np.uint64(1))
+        assert np.array_equal(p[:, chunks - 1], (a ^ b) & np.uint64(1))
 
 
 # carry chains that stop at, or run across, every chunk and radix boundary
@@ -164,6 +188,81 @@ def test_msb_carry_chains(seed):
     x0, x1 = _shared(np.random.default_rng(seed), _CHAINS)
     o0, o1, _ = run_two_party(msb, (x0,), (x1,))
     assert np.array_equal(o0 ^ o1, (lift_signed(_CHAINS) < 0).astype(np.uint64))
+
+
+def _narrow_values(rng, shape):
+    """Signed values of every magnitude below 2^31, led by -2^31, 2^31 - 1,
+    0, -1 and 1; their shares are random over all 64 bits."""
+    half = 1 << (SIGN_BITS - 1)
+    x = rng.integers(-half, half, shape) >> rng.integers(0, SIGN_BITS, shape)
+    x.flat[:5] = [-half, half - 1, 0, -1, 1][:x.size]
+    return x
+
+
+def test_narrow_msb_and_relu_exact(rng):
+    for shape in _SHAPES:
+        x = _narrow_values(rng, shape)
+        x0, x1 = _shared(rng, x.astype(np.uint64))
+        o0, o1, meter = run_two_party(msb, (x0, SIGN_BITS), (x1, SIGN_BITS))
+        assert o0.shape == shape
+        assert np.array_equal(o0 ^ o1, (x < 0).astype(np.uint64))
+        assert meter.rounds == 3  # chunk carries, then radix 4 and 4
+        (v0, m0), (v1, m1), meter = run_two_party(relu, (x0, SIGN_BITS),
+                                                  (x1, SIGN_BITS))
+        assert np.array_equal(lift_signed(reconstruct(v0, v1)),
+                              np.maximum(x, 0))
+        assert np.array_equal(reconstruct(m0, m1), (x >= 0).astype(np.uint64))
+        assert meter.rounds == 4  # the narrow sign bit + one daBit opening
+
+
+# _CHAIN_PAIRS over the low 32 bits: 2^k - 1 + 1 for k <= 32, the
+# alternating 0x5555_5555 + 0xAAAA_AAAB and its mirror, and -1, 0 and
+# -2^31 split as x + 0
+_NARROW_CHAIN_PAIRS = np.array(
+    [((1 << k) - 1, 1) for k in range(33)]
+    + [(0x55555555, 0xAAAAAAAB), (0xAAAAAAAA, 0x55555556)]
+    + [(x, 0) for x in (2 ** 64 - 1, 0, 2 ** 64 - 2 ** 31)],
+    dtype=np.uint64).T
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_narrow_msb_carry_chains(seed):
+    # random high share bits: r 2^32 added to one share, taken from the other
+    a, b = _NARROW_CHAIN_PAIRS
+    r = random_ring(np.random.default_rng(seed), a.shape) << np.uint64(32)
+    o0, o1, _ = run_two_party(msb, (a + r, SIGN_BITS), (b - r, SIGN_BITS))
+    # bit 31 of the sum: its sign but at 2^31 (k = 31), past the bound
+    assert np.array_equal(o0 ^ o1, (a + b) >> np.uint64(31) & np.uint64(1))
+
+
+def test_narrow_msb_past_its_bound():
+    # 2^31 is positive but needs 33 signed bits, so the 32-bit sign bit reads
+    # it as negative: |x| < 2^31 is the caller's precondition, as
+    # truncation's is, not a fault of msb
+    x = np.array([2 ** 31], dtype=np.uint64)
+    x0, x1 = _shared(np.random.default_rng(0), x)
+    o0, o1, _ = run_two_party(msb, (x0, SIGN_BITS), (x1, SIGN_BITS))
+    assert (o0 ^ o1).tolist() == [1]
+    o0, o1, _ = run_two_party(msb, (x0,), (x1,))
+    assert (o0 ^ o1).tolist() == [0]
+
+
+@pytest.mark.parametrize("bits, rounds", [(4, 2), (8, 2), (16, 3)])
+def test_msb_exhaustive_at_small_widths(rng, bits, rounds):
+    # every value of the signed range at each smaller width with a radix
+    # plan: round 1, then the levels joining its 2, 4 and 8 units, radix 2,
+    # radix 4, and radix 2 then 4
+    x = np.arange(-(1 << (bits - 1)), 1 << (bits - 1))
+    x0, x1 = _shared(rng, x.astype(np.uint64))
+    o0, o1, meter = run_two_party(msb, (x0, bits), (x1, bits))
+    assert np.array_equal(o0 ^ o1, (x < 0).astype(np.uint64))
+    assert meter.rounds == rounds
+
+
+def test_msb_width_without_a_radix_plan():
+    x = np.zeros(3, dtype=np.uint64)
+    with pytest.raises(ValueError, match="no radix plan"):
+        run_two_party(msb, (x, 24), (x, 24))
 
 
 def _run_empty(fn, *args):
@@ -291,6 +390,15 @@ def test_highest_one_hot(rng):
     # ones: 154 + 31 + 81 + 15 = 281. Each round is one message a party.
     (msb, 348, 281, 4, 8),
     (relu, 478, 409, 5, 12),  # msb + 2 + 128 bits; 281 + 128 offline
+    # msb over 32 bits opens 46 rows a party in round 1 (bits 0..30 and one
+    # pair product for each of the 15 chunks), then 27 and 6 shared rows:
+    # 2 * (46 + 27 + 6) = 158. Mask products: 3 + 14 * 5 + 1 = 74 chunk
+    # terms, then radix 4 over the 16 units, 15 G products a group and 7
+    # for its P in groups 1..3: 4 * 15 + 3 * 7 = 81, and radix 4 over the
+    # 4 groups: 15. So 74 + 81 + 15 = 170, in 3 rounds of one message a party
+    (functools.partial(msb, bits=SIGN_BITS), 158, 170, 3, 6),
+    # msb over 32 bits + 2 + 128 bits; 170 + 128 offline
+    (functools.partial(relu, bits=SIGN_BITS), 288, 298, 4, 10),
     # bit_decompose + prefix OR + 64 b2a bits (2 online, 64 offline each):
     # 512 + 330 + 128 and 590 + 528 + 4096
     (highest_one_hot, 970, 5214, 8, 16),
@@ -302,7 +410,8 @@ def test_highest_one_hot(rng):
     # alone: 44 a block, 4 * 44 = 176; the last level likewise
     # 16 * 7 + 15 * 3 + 15 + 4 = 176. So 528.
     (_prefix_or_high, 330, 528, 3, 6),
-], ids=["bit_decompose", "msb", "relu", "highest_one_hot", "prefix_or_high"])
+], ids=["bit_decompose", "msb", "relu", "msb32", "relu32", "highest_one_hot",
+        "prefix_or_high"])
 def test_gmw_layer_costs(rng, n, fn, online, offline, rounds, messages):
     """Online and offline bits per element, rounds and messages per call."""
     x0, x1 = _shared(rng, random_ring(rng, (n,)))

@@ -251,9 +251,9 @@ _MSB_ROUND1_SHA256 = (
 
 
 def test_bit_triples_msb_round1_digest(dealer):
-    from vsmm.binary import _CHUNK_OWNERS, _chunk_monomials
+    from vsmm.binary import _chunk_monomials
     from vsmm.protocols import _and_plan
-    plan = _and_plan(len(_CHUNK_OWNERS), _chunk_monomials(), _CHUNK_OWNERS)
+    plan = _and_plan(188, _chunk_monomials(64, False), (0,) * 94 + (1,) * 94)
     v0, v1, offline = dealer.gen_bit_triples(5, 3, 37, plan.owners,
                                              plan.products)
     assert offline == 154 * (64 * 3 + 37)

@@ -6,14 +6,17 @@ import re
 import numpy as np
 import pytest
 
+import vsmm.binary as binary
 import vsmm.gcn as gcn
+import vsmm.nonlinear as nonlinear
+from vsmm.binary import SIGN_BITS
 from vsmm.decompose import decompose_full
 from vsmm.gcn import (TrainConfig, accuracy, clear_forward, clear_gradients,
                       init_weights, infer_secure, load_dataset, load_model,
                       make_synthetic_community, normalize_adjacency,
                       reference_train_clear, save_dataset, save_model,
                       secure_gradients, train_secure)
-from vsmm.ring import encode_fixed
+from vsmm.ring import encode_fixed, lift_signed
 from vsmm.smm import smm_online_bits
 
 
@@ -311,10 +314,31 @@ def test_smm_widths_follow_public_shapes(monkeypatch, d, h, widths):
     # (AZ)W2 order the forward call follows ReLU with party 0 ahead and adds
     # 2, not 1: epoch 1 keeps 28. Epoch 2 starts with party 1 ahead, as
     # every epoch did before, and keeps 28.
+    #
+    # The sign bits then ran over SIGN_BITS = 32 ring bits, where msb sends
+    # 158 bits per element, not 348: (348 - 158) / 8 = 23.75 B less. ReLU's
+    # n*h elements save 192 * 23.75 = 4,560 B (h = 8) and 48 * 23.75 =
+    # 1,140 B (h = 2); softmax's 12 rows save it on their one row-max
+    # difference and the clamp's 2 entries: 36 * 23.75 = 855 B.
+    #
+    # rounds: the 4-round ReLU and the 14-round softmax keep the lead where
+    # the 5- and 15-round ones swapped it, and 23 rounds lie outside smm.
+    # Epoch 2 starts with party 1 ahead; W1's opening hands party 0 the
+    # lead and ReLU keeps it. In the A(ZW2) order the opening of Z and W2
+    # gives it to party 1 before the forward call (1), and softmax keeps
+    # party 0's lead before the backward call (2): 23 + 1 + 2 = 26. In the
+    # (AZ)W2 order the forward call follows ReLU with party 0 ahead (2), and
+    # the opening of AZ hands party 1 a lead that softmax keeps (1):
+    # 23 + 2 + 1 = 26. Epoch 1 starts with party 0 ahead, so each lead
+    # before its forward call flips: that call adds 2 (A(ZW2)) and 1
+    # ((AZ)W2), and the backward call 2 and 1, as in epoch 2. Party 0's
+    # clock starts epoch 1 a round ahead of party 1's and ends it a round
+    # behind, so its row reads one round less: 23 + 2 + 2 - 1 = 26 and
+    # 23 + 1 + 1 - 1 = 24.
     (4, 8, 288_888 - 22 * 6_260 - 28_836 - 10_314 - 49_668 - 7_168 - 384
-     - 19_710 + 6_186 - 9_024 + 192, [2, 2], [26, 28]),
+     - 19_710 + 6_186 - 9_024 + 192 - 4_560 - 855, [2, 2], [26, 26]),
     (16, 2, 244_728 - 22 * 6_260 - 9_612 - 3_438 - 49_668 - 13_120 - 384
-     - 19_710 + 6_186 - 2_256 + 192, [2, 2], [28, 28]),
+     - 19_710 + 6_186 - 2_256 + 192 - 1_140 - 855, [2, 2], [24, 26]),
 ], ids=["d4-h8", "d16-h2"])  # ids without the pinned bytes, which move
 def test_epoch_bytes_follow_smm_widths(monkeypatch, d, h, non_smm_bytes,
                                        epoch_widths, rounds):
@@ -362,14 +386,24 @@ def test_section_rounds_sum_to_meter_rounds(ds):
     # party 1 and the forward smm call adds 1 round, not 2: the run takes 39
     # rounds, 41 before. The moved leads move which party's clock the
     # rounds of op, osm, mult and b2a land on.
+    #
+    # The sign bits then ran over 32 ring bits in 3 rounds: ReLU takes 4 (3
+    # in gmw_and, 1 in b2a) and softmax 14, and neither swaps the lead any
+    # more. The epoch's two saved rounds come back in its smm calls: the
+    # forward and the backward call now start with party 0 ahead and add 2
+    # rounds each, not 1. The final pass's ReLU saves 1, and its smm call
+    # starts with party 1 ahead and adds 1, not 2: the run takes 37 rounds,
+    # 39 before. gmw_and's 4 sign bits of 3 rounds advance the two clocks
+    # by 2 * 12 = 24, 10 on party 0 and 14 on party 1, as a round that
+    # starts with one party ahead moves only the other's clock, by 2.
     _, meter = train_secure(ds, TrainConfig(epochs=1, hidden=4))
     assert meter.party_rounds == {
-        "op": [5, 3], "osm": [3, 0], "mult": [10, 14], "gmw_and": [16, 16],
+        "op": [3, 5], "osm": [5, 0], "mult": [14, 12], "gmw_and": [10, 14],
         "b2a": [4, 4], "reveal": [0, 2]}
     for party in (0, 1):
         assert sum(r[party] for r in meter.party_rounds.values()) \
             == meter.clocks[party]
-    assert meter.clocks == [38, 39] and meter.rounds == 39
+    assert meter.clocks == [36, 37] and meter.rounds == 37
     assert {name: sec["rounds"] for name, sec in meter.sections.items()} \
         == {name: max(r) for name, r in meter.party_rounds.items()}
 
@@ -386,17 +420,48 @@ def test_adam_section_rounds_sum_to_meter_rounds(ds):
     # The 15-round softmax and the overlapped reveal then took the run
     # from 61 rounds to 53, as in the SGD run above. AX's opening joining
     # W1's then took it to 51, the same 2 rounds the SGD run saved.
+    #
+    # The 3-round sign bits over 32 ring bits leave it at 51: the epoch's
+    # two saved rounds come back in its smm calls, as in the SGD run. The
+    # final pass starts after the 13-round Adam step with party 0 ahead, so
+    # its opening of W1 and the 4-round ReLU leave party 1 ahead, the
+    # opening of Z and W2 hands the lead to party 0, and its smm call adds
+    # 2 rounds, not 1: the round ReLU saves comes back there.
     _, meter = train_secure(ds, TrainConfig(optimizer="adam", epochs=1,
                                             hidden=4))
     assert meter.party_rounds == {
-        "op": [7, 1], "osm": [1, 0], "mult": [12, 22], "gmw_and": [22, 24],
-        "b2a": [8, 2], "reveal": [0, 2]}
+        "op": [1, 7], "osm": [7, 0], "mult": [20, 16], "gmw_and": [18, 20],
+        "b2a": [4, 6], "reveal": [0, 2]}
     for party in (0, 1):
         assert sum(r[party] for r in meter.party_rounds.values()) \
             == meter.clocks[party]
     assert meter.clocks == [50, 51] and meter.rounds == 51
     assert {name: sec["rounds"] for name, sec in meter.sections.items()} \
         == {name: max(r) for name, r in meter.party_rounds.items()}
+
+
+@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+def test_sign_bit_inputs_within_sign_bits(monkeypatch, optimizer):
+    # every msb call in training is a narrow site (ReLU, softmax's row max
+    # and its clamp), exact only for |x| < 2^(SIGN_BITS - 1) as a ring
+    # integer. Both parties' inputs, reconstructed, stay inside it. Measured
+    # here, the largest needs 24 signed bits with either optimizer: the
+    # clamp's x + 64 = 2^22 at the row max. ReLU's pre-activations needed
+    # at most 18 (SGD) and 19 (Adam), the row-max differences 19 and 20
+    inputs, msb = ([], []), binary.msb
+
+    def recording(ctx, x, bits=64):
+        inputs[ctx.party].append((bits, np.array(x)))
+        return msb(ctx, x, bits)
+
+    monkeypatch.setattr(binary, "msb", recording)
+    monkeypatch.setattr(nonlinear, "msb", recording)
+    train_secure(make_synthetic_community(32),
+                 TrainConfig(optimizer=optimizer, epochs=4, hidden=8))
+    assert len(inputs[0]) == len(inputs[1]) == 13  # 3 an epoch, 1 at the end
+    for (bits, x0), (_, x1) in zip(*inputs):
+        assert bits == SIGN_BITS
+        assert np.abs(lift_signed(x0 + x1)).max() < 2 ** (SIGN_BITS - 1)
 
 
 def test_train_secure_history_and_meter(ds):

@@ -124,11 +124,12 @@ def test_softmax_rows_close_and_normalized(rng):
 def test_softmax_many_classes(rng):
     # 39 comparisons per column AND in rounds of 6 inputs (3 rounds), so the
     # dealt mask products stay at most 57 a bit rather than 2^39; the
-    # quotient takes 6 steps at c = 40
+    # quotient takes 6 steps at c = 40. The row max's sign bit takes 3
+    # rounds over 32 ring bits (4 over 64 before: 22 rounds)
     y = rng.uniform(-3, 3, (3, 40))
     got, meter = _run(softmax_rows, rng, encode_fixed(y))
     assert np.abs(decode_fixed(got) - _softmax(y)).max() <= 0.02
-    assert meter.rounds == 4 + 3 + 1 + 6 + 1 + 1 + 6
+    assert meter.rounds == 3 + 3 + 1 + 6 + 1 + 1 + 6
 
 
 def test_softmax_large_logit_gap(rng):
@@ -155,14 +156,17 @@ def test_softmax_ties_have_one_winner(rng, y):
     assert np.abs(sm.sum(axis=1) - 1).max() <= 0.01
 
 
-@pytest.mark.parametrize("c, rounds", [(7, 18), (2, 15), (12, 20)])
+@pytest.mark.parametrize("c, rounds", [(7, 17), (2, 14), (12, 19)])
 def test_softmax_round_budget(rng, c, rounds):
-    # row max: msb 4, the AND of c - 1 comparisons ceil(log_6(c - 1)) (0,
-    # 1 up to c = 7, 2 at c = 12), bit_mult 1; the clamp's msb (4) beside
-    # the 6 squarings: 6; the clamp's bit_mult 1; the quotient 1 + k for k
-    # steps (4 at c = 7, 2 at c = 2, 5 at c = 12). It was 26, 21 and 29
-    # with the clamp's ReLU (5) before the squarings and Newton's 2 rounds
-    # a step and last multiply (2k + 1)
+    # row max: msb over 32 ring bits 3, the AND of c - 1 comparisons
+    # ceil(log_6(c - 1)) (0, 1 up to c = 7, 2 at c = 12), bit_mult 1; the
+    # clamp's msb (3) beside the 6 squarings: 6; the clamp's bit_mult 1; the
+    # quotient 1 + k for k steps (4 at c = 7, 2 at c = 2, 5 at c = 12):
+    # 3 + 1 + 1 + 6 + 1 + 5 = 17, 3 + 0 + 1 + 6 + 1 + 3 = 14 and
+    # 3 + 2 + 1 + 6 + 1 + 6 = 19. It was 18, 15 and 20 with the 4-round
+    # sign bit over 64 bits, and 26, 21 and 29 with the clamp's ReLU (5)
+    # before the squarings and Newton's 2 rounds a step and last multiply
+    # (2k + 1)
     _, meter = _run(softmax_rows, rng, encode_fixed(rng.uniform(-3, 3, (9, c))))
     assert meter.rounds == max(meter.clocks) == rounds
 
