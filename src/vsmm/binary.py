@@ -35,7 +35,7 @@ round 1 of 46 rows and 74 products: 2 * (46 + 27 + 6) = 158 online and
 like truncation's: the reduced-bitwidth comparison of CrypTFlow2 (Rathee et
 al., CCS 2020) and SiRNN (Rathee et al., S&P 2021). A narrow call opens a
 subset of the full-width call's rows, each under a fresh dealer mask, so
-the party views add nothing.
+the party views add nothing, and it bit-slices only the low l rows.
 
 bit_decompose reads every carry at l = 64, through radices 4, 4 and 2.
 Round 1 adds g_2c = a_2c b_2c for the 31 even bits below 62 (185
@@ -74,9 +74,9 @@ from .runtime import PartyContext
 
 _ONE = np.uint64(1)
 _TWO = np.uint64(2)
-# level l's half-block width h = 2^l: a (block, half, bit) view of 64 rows or
-# bits pairs each half of every 2h-bit block with the other
-_HALVES = [1 << level for level in range(6)]
+# level l's half-block width h = 2^l, widest first: a (block, half, bit) view
+# of 64 rows or bits pairs each half of every 2h-bit block with the other
+_HALVES = [1 << level for level in reversed(range(6))]
 # U of level l: the positions with bit l set, the upper half of each block
 _UPPER = [np.uint64(sum(1 << i for i in range(64) if i & h)) for h in _HALVES]
 _SHIFTS = np.arange(RING_BITS, dtype=np.uint64)[:, None]
@@ -203,40 +203,32 @@ def _prefix_levels(evens: bool, bits: int) -> tuple:
     return tuple(levels[::-1])
 
 
-def _units(ctx: PartyContext, own: np.ndarray, whole: int, evens: bool,
-           bits: int) -> np.ndarray:
-    """Round 1: the carry pipeline's state rows from this party's low
-    `bits` _bit_rows rows, with evens the even bits' rows too: G of the
-    bits/2 units from row 0 and their P from row bits/2 (unit 0's P is never
-    read), then p_2c and g_2c of the even bits 2c < bits - 2 from rows bits
-    and 3 bits/2 - 1, g_2c becoming the carry out of bit 2c."""
+def _units(ctx: PartyContext, own: np.ndarray, whole: int,
+           evens: bool) -> np.ndarray:
+    """Round 1: the carry pipeline's state rows from this party's l =
+    len(own) _bit_rows rows, with evens the even bits' rows too: G of the
+    l/2 units from row 0 and their P from row l/2 (unit 0's P is never
+    read), then p_2c and g_2c of the even bits 2c < l - 2 from rows l and
+    3l/2 - 1, g_2c becoming the carry out of bit 2c."""
+    bits, n = own.shape
     top, units, chunks = bits - 2, bits // 2, bits // 2 - 1
-    size = top + units  # rows a party
-    rows = np.zeros((2, size, own.shape[1]), dtype=np.uint64)
-    rows[ctx.party] = np.concatenate([own[:top + 1],
-                                      own[1:top:2] & own[:top:2]])
-    z = and_bits(ctx, rows.reshape(2 * size, -1), whole,
-                 _chunk_monomials(bits, evens), (0,) * size + (1,) * size)
+    rows = np.concatenate([own[:top + 1], own[1:top:2] & own[:top:2]])
+    z = and_bits(ctx, rows, whole, _chunk_monomials(bits, evens),
+                 (0,) * len(rows) + (1,) * len(rows))  # each party's own
     g, g1, g2, p1, p2, g_2c = np.split(
         z, np.cumsum([units, chunks, chunks, chunks - 1, chunks - 1]))
-    state = np.empty((bits + 2 * chunks * evens, own.shape[1]),
-                     dtype=np.uint64)
-    state[:units] = g
-    state[:chunks] ^= g1 ^ g2
-    state[units] = 0
-    state[units + 1:bits - 1] = rows[ctx.party, top + 2:] ^ p1 ^ p2
-    state[bits - 1] = own[top]  # the top unit's P = a_top ^ b_top
-    if evens:
-        state[bits:bits + chunks] = own[:top:2]  # p_2c = a_2c ^ b_2c
-        state[bits + chunks:] = g_2c
-    return state
+    g[:chunks] ^= g1 ^ g2
+    # the top unit's P is a_top ^ b_top, and p_2c = a_2c ^ b_2c
+    return np.concatenate([g, np.zeros((1, n), dtype=np.uint64),
+                           rows[top + 2:] ^ p1 ^ p2, own[top:top + 1]]
+                          + [own[:top:2], g_2c] * evens)
 
 
-def _carries(ctx: PartyContext, own: np.ndarray, whole: int, evens: bool,
-             bits: int = RING_BITS) -> np.ndarray:
+def _carries(ctx: PartyContext, own: np.ndarray, whole: int,
+             evens: bool) -> np.ndarray:
     """The carry pipeline's state rows after its last level."""
-    levels = _prefix_levels(evens, bits)  # a width without a plan raises here
-    state = _units(ctx, own, whole, evens, bits)
+    levels = _prefix_levels(evens, len(own))  # a width without a plan raises
+    state = _units(ctx, own, whole, evens)
     for level in levels:
         _run_level(ctx, state, level, whole)
     return state
@@ -251,22 +243,25 @@ def bit_decompose(ctx: PartyContext, x: np.ndarray) -> np.ndarray:
     return own  # s_i = p_i ^ c_(i-1)
 
 
-def _bit_rows(x: np.ndarray) -> np.ndarray:
-    """Bit-sliced rows of the n words x: row i holds bit i of every element,
-    packed 64 elements to a word for the n // 64 whole words, then one bit
-    per entry for the n % 64 tail elements. Six masked swaps transpose each
-    64x64 block, the swap at s = 2^l exchanging bit l of the row and column
-    indices."""
+def _bit_rows(x: np.ndarray, bits: int = RING_BITS) -> np.ndarray:
+    """Bit-sliced rows 0..bits - 1 of the n words x: row i holds bit i of
+    every element, packed 64 elements to a word for the n // 64 whole words,
+    then one bit per entry for the n % 64 tail elements. Six masked swaps,
+    widest first, transpose each 64x64 block, the swap at s = 2^l exchanging
+    bit l of the row and column indices; later swaps mix words only within
+    runs of s, so each swap keeps just the runs that reach below `bits`."""
     whole = x.size // 64
     blocks = x[:64 * whole].reshape(whole, RING_BITS).copy()
     for h, upper in zip(_HALVES, _UPPER) if whole else ():
         s = np.uint64(h)
-        pairs = blocks.reshape(whole, 32 // h, 2, h)
+        pairs = blocks.reshape(whole, -1, 2, h)
         lo, hi = pairs[:, :, 0], pairs[:, :, 1]
         t = ((lo >> s) ^ hi) & ~upper
         lo ^= t << s
         hi ^= t
-    return np.concatenate([blocks.T, x[64 * whole:] >> _SHIFTS & _ONE], axis=1)
+        blocks = blocks[:, :h * -(-bits // h)]
+    return np.concatenate([blocks[:, :bits].T,
+                           x[64 * whole:] >> _SHIFTS[:bits] & _ONE], axis=1)
 
 
 def _unrows(rows: np.ndarray, whole: int) -> np.ndarray:
@@ -282,8 +277,8 @@ def msb(ctx: PartyContext, x: np.ndarray, bits: int = RING_BITS) -> np.ndarray:
     (module docstring)."""
     x = np.asarray(x, dtype=np.uint64)
     whole = x.size // 64
-    own = _bit_rows(x.ravel())[:bits]
-    sign = own[-1] ^ _carries(ctx, own, whole, False, bits)[bits // 2 - 1]
+    own = _bit_rows(x.ravel(), bits)
+    sign = own[-1] ^ _carries(ctx, own, whole, False)[bits // 2 - 1]
     return _unrows(sign[None], whole).reshape(x.shape)
 
 

@@ -46,11 +46,11 @@ def _est_times(meter, names=NETWORK_CONDITIONS) -> dict:
 
 def _random_sparse(nodes: int, edges_per_node: int,
                    rng: np.random.Generator) -> SparseMatrixCOO:
-    t = nodes * edges_per_node
-    flat = rng.choice(nodes * nodes, size=t, replace=False)
-    entries = [(int(p) // nodes, int(p) % nodes,
-                float(rng.uniform(0.1, 2.0))) for p in flat]
-    return SparseMatrixCOO.from_entries(nodes, nodes, entries)
+    flat = rng.choice(nodes * nodes, nodes * edges_per_node, replace=False)
+    order = np.argsort(flat)  # (row, col) order, as from_entries sorts
+    rows, cols = np.divmod(flat[order], nodes)
+    return SparseMatrixCOO(nodes, nodes, rows, cols,
+                           rng.uniform(0.1, 2.0, flat.size)[order])
 
 
 # subcommands -----------------------------------------------------------------

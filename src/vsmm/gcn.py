@@ -425,7 +425,9 @@ def secure_gradients(ds: GraphDataset, w1f: np.ndarray, w2f: np.ndarray,
                      seed: int = 0):
     """The (gw1, gw2) that one secure SGD epoch at lr 1 subtracts from the
     given plaintext weights, decoded from the difference of the weight
-    shares; used to validate the gradient training applies."""
+    shares; used to validate the gradient training applies. The meter covers
+    the whole epoch, reveal and SGD step included, and the final forward
+    pass and reveal: 56,053 B and 37 rounds on acceptance 9's graph."""
     check_train_mask(ds)
     result, meter = _run_secure(ds, _public_shares(w1f), _public_shares(w2f),
                                 seed, TrainConfig(lr=1.0, epochs=1))

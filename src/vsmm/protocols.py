@@ -73,12 +73,12 @@ def op(ctx: PartyContext, sigma: Permutation | None, x: np.ndarray, k: int,
         return np.take_along_axis(piU, delta_sigma.T, axis=0)
 
 
-def osm_correction(ctx: PartyContext, s: np.ndarray, n: int) -> np.ndarray:
+def osm_correction(ctx: PartyContext, s: np.ndarray) -> np.ndarray:
     """Party 0's half of osm that needs no input: draw the tuple, send
     s xor b and return the constant c of its output share s*(x0 + x1 - u)
-    + c, as a flat vector of the n instances."""
-    tape = ctx.tape.osm(n)
+    + c, as a flat vector of one instance per selector bit."""
     s = np.asarray(s, dtype=np.uint64).ravel()
+    tape = ctx.tape.osm(s.size)
     delta_s = (s ^ tape.b).astype(np.uint8)
     ctx.send_bits(delta_s)
     ds = delta_s.astype(np.uint64)
@@ -97,7 +97,7 @@ def osm(ctx: PartyContext, s: np.ndarray | None, x: np.ndarray) -> np.ndarray:
     n = x.size
     with ctx.section("osm"):
         if ctx.party == 0:
-            c = osm_correction(ctx, s, n)
+            c = osm_correction(ctx, s)
             s = np.asarray(s, dtype=np.uint64).ravel()
             c += s * (x.ravel() + ctx.recv_ring((n,)))
             return c.reshape(shape)
@@ -302,20 +302,20 @@ def and_bits(ctx: PartyContext, x: np.ndarray, whole: int, monomials,
     """GMW AND of XOR-shared bit rows in one round: any list of monomials
     over the rows, each a tuple of row indices, from one opening per row.
 
-    x is (rows, n) _bit_rows rows: packed words in the first `whole`
+    x holds _bit_rows rows of n columns: packed words in the first `whole`
     columns, then one 0/1 bit per entry. Returns each monomial's AND of its
     rows, an (len(monomials), n) XOR share.
 
-    owners[i] is None for a row XOR-shared between the parties, or the party
-    that holds row i in the clear, whose row alone is read. Each party sends
-    every shared row and every row it owns, masked by a fresh dealer mask
-    (the dealer's docstring): 1 bit per row per sending party per element.
+    owners[i] is None for a row XOR-shared between the parties, as is every
+    row without owners, or the party holding row i in the clear. x holds
+    the shared rows and this party's own, in row order, and it sends each
+    under a fresh dealer mask (dealer docstring): 1 bit per row per element.
     The dealer deals the AND of the masks over every subset of two or more
     rows of a monomial, once per subset: 2^k - k - 1 offline bits per
     element for a k-row monomial, 1 per two-input gate.
     """
     x = np.asarray(x, dtype=np.uint64)
-    rows, n = x.shape
+    rows, n = len(x) if owners is None else len(owners), x.shape[1]
     plan = _and_plan(rows, tuple(map(tuple, monomials)),
                      None if owners is None else tuple(owners))
     if n == 0:
@@ -324,7 +324,7 @@ def and_bits(ctx: PartyContext, x: np.ndarray, whole: int, monomials,
         tape = ctx.tape.bits(whole, n - whole, plan.owners, plan.products)
         mine, theirs, received = plan.exchange[ctx.party]
         opened = np.zeros((rows, n), dtype=np.uint64)
-        opened[mine] = x[mine] ^ tape.masks
+        opened[mine] = x ^ tape.masks
         ctx.send_gates(opened[mine], whole)
         opened[theirs] ^= ctx.recv_gates(whole, n - whole, received)
         groups = plan.groups[ctx.party]

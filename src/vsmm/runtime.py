@@ -62,8 +62,8 @@ class CommMeter:
 
         A section's rounds are the larger of the parties' sums over its
         calls, which `party_rounds` keeps. The parties' clocks can differ
-        (smm advances party 0's by 2 and party 1's by 1), so the sections'
-        rounds can add up to more than the run's."""
+        (smm advances party 0's by 2 and party 1's by 0 to 2, see smm.py),
+        so the sections' rounds can add up to more than the run's."""
         meter = cls()
         meter.online_bits = sum(ep.sent_bits for ep in parties)
         meter.framing_bits = FRAME_BITS * sum(ep.messages for ep in parties)

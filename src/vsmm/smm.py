@@ -17,8 +17,9 @@ permutations, two selector masks and lambda - a) depend only on its factors
 and tuples, so it sends them all first. Party 1 sends x - U for the first
 permutation at once; each later masked share depends only on its tuples and
 party 0's messages, so it follows one round later. Party 0's clock advances
-by 2 and party 1's by 1. The messages are those of the eight one-round
-protocols, in another order.
+by 2, party 1's by 1 from equal clocks, 2 if party 0 starts a round ahead
+and 0 if party 1 does: the run gains 2 rounds, or 1 when party 1 leads.
+The messages are those of the eight one-round protocols, in another order.
 
 The online bits of a call are `smm_online_bits`. The permutations, the
 selections and party 1's Weight message grow with the width d of X; party
@@ -81,7 +82,7 @@ def _correction(ctx: PartyContext, s, d: int) -> np.ndarray:
             return priv_mult_correction(ctx, s.lam, (len(s.lam), d))
         # one OSM instance per cell; the selector bits are Select on ones
         sel = s.apply(np.ones((s.side, d), dtype=np.uint64))
-        return osm_correction(ctx, sel, s.side * d).reshape(s.side, d)
+        return osm_correction(ctx, sel).reshape(s.side, d)
 
 
 def _run_steps_party0(ctx: PartyContext, steps: list,

@@ -44,6 +44,18 @@ def test_bit_decompose_exact(rng):
         assert meter.rounds == 4  # chunk carries, then radix 4, 4 and 2
 
 
+@pytest.mark.parametrize("n", [0, 37, 64, 2597])
+def test_bit_rows_at_a_width_are_the_low_rows(rng, n):
+    """_bit_rows(x, bits) is _bit_rows(x)[:bits]: narrowing the transpose
+    after each swap drops only rows at or above `bits`. n < 64 has no whole
+    word, 2,597 has 40 and a ragged tail."""
+    x = random_ring(rng, (n,))
+    full = _bit_rows(x)
+    assert np.array_equal(_unrows(full, n // 64), x >> _SHIFTS & np.uint64(1))
+    for bits in (4, 8, 16, 32, 64):
+        assert np.array_equal(_bit_rows(x, bits), full[:bits])
+
+
 def _run_levels(state, evens, bits):
     """_prefix_levels evaluated in the clear on bit rows, as _carries does."""
     state = state.copy()
@@ -122,7 +134,7 @@ def test_msb_matches_sign(rng):
 
 def _chunk_units(ctx, share, bits):
     whole = share.size // 64
-    state = _units(ctx, _bit_rows(share)[:bits], whole, False, bits)
+    state = _units(ctx, _bit_rows(share, bits), whole, False)
     units = bits // 2
     return (_unrows(state[:units], whole),
             _unrows(state[units + 1:bits], whole))

@@ -427,8 +427,9 @@ def test_and_bits_owned_rows_are_sent_by_their_owner(rng):
     owners = (0, 0, 1, None)
     monomials = ((0, 2), (1, 2, 3), (0, 1), (3,))
     x, mask = _rows(rng, 4, whole, tail)[0], _rows(rng, 4, whole, tail)[0]
-    view0, view1 = x.copy(), mask.copy()  # the non-owner's row is not read
-    view0[3], view1[2], view1[3] = mask[3], x[2], x[3] ^ mask[3]
+    # each party passes the rows it holds: its own, then its share of row 3
+    view0 = np.stack([x[0], x[1], mask[3]])
+    view1 = np.stack([x[2], x[3] ^ mask[3]])
     got = []
 
     def proto(ctx, rows):
@@ -470,10 +471,11 @@ def test_and_bits_any_monomials(data):
     n = 64 * whole + tail
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32)))
     x, mask = _rows(rng, rows, whole, tail)[0], _rows(rng, rows, whole, tail)[0]
-    views = [np.where(np.array([o != 1 for o in owners])[:, None], x, mask),
-             np.where(np.array([o != 0 for o in owners])[:, None], x, mask)]
-    shared = [o is None for o in owners]
-    views[0][shared], views[1][shared] = mask[shared], (x ^ mask)[shared]
+    # each party passes the rows it holds, in row order: its own in the
+    # clear and its share of each shared row
+    shared = np.array([o is None for o in owners])[:, None]
+    views = [np.where(shared, share, x)[[o != 1 - p for o in owners]]
+             for p, share in enumerate((mask, x ^ mask))]
     o0, o1, meter = run_two_party(
         lambda ctx, v: and_bits(ctx, v, whole, monomials, owners),
         (views[0],), (views[1],))

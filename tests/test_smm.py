@@ -69,6 +69,37 @@ def test_smm_transpose_exact(rng):
     assert meter.rounds == 2
 
 
+@pytest.mark.parametrize("lead, advance, gain", [
+    (None, (2, 1), 2),  # equal clocks
+    (0, (2, 2), 2),     # party 0's corrections reach party 1 a round later
+    (1, (2, 0), 1),     # and here party 1 reads them at no cost
+], ids=["equal", "party0-ahead", "party1-ahead"])
+def test_smm_clock_advance_follows_the_lead(rng, lead, advance, gain):
+    """One smm call from three clock states, each set by one send_ring/
+    recv_ring before it: both ways for equal clocks, else from the party
+    behind to the one that leads. Party 0 always advances by 2, and party
+    1 by 1, 2 or 0, so the run gains 2 rounds unless party 1 starts ahead."""
+    a = random_sparse(rng, 7, 9, 16, integer=True)
+    bundle = decompose_full(a)
+    dims = SmmDims(bundle.m, bundle.n, bundle.t)
+    x = rng.integers(-50, 50, (9, 2)).astype(np.int64).astype(np.uint64)
+    x0, x1 = share_secret(x, random_ring(rng, x.shape))
+
+    def proto(ctx, b, xin):
+        if lead in (None, 1 - ctx.party):
+            ctx.send_ring(np.zeros(1, dtype=np.uint64))
+        if lead in (None, ctx.party):
+            ctx.recv_ring((1,))
+        start = ctx.ep.clock
+        return smm(ctx, b, dims, xin), ctx.ep.clock - start
+
+    (o0, d0), (o1, d1), meter = run_two_party(proto, (bundle, x0), (None, x1))
+    expect = a.to_dense().astype(np.int64) @ lift_signed(x)
+    assert np.array_equal(lift_signed(reconstruct(o0, o1)), expect)
+    assert (d0, d1) == advance
+    assert meter.rounds == 1 + gain  # the clocks stood at most at 1 before
+
+
 def test_smm_payload_matches_formula(rng):
     a = random_sparse(rng, 12, 9, 25, integer=True)
     x = rng.integers(-5, 5, (9, 4)).astype(np.int64).astype(np.uint64)
