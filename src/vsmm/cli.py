@@ -13,6 +13,7 @@ import csv
 import json
 import os
 import sys
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -94,8 +95,12 @@ _BENCHES = {"smm": _bench_smm, "op": _bench_op, "osm": _bench_osm}
 def cmd_bench(args) -> int:
     rng = np.random.default_rng(args.seed)
     protocol, inputs0, inputs1, extra = _BENCHES[args.protocol](args, rng)
+    wall, cpu = time.perf_counter(), time.process_time()
     _, _, meter = run_two_party(protocol, inputs0, inputs1, seed=args.seed)
     report = meter.report(args.protocol)
+    # the two-party run alone, both party threads and the dealer
+    report["wall_s"] = time.perf_counter() - wall
+    report["cpu_s"] = time.process_time() - cpu
     report["est_time_by_condition"] = _est_times(meter)
     report.update(extra)
     if "beaver_dense_online_bits" in extra:

@@ -7,9 +7,12 @@ tally is charged only for the dealer-to-party-1 correction messages. The dealer
 never receives anything online: the API exposes generation only.
 
 Permutations are the argsort of k PRF words, redrawn when two words tie, so
-each is an exactly uniform element of S_k. In an oblivious-permutation tuple
-that argsort is dealt to party 0 as pi^-1, which is as uniform as pi and is
-the form the protocol uses. Within one two-party run each tuple is generated
+each is an exactly uniform element of S_k; `PrfStream.permutation` reads it
+from one sort of packed keys, falling back to the argsort itself when the
+keys' order is not the words'. In an oblivious-permutation tuple that argsort
+is dealt to party 0 as pi^-1, which is as uniform as pi and is the form the
+protocol uses; the tuple is dealt as (d, k) rows, one per column instance,
+the layout smm walks. Within one two-party run each tuple is generated
 once: the first party to draw a counter keeps its own view and leaves the
 peer's view in a `Handoff`, which the peer's draw takes.
 
@@ -66,6 +69,7 @@ TAG_DABITS = b"DABT"
 TAG_MASK = b"MASK"
 
 _ZEROS = memoryview(bytes(1 << 16))  # keystream plaintext; read-only, shared
+_aes = functools.lru_cache(maxsize=64)(algorithms.AES)  # one key object per key
 
 
 class TapeExhausted(RuntimeError):
@@ -79,7 +83,7 @@ class PrfStream:
         if len(key) != 16:
             raise ValueError("PRF keys are 16 bytes")
         nonce = tag[:4].ljust(4, b"\0") + struct.pack("<Q", ctr) + b"\0\0\0\0"
-        self._enc = Cipher(algorithms.AES(key), modes.CTR(nonce)).encryptor()
+        self._enc = Cipher(_aes(key), modes.CTR(nonce)).encryptor()
 
     def bytes(self, n: int) -> bytes:
         return self._enc.update(b"\0" * n)
@@ -114,10 +118,22 @@ class PrfStream:
         Distinct words have one sorted order, so the result does not depend
         on the sort algorithm. A batch with a repeated word is discarded and
         the next k words are drawn, which keeps every permutation exactly
-        equally likely.
+        equally likely. The argsort is read off one in-place sort of keys,
+        each word with its low b = ceil(log2 k) bits replaced by its index,
+        unless two words share their high 64 - b bits and so their keys
+        need not sort in the words' order; then the words are argsorted.
         """
+        b = np.uint64((k - 1).bit_length())
+        low = np.uint64((1 << int(b)) - 1)
         while True:
             words = self.u64((k,))
+            keys = words >> b
+            keys <<= b
+            keys |= np.arange(k, dtype=np.uint64)
+            keys.sort()
+            if not np.any((keys[1:] ^ keys[:-1]) <= low):
+                keys &= low
+                return keys.view(np.int64)
             p = np.argsort(words)
             ranked = words[p]
             if not np.any(ranked[1:] == ranked[:-1]):
@@ -158,7 +174,7 @@ class OpRandomness:
 
     pinv: np.ndarray | None  # party 0: (d, k), row c is pi_c^-1
     piU: np.ndarray           # (k, d) shares of pi(U): piU[i, c] = U[pi_c[i], c]
-    U: np.ndarray | None     # party 1: (k, d)
+    U: np.ndarray | None     # party 1: (k, d); both views of (d, k) rows
 
 
 @dataclass
@@ -219,20 +235,22 @@ class Dealer:
 
     def gen_op_rand(self, ctr: int, k: int, d: int):
         """Party 0 gets (pi^-1, <piU>0); party 1 gets (U, <piU>1); offline
-        cost k*L*d. Row U[j] lands at row pi^-1[j] of piU."""
+        cost k*L*d. Row U[j] lands at row pi^-1[j] of piU, scattered one
+        column instance, one (d, k) row, at a time."""
         if k < 1:
             raise ValueError("permutation degree must be >= 1")
         s0, s1 = self._streams(TAG_OP, ctr)
         pinv = np.empty((d, k), dtype=np.int64)
         for row in pinv:
             row[:] = s0.permutation(k)
-        piU0 = s0.u64((k, d))
-        U = s1.u64((k, d))
+        piU0 = s0.u64((d, k))
+        U = s1.u64((d, k))
         piU1 = np.empty_like(U)
-        np.put_along_axis(piU1, pinv.T, U, axis=0)
+        for dst, p, u in zip(piU1, pinv, U):
+            dst[p] = u
         piU1 -= piU0
-        view0 = OpRandomness(pinv, piU0, None)
-        view1 = OpRandomness(None, piU1, U)
+        view0 = OpRandomness(pinv, piU0.T, None)
+        view1 = OpRandomness(None, piU1.T, U.T)
         return view0, view1, k * 64 * d
 
     def gen_osm_rand(self, ctr: int, count: int):
@@ -249,12 +267,11 @@ class Dealer:
     def gen_privmul(self, ctr: int, shape):
         """Weight-step randomness for a shared operand of `shape`: a per-row
         mask a of shape (rows, 1, ...), broadcast over the columns, and u
-        and [a*u] of the operand's shape; offline cost L per element."""
+        and [a*u] of the operand's shape, drawn as its transpose's rows
+        like an OP tuple; offline cost L per element."""
         s0, s1 = self._streams(TAG_PRIVMUL, ctr)
         a = s0.u64((shape[0],) + (1,) * (len(shape) - 1))
-        u0 = s0.u64(shape)
-        au0 = s0.u64(shape)
-        u1 = s1.u64(shape)
+        u0, au0, u1 = (s.u64(tuple(shape)[::-1]).T for s in (s0, s0, s1))
         au1 = a * (u0 + u1) - au0
         size = int(np.prod(shape, dtype=np.int64))
         return (PrivMulRandomness(a, u0, au0),

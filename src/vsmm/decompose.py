@@ -21,7 +21,9 @@ steps applied right to left, each Gamma split into a public Resize and a
 Every secure step (Perm, Select, Weight) keeps the number of rows. Each step
 has a `.T`, so A^T is `[s.T for s in reversed(steps)]`. The clear oracle
 `reconstruct_dense` runs the list on the identity; the secure protocol in
-`vsmm.smm` walks the same list.
+`vsmm.smm` walks the same list. A step's `map` acts along the last axis, as
+smm walks a (d, L) share, one row per column; `apply` is that map on the
+rows of an (L, d) array, through transposed views.
 
 `decompose_full` goes through an intermediate A = P Lam s3 Q, with one row
 and one column of P and Q per edge: P (m-by-t) has one 1 per column at the
@@ -137,45 +139,54 @@ class DecompositionBundle:
     lam: np.ndarray      # length t, edge weights in sigma3-output (row) order
 
 
-# local linear-map primitives ---------------------------------------------
+# local linear-map primitives, along the last axis ---------------------------
 
 def apply_Sigma(v: np.ndarray) -> np.ndarray:
-    """Prefix sums along axis 0 (multiplication by the lower-triangular ones)."""
-    return np.cumsum(v, axis=0, dtype=v.dtype)
+    """Prefix sums (multiplication by the lower-triangular ones), written
+    through a reversed view: numpy accumulates several times faster when
+    input and output are not both contiguous."""
+    return np.cumsum(v, axis=-1, out=np.empty_like(v)[..., ::-1])
 
 
 def apply_Sigma_T(v: np.ndarray) -> np.ndarray:
-    """Suffix sums along axis 0."""
-    return np.cumsum(v[::-1], axis=0, dtype=v.dtype)[::-1]
+    """Suffix sums."""
+    return np.cumsum(v[..., ::-1], axis=-1, dtype=v.dtype)[..., ::-1]
 
 
 def apply_delta(v: np.ndarray) -> np.ndarray:
     """Adjacent differences: (v0, v1-v0, ...); inverse of apply_Sigma."""
     out = v.copy()
-    out[1:] = v[1:] - v[:-1]
+    np.subtract(v[..., 1:], v[..., :-1], out=out[..., 1:])
     return out
 
 
 def apply_delta_T(v: np.ndarray) -> np.ndarray:
     """Transposed differences: (v0-v1, ..., v_last); inverse of apply_Sigma_T."""
     out = v.copy()
-    out[:-1] = v[:-1] - v[1:]
+    np.subtract(v[..., :-1], v[..., 1:], out=out[..., :-1])
     return out
 
 
 def resize(v: np.ndarray, out_len: int) -> np.ndarray:
-    """Truncate or zero-pad v to out_len rows."""
-    out = np.zeros((out_len,) + v.shape[1:], dtype=v.dtype)
-    keep = min(len(v), out_len)
-    out[:keep] = v[:keep]
+    """Truncate or zero-pad v to out_len entries."""
+    out = np.zeros(v.shape[:-1] + (out_len,), dtype=v.dtype)
+    keep = min(v.shape[-1], out_len)
+    out[..., :keep] = v[..., :keep]
     return out
 
 
 # factor steps --------------------------------------------------------------
 
+class _Step:
+    """`map` acts along the last axis; `apply` on the rows (module docstring)."""
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        return self.map(np.asarray(v).T).T
+
+
 @dataclass(frozen=True)
-class Perm:
-    """Row permutation of degree k; sigma is None in party 1's list."""
+class Perm(_Step):
+    """Permutation of degree k; sigma is None in party 1's list."""
 
     sigma: Permutation | None
     k: int
@@ -184,12 +195,12 @@ class Perm:
     def T(self) -> Perm:
         return Perm(None if self.sigma is None else self.sigma.inverse(), self.k)
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        return self.sigma.apply(v)
+    def map(self, v: np.ndarray) -> np.ndarray:
+        return v[..., self.sigma.p]
 
 
 @dataclass(frozen=True)
-class Local:
+class Local(_Step):
     """A public linear map; each party applies it to its own share."""
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -199,7 +210,7 @@ class Local:
     def T(self) -> Local:
         return Local(self.fn_T, self.fn)
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
+    def map(self, v: np.ndarray) -> np.ndarray:
         return self.fn(v)
 
 
@@ -208,13 +219,13 @@ Prefix = Local(apply_Sigma, apply_Sigma_T)  # Sigma; Prefix.T is Sigma^T
 
 
 def Resize(k: int, out: int) -> Local:
-    """Zero-pad or truncate k rows to out; the transpose maps back."""
+    """Zero-pad or truncate k entries to out; the transpose maps back."""
     return Local(partial(resize, out_len=out), partial(resize, out_len=k))
 
 
 @dataclass(frozen=True)
-class Select:
-    """The 0/1 diagonal keeping the first `keep` of `side` rows (keep is
+class Select(_Step):
+    """The 0/1 diagonal keeping the first `keep` of `side` entries (keep is
     None in party 1's list); its own transpose."""
 
     keep: int | None
@@ -224,14 +235,14 @@ class Select:
     def T(self) -> Select:
         return self
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
+    def map(self, v: np.ndarray) -> np.ndarray:
         out = v.copy()
-        out[self.keep:] = 0
+        out[..., self.keep:] = 0
         return out
 
 
 @dataclass(frozen=True)
-class Weight:
+class Weight(_Step):
     """Lam, the diagonal of edge weights (None in party 1's list)."""
 
     lam: np.ndarray | None
@@ -240,11 +251,10 @@ class Weight:
     def T(self) -> Weight:
         return self
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        if len(self.lam) != len(v):
+    def map(self, v: np.ndarray) -> np.ndarray:
+        if len(self.lam) != v.shape[-1]:
             raise DecomposeError("weight length mismatch")
-        lam = self.lam.reshape((len(v),) + (1,) * (v.ndim - 1))
-        return v * lam.astype(v.dtype)
+        return v * self.lam.astype(v.dtype)
 
 
 def factor_steps(dims, bundle: DecompositionBundle | None = None) -> list:

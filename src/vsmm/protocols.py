@@ -13,6 +13,11 @@ the arrays among them together, in one round, and is local from there, so
 an operand opened earlier costs it nothing. Payload encodings are bit-exact:
 permutations are k indices of ceil(log2 k) bits, selector masks are 1 bit
 per instance, ring elements are 8 bytes little-endian.
+
+op, osm and priv_mult take and return (k, d) arrays and work on the (d, k)
+transpose inside, one row per column instance, so their ring messages go in
+column-major order; smm holds its shares as (d, k) rows and passes them in
+as transposed views, which costs no copy.
 """
 
 from __future__ import annotations
@@ -29,8 +34,12 @@ from .ring import FRAC_BITS, truncate_share
 from .runtime import PartyContext
 
 
-def _as2d(x: np.ndarray) -> np.ndarray:
-    return x.reshape(len(x), -1)
+def _gather_rows(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Row c of the result is a[c][idx[c]]: one contiguous gather per row."""
+    out = np.empty(idx.shape, dtype=a.dtype)
+    for dst, row, at in zip(out, a, idx):
+        np.take(row, at, out=dst)
+    return out
 
 
 def op_correction(ctx: PartyContext, sigma: Permutation, k: int,
@@ -43,10 +52,10 @@ def op_correction(ctx: PartyContext, sigma: Permutation, k: int,
         raise ValueError("party 0 must supply a degree-k permutation")
     # (d, k): pi_c^{-1}[sigma[i]], built C-contiguous for send_perm
     delta_sigma = np.take(tape.pinv, sigma.p, axis=1)
-    piU = tape.piU
+    piU = tape.piU.T
     del tape  # frees pi^-1 before the packing and the gather
     ctx.send_perm(delta_sigma, k)
-    return np.take_along_axis(piU, delta_sigma.T, axis=0)
+    return _gather_rows(piU, delta_sigma).T
 
 
 def op(ctx: PartyContext, sigma: Permutation | None, x: np.ndarray, k: int,
@@ -56,56 +65,55 @@ def op(ctx: PartyContext, sigma: Permutation | None, x: np.ndarray, k: int,
     zero. Returns this party's (k, d) share of sigma applied to the rows.
     """
     with ctx.section("op"):
+        x = np.asarray(x, dtype=np.uint64)
+        xt = x.reshape(len(x), -1).T  # (d, k): one row per column
         if ctx.party == 0:
             c = op_correction(ctx, sigma, k, d)
-            # permute x1 - U + x0 with one gather
-            c += sigma.apply(ctx.recv_ring((k, d))
-                             + _as2d(np.asarray(x, dtype=np.uint64)))
+            # permute x1 - U + x0 with one gather along the rows
+            c.T[...] += np.take(ctx.recv_ring((d, k)) + xt, sigma.p, axis=1)
             return c
         tape = ctx.tape.op(k, d)
-        x2 = _as2d(np.asarray(x, dtype=np.uint64))
-        if x2.shape != (k, d):
-            raise ValueError(f"expected ({k}, {d}) input, got {x2.shape}")
-        ctx.send_ring(x2 - tape.U)
-        piU = tape.piU
+        if xt.shape != (d, k):
+            raise ValueError(f"expected ({k}, {d}) input, got {xt.T.shape}")
+        ctx.send_ring(xt - tape.U.T)
+        piU = tape.piU.T
         del tape  # frees U while party 1 waits
         delta_sigma = ctx.recv_perm(k, count=d * k).reshape(d, k)
-        return np.take_along_axis(piU, delta_sigma.T, axis=0)
+        return _gather_rows(piU, delta_sigma).T
 
 
 def osm_correction(ctx: PartyContext, s: np.ndarray) -> np.ndarray:
     """Party 0's half of osm that needs no input: draw the tuple, send
     s xor b and return the constant c of its output share s*(x0 + x1 - u)
-    + c, as a flat vector of one instance per selector bit."""
-    s = np.asarray(s, dtype=np.uint64).ravel()
-    tape = ctx.tape.osm(s.size)
-    delta_s = (s ^ tape.b).astype(np.uint8)
+    + c, in the shape of s, its instances in the order of s.T."""
+    st = np.asarray(s, dtype=np.uint64).T
+    flat = st.ravel()
+    tape = ctx.tape.osm(flat.size)
+    delta_s = (flat ^ tape.b).astype(np.uint8)
     ctx.send_bits(delta_s)
     ds = delta_s.astype(np.uint64)
     sign = np.uint64(1) - np.uint64(2) * ds
-    return (ds - s) * tape.u + sign * tape.bu
+    return ((ds - flat) * tape.u + sign * tape.bu).reshape(st.shape).T
 
 
 def osm(ctx: PartyContext, s: np.ndarray | None, x: np.ndarray) -> np.ndarray:
     """Oblivious selection-multiplication: party 0's private bit vector s
     times the shared vector x, elementwise; returns shares of s*x.
     Payload is 65 bits per element (1-bit selector delta plus one masked
-    ring element), one round.
+    ring element), one round, its instances in the order of x.T.
     """
-    x = np.asarray(x, dtype=np.uint64)
-    shape = x.shape
-    n = x.size
+    xt = np.asarray(x, dtype=np.uint64).T
     with ctx.section("osm"):
         if ctx.party == 0:
             c = osm_correction(ctx, s)
-            s = np.asarray(s, dtype=np.uint64).ravel()
-            c += s * (x.ravel() + ctx.recv_ring((n,)))
-            return c.reshape(shape)
-        tape = ctx.tape.osm(n)
-        ctx.send_ring(x.ravel() - tape.u)
-        delta_s = ctx.recv_bits(n)
+            c.T[...] += np.asarray(s, dtype=np.uint64).T * (
+                xt + ctx.recv_ring(xt.shape))
+            return c
+        tape = ctx.tape.osm(xt.size)
+        ctx.send_ring(xt.ravel() - tape.u)
+        delta_s = ctx.recv_bits(xt.size)
         sign = np.uint64(1) - np.uint64(2) * delta_s
-        return (delta_s * tape.u + sign * tape.bu).reshape(shape)
+        return (delta_s * tape.u + sign * tape.bu).reshape(xt.shape).T
 
 
 def priv_mult_correction(ctx: PartyContext, lam: np.ndarray,
@@ -124,19 +132,19 @@ def priv_mult(ctx: PartyContext, lam: np.ndarray | None,
     """Multiply party 0's private ring vector lam, one value per row, into
     the shared tensor y, broadcast over the columns. One round: party 0
     opens lam - a, L bits per row, and party 1 opens y - u, L bits per
-    element.
+    element, in the column-major order of y.T.
     """
     y = np.asarray(y, dtype=np.uint64)
-    shape = y.shape
+    yt, shape = y.T, y.shape
     rows = (shape[0],) + (1,) * (len(shape) - 1)
     with ctx.section("mult"):
         if ctx.party == 0:
             lam = np.asarray(lam, dtype=np.uint64).reshape(rows)
             out = priv_mult_correction(ctx, lam, shape)
-            out += lam * (y + ctx.recv_ring(shape))
+            out += lam * (yt + ctx.recv_ring(yt.shape)).T
             return out
         tape = ctx.tape.privmul(shape)
-        ctx.send_ring(y - tape.u)
+        ctx.send_ring(yt - tape.u.T)
         return ctx.recv_ring(rows) * tape.u + tape.au
 
 

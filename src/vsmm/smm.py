@@ -12,6 +12,12 @@ L-row share to an L-row share. Every factor is linear over the ring, so with
 lambda encoded in fixed point the walk is one exact ring map, and each party
 truncates its share once, at the end.
 
+The walk is column-major: each party transposes its share of X once on
+entry to C-contiguous (d, L) rows, one per column instance, so that every
+step's `map` reads and writes each column contiguously, and transposes the
+result back once on exit. The ring messages go in that column-major order,
+with the bits a row-major order would take.
+
 One call is 2 rounds, whatever the factors. Party 0's eight messages (five
 permutations, two selector masks and lambda - a) depend only on its factors
 and tuples, so it sends them all first. Party 1 sends x - U for the first
@@ -73,67 +79,69 @@ _SECTIONS = {Perm: "op", Select: "osm", Weight: "mult"}
 
 
 def _correction(ctx: PartyContext, s, d: int) -> np.ndarray:
-    """Party 0's round-1 message for a secure step. Returns the constant
-    its output share adds."""
+    """Party 0's round-1 message for a secure step. Returns the (d, L)
+    constant its output share adds."""
     with ctx.section(_SECTIONS[type(s)]):
         if isinstance(s, Perm):
-            return op_correction(ctx, s.sigma, s.k, d)
-        if isinstance(s, Weight):
-            return priv_mult_correction(ctx, s.lam, (len(s.lam), d))
-        # one OSM instance per cell; the selector bits are Select on ones
-        sel = s.apply(np.ones((s.side, d), dtype=np.uint64))
-        return osm_correction(ctx, sel).reshape(s.side, d)
+            c = op_correction(ctx, s.sigma, s.k, d)
+        elif isinstance(s, Weight):
+            c = priv_mult_correction(ctx, s.lam.reshape(-1, 1),
+                                     (len(s.lam), d))
+        else:  # one OSM instance per cell; the selector bits are Select on ones
+            c = osm_correction(ctx, s.apply(np.ones((s.side, d), np.uint64)))
+        return c.T
 
 
 def _run_steps_party0(ctx: PartyContext, steps: list,
                       y: np.ndarray) -> np.ndarray:
-    """Party 0's share in two passes, 2 rounds in all. Each secure step's
-    output share is step.apply(y0 + m) + c for party 1's masked share m and
-    a constant c, and every step is linear, so y0 splits as r + K.
+    """Party 0's (d, L) share in two passes, 2 rounds in all. Each secure
+    step's output share is step.map(y0 + m) + c for party 1's masked share
+    m and a constant c, and every step is linear, so y0 splits as r + K.
 
     Pass 1 sends every correction and folds the constants, K <-
-    step.apply(K) + c (K <- step.apply(K) for a Local). Pass 2 receives
-    party 1's masked shares in step order and runs r <- step.apply(r + m).
-    The share is r + K, truncated once.
+    step.map(K) + c (K <- step.map(K) for a Local). Pass 2 receives
+    party 1's masked shares in step order and runs r <- step.map(r + m).
+    The share is r + K.
     """
-    steps = [Weight(encode_fixed(s.lam).reshape(-1, 1)) if isinstance(s, Weight)
-             else s for s in steps]  # lambda as a (t, 1) ring column
+    steps = [Weight(encode_fixed(s.lam)) if isinstance(s, Weight) else s
+             for s in steps]  # lambda in the ring
     k = np.zeros_like(y)
     for s in steps:
-        k = s.apply(k)
+        k = s.map(k)
         if not isinstance(s, Local):
-            k += _correction(ctx, s, y.shape[1])
-    r = y.copy()
+            k += _correction(ctx, s, len(y))
+    r = y  # the entry transpose's own copy, so it is updated in place
     for s in steps:
         if not isinstance(s, Local):
             with ctx.section(_SECTIONS[type(s)]):
                 r += ctx.recv_ring(r.shape)
-        r = s.apply(r)
+        r = s.map(r)
     r += k
-    return truncate_share(r, 0, FRAC_BITS)
+    return r
 
 
 def _run_steps(ctx: PartyContext, steps: list, x: np.ndarray) -> np.ndarray:
-    """Shares of the step list applied to this party's share of X. Party 1
-    runs the one-round protocols step by step; its masked shares after the
-    first depend only on its tuples and party 0's corrections. Both parties
+    """Shares of the step list applied to this party's share of X, walked
+    as (d, L) rows (module docstring). Party 1 runs the one-round protocols
+    step by step, on transposed views; its masked shares after the first
+    depend only on its tuples and party 0's corrections. Both parties
     truncate once, at the end."""
     if len(x) != steps[0].k:
         raise ValueError(f"X has {len(x)} rows, not {steps[0].k}")
-    y = np.asarray(x, dtype=np.uint64).reshape(steps[0].k, -1)
+    y = np.asarray(x, dtype=np.uint64).reshape(steps[0].k, -1).T.copy()
     if ctx.party == 0:
-        return _run_steps_party0(ctx, steps, y)
-    d = y.shape[1]
-    for s in steps:
-        if isinstance(s, Perm):
-            y = op(ctx, None, y, s.k, d)
-        elif isinstance(s, Select):
-            y = osm(ctx, None, y)
-        elif isinstance(s, Weight):
-            y = priv_mult(ctx, None, y)
-        else:  # Local: each party maps its own share
-            y = s.apply(y)
-    return truncate_share(y, 1, FRAC_BITS)
+        y = _run_steps_party0(ctx, steps, y)
+    else:
+        for s in steps:
+            if isinstance(s, Perm):
+                y = op(ctx, None, y.T, s.k, len(y)).T
+            elif isinstance(s, Select):
+                y = osm(ctx, None, y.T).T
+            elif isinstance(s, Weight):
+                y = priv_mult(ctx, None, y.T).T
+            else:  # Local: each party maps its own share
+                y = s.map(y)
+    return np.ascontiguousarray(truncate_share(y, ctx.party, FRAC_BITS).T)
 
 
 def smm(ctx: PartyContext, bundle: DecompositionBundle | None, dims: SmmDims,

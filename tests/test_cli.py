@@ -37,6 +37,15 @@ def test_bench_op_rounds_one(capsys):
     assert set(doc["est_time_by_condition"]) == {"normal", "nb", "hl"}
 
 
+@pytest.mark.parametrize("protocol", ["op", "osm", "smm"])
+def test_bench_reports_run_times(capsys, protocol):
+    """Each bench reports the two-party run's wall and process CPU time."""
+    code, doc = _run(capsys, ["bench", protocol, "--nodes", "64", "--dim", "2"])
+    assert code == 0
+    assert doc["wall_s"] > 0 and doc["cpu_s"] > 0
+    assert all(isinstance(doc[k], float) for k in ("wall_s", "cpu_s"))
+
+
 def test_bench_osm(capsys):
     code, doc = _run(capsys, ["bench", "osm", "--nodes", "32", "--dim", "2"])
     assert code == 0

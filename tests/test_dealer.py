@@ -87,6 +87,35 @@ def test_prf_permutation_redraws_on_tie(monkeypatch):
     assert next(batches, None) is None
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 8, 4_932, 8_192, 8_193, 12_450])
+def test_prf_permutation_is_the_argsort_of_its_words(k):
+    """The packed-key sort returns exactly the argsort of the stream's k
+    words, at degrees around powers of two and at workload sizes."""
+    key = bytes(range(16))
+    for ctr in range(20):
+        words = PrfStream(key, b"OPRM", ctr).u64((k,))
+        p = PrfStream(key, b"OPRM", ctr).permutation(k)
+        assert p.dtype == np.int64
+        assert np.array_equal(p, np.argsort(words, kind="stable"))
+
+
+@pytest.mark.parametrize("k", [4, 12_450])
+def test_prf_permutation_orders_words_sharing_high_bits(monkeypatch, k):
+    """Distinct words that agree above their low ceil(log2 k) bits, the
+    later one smaller, pack to keys in index order; the sampler must still
+    return the words' argsort, from this one batch."""
+    b = (k - 1).bit_length()
+    words = np.random.default_rng(k).integers(0, 2**64, k, dtype=np.uint64)
+    high = words[0] >> np.uint64(b) << np.uint64(b)
+    words[0], words[k - 1] = high | np.uint64(1), high  # same high bits
+    batches = iter([words])
+    monkeypatch.setattr(PrfStream, "u64", lambda self, shape: next(batches))
+    p = PrfStream(bytes(16), b"TEST", 0).permutation(k)
+    assert np.array_equal(p, np.argsort(words, kind="stable"))
+    assert list(p).index(k - 1) < list(p).index(0)
+    assert next(batches, None) is None
+
+
 def test_op_rand_correlation(dealer):
     v0, v1, offline = dealer.gen_op_rand(0, 8, 3)
     assert offline == 8 * 64 * 3
@@ -94,6 +123,16 @@ def test_op_rand_correlation(dealer):
         piU = reconstruct(v0.piU[:, c], v1.piU[:, c])
         assert sorted(v0.pinv[c].tolist()) == list(range(8))
         assert np.array_equal(piU, v1.U[invert(v0.pinv[c]), c])
+
+
+def test_op_rand_rows_are_column_instances(dealer):
+    """pi(U) and U are (k, d) views of C-contiguous (d, k) rows, and pi^-1
+    is the argsort stream itself: row c is the c-th permutation drawn."""
+    v0, v1, _ = dealer.gen_op_rand(3, 50, 4)
+    for a in (v0.piU, v1.piU, v1.U):
+        assert a.shape == (50, 4) and a.T.flags.c_contiguous
+    s = PrfStream(dealer.keys[0], b"OPRM", 3)
+    assert np.array_equal(v0.pinv, [s.permutation(50) for _ in range(4)])
 
 
 def test_osm_rand_correlation(dealer):

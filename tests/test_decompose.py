@@ -4,11 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_sparse
-from vsmm.decompose import (DecomposeError, Local, Permutation,
-                            SparseMatrixCOO, apply_Sigma, apply_Sigma_T,
-                            apply_delta, apply_delta_T, apply_steps,
-                            decompose_full, factor_steps, pad_perm,
-                            read_coo_text, reconstruct_dense)
+from vsmm.decompose import (DecomposeError, Local, Perm, Permutation, Select,
+                            SparseMatrixCOO, Weight, apply_Sigma,
+                            apply_Sigma_T, apply_delta, apply_delta_T,
+                            apply_steps, decompose_full, factor_steps,
+                            pad_perm, read_coo_text, reconstruct_dense)
 
 
 def test_permutation_basics():
@@ -119,6 +119,24 @@ def test_secure_steps_keep_length(rng, shape):
             x = y
     twice = [s.T for s in reversed(steps_t)]
     assert np.array_equal(apply_steps(twice, np.eye(b.n)), reconstruct_dense(b))
+
+
+def test_step_apply_is_last_axis_map_on_transpose(rng):
+    """Each step type and its .T: apply on (L, d) rows equals the map along
+    the last axis of the C-contiguous (d, L) transpose, transposed back."""
+    b = decompose_full(random_sparse(rng, 9, 7, 20))
+    steps = factor_steps(b, b)
+    steps_t = [s.T for s in reversed(steps)]
+    seen = set()
+    for lst, rows in ((steps, b.n), (steps_t, b.m)):
+        x = rng.normal(size=(rows, 3))
+        for s in lst:
+            seen.add(type(s))
+            y = s.apply(x)
+            assert np.array_equal(y, s.map(np.ascontiguousarray(x.T)).T)
+            assert np.array_equal(s.apply(x[:, 0]), y[:, 0])
+            x = y
+    assert seen == {Perm, Local, Select, Weight}
 
 
 def test_coo_text_roundtrip(tmp_path, rng):

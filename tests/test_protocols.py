@@ -112,6 +112,48 @@ def test_priv_mult_broadcasts_columns(rng):
     assert [m.a.shape for m in masks if m.a is not None] == [(6, 1)]
 
 
+def _layouts(x):
+    """x as C-ordered, Fortran-ordered and strided (reversed-row) arrays."""
+    strided = np.ascontiguousarray(x[::-1])[::-1]
+    assert not (strided.flags.c_contiguous or strided.flags.f_contiguous)
+    return [np.ascontiguousarray(x), np.asfortranarray(x), strided]
+
+
+def _meter(m):
+    return (m.online_bits, m.offline_bits, m.framing_bits, m.rounds,
+            m.clocks, m.sections)
+
+
+@pytest.mark.parametrize("protocol", ["op", "osm", "priv_mult"])
+def test_column_major_protocols_ignore_input_layout(rng, protocol):
+    """op, osm and priv_mult work on the transpose of their (k, d) inputs;
+    C-ordered, Fortran-ordered and strided inputs give the same shares,
+    reconstructions and meters."""
+    k, d = 13, 3
+    sigma = Permutation(rng.permutation(k))
+    s = rng.integers(0, 2, (k, d)).astype(np.uint64)
+    lam = random_ring(rng, (k,))
+    x, (x0, x1) = _shared(rng, (k, d))
+    party0 = {"op": lambda ctx, xin: op(ctx, sigma, xin, k, d),
+              "osm": lambda ctx, xin: osm(ctx, s, xin),
+              "priv_mult": lambda ctx, xin: priv_mult(ctx, lam, xin)}[protocol]
+    party1 = {"op": lambda ctx, xin: op(ctx, None, xin, k, d),
+              "osm": lambda ctx, xin: osm(ctx, None, xin),
+              "priv_mult": lambda ctx, xin: priv_mult(ctx, None, xin)}[protocol]
+    want = {"op": x[sigma.p], "osm": s * x, "priv_mult": lam[:, None] * x}
+
+    def proto(ctx, xin):
+        return (party0 if ctx.party == 0 else party1)(ctx, xin)
+
+    runs = [run_two_party(proto, (a0,), (a1,), seed=5)
+            for a0, a1 in zip(_layouts(x0), _layouts(x1))]
+    for o0, o1, meter in runs:
+        assert np.array_equal(reconstruct(o0, o1), want[protocol])
+        assert o0.tobytes() == runs[0][0].tobytes()
+        assert o1.tobytes() == runs[0][1].tobytes()
+        assert _meter(meter) == _meter(runs[0][2])
+
+
 def test_beaver_elementwise(rng):
     x, (x0, x1) = _shared(rng, (5, 3))
     y, (y0, y1) = _shared(rng, (5, 3))

@@ -276,3 +276,35 @@ def test_two_round_shares_match_one_round_walk(rng, variant, fractional):
         assert {k: v["online_bits"] for k, v in fm.sections.items()} == \
             {k: v["online_bits"] for k, v in wm.sections.items()}
         assert fm.clocks == [2, 1] and fm.rounds == 2 and wm.rounds == 8
+
+
+@pytest.mark.parametrize("variant", ["forward", "transpose"])
+def test_smm_ignores_input_layout(rng, variant):
+    """smm transposes its share once on entry, so C-ordered,
+    Fortran-ordered and strided (k, d) shares give the same output shares
+    and meters."""
+    a = random_sparse(rng, 11, 9, 30, integer=True)
+    bundle = decompose_full(a)
+    dims = SmmDims(bundle.m, bundle.n, bundle.t)
+    rows = a.n if variant == "forward" else a.m
+    x = rng.integers(-50, 50, (rows, 4)).astype(np.uint64)
+    x0, x1 = share_secret(x, random_ring(rng, x.shape))
+    fn = smm if variant == "forward" else smm_transpose
+
+    def proto(ctx, b, xin):
+        return fn(ctx, b, dims, xin)
+
+    def layouts(v):
+        return [np.ascontiguousarray(v), np.asfortranarray(v),
+                np.ascontiguousarray(v[::-1])[::-1]]
+
+    runs = [run_two_party(proto, (bundle, a0), (None, a1), seed=3)
+            for a0, a1 in zip(layouts(x0), layouts(x1))]
+    dense = a.to_dense() if variant == "forward" else a.to_dense().T
+    for o0, o1, meter in runs:
+        assert np.array_equal(lift_signed(reconstruct(o0, o1)),
+                              dense.astype(np.int64) @ lift_signed(x))
+        assert (o0.tobytes(), o1.tobytes()) == \
+            (runs[0][0].tobytes(), runs[0][1].tobytes())
+        assert meter.report() == runs[0][2].report()
+        assert meter.clocks == runs[0][2].clocks == [2, 1]
