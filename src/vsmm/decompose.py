@@ -21,9 +21,10 @@ steps applied right to left, each Gamma split into a public Resize and a
 Every secure step (Perm, Select, Weight) keeps the number of rows. Each step
 has a `.T`, so A^T is `[s.T for s in reversed(steps)]`. The clear oracle
 `reconstruct_dense` runs the list on the identity; the secure protocol in
-`vsmm.smm` walks the same list. A step's `map` acts along the last axis, as
-smm walks a (d, L) share, one row per column; `apply` is that map on the
-rows of an (L, d) array, through transposed views.
+`vsmm.smm` walks the same list. A step's one method, `map`, acts along the
+last axis of (d, L) rows, as smm walks a share; `apply_steps` runs a list
+on an (L, d) array. Perm gathers C-contiguous rows (`gather_rows`) and
+Prefix writes reversed ones; every step reads either layout.
 
 `decompose_full` goes through an intermediate A = P Lam s3 Q, with one row
 and one column of P and Q per edge: P (m-by-t) has one 1 per column at the
@@ -44,6 +45,17 @@ import numpy as np
 
 class DecomposeError(ValueError):
     pass
+
+
+def gather_rows(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Row c of the result is a[c][idx[c]], or a[c][idx] for one index row
+    shared by every row: one np.take per row, into C-contiguous rows."""
+    out = np.empty(a.shape[:-1] + idx.shape[-1:], dtype=a.dtype)
+    rows = np.atleast_2d(out)  # a vector is one row
+    for dst, row, at in zip(rows, np.atleast_2d(a),
+                            np.broadcast_to(idx, rows.shape)):
+        np.take(row, at, out=dst)
+    return out
 
 
 def invert(p: np.ndarray) -> np.ndarray:
@@ -177,15 +189,8 @@ def resize(v: np.ndarray, out_len: int) -> np.ndarray:
 
 # factor steps --------------------------------------------------------------
 
-class _Step:
-    """`map` acts along the last axis; `apply` on the rows (module docstring)."""
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        return self.map(np.asarray(v).T).T
-
-
 @dataclass(frozen=True)
-class Perm(_Step):
+class Perm:
     """Permutation of degree k; sigma is None in party 1's list."""
 
     sigma: Permutation | None
@@ -196,11 +201,11 @@ class Perm(_Step):
         return Perm(None if self.sigma is None else self.sigma.inverse(), self.k)
 
     def map(self, v: np.ndarray) -> np.ndarray:
-        return v[..., self.sigma.p]
+        return gather_rows(v, self.sigma.p)
 
 
 @dataclass(frozen=True)
-class Local(_Step):
+class Local:
     """A public linear map; each party applies it to its own share."""
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -224,7 +229,7 @@ def Resize(k: int, out: int) -> Local:
 
 
 @dataclass(frozen=True)
-class Select(_Step):
+class Select:
     """The 0/1 diagonal keeping the first `keep` of `side` entries (keep is
     None in party 1's list); its own transpose."""
 
@@ -242,7 +247,7 @@ class Select(_Step):
 
 
 @dataclass(frozen=True)
-class Weight(_Step):
+class Weight:
     """Lam, the diagonal of edge weights (None in party 1's list)."""
 
     lam: np.ndarray | None
@@ -254,7 +259,7 @@ class Weight(_Step):
     def map(self, v: np.ndarray) -> np.ndarray:
         if len(self.lam) != v.shape[-1]:
             raise DecomposeError("weight length mismatch")
-        return v * self.lam.astype(v.dtype)
+        return v * self.lam.astype(v.dtype, copy=False)
 
 
 def factor_steps(dims, bundle: DecompositionBundle | None = None) -> list:
@@ -282,10 +287,11 @@ def factor_steps(dims, bundle: DecompositionBundle | None = None) -> list:
 
 
 def apply_steps(steps: list, x: np.ndarray) -> np.ndarray:
-    """Run a step list on a plain array."""
+    """Run a step list on an (L, d) array or a vector: map its transpose."""
+    x = np.asarray(x).T
     for s in steps:
-        x = s.apply(x)
-    return x
+        x = s.map(x)
+    return x.T
 
 
 # decomposition -------------------------------------------------------------

@@ -17,7 +17,8 @@ per instance, ring elements are 8 bytes little-endian.
 op, osm and priv_mult take and return (k, d) arrays and work on the (d, k)
 transpose inside, one row per column instance, so their ring messages go in
 column-major order; smm holds its shares as (d, k) rows and passes them in
-as transposed views, which costs no copy.
+as transposed views, which costs no copy. op gathers those rows, and pi^-1
+sigma, with `decompose.gather_rows` into C-contiguous rows.
 """
 
 from __future__ import annotations
@@ -29,17 +30,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dealer import MaskRef, rows_index
-from .decompose import Permutation
+from .decompose import Permutation, gather_rows
 from .ring import FRAC_BITS, truncate_share
 from .runtime import PartyContext
-
-
-def _gather_rows(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Row c of the result is a[c][idx[c]]: one contiguous gather per row."""
-    out = np.empty(idx.shape, dtype=a.dtype)
-    for dst, row, at in zip(out, a, idx):
-        np.take(row, at, out=dst)
-    return out
 
 
 def op_correction(ctx: PartyContext, sigma: Permutation, k: int,
@@ -51,11 +44,11 @@ def op_correction(ctx: PartyContext, sigma: Permutation, k: int,
     if sigma is None or sigma.degree != k:
         raise ValueError("party 0 must supply a degree-k permutation")
     # (d, k): pi_c^{-1}[sigma[i]], built C-contiguous for send_perm
-    delta_sigma = np.take(tape.pinv, sigma.p, axis=1)
+    delta_sigma = gather_rows(tape.pinv, sigma.p)
     piU = tape.piU.T
     del tape  # frees pi^-1 before the packing and the gather
     ctx.send_perm(delta_sigma, k)
-    return _gather_rows(piU, delta_sigma).T
+    return gather_rows(piU, delta_sigma).T
 
 
 def op(ctx: PartyContext, sigma: Permutation | None, x: np.ndarray, k: int,
@@ -70,7 +63,7 @@ def op(ctx: PartyContext, sigma: Permutation | None, x: np.ndarray, k: int,
         if ctx.party == 0:
             c = op_correction(ctx, sigma, k, d)
             # permute x1 - U + x0 with one gather along the rows
-            c.T[...] += np.take(ctx.recv_ring((d, k)) + xt, sigma.p, axis=1)
+            c.T[...] += gather_rows(ctx.recv_ring((d, k)) + xt, sigma.p)
             return c
         tape = ctx.tape.op(k, d)
         if xt.shape != (d, k):
@@ -79,7 +72,7 @@ def op(ctx: PartyContext, sigma: Permutation | None, x: np.ndarray, k: int,
         piU = tape.piU.T
         del tape  # frees U while party 1 waits
         delta_sigma = ctx.recv_perm(k, count=d * k).reshape(d, k)
-        return _gather_rows(piU, delta_sigma).T
+        return gather_rows(piU, delta_sigma).T
 
 
 def osm_correction(ctx: PartyContext, s: np.ndarray) -> np.ndarray:

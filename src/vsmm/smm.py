@@ -13,10 +13,11 @@ lambda encoded in fixed point the walk is one exact ring map, and each party
 truncates its share once, at the end.
 
 The walk is column-major: each party transposes its share of X once on
-entry to C-contiguous (d, L) rows, one per column instance, so that every
-step's `map` reads and writes each column contiguously, and transposes the
-result back once on exit. The ring messages go in that column-major order,
-with the bits a row-major order would take.
+entry to C-contiguous (d, L) rows, one per column instance, and back once
+on exit. Every `map` keeps each column contiguous: a Perm gathers into
+C-contiguous rows (`decompose.gather_rows`) and Prefix writes reversed
+rows. The ring messages go in that column-major order, with the bits a
+row-major order would take.
 
 One call is 2 rounds, whatever the factors. Party 0's eight messages (five
 permutations, two selector masks and lambda - a) depend only on its factors
@@ -88,7 +89,7 @@ def _correction(ctx: PartyContext, s, d: int) -> np.ndarray:
             c = priv_mult_correction(ctx, s.lam.reshape(-1, 1),
                                      (len(s.lam), d))
         else:  # one OSM instance per cell; the selector bits are Select on ones
-            c = osm_correction(ctx, s.apply(np.ones((s.side, d), np.uint64)))
+            c = osm_correction(ctx, s.map(np.ones((d, s.side), np.uint64)).T)
         return c.T
 
 

@@ -8,7 +8,8 @@ from vsmm.decompose import (DecomposeError, Local, Perm, Permutation, Select,
                             SparseMatrixCOO, Weight, apply_Sigma,
                             apply_Sigma_T, apply_delta, apply_delta_T,
                             apply_steps, decompose_full, factor_steps,
-                            pad_perm, read_coo_text, reconstruct_dense)
+                            gather_rows, pad_perm, read_coo_text,
+                            reconstruct_dense)
 
 
 def test_permutation_basics():
@@ -114,29 +115,49 @@ def test_secure_steps_keep_length(rng, shape):
     for lst, rows in ((steps, b.n), (steps_t, b.m)):
         x = rng.normal(size=(rows, 2))
         for s in lst:
-            y = s.apply(x)
+            y = apply_steps([s], x)
             assert isinstance(s, Local) or len(y) == len(x)
             x = y
     twice = [s.T for s in reversed(steps_t)]
     assert np.array_equal(apply_steps(twice, np.eye(b.n)), reconstruct_dense(b))
 
 
-def test_step_apply_is_last_axis_map_on_transpose(rng):
-    """Each step type and its .T: apply on (L, d) rows equals the map along
-    the last axis of the C-contiguous (d, L) transpose, transposed back."""
+def test_step_map_keeps_rows_contiguous(rng):
+    """Each step type and its .T maps C-contiguous (d, L) rows and the
+    last-axis-reversed rows apply_Sigma writes to equal results, each
+    contiguous along the last axis, one row after the other."""
     b = decompose_full(random_sparse(rng, 9, 7, 20))
     steps = factor_steps(b, b)
     steps_t = [s.T for s in reversed(steps)]
     seen = set()
     for lst, rows in ((steps, b.n), (steps_t, b.m)):
-        x = rng.normal(size=(rows, 3))
+        x = rng.normal(size=(3, rows))
         for s in lst:
             seen.add(type(s))
-            y = s.apply(x)
-            assert np.array_equal(y, s.map(np.ascontiguousarray(x.T)).T)
-            assert np.array_equal(s.apply(x[:, 0]), y[:, 0])
-            x = y
+            reversed_rows = np.empty_like(x)[..., ::-1]
+            reversed_rows[...] = x
+            y, y_reversed = s.map(x), s.map(reversed_rows)
+            assert np.array_equal(y_reversed, y)
+            for out in (y, y_reversed):
+                assert abs(out.strides[-1]) == out.itemsize
+                assert abs(out.strides[0]) == out.shape[-1] * out.itemsize
+            x = np.ascontiguousarray(y)
     assert seen == {Perm, Local, Select, Weight}
+
+
+def test_gather_rows(rng):
+    """One index row shared by every row, one index row per row, or a
+    vector: row c of the result is a[c][idx[c]], in C-contiguous rows."""
+    a = rng.integers(0, 100, (3, 6)).astype(np.uint64)
+    shared = rng.permutation(6)
+    per_row = np.stack([rng.permutation(6) for _ in range(3)])
+    for idx, want in ((shared, a[:, shared]),
+                      (per_row, np.take_along_axis(a, per_row, axis=1))):
+        for src in (a, a.T.copy().T):  # C-ordered and Fortran-ordered rows
+            out = gather_rows(src, idx)
+            assert out.dtype == a.dtype and out.flags.c_contiguous
+            assert np.array_equal(out, want)
+    assert np.array_equal(gather_rows(a[1], shared), a[1][shared])
 
 
 def test_coo_text_roundtrip(tmp_path, rng):

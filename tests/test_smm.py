@@ -5,8 +5,8 @@ import pytest
 
 from conftest import random_sparse
 from vsmm.decompose import (DecomposeError, Perm, Select, SparseMatrixCOO,
-                            Weight, decompose_full, factor_steps,
-                            reconstruct_dense)
+                            Weight, apply_steps, decompose_full,
+                            factor_steps, reconstruct_dense)
 from vsmm.protocols import op, osm, priv_mult
 from vsmm.ring import (FRAC_BITS, decode_fixed, encode_fixed, lift_signed,
                        random_ring, reconstruct, share_secret, truncate_share)
@@ -236,7 +236,7 @@ def _one_round_walk(ctx, steps, x):
             lam = None if s.lam is None else encode_fixed(s.lam)
             y = priv_mult(ctx, lam, y)
         else:
-            y = s.apply(y)
+            y = apply_steps([s], y)
     return truncate_share(y, ctx.party, FRAC_BITS)
 
 
