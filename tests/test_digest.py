@@ -1,0 +1,124 @@
+"""Run-digest gate: sha256 over what every secure entry point returns and
+meters, pinned per case and seed.
+
+Each digest covers the ring values a run leaves (weight shares, smm output
+shares), what it reveals (logits, predictions, decoded gradients) and its
+meter: the report, each section's per-party rounds, both clocks and the
+framing. A change that moves one byte of any of these fails here. A change
+that alters shares or transcripts on purpose re-pins the digests in the
+same commit and says why. Losses and accuracies are left out: they pass
+through float log/exp, whose last bit may differ between numpy builds.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from vsmm.decompose import SparseMatrixCOO, decompose_full
+from vsmm.gcn import (TrainConfig, infer_secure, init_weights,
+                      make_synthetic_community, secure_gradients, train_secure)
+from vsmm.ring import encode_fixed, random_ring, share_secret
+from vsmm.runtime import run_two_party
+from vsmm.smm import SmmDims, smm, smm_transpose
+
+TRAIN_NODES, SMM_NODES, HIDDEN, EPOCHS = 24, 40, 4, 2
+
+
+def _digest(*parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        if isinstance(part, np.ndarray):
+            a = np.ascontiguousarray(part)
+            h.update(f"{a.dtype.str}{a.shape}".encode() + a.tobytes())
+        else:
+            h.update(json.dumps(part, sort_keys=True).encode())
+    return h.hexdigest()[:16]
+
+
+def _meter(meter) -> list:
+    return [meter.report(), meter.party_rounds, meter.clocks,
+            meter.framing_bits]
+
+
+def _train(seed: int, optimizer: str) -> str:
+    ds = make_synthetic_community(TRAIN_NODES, seed=seed)
+    lr = 0.5 if optimizer == "sgd" else 0.05
+    out, meter = train_secure(ds, TrainConfig(optimizer=optimizer, lr=lr,
+                                              epochs=EPOCHS, seed=seed,
+                                              hidden=HIDDEN))
+    return _digest(out["logits"], out["predictions"].astype(np.int64),
+                   *out["w1"], *out["w2"], _meter(meter))
+
+
+def _shared_weights(ds, seed: int):
+    rng = np.random.default_rng(seed)
+    return [share_secret(encode_fixed(w), random_ring(rng, w.shape))
+            for w in init_weights(ds.features.shape[1], HIDDEN,
+                                  ds.num_classes, seed)]
+
+
+def _infer(seed: int) -> str:
+    ds = make_synthetic_community(TRAIN_NODES, seed=seed)
+    pred, meter = infer_secure(ds, *_shared_weights(ds, seed), seed=seed)
+    return _digest(pred.astype(np.int64), _meter(meter))
+
+
+def _gradients(seed: int) -> str:
+    ds = make_synthetic_community(TRAIN_NODES, seed=seed)
+    w1, w2 = init_weights(ds.features.shape[1], HIDDEN, ds.num_classes, seed)
+    gw1, gw2, meter = secure_gradients(ds, w1, w2, seed=seed)
+    return _digest(gw1, gw2, _meter(meter))
+
+
+def _smm(seed: int, fn, d: int) -> str:
+    # the graph's normalised adjacency on and above the diagonal: a directed
+    # graph, so that A and A.T differ and smm_transpose walks its own shares
+    a = make_synthetic_community(SMM_NODES, seed=seed).adj_norm
+    keep = a.rows <= a.cols
+    bundle = decompose_full(SparseMatrixCOO(a.m, a.n, a.rows[keep],
+                                            a.cols[keep], a.weights[keep]))
+    dims = SmmDims(bundle.m, bundle.n, bundle.t)
+    rng = np.random.default_rng(seed)
+    rows = dims.n if fn is smm else dims.m
+    x = encode_fixed(rng.normal(0, 1, (rows, d)))
+    x0, x1 = share_secret(x, random_ring(rng, x.shape))
+
+    def proto(ctx, b, xin):
+        return fn(ctx, b, dims, xin)
+
+    o0, o1, meter = run_two_party(proto, (bundle, x0), (None, x1), seed=seed)
+    return _digest(o0, o1, _meter(meter))
+
+
+CASES = {
+    "train_sgd": lambda seed: _train(seed, "sgd"),
+    "train_adam": lambda seed: _train(seed, "adam"),
+    "infer": _infer,
+    "secure_gradients": _gradients,
+    **{f"smm_d{d}": lambda seed, d=d: _smm(seed, smm, d) for d in (1, 5, 16)},
+    **{f"smm_transpose_d{d}": lambda seed, d=d: _smm(seed, smm_transpose, d)
+       for d in (1, 5, 16)},
+}
+
+DIGESTS = {
+    0: {"infer": "141421db539036b8", "secure_gradients": "148c1d023b40f287",
+        "smm_d1": "db7379fa418be4b8", "smm_d5": "712d352d9d0c5c95",
+        "smm_d16": "7bf2a27846ec8222", "smm_transpose_d1": "6a83a56444983566",
+        "smm_transpose_d5": "9d1e137560101f26",
+        "smm_transpose_d16": "b2a6e21ca7a2b913",
+        "train_adam": "456be263efdbce55", "train_sgd": "841132e4f4c84137"},
+    7: {"infer": "9063c71a1a2a58da", "secure_gradients": "81f0cc52b62f644f",
+        "smm_d1": "cf363089f3af148c", "smm_d5": "e7eb5bc5744849a0",
+        "smm_d16": "c198f0c2ecbe7914", "smm_transpose_d1": "72c60cdc9b9cd297",
+        "smm_transpose_d5": "3931dd5ce0e4cfe8",
+        "smm_transpose_d16": "5ed36efbe2208aeb",
+        "train_adam": "707d2d59b8585a93", "train_sgd": "19fb21dafe982765"},
+}
+
+
+@pytest.mark.parametrize("seed", sorted(DIGESTS))
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_run_digest(case, seed):
+    assert CASES[case](seed) == DIGESTS[seed].get(case)
