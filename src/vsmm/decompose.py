@@ -49,12 +49,17 @@ class DecomposeError(ValueError):
 
 def gather_rows(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Row c of the result is a[c][idx[c]], or a[c][idx] for one index row
-    shared by every row: one np.take per row, into C-contiguous rows."""
+    shared by every row: one np.take per row, into C-contiguous rows.
+
+    The indices must be in range: `clip` mode writes each row once, where
+    `raise` mode would buffer it. Every index is from a `Permutation`
+    (checked when built), a dealt pi^-1 (a permutation by construction) or
+    `PartyContext.recv_perm` (checked on receipt)."""
     out = np.empty(a.shape[:-1] + idx.shape[-1:], dtype=a.dtype)
     rows = np.atleast_2d(out)  # a vector is one row
     for dst, row, at in zip(rows, np.atleast_2d(a),
                             np.broadcast_to(idx, rows.shape)):
-        np.take(row, at, out=dst)
+        np.take(row, at, out=dst, mode="clip")
     return out
 
 

@@ -279,7 +279,8 @@ class PartyContext:
 
     def recv_perm(self, degree: int, count: int) -> np.ndarray:
         """The peer's `count` send_perm indices below `degree`, from exactly
-        ceil(count * b / 8) bytes at b = ceil(log2 degree)."""
+        ceil(count * b / 8) bytes at b = ceil(log2 degree). An index at or
+        above `degree` is rejected here, so gathers by it need no check."""
         b = index_bits(degree)
         payload = self.ep.recv()
         if len(payload) != -(-count * b // 8):
@@ -302,7 +303,10 @@ class PartyContext:
         bits &= np.uint64((1 << b) - 1)  # drop the bits of earlier indices
         if out.ravel()[count:].any():  # the padding, then zero bytes
             raise ValueError(f"nonzero padding bits after {count * b} bits")
-        return out.ravel()[:count]
+        idx = out.ravel()[:count]
+        if count and idx.max() >= degree:
+            raise ValueError(f"index {idx.max()} not below degree {degree}")
+        return idx
 
 
 def _group_slots(b: int) -> list[tuple]:

@@ -241,6 +241,18 @@ def test_perm_padding_bits_are_checked():
         run_two_party(proto)
 
 
+def test_perm_index_at_or_above_degree_is_rejected():
+    # at degree 5 an index takes 3 bits, which also encode 5, 6 and 7
+    def proto(ctx):
+        if ctx.party == 0:
+            ctx.send_perm(np.array([0, 6, 1, 4, 2]), 5)
+        else:
+            ctx.recv_perm(5, count=5)
+
+    with pytest.raises(ValueError, match="index 6 not below degree 5"):
+        run_two_party(proto)
+
+
 def test_degree_one_perm_costs_zero_bits():
     def proto(ctx):
         if ctx.party == 0:
