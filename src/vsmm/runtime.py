@@ -21,18 +21,17 @@ receive charges only the advance above the largest clock an earlier branch
 reached, so each party's section rounds still sum to its clock.
 
 Both party threads allocate from one glibc malloc arena that keeps its
-freed pages. By default each new thread gets an arena of its own, and glibc
-hands a freed block of more than a few MB back to the kernel, so every
-smm call page-faulted its temporaries in afresh (about 50 MB a call at
-2,500 nodes and d = 16). The first `run_two_party` in a process therefore
-calls `mallopt` once, before its threads start: one arena (`M_ARENA_MAX`
-1), blocks up to 32 MiB on the heap (`M_MMAP_THRESHOLD`, the largest glibc
-accepts on 64-bit hosts) and no trim below 512 MiB of free heap top
-(`M_TRIM_THRESHOLD`). One arena also keeps one high-water mark where two
-would each hold their own. The setting is process-wide: it holds for every
-thread of any program that imports vsmm and runs a protocol, and freed
-memory stays with the process. Where the C library is not glibc, nothing
-is set.
+freed pages. Left to its defaults, glibc gives each new thread an arena of
+its own and hands a freed block of more than a few MB back to the kernel,
+so every smm call would fault its temporaries in afresh (about 50 MB a call
+at 2,500 nodes and d = 16). The first `run_two_party` in a process
+therefore calls `mallopt` once, before its threads start: one arena
+(`M_ARENA_MAX` 1), blocks up to 32 MiB on the heap (`M_MMAP_THRESHOLD`, on
+64-bit hosts) and no trim below 512 MiB of free heap top
+(`M_TRIM_THRESHOLD`). One arena keeps one high-water mark where two would
+each hold their own. The setting is process-wide: it holds for every thread
+of any program that imports vsmm and runs a protocol, and freed memory
+stays with the process. Where the C library is not glibc, nothing is set.
 """
 
 from __future__ import annotations
@@ -348,9 +347,10 @@ def index_bits(k: int) -> int:
     return max(k - 1, 0).bit_length()
 
 
-# glibc's mallopt parameters (malloc.h) and the values set for them: one
-# arena, no mmap below glibc's largest threshold (4 MiB per byte of a long),
-# no trim below 512 MiB
+# (param, value) for mallopt: M_ARENA_MAX, M_MMAP_THRESHOLD and
+# M_TRIM_THRESHOLD from glibc's malloc.h. The mmap threshold is glibc's
+# DEFAULT_MMAP_THRESHOLD_MAX (4 MiB per byte of a long), the largest value
+# older versions accept
 _MALLOPT = ((-8, 1), (-3, (4 << 20) * ctypes.sizeof(ctypes.c_long)),
             (-1, 512 << 20))
 
