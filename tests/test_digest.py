@@ -1,12 +1,13 @@
-"""Run-digest gate: sha256 over what every secure entry point returns and
-meters, pinned per case and seed.
+"""Run-digest gate: sha256 over what every secure entry point, and each
+one-round primitive under smm, returns and meters, pinned per case and seed.
 
 Each digest covers the ring values a run leaves (weight shares, smm output
 shares), what it reveals (logits, predictions, decoded gradients) and its
 meter: the report, each section's per-party rounds, both clocks and the
-framing. A change that moves one byte of any of these fails here. A change
-that alters shares or transcripts on purpose re-pins the digests in the
-same commit and says why. Losses and accuracies are left out: they pass
+framing; a primitive's output shares are hashed as (d, k) rows, one per
+column instance. A change that moves one byte of any of these fails here.
+A change that alters shares or transcripts on purpose re-pins the digests
+in the same commit and says why. Losses and accuracies are left out: they pass
 through float log/exp, whose last bit may differ between numpy builds.
 """
 
@@ -16,9 +17,10 @@ import json
 import numpy as np
 import pytest
 
-from vsmm.decompose import SparseMatrixCOO, decompose_full
+from vsmm.decompose import Permutation, SparseMatrixCOO, decompose_full
 from vsmm.gcn import (TrainConfig, infer_secure, init_weights,
                       make_synthetic_community, secure_gradients, train_secure)
+from vsmm.protocols import op, osm, priv_mult
 from vsmm.ring import encode_fixed, random_ring, share_secret
 from vsmm.runtime import run_two_party
 from vsmm.smm import SmmDims, smm, smm_transpose
@@ -92,6 +94,27 @@ def _smm(seed: int, fn, d: int) -> str:
     return _digest(o0, o1, _meter(meter))
 
 
+# each one-round primitive called on (d, k) rows, one per column instance
+_ON_ROWS = {
+    "op": lambda ctx, sigma, x: op(ctx, sigma, x.T, *x.shape[::-1]).T,
+    "osm": lambda ctx, s, x: osm(ctx, None if s is None else s.T, x.T).T,
+    "priv_mult": lambda ctx, lam, y: priv_mult(ctx, lam, y.T).T,
+}
+
+
+def _primitive(seed: int, name: str, d: int) -> str:
+    rng = np.random.default_rng(seed)
+    k = SMM_NODES
+    x = random_ring(rng, (d, k))
+    x0, x1 = share_secret(x, random_ring(rng, x.shape))
+    secret = {"op": lambda: Permutation(rng.permutation(k)),
+              "osm": lambda: rng.integers(0, 2, (d, k)).astype(np.uint64),
+              "priv_mult": lambda: encode_fixed(rng.normal(0, 1, k))}[name]()
+    o0, o1, meter = run_two_party(_ON_ROWS[name], (secret, x0), (None, x1),
+                                  seed=seed)
+    return _digest(o0, o1, _meter(meter))
+
+
 CASES = {
     "train_sgd": lambda seed: _train(seed, "sgd"),
     "train_adam": lambda seed: _train(seed, "adam"),
@@ -100,6 +123,8 @@ CASES = {
     **{f"smm_d{d}": lambda seed, d=d: _smm(seed, smm, d) for d in (1, 5, 16)},
     **{f"smm_transpose_d{d}": lambda seed, d=d: _smm(seed, smm_transpose, d)
        for d in (1, 5, 16)},
+    **{f"{name}_d{d}": lambda seed, name=name, d=d: _primitive(seed, name, d)
+       for name in _ON_ROWS for d in (1, 16)},
 }
 
 DIGESTS = {
@@ -108,13 +133,21 @@ DIGESTS = {
         "smm_d16": "7bf2a27846ec8222", "smm_transpose_d1": "6a83a56444983566",
         "smm_transpose_d5": "9d1e137560101f26",
         "smm_transpose_d16": "b2a6e21ca7a2b913",
-        "train_adam": "456be263efdbce55", "train_sgd": "841132e4f4c84137"},
+        "train_adam": "456be263efdbce55", "train_sgd": "841132e4f4c84137",
+        "op_d1": "33ab5c2767eecfa6", "op_d16": "b000c522e99e8c85",
+        "osm_d1": "f078463f5cc4f08f", "osm_d16": "070e04e822632379",
+        "priv_mult_d1": "37bccb575e5bd593",
+        "priv_mult_d16": "f1afdf1cd032a39f"},
     7: {"infer": "9063c71a1a2a58da", "secure_gradients": "81f0cc52b62f644f",
         "smm_d1": "cf363089f3af148c", "smm_d5": "e7eb5bc5744849a0",
         "smm_d16": "c198f0c2ecbe7914", "smm_transpose_d1": "72c60cdc9b9cd297",
         "smm_transpose_d5": "3931dd5ce0e4cfe8",
         "smm_transpose_d16": "5ed36efbe2208aeb",
-        "train_adam": "707d2d59b8585a93", "train_sgd": "19fb21dafe982765"},
+        "train_adam": "707d2d59b8585a93", "train_sgd": "19fb21dafe982765",
+        "op_d1": "1d50a55c043e1131", "op_d16": "c30d79a6c15a1d95",
+        "osm_d1": "88c374d749648201", "osm_d16": "f30203cd94cc3bf0",
+        "priv_mult_d1": "bc7c33efd2b7db7b",
+        "priv_mult_d16": "dc1ee3ebe0896a3e"},
 }
 
 
