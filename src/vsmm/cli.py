@@ -66,16 +66,16 @@ def cmd_decompose(args) -> int:
 
 # builders: draw the inputs, return (protocol, inputs0, inputs1, extra fields)
 def _bench_op(args, rng):
-    k, d = args.nodes, args.dim
-    sigma = Permutation(rng.permutation(k))
-    x0, x1 = share_secret(random_ring(rng, (k, d)), random_ring(rng, (k, d)))
-    return op, (sigma, x0, k, d), (None, x1, k, d), {}
+    shape = (args.dim, args.nodes)
+    sigma = Permutation(rng.permutation(args.nodes))
+    x0, x1 = share_secret(random_ring(rng, shape), random_ring(rng, shape))
+    return op, (sigma, x0), (None, x1), {}
 
 
 def _bench_osm(args, rng):
-    n = args.nodes * args.dim
-    s = rng.integers(0, 2, size=n).astype(np.uint64)
-    x0, x1 = share_secret(random_ring(rng, (n,)), random_ring(rng, (n,)))
+    shape = (args.dim, args.nodes)
+    s = rng.integers(0, 2, size=shape).astype(np.uint64)
+    x0, x1 = share_secret(random_ring(rng, shape), random_ring(rng, shape))
     return osm, (s, x0), (None, x1), {}
 
 

@@ -11,10 +11,11 @@ each is an exactly uniform element of S_k; `PrfStream.permutation` reads it
 from one sort of packed keys, falling back to the argsort itself when the
 keys' order is not the words'. In an oblivious-permutation tuple that argsort
 is dealt to party 0 as pi^-1, which is as uniform as pi and is the form the
-protocol uses; the tuple is dealt as (d, k) rows, one per column instance,
-the layout smm walks. Within one two-party run each tuple is generated
-once: the first party to draw a counter keeps its own view and leaves the
-peer's view in a `Handoff`, which the peer's draw takes.
+protocol uses. OP and Weight tuples are dealt as (d, k) rows, one per column
+instance, the layout the protocols and smm work on. Within one two-party run
+each tuple is generated once: the first party to draw a counter keeps its
+own view and leaves the peer's view in a `Handoff`, which the peer's draw
+takes.
 
 A daBit (Rotaru and Wood, INDOCRYPT 2019) is a random bit r dealt both
 XOR-shared and additively shared; its masked form also deals a fresh additive
@@ -43,9 +44,9 @@ expanding its share from its own key, and each product gets a fresh
 [op(A) op(B)] whose C is formed from the masks regenerated from their
 counters, never stored. A party then sees x - a once and only fresh
 correlations besides, so reuse reveals nothing that one opening does not.
-The Weight mask of `gen_privmul` is one uniform value per row, fresh in
-every call, broadcast over the columns: it masks party 0's per-row lambda,
-opened once per row.
+The Weight mask of `gen_privmul` is one uniform value per entry of a row,
+fresh in every call, broadcast over the column instances: it masks party
+0's lambda, opened once per entry.
 """
 
 from __future__ import annotations
@@ -170,11 +171,11 @@ def _deal_rows(owners: tuple, products: tuple):
 
 @dataclass
 class OpRandomness:
-    """One party's view of an oblivious-permutation tuple (d column instances)."""
+    """One party's view of an oblivious-permutation tuple, as (d, k) rows."""
 
-    pinv: np.ndarray | None  # party 0: (d, k), row c is pi_c^-1
-    piU: np.ndarray           # (k, d) shares of pi(U): piU[i, c] = U[pi_c[i], c]
-    U: np.ndarray | None     # party 1: (k, d); both views of (d, k) rows
+    pinv: np.ndarray | None  # party 0: row c is pi_c^-1
+    piU: np.ndarray           # shares of pi(U): piU[c, i] = U[c, pi_c[i]]
+    U: np.ndarray | None     # party 1
 
 
 @dataclass
@@ -186,8 +187,8 @@ class OsmRandomness:
 
 @dataclass
 class PrivMulRandomness:
-    a: np.ndarray | None  # party 0: (rows, 1) mask for the private factor
-    u: np.ndarray
+    a: np.ndarray | None  # party 0: (L,) mask for the private factor
+    u: np.ndarray          # (..., L): the operand's shape
     au: np.ndarray
 
 
@@ -235,8 +236,8 @@ class Dealer:
 
     def gen_op_rand(self, ctr: int, k: int, d: int):
         """Party 0 gets (pi^-1, <piU>0); party 1 gets (U, <piU>1); offline
-        cost k*L*d. Row U[j] lands at row pi^-1[j] of piU, scattered one
-        column instance, one (d, k) row, at a time."""
+        cost k*L*d. U[c, j] lands at piU[c, pi_c^-1[j]], scattered one
+        (d, k) row, one column instance, at a time."""
         if k < 1:
             raise ValueError("permutation degree must be >= 1")
         s0, s1 = self._streams(TAG_OP, ctr)
@@ -249,9 +250,8 @@ class Dealer:
         for dst, p, u in zip(piU1, pinv, U):
             dst[p] = u
         piU1 -= piU0
-        view0 = OpRandomness(pinv, piU0.T, None)
-        view1 = OpRandomness(None, piU1.T, U.T)
-        return view0, view1, k * 64 * d
+        return (OpRandomness(pinv, piU0, None), OpRandomness(None, piU1, U),
+                k * 64 * d)
 
     def gen_osm_rand(self, ctr: int, count: int):
         if count < 1:
@@ -265,17 +265,15 @@ class Dealer:
         return OsmRandomness(b, u0, bu0), OsmRandomness(None, u1, bu1), count * 64
 
     def gen_privmul(self, ctr: int, shape):
-        """Weight-step randomness for a shared operand of `shape`: a per-row
-        mask a of shape (rows, 1, ...), broadcast over the columns, and u
-        and [a*u] of the operand's shape, drawn as its transpose's rows
-        like an OP tuple; offline cost L per element."""
+        """Weight-step randomness for a shared operand of shape (..., L): a
+        mask a of shape (L,), broadcast over the leading axes, and u and
+        [a*u] of the operand's shape; offline cost L per element."""
         s0, s1 = self._streams(TAG_PRIVMUL, ctr)
-        a = s0.u64((shape[0],) + (1,) * (len(shape) - 1))
-        u0, au0, u1 = (s.u64(tuple(shape)[::-1]).T for s in (s0, s0, s1))
+        a = s0.u64(tuple(shape[-1:]))
+        u0, au0, u1 = (s.u64(tuple(shape)) for s in (s0, s0, s1))
         au1 = a * (u0 + u1) - au0
-        size = int(np.prod(shape, dtype=np.int64))
         return (PrivMulRandomness(a, u0, au0),
-                PrivMulRandomness(None, u1, au1), size * 64)
+                PrivMulRandomness(None, u1, au1), u0.size * 64)
 
     def gen_mask(self, ctr: int, shape):
         """Both shares of a uniform mask for one opening. Each party expands

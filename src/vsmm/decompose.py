@@ -51,10 +51,11 @@ def gather_rows(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Row c of the result is a[c][idx[c]], or a[c][idx] for one index row
     shared by every row: one np.take per row, into C-contiguous rows.
 
-    The indices must be in range: `clip` mode writes each row once, where
-    `raise` mode would buffer it. Every index is from a `Permutation`
-    (checked when built), a dealt pi^-1 (a permutation by construction) or
-    `PartyContext.recv_perm` (checked on receipt)."""
+    Nothing here checks the indices: `clip` mode, which writes each row once
+    where `raise` mode would buffer it, reads an index past the end as the
+    last entry. op and `factor_steps` check each Permutation's degree
+    against the rows it permutes; dealt and received indices have the
+    tuple's degree (`PartyContext.recv_perm` checks on receipt)."""
     out = np.empty(a.shape[:-1] + idx.shape[-1:], dtype=a.dtype)
     rows = np.atleast_2d(out)  # a vector is one row
     for dst, row, at in zip(rows, np.atleast_2d(a),
@@ -86,22 +87,8 @@ class Permutation:
     def degree(self) -> int:
         return len(self.p)
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x)[self.p]
-
     def inverse(self) -> "Permutation":
         return Permutation(invert(self.p))
-
-    def matrix(self) -> np.ndarray:
-        m = np.zeros((self.degree, self.degree), dtype=np.int64)
-        m[np.arange(self.degree), self.p] = 1
-        return m
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Permutation) and np.array_equal(self.p, other.p)
-
-    def __repr__(self) -> str:
-        return f"Permutation({self.p.tolist()})"
 
 
 @dataclass(frozen=True)
@@ -262,8 +249,6 @@ class Weight:
         return self
 
     def map(self, v: np.ndarray) -> np.ndarray:
-        if len(self.lam) != v.shape[-1]:
-            raise DecomposeError("weight length mismatch")
         return v * self.lam.astype(v.dtype, copy=False)
 
 
@@ -272,7 +257,8 @@ def factor_steps(dims, bundle: DecompositionBundle | None = None) -> list:
 
     dims carries the public (m, n, t). Without a bundle the private parts
     (permutations, selector counts, weights) are None: that is the list
-    party 1 walks, step for step alongside party 0's.
+    party 1 walks, step for step alongside party 0's. A bundle's
+    permutations must have degrees (n, t, t, t, m) and its weights length t.
     """
     m, n, t = dims.m, dims.n, dims.t
     if bundle is not None:
@@ -280,6 +266,10 @@ def factor_steps(dims, bundle: DecompositionBundle | None = None) -> list:
             raise DecomposeError("bundle does not match declared dims")
         if bundle.ncol > min(n, t) or bundle.nrow > min(m, t):
             raise DecomposeError("selector keeps more rows than the matrix has")
+        if [getattr(bundle, f"sigma{i}").degree for i in range(1, 6)] != \
+                [n, t, t, t, m] or len(bundle.lam) != t:
+            raise DecomposeError("factor degrees are not (n, t, t, t, m) "
+                                 "with t weights")
 
     def get(name):  # every field is None when bundle is None
         return getattr(bundle, name, None)

@@ -14,11 +14,10 @@ an operand opened earlier costs it nothing. Payload encodings are bit-exact:
 permutations are k indices of ceil(log2 k) bits, selector masks are 1 bit
 per instance, ring elements are 8 bytes little-endian.
 
-op, osm and priv_mult take and return (k, d) arrays and work on the (d, k)
-transpose inside, one row per column instance, so their ring messages go in
-column-major order; smm holds its shares as (d, k) rows and passes them in
-as transposed views, which costs no copy. op gathers those rows, and pi^-1
-sigma, with `decompose.gather_rows` into C-contiguous rows.
+op, osm and priv_mult take (d, k) arrays, one row per column instance, the
+layout smm walks, and return C-contiguous rows; their ring messages go in
+that row order. op gathers those rows, and pi^-1 sigma, with
+`decompose.gather_rows`.
 """
 
 from __future__ import annotations
@@ -35,86 +34,82 @@ from .ring import FRAC_BITS, truncate_share
 from .runtime import PartyContext
 
 
-def op_correction(ctx: PartyContext, sigma: Permutation, k: int,
-                  d: int) -> np.ndarray:
-    """Party 0's half of op that needs no input: draw the tuple, send
-    pi_c^-1 sigma and return the constant c of its output share, which is
-    sigma applied to the rows of (x0 + x1 - U), plus c."""
+def op_correction(ctx: PartyContext, sigma: Permutation,
+                  shape: tuple) -> np.ndarray:
+    """Party 0's half of op that needs no input: draw the tuple for a (d, k)
+    operand, send pi_c^-1 sigma and return the constant c of its output
+    share, which is sigma applied to each row of (x0 + x1 - U), plus c."""
+    d, k = shape
     tape = ctx.tape.op(k, d)
     if sigma is None or sigma.degree != k:
         raise ValueError("party 0 must supply a degree-k permutation")
-    # (d, k): pi_c^{-1}[sigma[i]], built C-contiguous for send_perm
-    delta_sigma = gather_rows(tape.pinv, sigma.p)
-    piU = tape.piU.T
+    delta_sigma = gather_rows(tape.pinv, sigma.p)  # row c: pi_c^-1[sigma]
+    piU = tape.piU
     del tape  # frees pi^-1 before the packing and the gather
     ctx.send_perm(delta_sigma, k)
-    return gather_rows(piU, delta_sigma).T
+    return gather_rows(piU, delta_sigma)
 
 
-def op(ctx: PartyContext, sigma: Permutation | None, x: np.ndarray, k: int,
-       d: int) -> np.ndarray:
+def op(ctx: PartyContext, sigma: Permutation | None,
+       x: np.ndarray) -> np.ndarray:
     """Oblivious permutation: party 0 holds sigma, and each party its share
-    of the (k, d) input; party 1's plaintext is a share whose party-0 half is
-    zero. Returns this party's (k, d) share of sigma applied to the rows.
+    of the (d, k) input; party 1's plaintext is a share whose party-0 half is
+    zero. Returns this party's (d, k) share of sigma applied to each row.
     """
     with ctx.section("op"):
         x = np.asarray(x, dtype=np.uint64)
-        xt = x.reshape(len(x), -1).T  # (d, k): one row per column
         if ctx.party == 0:
-            c = op_correction(ctx, sigma, k, d)
+            c = op_correction(ctx, sigma, x.shape)
             # permute x1 - U + x0 with one gather along the rows
-            c.T[...] += gather_rows(ctx.recv_ring((d, k)) + xt, sigma.p)
+            c += gather_rows(ctx.recv_ring(x.shape) + x, sigma.p)
             return c
-        tape = ctx.tape.op(k, d)
-        if xt.shape != (d, k):
-            raise ValueError(f"expected ({k}, {d}) input, got {xt.T.shape}")
-        ctx.send_ring(xt - tape.U.T)
-        piU = tape.piU.T
+        tape = ctx.tape.op(x.shape[1], len(x))
+        ctx.send_ring(x - tape.U)
+        piU = tape.piU
         del tape  # frees U while party 1 waits
-        delta_sigma = ctx.recv_perm(k, count=d * k).reshape(d, k)
-        return gather_rows(piU, delta_sigma).T
+        delta_sigma = ctx.recv_perm(x.shape[1], count=x.size)
+        return gather_rows(piU, delta_sigma.reshape(x.shape))
 
 
 def osm_correction(ctx: PartyContext, s: np.ndarray) -> np.ndarray:
     """Party 0's half of osm that needs no input: draw the tuple, send
     s xor b and return the constant c of its output share s*(x0 + x1 - u)
-    + c, in the shape of s, its instances in the order of s.T."""
-    st = np.asarray(s, dtype=np.uint64).T
-    flat = st.ravel()
+    + c, in the shape and order of s."""
+    s = np.asarray(s, dtype=np.uint64)
+    flat = s.ravel()
     tape = ctx.tape.osm(flat.size)
     delta_s = (flat ^ tape.b).astype(np.uint8)
     ctx.send_bits(delta_s)
     ds = delta_s.astype(np.uint64)
     sign = np.uint64(1) - np.uint64(2) * ds
-    return ((ds - flat) * tape.u + sign * tape.bu).reshape(st.shape).T
+    return ((ds - flat) * tape.u + sign * tape.bu).reshape(s.shape)
 
 
 def osm(ctx: PartyContext, s: np.ndarray | None, x: np.ndarray) -> np.ndarray:
     """Oblivious selection-multiplication: party 0's private bit vector s
     times the shared vector x, elementwise; returns shares of s*x.
     Payload is 65 bits per element (1-bit selector delta plus one masked
-    ring element), one round, its instances in the order of x.T.
+    ring element), one round, its instances in the order of x.
     """
-    xt = np.asarray(x, dtype=np.uint64).T
+    x = np.asarray(x, dtype=np.uint64)
     with ctx.section("osm"):
         if ctx.party == 0:
             c = osm_correction(ctx, s)
-            c.T[...] += np.asarray(s, dtype=np.uint64).T * (
-                xt + ctx.recv_ring(xt.shape))
+            c += np.asarray(s, dtype=np.uint64) * (x + ctx.recv_ring(x.shape))
             return c
-        tape = ctx.tape.osm(xt.size)
-        ctx.send_ring(xt.ravel() - tape.u)
-        delta_s = ctx.recv_bits(xt.size)
+        tape = ctx.tape.osm(x.size)
+        ctx.send_ring(x.ravel() - tape.u)
+        delta_s = ctx.recv_bits(x.size)
         sign = np.uint64(1) - np.uint64(2) * delta_s
-        return (delta_s * tape.u + sign * tape.bu).reshape(xt.shape).T
+        return (delta_s * tape.u + sign * tape.bu).reshape(x.shape)
 
 
 def priv_mult_correction(ctx: PartyContext, lam: np.ndarray,
                          shape) -> np.ndarray:
     """Party 0's half of priv_mult that needs no input: draw the tuple for
     an operand of `shape`, send lam - a and return the constant c of its
-    output share lam*(y0 + y1 - u) + c. lam is a ring array of one value
-    per row, shaped to broadcast over the rest."""
+    output share lam*(y0 + y1 - u) + c. lam is a ring vector of one value
+    per entry of the last axis."""
     tape = ctx.tape.privmul(shape)
     ctx.send_ring(lam - tape.a)
     return tape.au - tape.a * tape.u
@@ -122,23 +117,21 @@ def priv_mult_correction(ctx: PartyContext, lam: np.ndarray,
 
 def priv_mult(ctx: PartyContext, lam: np.ndarray | None,
               y: np.ndarray) -> np.ndarray:
-    """Multiply party 0's private ring vector lam, one value per row, into
-    the shared tensor y, broadcast over the columns. One round: party 0
-    opens lam - a, L bits per row, and party 1 opens y - u, L bits per
-    element, in the column-major order of y.T.
+    """Multiply party 0's private ring vector lam into the shared tensor y
+    along its last axis, broadcast over the rows. One round: party 0
+    opens lam - a, L bits per entry of lam, and party 1 opens y - u, L bits
+    per element, in the order of y.
     """
     y = np.asarray(y, dtype=np.uint64)
-    yt, shape = y.T, y.shape
-    rows = (shape[0],) + (1,) * (len(shape) - 1)
     with ctx.section("mult"):
         if ctx.party == 0:
-            lam = np.asarray(lam, dtype=np.uint64).reshape(rows)
-            out = priv_mult_correction(ctx, lam, shape)
-            out += lam * (yt + ctx.recv_ring(yt.shape)).T
+            lam = np.asarray(lam, dtype=np.uint64).reshape(y.shape[-1:])
+            out = priv_mult_correction(ctx, lam, y.shape)
+            out += lam * (y + ctx.recv_ring(y.shape))
             return out
-        tape = ctx.tape.privmul(shape)
-        ctx.send_ring(yt - tape.u.T)
-        return ctx.recv_ring(rows) * tape.u + tape.au
+        tape = ctx.tape.privmul(y.shape)
+        ctx.send_ring(y - tape.u)
+        return ctx.recv_ring(y.shape[-1:]) * tape.u + tape.au
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,12 +12,14 @@ L-row share to an L-row share. Every factor is linear over the ring, so with
 lambda encoded in fixed point the walk is one exact ring map, and each party
 truncates its share once, at the end.
 
-The walk is column-major: each party transposes its share of X once on
-entry to C-contiguous (d, L) rows, one per column instance, and back once
-on exit. Every `map` keeps each column contiguous: a Perm gathers into
-C-contiguous rows (`decompose.gather_rows`) and Prefix writes reversed
-rows. The ring messages go in that column-major order, with the bits a
-row-major order would take.
+The walk is column-major, and `_run_steps` is the one place that
+transposes: it turns each party's (L, d) share of X into C-contiguous (d, L)
+rows, one per column instance, on entry, and the result back on exit. Below
+it, the step maps, the protocols and the dealer's tuples all take and
+return (d, L) rows: a Perm gathers into C-contiguous rows
+(`decompose.gather_rows`), Prefix writes reversed rows, and the ring
+messages go in that column-major order, with the bits a row-major order
+would take.
 
 One call is 2 rounds, whatever the factors. Party 0's eight messages (five
 permutations, two selector masks and lambda - a) depend only on its factors
@@ -84,13 +86,11 @@ def _correction(ctx: PartyContext, s, d: int) -> np.ndarray:
     constant its output share adds."""
     with ctx.section(_SECTIONS[type(s)]):
         if isinstance(s, Perm):
-            c = op_correction(ctx, s.sigma, s.k, d)
-        elif isinstance(s, Weight):
-            c = priv_mult_correction(ctx, s.lam.reshape(-1, 1),
-                                     (len(s.lam), d))
-        else:  # one OSM instance per cell; the selector bits are Select on ones
-            c = osm_correction(ctx, s.map(np.ones((d, s.side), np.uint64)).T)
-        return c.T
+            return op_correction(ctx, s.sigma, (d, s.k))
+        if isinstance(s, Weight):
+            return priv_mult_correction(ctx, s.lam, (d, len(s.lam)))
+        # one OSM instance per cell; the selector bits are Select on ones
+        return osm_correction(ctx, s.map(np.ones((d, s.side), np.uint64)))
 
 
 def _run_steps_party0(ctx: PartyContext, steps: list,
@@ -122,11 +122,10 @@ def _run_steps_party0(ctx: PartyContext, steps: list,
 
 
 def _run_steps(ctx: PartyContext, steps: list, x: np.ndarray) -> np.ndarray:
-    """Shares of the step list applied to this party's share of X, walked
-    as (d, L) rows (module docstring). Party 1 runs the one-round protocols
-    step by step, on transposed views; its masked shares after the first
-    depend only on its tuples and party 0's corrections. Both parties
-    truncate once, at the end."""
+    """Shares of the step list applied to this party's share of X, as (d, L)
+    rows (module docstring). Party 1 runs the one-round protocols step by
+    step; its masked shares after the first depend only on its tuples and
+    party 0's corrections. Both parties truncate once, at the end."""
     if len(x) != steps[0].k:
         raise ValueError(f"X has {len(x)} rows, not {steps[0].k}")
     y = np.asarray(x, dtype=np.uint64).reshape(steps[0].k, -1).T.copy()
@@ -135,11 +134,11 @@ def _run_steps(ctx: PartyContext, steps: list, x: np.ndarray) -> np.ndarray:
     else:
         for s in steps:
             if isinstance(s, Perm):
-                y = op(ctx, None, y.T, s.k, len(y)).T
+                y = op(ctx, None, y)
             elif isinstance(s, Select):
-                y = osm(ctx, None, y.T).T
+                y = osm(ctx, None, y)
             elif isinstance(s, Weight):
-                y = priv_mult(ctx, None, y.T).T
+                y = priv_mult(ctx, None, y)
             else:  # Local: each party maps its own share
                 y = s.map(y)
     return np.ascontiguousarray(truncate_share(y, ctx.party, FRAC_BITS).T)

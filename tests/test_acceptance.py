@@ -61,14 +61,10 @@ def test_2_op_osm_correctness(capsys):
         for _ in range(50):
             k, d = int(rng.integers(2, 65)), 200
             sigma = Permutation(rng.permutation(k))
-            x = random_ring(rng, (k, d))
+            x = random_ring(rng, (d, k))
             x0, x1 = _shared(rng, x)
-
-            def proto(ctx, s, xin, k=k, d=d):
-                return op(ctx, s, xin, k, d)
-
-            o0, o1, meter = run_two_party(proto, (sigma, x0), (None, x1))
-            assert np.array_equal(reconstruct(o0, o1), x[sigma.p])
+            o0, o1, meter = run_two_party(op, (sigma, x0), (None, x1))
+            assert np.array_equal(reconstruct(o0, o1), x[:, sigma.p])
             assert meter.rounds == 1
             assert meter.online_bits == d * (k * 64 + k * math.ceil(math.log2(k)))
         # 10^4 OSM instances: 10 calls x 1000 elements

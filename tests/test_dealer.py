@@ -120,17 +120,17 @@ def test_op_rand_correlation(dealer):
     v0, v1, offline = dealer.gen_op_rand(0, 8, 3)
     assert offline == 8 * 64 * 3
     for c in range(3):
-        piU = reconstruct(v0.piU[:, c], v1.piU[:, c])
+        piU = reconstruct(v0.piU[c], v1.piU[c])
         assert sorted(v0.pinv[c].tolist()) == list(range(8))
-        assert np.array_equal(piU, v1.U[invert(v0.pinv[c]), c])
+        assert np.array_equal(piU, v1.U[c, invert(v0.pinv[c])])
 
 
 def test_op_rand_rows_are_column_instances(dealer):
-    """pi(U) and U are (k, d) views of C-contiguous (d, k) rows, and pi^-1
-    is the argsort stream itself: row c is the c-th permutation drawn."""
+    """pi(U) and U are C-contiguous (d, k) rows, and pi^-1 is the argsort
+    stream itself: row c is the c-th permutation drawn."""
     v0, v1, _ = dealer.gen_op_rand(3, 50, 4)
     for a in (v0.piU, v1.piU, v1.U):
-        assert a.shape == (50, 4) and a.T.flags.c_contiguous
+        assert a.shape == (4, 50) and a.flags.c_contiguous
     s = PrfStream(dealer.keys[0], b"OPRM", 3)
     assert np.array_equal(v0.pinv, [s.permutation(50) for _ in range(4)])
 
@@ -144,9 +144,9 @@ def test_osm_rand_correlation(dealer):
 
 
 def test_privmul_correlation(dealer):
-    v0, v1, offline = dealer.gen_privmul(0, (5, 4))
+    v0, v1, offline = dealer.gen_privmul(0, (4, 5))
     assert offline == 5 * 4 * 64
-    assert v0.a.shape == (5, 1) and v1.a is None  # one mask per row
+    assert v0.a.shape == (5,) and v1.a is None  # one mask per row entry
     u = reconstruct(v0.u, v1.u)
     au = reconstruct(v0.au, v1.au)
     assert np.array_equal(au, v0.a * u)

@@ -13,12 +13,16 @@ from vsmm.decompose import (DecomposeError, Local, Perm, Permutation, Select,
 
 
 def test_permutation_basics():
-    p = Permutation([2, 0, 1])
+    step = Perm(Permutation([2, 0, 1]), 3)
     x = np.array([10, 20, 30])
-    assert np.array_equal(p.apply(x), [30, 10, 20])
-    assert np.array_equal(p.inverse().apply(p.apply(x)), x)
-    assert np.array_equal(p.matrix() @ x, p.apply(x))
-    assert p.matrix().T.tolist() == p.inverse().matrix().tolist()
+    assert np.array_equal(step.map(x), [30, 10, 20])
+    assert np.array_equal(step.map(np.stack([x, 2 * x])),
+                          [[30, 10, 20], [60, 20, 40]])  # one gather per row
+    assert np.array_equal(step.T.map(step.map(x)), x)
+    matrix = apply_steps([step], np.eye(3, dtype=np.int64))
+    assert np.array_equal(matrix @ x, step.map(x))
+    assert np.array_equal(apply_steps([step.T], np.eye(3, dtype=np.int64)),
+                          matrix.T)
 
 
 def test_permutation_validation():

@@ -95,11 +95,7 @@ def _smm(seed: int, fn, d: int) -> str:
 
 
 # each one-round primitive called on (d, k) rows, one per column instance
-_ON_ROWS = {
-    "op": lambda ctx, sigma, x: op(ctx, sigma, x.T, *x.shape[::-1]).T,
-    "osm": lambda ctx, s, x: osm(ctx, None if s is None else s.T, x.T).T,
-    "priv_mult": lambda ctx, lam, y: priv_mult(ctx, lam, y.T).T,
-}
+_ON_ROWS = {"op": op, "osm": osm, "priv_mult": priv_mult}
 
 
 def _primitive(seed: int, name: str, d: int) -> str:

@@ -33,14 +33,10 @@ def _spy(ctx, sent):
 def test_op_plain_correct(rng):
     k, d = 16, 3
     sigma = Permutation(rng.permutation(k))
-    x = random_ring(rng, (k, d))
-
-    def proto(ctx, s, xin):
-        return op(ctx, s, xin, k, d)
-
+    x = random_ring(rng, (d, k))
     # party 1's plaintext is a share whose party-0 half is zero
-    o0, o1, meter = run_two_party(proto, (sigma, np.zeros_like(x)), (None, x))
-    assert np.array_equal(reconstruct(o0, o1), x[sigma.p])
+    o0, o1, meter = run_two_party(op, (sigma, np.zeros_like(x)), (None, x))
+    assert np.array_equal(reconstruct(o0, o1), x[:, sigma.p])
     assert meter.rounds == 1
     # payload: d ring columns from party 1 plus d packed index vectors
     assert meter.online_bits == d * (k * 64 + k * math.ceil(math.log2(k)))
@@ -49,13 +45,9 @@ def test_op_plain_correct(rng):
 def test_op_shared_correct(rng):
     k, d = 9, 2
     sigma = Permutation(rng.permutation(k))
-    x, (x0, x1) = _shared(rng, (k, d))
-
-    def proto(ctx, s, xin):
-        return op(ctx, s, xin, k, d)
-
-    o0, o1, meter = run_two_party(proto, (sigma, x0), (None, x1))
-    assert np.array_equal(reconstruct(o0, o1), x[sigma.p])
+    x, (x0, x1) = _shared(rng, (d, k))
+    o0, o1, meter = run_two_party(op, (sigma, x0), (None, x1))
+    assert np.array_equal(reconstruct(o0, o1), x[:, sigma.p])
     assert meter.rounds == 1
 
 
@@ -68,11 +60,9 @@ def test_op_columns_use_independent_masks(rng):
 
 
 def test_op_degree_validation(rng):
-    def proto(ctx, s, xin):
-        return op(ctx, s, xin, 4, 1)
-    x = random_ring(rng, (4, 1))
+    x = random_ring(rng, (1, 4))
     with pytest.raises(ValueError):
-        run_two_party(proto, (Permutation([0, 1]), np.zeros_like(x)), (None, x))
+        run_two_party(op, (Permutation([0, 1]), np.zeros_like(x)), (None, x))
 
 
 def test_osm_correct_and_payload(rng):
@@ -87,7 +77,7 @@ def test_osm_correct_and_payload(rng):
 
 def test_priv_mult_broadcasts_columns(rng):
     lam = random_ring(rng, (6,))
-    y, (y0, y1) = _shared(rng, (6, 4))
+    y, (y0, y1) = _shared(rng, (4, 6))
     sent, masks = [], []
 
     def proto(ctx, lv, yv):
@@ -103,13 +93,14 @@ def test_priv_mult_broadcasts_columns(rng):
         return priv_mult(ctx, lv, yv)
 
     o0, o1, meter = run_two_party(proto, (lam, y0), (None, y1))
-    assert np.array_equal(reconstruct(o0, o1), lam[:, None] * y)
+    assert np.array_equal(reconstruct(o0, o1), lam * y)
     assert meter.rounds == 1
-    # party 0 opens lam - a, one ring element per row (6); party 1 opens
-    # y - u, one per element (6 * 4): L bits per element plus L per row
+    # party 0 opens lam - a, one ring element per entry of a row (6); party
+    # 1 opens y - u, one per element (4 * 6): L bits per element plus L per
+    # entry of lam
     assert meter.online_bits == (6 + 6 * 4) * 64 == 1_920
     assert sorted(sent) == [(0, 6 * 8), (1, 6 * 4 * 8)]
-    assert [m.a.shape for m in masks if m.a is not None] == [(6, 1)]
+    assert [m.a.shape for m in masks if m.a is not None] == [(6,)]
 
 
 def _layouts(x):
@@ -126,24 +117,20 @@ def _meter(m):
 
 @pytest.mark.parametrize("protocol", ["op", "osm", "priv_mult"])
 def test_column_major_protocols_ignore_input_layout(rng, protocol):
-    """op, osm and priv_mult work on the transpose of their (k, d) inputs;
+    """op, osm and priv_mult work on (d, k) rows, one per column instance;
     C-ordered, Fortran-ordered and strided inputs give the same shares,
     reconstructions and meters."""
     k, d = 13, 3
     sigma = Permutation(rng.permutation(k))
-    s = rng.integers(0, 2, (k, d)).astype(np.uint64)
+    s = rng.integers(0, 2, (d, k)).astype(np.uint64)
     lam = random_ring(rng, (k,))
-    x, (x0, x1) = _shared(rng, (k, d))
-    party0 = {"op": lambda ctx, xin: op(ctx, sigma, xin, k, d),
-              "osm": lambda ctx, xin: osm(ctx, s, xin),
-              "priv_mult": lambda ctx, xin: priv_mult(ctx, lam, xin)}[protocol]
-    party1 = {"op": lambda ctx, xin: op(ctx, None, xin, k, d),
-              "osm": lambda ctx, xin: osm(ctx, None, xin),
-              "priv_mult": lambda ctx, xin: priv_mult(ctx, None, xin)}[protocol]
-    want = {"op": x[sigma.p], "osm": s * x, "priv_mult": lam[:, None] * x}
+    x, (x0, x1) = _shared(rng, (d, k))
+    fn, secret = {"op": (op, sigma), "osm": (osm, s),
+                  "priv_mult": (priv_mult, lam)}[protocol]
+    want = {"op": x[:, sigma.p], "osm": s * x, "priv_mult": lam * x}
 
     def proto(ctx, xin):
-        return (party0 if ctx.party == 0 else party1)(ctx, xin)
+        return fn(ctx, secret if ctx.party == 0 else None, xin)
 
     runs = [run_two_party(proto, (a0,), (a1,), seed=5)
             for a0, a1 in zip(_layouts(x0), _layouts(x1))]
@@ -541,7 +528,7 @@ def test_op_message_masking_uniform(rng):
     """Party 1's wire message X - U is uniform: chi-squared on the low byte."""
     from vsmm.dealer import Dealer
     dealer = Dealer.from_seed(3)
-    x = np.zeros((64, 1), dtype=np.uint64)  # degenerate input
+    x = np.zeros((1, 64), dtype=np.uint64)  # degenerate input
     samples = []
     for ctr in range(256):
         _, v1, _ = dealer.gen_op_rand(ctr, 64, 1)

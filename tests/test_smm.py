@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import random_sparse
-from vsmm.decompose import (DecomposeError, Perm, Select, SparseMatrixCOO,
-                            Weight, apply_steps, decompose_full,
+from vsmm.decompose import (DecomposeError, Perm, Permutation, Select,
+                            SparseMatrixCOO, Weight, decompose_full,
                             factor_steps, reconstruct_dense)
 from vsmm.protocols import op, osm, priv_mult
 from vsmm.ring import (FRAC_BITS, decode_fixed, encode_fixed, lift_signed,
@@ -199,14 +199,23 @@ def test_one_truncation_within_one_ulp(rng, variant):
         assert np.abs(lift_signed(got) - np.array(want)).max() <= 1
 
 
-@pytest.mark.parametrize("field", ["ncol", "nrow"])
+@pytest.mark.parametrize("field", ["ncol", "nrow", "sigma1", "sigma2",
+                                   "sigma3", "sigma4", "sigma5", "lam"])
 def test_selector_bound_is_checked(rng, field):
-    """A selector that keeps more rows than min(side, t) is rejected by the
-    clear oracle and by party 0's smm."""
+    """A selector that keeps more rows than min(side, t), a permutation
+    whose degree is not its factor's (n, t, t, t, m), or weights not t long
+    are rejected by the clear oracle and by party 0's smm."""
     m, n = (5, 8) if field == "ncol" else (8, 5)
-    bad = replace(decompose_full(random_sparse(rng, m, n, 3, integer=True)),
-                  **{field: 4})  # min(side, t) is 3
-    with pytest.raises(DecomposeError, match="selector"):
+    b = decompose_full(random_sparse(rng, m, n, 3, integer=True))
+    degree = {"sigma1": b.n - 2, "sigma2": b.t + 1, "sigma3": b.t - 1,
+              "sigma4": b.t + 2, "sigma5": b.m + 2}
+    if field in degree:
+        value = Permutation(np.arange(degree[field]))
+    else:  # min(side, t) is 3
+        value = b.lam[:-1] if field == "lam" else 4
+    bad = replace(b, **{field: value})
+    match = "selector" if field in ("ncol", "nrow") else "degrees"
+    with pytest.raises(DecomposeError, match=match):
         reconstruct_dense(bad)
     dims = SmmDims(bad.m, bad.n, bad.t)
     x = np.zeros((bad.n, 1), dtype=np.uint64)
@@ -214,30 +223,28 @@ def test_selector_bound_is_checked(rng, field):
     def proto(ctx, b, xin):
         return smm(ctx, b, dims, xin)
 
-    with pytest.raises(DecomposeError, match="selector"):
+    with pytest.raises(DecomposeError, match=match):
         run_two_party(proto, (bad, x), (None, x))
 
 
 def _one_round_walk(ctx, steps, x):
     """The step list as the one-round op, osm and priv_mult, one step at a
-    time, then one truncation: 8 rounds, and the reference for the two-round
-    schedule's shares."""
-    y = np.asarray(x, dtype=np.uint64).reshape(steps[0].k, -1)
-    d = y.shape[1]
+    time on (d, L) rows, then one truncation: 8 rounds, and the reference
+    for the two-round schedule's shares."""
+    y = np.asarray(x, dtype=np.uint64).reshape(steps[0].k, -1).T
     for s in steps:
         if isinstance(s, Perm):
-            y = op(ctx, s.sigma, y, s.k, d)
+            y = op(ctx, s.sigma, y)
         elif isinstance(s, Select):
             sel = None if s.keep is None else np.broadcast_to(
-                (np.arange(s.side) < s.keep).astype(np.uint64)[:, None],
-                (s.side, d))
+                (np.arange(s.side) < s.keep).astype(np.uint64), y.shape)
             y = osm(ctx, sel, y)
         elif isinstance(s, Weight):
             lam = None if s.lam is None else encode_fixed(s.lam)
             y = priv_mult(ctx, lam, y)
         else:
-            y = apply_steps([s], y)
-    return truncate_share(y, ctx.party, FRAC_BITS)
+            y = s.map(y)
+    return truncate_share(y, ctx.party, FRAC_BITS).T
 
 
 @pytest.mark.parametrize("variant", ["forward", "transpose"])
