@@ -55,7 +55,7 @@ prefix_or_high, then b2a of the 64 bits: 8 rounds.
 b2a turns XOR-shared bits into additive shares with dealer daBits, a random
 bit r dealt both XOR-shared and as [r]: each party sends b_i ^ r_i, and
 [b] = c + (1 - 2c)[r] for the opened c = b ^ r. That is 2 bits per element in
-1 round. bit_mult opens c and x - u in the same round, the masked daBit also
+1 round. bit_mult opens c and x - u in one message, the masked daBit also
 dealing [u] and [r*u], so [b] and b*x = c*x + (1 - 2c)(r*(x - u) + r*u) are
 local. relu is msb, then bit_mult on the sign bit: 348 + 2 + 128 = 478 bits
 per element in 5 rounds, or 288 in 4 at l = 32.
@@ -305,8 +305,9 @@ def bit_mult(ctx: PartyContext, bits: np.ndarray,
     with ctx.section("b2a"):
         tape = ctx.tape.dabits(x.shape, masked=True)
         c, e = bits ^ tape.r, x - tape.u
-        ctx.send_bits(c)
-        ctx.send_ring(e)
+        with ctx.frame():
+            ctx.send_bits(c)
+            ctx.send_ring(e)
         c ^= ctx.recv_bits(c.size).reshape(c.shape)
         e = e + ctx.recv_ring(e.shape)
         flip = _ONE - _TWO * c

@@ -183,12 +183,11 @@ def _beaver_local(ctx: PartyContext, c: np.ndarray, x: Opened, y: Opened,
                   matmul: bool, truncate: bool) -> np.ndarray:
     """This party's share of the product of the openings x and y from its
     share c of C = op(A) op(B): c + (x - a) b + a (y - b), and party 0 adds
-    (x - a)(y - b)."""
+    (x - a)(y - b), folded into the first product."""
     mul = functools.partial(np.matmul, dtype=np.uint64) if matmul \
         else np.multiply
-    c += mul(x.public, y.mask) + mul(x.mask, y.public)
-    if ctx.party == 0:
-        c += mul(x.public, y.public)
+    b = y.mask + y.public if ctx.party == 0 else y.mask
+    c += mul(x.public, b) + mul(x.mask, y.public)
     if truncate:
         c = truncate_share(c, ctx.party, FRAC_BITS)
     return c

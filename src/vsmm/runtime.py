@@ -13,7 +13,8 @@ open section ("default" outside any). The run's `CommMeter` sums the two
 tallies once both threads have joined. Payload bits are metered exactly as
 placed on the wire; a modelled 6-byte frame per message (4-byte little-endian
 length + 2-byte protocol tag) is accounted separately so that formula
-assertions compare payload bits only.
+assertions compare payload bits only. `PartyContext.frame` sends a block's
+messages as one, in one modelled frame.
 
 `PartyContext.parallel` runs branches that read no other branch's output in
 turn, each from the fork's clock, so messages and draws keep their order; a
@@ -168,16 +169,21 @@ class Endpoint:
     def charge_offline(self, bits: int) -> None:
         self._charge(1, bits)
 
-    def send(self, payload: bytes, nbits: int | None = None) -> None:
-        bits = len(payload) * 8 if nbits is None else nbits
+    def charge_sent(self, bits: int) -> None:
         self.sent_bits += bits
-        self.messages += 1
         self._charge(0, bits)
+
+    def send(self, payload, nbits: int | None = None) -> None:
+        """One message; a frame's parts were each charged when made."""
+        bits = len(payload) * 8 if nbits is None else nbits
+        if not isinstance(payload, tuple):
+            self.charge_sent(bits)
+        self.messages += 1
         with self._rt.cond:
             self._rt.inboxes[1 - self.party].append((payload, self.clock))
             self._rt.cond.notify_all()
 
-    def recv(self) -> bytes:
+    def recv(self):
         rt, me, peer = self._rt, self.party, 1 - self.party
         inbox = rt.inboxes[me]
         with rt.cond:
@@ -206,6 +212,8 @@ class PartyContext:
         self.ep = endpoint
         self.tape = tape
         self.party = endpoint.party
+        # the open frame's parts; the unread parts of the last frame received
+        self._frame, self._parts = None, deque()
 
     @contextmanager
     def section(self, name: str):
@@ -227,15 +235,49 @@ class PartyContext:
         self.ep.clock = max(ends)
         return outs
 
+    @contextmanager
+    def frame(self):
+        """Send the block's messages as one: each is charged to its section
+        as it is made, and at the end of the block all go out, uncopied, in
+        one Endpoint.send of their summed bits. The peer's recv_* calls read
+        them in order. A frame is one round: a receive that moves the clock
+        after its first send raises. Frames do not nest."""
+        self._frame = []
+        try:
+            yield
+            if self._frame:
+                parts, bits = zip(*self._frame)
+                self.ep.send(parts, nbits=sum(bits))
+        finally:
+            self._frame = None
+
+    def _send(self, payload: bytes, nbits: int) -> None:
+        """Send a message now, or add it to the open frame."""
+        if self._frame is None:
+            return self.ep.send(payload, nbits=nbits)
+        self.ep.charge_sent(nbits)
+        self._frame.append((payload, nbits))
+
+    def _recv(self) -> bytes:
+        """The next part of the last frame received, else the next message."""
+        if not self._parts:
+            clock, payload = self.ep.clock, self.ep.recv()
+            if self._frame and self.ep.clock != clock:
+                raise RuntimeError(f"frame spans clocks {clock}-{self.ep.clock}")
+            if not isinstance(payload, tuple):
+                return payload
+            self._parts.extend(payload)
+        return self._parts.popleft()
+
     # wire encodings ------------------------------------------------------
 
     def send_ring(self, arr: np.ndarray) -> None:
         a = np.ascontiguousarray(arr, dtype="<u8")
-        self.ep.send(a.tobytes(), nbits=64 * a.size)
+        self._send(a.tobytes(), 64 * a.size)
 
     def recv_ring(self, shape) -> np.ndarray:
         """The peer's ring elements as a read-only view of the payload."""
-        return np.frombuffer(self.ep.recv(), dtype="<u8").reshape(shape)
+        return np.frombuffer(self._recv(), dtype="<u8").reshape(shape)
 
     def send_bits(self, bits: np.ndarray) -> None:
         """0/1 entries packed 8 to a byte, as one send_gates row."""
@@ -251,12 +293,12 @@ class PartyContext:
         r*(64*words + b) bits in one message."""
         head = np.ascontiguousarray(gates[:, :words], dtype="<u8")
         tail = gates[:, words:]
-        self.ep.send(head.tobytes() + np.packbits(tail).tobytes(),
-                     nbits=64 * head.size + tail.size)
+        self._send(head.tobytes() + np.packbits(tail).tobytes(),
+                   64 * head.size + tail.size)
 
     def recv_gates(self, words: int, bits: int, rows: int) -> np.ndarray:
         """The peer's send_gates openings as a (rows, words + bits) array."""
-        raw = np.frombuffer(self.ep.recv(), dtype=np.uint8)
+        raw = np.frombuffer(self._recv(), dtype=np.uint8)
         head = 8 * rows * words
         if raw.size != head + -(-rows * bits // 8):
             raise ValueError(f"{raw.size}-byte payload for {rows}x{words} "
@@ -280,7 +322,7 @@ class PartyContext:
         b = index_bits(degree)
         idx = np.ravel(indices)
         if b == 0:
-            self.ep.send(b"", nbits=0)
+            self._send(b"", 0)
             return
         groups = np.zeros((-(-idx.size // 8), 8), dtype=np.uint64)
         groups.ravel()[:idx.size] = idx
@@ -292,14 +334,14 @@ class PartyContext:
                 words[:, w] |= groups[:, j] >> hi
                 words[:, w + 1] |= groups[:, j] << lo
         payload = words.astype(">u8").view(np.uint8)[:, :b].tobytes()
-        self.ep.send(payload[:-(-idx.size * b // 8)], nbits=idx.size * b)
+        self._send(payload[:-(-idx.size * b // 8)], idx.size * b)
 
     def recv_perm(self, degree: int, count: int) -> np.ndarray:
         """The peer's `count` send_perm indices below `degree`, from exactly
         ceil(count * b / 8) bytes at b = ceil(log2 degree). An index at or
         above `degree` is rejected here, so gathers by it need no check."""
         b = index_bits(degree)
-        payload = self.ep.recv()
+        payload = self._recv()
         if len(payload) != -(-count * b // 8):
             raise ValueError(f"{len(payload)}-byte payload for {count} "
                              f"indices of {b} bits")

@@ -21,14 +21,15 @@ return (d, L) rows: a Perm gathers into C-contiguous rows
 messages go in that column-major order, with the bits a row-major order
 would take.
 
-One call is 2 rounds, whatever the factors. Party 0's eight messages (five
-permutations, two selector masks and lambda - a) depend only on its factors
-and tuples, so it sends them all first. Party 1 sends x - U for the first
-permutation at once; each later masked share depends only on its tuples and
-party 0's messages, so it follows one round later. Party 0's clock advances
-by 2, party 1's by 1 from equal clocks, 2 if party 0 starts a round ahead
-and 0 if party 1 does: the run gains 2 rounds, or 1 when party 1 leads.
-The messages are those of the eight one-round protocols, in another order.
+One call is 2 rounds and 3 messages, whatever the factors. Party 0's eight
+corrections (five permutations, two selector masks and lambda - a) depend
+only on its factors and tuples, so it sends them all first, in one frame.
+Party 1 sends x - U for the first permutation at once; its later masked
+shares depend only on its tuples and party 0's corrections, so they follow
+one round later, in one frame. Party 0's clock advances by 2, party 1's by
+1 from equal clocks, 2 if party 0 starts a round ahead and 0 if party 1
+does: the run gains 2 rounds, or 1 when party 1 leads. The payloads are
+those of the eight one-round protocols, in another order.
 
 The online bits of a call are `smm_online_bits`. The permutations, the
 selections and party 1's Weight message grow with the width d of X; party
@@ -107,10 +108,11 @@ def _run_steps_party0(ctx: PartyContext, steps: list,
     steps = [Weight(encode_fixed(s.lam)) if isinstance(s, Weight) else s
              for s in steps]  # lambda in the ring
     k = np.zeros_like(y)
-    for s in steps:
-        k = s.map(k)
-        if not isinstance(s, Local):
-            k += _correction(ctx, s, len(y))
+    with ctx.frame():
+        for s in steps:
+            k = s.map(k)
+            if not isinstance(s, Local):
+                k += _correction(ctx, s, len(y))
     r = y  # the entry transpose's own copy, so it is updated in place
     for s in steps:
         if not isinstance(s, Local):
@@ -132,15 +134,17 @@ def _run_steps(ctx: PartyContext, steps: list, x: np.ndarray) -> np.ndarray:
     if ctx.party == 0:
         y = _run_steps_party0(ctx, steps, y)
     else:
-        for s in steps:
-            if isinstance(s, Perm):
-                y = op(ctx, None, y)
-            elif isinstance(s, Select):
-                y = osm(ctx, None, y)
-            elif isinstance(s, Weight):
-                y = priv_mult(ctx, None, y)
-            else:  # Local: each party maps its own share
-                y = s.map(y)
+        y = op(ctx, None, y)  # every step list starts with a Perm
+        with ctx.frame():
+            for s in steps[1:]:
+                if isinstance(s, Perm):
+                    y = op(ctx, None, y)
+                elif isinstance(s, Select):
+                    y = osm(ctx, None, y)
+                elif isinstance(s, Weight):
+                    y = priv_mult(ctx, None, y)
+                else:  # Local: each party maps its own share
+                    y = s.map(y)
     return np.ascontiguousarray(truncate_share(y, ctx.party, FRAC_BITS).T)
 
 

@@ -401,7 +401,9 @@ def test_highest_one_hot(rng):
     # chunk terms, 16 + 15 radix-2 gates, 4 * 15 + 3 * 7 and 15 radix-4
     # ones: 154 + 31 + 81 + 15 = 281. Each round is one message a party.
     (msb, 348, 281, 4, 8),
-    (relu, 478, 409, 5, 12),  # msb + 2 + 128 bits; 281 + 128 offline
+    # msb + 2 + 128 bits; 281 + 128 offline; bit_mult frames its two
+    # openings, one message a party
+    (relu, 478, 409, 5, 10),
     # msb over 32 bits opens 46 rows a party in round 1 (bits 0..30 and one
     # pair product for each of the 15 chunks), then 27 and 6 shared rows:
     # 2 * (46 + 27 + 6) = 158. Mask products: 3 + 14 * 5 + 1 = 74 chunk
@@ -410,7 +412,7 @@ def test_highest_one_hot(rng):
     # 4 groups: 15. So 74 + 81 + 15 = 170, in 3 rounds of one message a party
     (functools.partial(msb, bits=SIGN_BITS), 158, 170, 3, 6),
     # msb over 32 bits + 2 + 128 bits; 170 + 128 offline
-    (functools.partial(relu, bits=SIGN_BITS), 288, 298, 4, 10),
+    (functools.partial(relu, bits=SIGN_BITS), 288, 298, 4, 8),
     # bit_decompose + prefix OR + 64 b2a bits (2 online, 64 offline each):
     # 512 + 330 + 128 and 590 + 528 + 4096
     (highest_one_hot, 970, 5214, 8, 16),

@@ -124,22 +124,22 @@ CASES = {
 }
 
 DIGESTS = {
-    0: {"infer": "141421db539036b8", "secure_gradients": "148c1d023b40f287",
-        "smm_d1": "db7379fa418be4b8", "smm_d5": "712d352d9d0c5c95",
-        "smm_d16": "7bf2a27846ec8222", "smm_transpose_d1": "6a83a56444983566",
-        "smm_transpose_d5": "9d1e137560101f26",
-        "smm_transpose_d16": "b2a6e21ca7a2b913",
-        "train_adam": "456be263efdbce55", "train_sgd": "841132e4f4c84137",
+    0: {"infer": "a45e3ea8ed486706", "secure_gradients": "811865351ab8b6cf",
+        "smm_d1": "f4fcb171d653a85d", "smm_d5": "8ed4cc4dde19c5da",
+        "smm_d16": "87cf0d565273a2e6", "smm_transpose_d1": "15432a49dd1e03a6",
+        "smm_transpose_d5": "6839c406662861e5",
+        "smm_transpose_d16": "0a4388a9b73241dc",
+        "train_adam": "af7ae996740bf056", "train_sgd": "fedb488204c98e39",
         "op_d1": "33ab5c2767eecfa6", "op_d16": "b000c522e99e8c85",
         "osm_d1": "f078463f5cc4f08f", "osm_d16": "070e04e822632379",
         "priv_mult_d1": "37bccb575e5bd593",
         "priv_mult_d16": "f1afdf1cd032a39f"},
-    7: {"infer": "9063c71a1a2a58da", "secure_gradients": "81f0cc52b62f644f",
-        "smm_d1": "cf363089f3af148c", "smm_d5": "e7eb5bc5744849a0",
-        "smm_d16": "c198f0c2ecbe7914", "smm_transpose_d1": "72c60cdc9b9cd297",
-        "smm_transpose_d5": "3931dd5ce0e4cfe8",
-        "smm_transpose_d16": "5ed36efbe2208aeb",
-        "train_adam": "707d2d59b8585a93", "train_sgd": "19fb21dafe982765",
+    7: {"infer": "1d2a2c281c8da505", "secure_gradients": "f4daf158c082c3ef",
+        "smm_d1": "a8275fa7c1589340", "smm_d5": "df24bf528521174a",
+        "smm_d16": "937917cd53071897", "smm_transpose_d1": "c6821e101a60e8da",
+        "smm_transpose_d5": "6ad02587c4535c9b",
+        "smm_transpose_d16": "584ce77210ebaec4",
+        "train_adam": "3847595b14e84714", "train_sgd": "719fa7fb96839f79",
         "op_d1": "1d50a55c043e1131", "op_d16": "c30d79a6c15a1d95",
         "osm_d1": "88c374d749648201", "osm_d16": "f30203cd94cc3bf0",
         "priv_mult_d1": "bc7c33efd2b7db7b",

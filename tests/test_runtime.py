@@ -1,3 +1,4 @@
+import contextlib
 import math
 import platform
 import sys
@@ -320,6 +321,76 @@ def test_costs_charge_the_innermost_section():
     for party in (0, 1):
         assert sum(r[party] for r in meter.party_rounds.values()) \
             == meter.clocks[party]
+
+
+def _three_sections(ctx, framed):
+    """Three sends in three sections, in a frame or not, then the peer's
+    three in order."""
+    with ctx.frame() if framed else contextlib.nullcontext():
+        with ctx.section("ring"):
+            ctx.send_ring(np.arange(3, dtype=np.uint64) + ctx.party)
+        with ctx.section("bits"):
+            ctx.send_bits(np.ones(5, np.uint8))
+        with ctx.section("perm"):
+            ctx.send_perm(np.array([2, 0, 1]) if ctx.party else
+                          np.array([1, 2, 0]), 3)
+    with ctx.section("read"):
+        ring = ctx.recv_ring((3,))
+        bits = ctx.recv_bits(5)
+        perm = ctx.recv_perm(3, count=3)
+    return ring.tolist(), bits.tolist(), perm.tolist(), ctx.ep.messages
+
+
+def test_frame_sends_one_message():
+    (*_, sent0), (*_, sent1), meter = run_two_party(_three_sections, (True,),
+                                                    (True,))
+    assert (sent0, sent1) == (1, 1)
+    assert meter.framing_bits == 2 * FRAME_BITS
+
+
+def test_frame_charges_each_part_to_its_section():
+    """Section bits, rounds and clocks are those of the unframed sends."""
+    *_, framed = run_two_party(_three_sections, (True,), (True,))
+    *_, plain = run_two_party(_three_sections, (False,), (False,))
+    assert framed.sections == plain.sections
+    assert framed.party_rounds == plain.party_rounds == {
+        "ring": [0, 0], "bits": [0, 0], "perm": [0, 0], "read": [1, 1]}
+    assert framed.online_bits == plain.online_bits == 2 * (3 * 64 + 5 + 6)
+    assert framed.clocks == plain.clocks == [1, 1]
+
+
+def test_frame_parts_are_read_in_order():
+    out0, out1, _ = run_two_party(_three_sections, (True,), (False,))
+    assert out0[:3] == ([1, 2, 3], [1] * 5, [2, 0, 1])
+    assert out1[:3] == ([0, 1, 2], [1] * 5, [1, 2, 0])
+
+
+def test_frame_spanning_a_clock_advance_raises():
+    def proto(ctx):
+        if ctx.party == 1:
+            ctx.send_ring(np.zeros(1, np.uint64))
+            return
+        with ctx.frame():
+            ctx.send_ring(np.zeros(1, np.uint64))
+            ctx.recv_ring((1,))  # moves party 0's clock from 0 to 1
+            ctx.send_ring(np.zeros(1, np.uint64))
+
+    with pytest.raises(RuntimeError, match="frame spans clocks 0-1"):
+        run_two_party(proto)
+
+
+def test_receive_inside_both_frames_deadlocks():
+    """A frame's parts wait for the end of its block, so two parties that
+    each receive inside one have sent nothing: a DeadlockError, not a hang."""
+    def proto(ctx):
+        with ctx.frame():
+            ctx.send_ring(np.zeros(1, np.uint64))
+            ctx.recv_ring((1,))
+
+    start = time.perf_counter()
+    with pytest.raises(DeadlockError):
+        run_two_party(proto)
+    assert time.perf_counter() - start < runtime.RECV_TIMEOUT_S / 10
 
 
 def _squarings(ctx, x, rounds):

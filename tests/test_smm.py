@@ -10,7 +10,7 @@ from vsmm.decompose import (DecomposeError, Perm, Permutation, Select,
 from vsmm.protocols import op, osm, priv_mult
 from vsmm.ring import (FRAC_BITS, decode_fixed, encode_fixed, lift_signed,
                        random_ring, reconstruct, share_secret, truncate_share)
-from vsmm.runtime import run_two_party
+from vsmm.runtime import FRAME_BITS, run_two_party
 from vsmm.smm import (SmmDims, beaver_dense_online_bits, smm, smm_online_bits,
                       smm_offline_bits, smm_transpose)
 
@@ -106,6 +106,29 @@ def test_smm_payload_matches_formula(rng):
     _, meter, dims = _run_smm(a, x, rng)
     assert meter.online_bits == smm_online_bits(dims.m, dims.n, dims.t, 4)
     assert meter.offline_bits == smm_offline_bits(dims.m, dims.n, dims.t, 4)
+
+
+@pytest.mark.parametrize("variant", ["forward", "transpose"])
+@pytest.mark.parametrize("d", [1, 16])
+def test_smm_sends_three_messages(rng, variant, d):
+    """Party 0 frames its eight corrections as one message; party 1 sends
+    x - U at once and frames its seven later masked shares as another."""
+    a = random_sparse(rng, 12, 9, 25, integer=True)
+    bundle = decompose_full(a)
+    dims = SmmDims(bundle.m, bundle.n, bundle.t)
+    fn = {"forward": smm, "transpose": smm_transpose}[variant]
+    x = rng.integers(-5, 5, (a.n if variant == "forward" else a.m, d))
+    x0, x1 = share_secret(x.astype(np.uint64), random_ring(rng, x.shape))
+
+    def proto(ctx, b, xin):
+        fn(ctx, b, dims, xin)
+        return ctx.ep.messages
+
+    sent0, sent1, meter = run_two_party(proto, (bundle, x0), (None, x1))
+    assert (sent0, sent1) == (1, 2)
+    assert meter.framing_bits == 3 * FRAME_BITS
+    assert meter.online_bits == smm_online_bits(dims.m, dims.n, dims.t, d)
+    assert meter.rounds == 2
 
 
 def test_smm_transpose_same_tape_shapes(rng):
@@ -251,9 +274,9 @@ def _one_round_walk(ctx, steps, x):
 @pytest.mark.parametrize("fractional", [False, True])
 def test_two_round_shares_match_one_round_walk(rng, variant, fractional):
     """Both parties' shares are byte-identical to the one-round protocols
-    run step by step, with the same transcript sizes, in 2 rounds: party
-    0's clock advances by 2 and party 1's by 1. Integer weights times
-    integer X, or fractional weights times fixed-point X."""
+    run step by step, with the same payload bits, in 2 rounds and 3
+    messages: party 0's clock advances by 2 and party 1's by 1. Integer
+    weights times integer X, or fractional weights times fixed-point X."""
     for d in (1, 2, 5):
         m, n = (int(v) for v in rng.integers(1, 20, 2))
         a = random_sparse(rng, m, n, int(rng.integers(1, 2 * max(m, n))),
@@ -278,8 +301,9 @@ def test_two_round_shares_match_one_round_walk(rng, variant, fractional):
         f0, f1, fm = run_two_party(fast, (bundle, x0), (None, x1), seed=d)
         w0, w1, wm = run_two_party(walk, (bundle, x0), (None, x1), seed=d)
         assert f0.tobytes() == w0.tobytes() and f1.tobytes() == w1.tobytes()
-        assert (fm.online_bits, fm.offline_bits, fm.framing_bits) == \
-            (wm.online_bits, wm.offline_bits, wm.framing_bits)
+        assert (fm.online_bits, fm.offline_bits) == \
+            (wm.online_bits, wm.offline_bits)
+        assert fm.framing_bits == 3 * FRAME_BITS
         assert {k: v["online_bits"] for k, v in fm.sections.items()} == \
             {k: v["online_bits"] for k, v in wm.sections.items()}
         assert fm.clocks == [2, 1] and fm.rounds == 2 and wm.rounds == 8
