@@ -3,7 +3,8 @@ training / inference, and network-time reporting.
 
 All subcommands emit JSON to stdout (and optionally to a file); `train` can
 additionally mirror the per-epoch table as CSV. Usage errors exit 2, protocol
-or input errors exit 1.
+or input errors exit 1. `bench` also reports the process's peak resident
+memory, `peak_rss_mb`, where the `resource` module exists.
 """
 
 from __future__ import annotations
@@ -17,6 +18,11 @@ import time
 from types import SimpleNamespace
 
 import numpy as np
+
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
 
 from .decompose import (DecomposeError, Permutation, SparseMatrixCOO,
                         decompose_full, read_coo_text)
@@ -102,6 +108,10 @@ def cmd_bench(args) -> int:
     report["wall_s"] = time.perf_counter() - wall
     report["cpu_s"] = time.process_time() - cpu
     report["est_time_by_condition"] = _est_times(meter)
+    if resource is not None:  # ru_maxrss counts KiB, or bytes on macOS
+        maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        report["peak_rss_mb"] = maxrss / (2**20 if sys.platform == "darwin"
+                                          else 1024)
     report.update(extra)
     if "beaver_dense_online_bits" in extra:
         report["saving_pct"] = 100.0 * (

@@ -7,15 +7,25 @@ tally is charged only for the dealer-to-party-1 correction messages. The dealer
 never receives anything online: the API exposes generation only.
 
 Permutations are the argsort of k PRF words, redrawn when two words tie, so
-each is an exactly uniform element of S_k; `PrfStream.permutation` reads it
-from one sort of packed keys, falling back to the argsort itself when the
-keys' order is not the words'. In an oblivious-permutation tuple that argsort
-is dealt to party 0 as pi^-1, which is as uniform as pi and is the form the
-protocol uses. OP and Weight tuples are dealt as (d, k) rows, one per column
-instance, the layout the protocols and smm work on. Within one two-party run
-each tuple is generated once: the first party to draw a counter keeps its
-own view and leaves the peer's view in a `Handoff`, which the peer's draw
-takes.
+each is an exactly uniform element of S_k; `PrfStream.permutation` reads
+them from one row-wise sort of packed keys, falling back to the argsort
+itself when the keys' order is not the words'. In an oblivious-permutation
+tuple that argsort is dealt to party 0 as pi^-1, which is as uniform as pi
+and is the form the protocol uses. OP and Weight tuples are dealt as (d, k)
+rows, one per column instance, the layout the protocols and smm work on.
+
+Within one two-party run each tuple is generated once: the first party to
+draw a counter keeps its own view and leaves the peer's part in a
+`Handoff`, which the peer's draw takes. When party 0 draws first, that part
+is the dealer's offline message to party 1, the correction party 1 is
+charged offline bits for: the OP's pi(U) share, the OSM and Weight [b*u] and
+[a*u] shares, the Beaver and square C shares, the GMW product shares and the
+daBit R and r*u. Party 1 expands the rest of its view from its own key when
+it draws: the OP's U, the OSM and Weight u, its gen_mask share, its GMW
+masks and its daBit r and u, the same keystream bytes the dealer read, so
+its view is the one the dealer dealt. A tuple party 1 draws first leaves
+party 0's whole view; party 0 draws nearly all large tuples first, in smm's
+first pass.
 
 A daBit (Rotaru and Wood, INDOCRYPT 2019) is a random bit r dealt both
 XOR-shared and additively shared; its masked form also deals a fresh additive
@@ -52,10 +62,11 @@ fresh in every call, broadcast over the column instances: it masks party
 from __future__ import annotations
 
 import functools
+import math
 import struct
 import threading
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
@@ -92,7 +103,8 @@ class PrfStream:
     def u64(self, shape) -> np.ndarray:
         """The next 8*size keystream bytes as little-endian words, decrypted
         straight into a fresh writable array."""
-        n = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        # math.prod: np.prod costs microseconds, a dealer draw's fixed cost
+        n = int(math.prod(shape) if np.iterable(shape) else shape)
         out = np.empty(n + 2, dtype="<u8")  # CTR's update_into wants 15 spare bytes
         buf = out.view(np.uint8)
         for start in range(0, 8 * n, len(_ZEROS)):
@@ -113,32 +125,45 @@ class PrfStream:
         out[:, words:] = self.bits(rows * bits).reshape(rows, bits)
         return out
 
-    def permutation(self, k: int) -> np.ndarray:
-        """Uniform element of S_k: the argsort of k PRF words.
+    def permutation(self, k: int, rows: int | None = None) -> np.ndarray:
+        """Uniform element of S_k: the argsort of k PRF words; with `rows`,
+        a (rows, k) array of them, one per row of a (rows, k) word draw.
 
         Distinct words have one sorted order, so the result does not depend
-        on the sort algorithm. A batch with a repeated word is discarded and
-        the next k words are drawn, which keeps every permutation exactly
-        equally likely. The argsort is read off one in-place sort of keys,
-        each word with its low b = ceil(log2 k) bits replaced by its index,
-        unless two words share their high 64 - b bits and so their keys
-        need not sort in the words' order; then the words are argsorted.
+        on the sort algorithm. A row with a repeated word is discarded and
+        redrawn from the next k words, after the whole draw, which keeps
+        every permutation exactly equally likely; rows without one are
+        those of `rows` successive single draws. Each row's argsort is read
+        off one in-place sort of keys, each word with its low b =
+        ceil(log2 k) bits replaced by its index, unless two words share
+        their high 64 - b bits and so their keys need not sort in the
+        words' order; then that row's words are argsorted.
         """
-        b = np.uint64((k - 1).bit_length())
-        low = np.uint64((1 << int(b)) - 1)
-        while True:
-            words = self.u64((k,))
-            keys = words >> b
-            keys <<= b
-            keys |= np.arange(k, dtype=np.uint64)
-            keys.sort()
-            if not np.any((keys[1:] ^ keys[:-1]) <= low):
-                keys &= low
-                return keys.view(np.int64)
-            p = np.argsort(words)
-            ranked = words[p]
-            if not np.any(ranked[1:] == ranked[:-1]):
-                return p
+        out, repeated = _argsort_rows(
+            self.u64((1 if rows is None else rows, k)), k)
+        for r in np.flatnonzero(repeated):
+            while repeated[r]:
+                row, again = _argsort_rows(self.u64((k,)), k)
+                out[r], repeated[r] = row[0], again[0]
+        return out if rows is not None else out[0]
+
+
+def _argsort_rows(words: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's argsort of PRF words read as rows of k, and whether the
+    row has a repeated word (PrfStream.permutation)."""
+    words = words.reshape(-1, k)
+    low = np.uint64((1 << (k - 1).bit_length()) - 1)  # the index bits
+    keys = words & ~low
+    keys |= np.arange(k, dtype=np.uint64)
+    keys.sort(axis=1)
+    tied = np.any((keys[:, 1:] ^ keys[:, :-1]) <= low, axis=1)
+    keys &= low
+    out, repeated = keys.view(np.int64), np.zeros(len(words), dtype=bool)
+    for r in np.flatnonzero(tied):
+        out[r] = np.argsort(words[r])
+        ranked = words[r, out[r]]
+        repeated[r] = np.any(ranked[1:] == ranked[:-1])
+    return out, repeated
 
 
 def rows_index(rows) -> slice | np.ndarray:
@@ -167,6 +192,57 @@ def _deal_rows(owners: tuple, products: tuple):
                                                     for j in sel])
                                         for q in range(size)]))
     return held, sizes
+
+
+# What party 1 expands from its own key in each kind of tuple, drawn by the
+# gen_* method and, for a tuple party 0 deals, again by party 1 (Handoff):
+# per dealer method, the tag, the fields of party 1's view the values fill
+# (None: the value is the whole view) and the expansion from party 1's
+# stream and the request's arguments, which returns them in field order.
+
+def _op_own(s1: PrfStream, k: int, d: int) -> tuple:
+    return s1.u64((d, k)),
+
+
+def _osm_own(s1: PrfStream, count: int) -> tuple:
+    return s1.u64((count,)),
+
+
+def _privmul_own(s1: PrfStream, shape) -> tuple:
+    return s1.u64(tuple(shape)),
+
+
+def _mask_own(s1: PrfStream, shape) -> np.ndarray:
+    return s1.u64(shape)
+
+
+def _bits_own(s1: PrfStream, words: int, bits: int, owners: tuple,
+              products: tuple) -> tuple:
+    held, _ = _deal_rows(tuple(owners), tuple(map(tuple, products)))
+    return s1.gate_rows(len(held[1]), words, bits),
+
+
+def _dabits_own(s1: PrfStream, shape, masked: bool) -> tuple:
+    size = math.prod(shape)
+    r1 = s1.bits(size).astype(np.uint64).reshape(shape)
+    return r1, s1.u64(shape) if masked else None
+
+
+_OWN = {"gen_op_rand": (TAG_OP, ("U",), _op_own),
+        "gen_osm_rand": (TAG_OSM, ("u",), _osm_own),
+        "gen_privmul": (TAG_PRIVMUL, ("u",), _privmul_own),
+        "gen_mask": (TAG_MASK, None, _mask_own),
+        "gen_bit_triples": (TAG_BITS, ("masks",), _bits_own),
+        "gen_dabits": (TAG_DABITS, ("r", "u"), _dabits_own)}
+
+
+def _correction(method: str, view1):
+    """Party 1's view of a `method` tuple less what it expands from its own
+    key: the dealer's offline message to party 1 (None for gen_mask)."""
+    if method not in _OWN:
+        return view1
+    fields = _OWN[method][1]
+    return None if fields is None else replace(view1, **dict.fromkeys(fields))
 
 
 @dataclass
@@ -241,11 +317,9 @@ class Dealer:
         if k < 1:
             raise ValueError("permutation degree must be >= 1")
         s0, s1 = self._streams(TAG_OP, ctr)
-        pinv = np.empty((d, k), dtype=np.int64)
-        for row in pinv:
-            row[:] = s0.permutation(k)
+        pinv = s0.permutation(k, rows=d)
         piU0 = s0.u64((d, k))
-        U = s1.u64((d, k))
+        U, = _op_own(s1, k, d)
         piU1 = np.empty_like(U)
         for dst, p, u in zip(piU1, pinv, U):
             dst[p] = u
@@ -260,7 +334,7 @@ class Dealer:
         b = s0.bits(count).astype(np.uint64)
         u0 = s0.u64((count,))
         bu0 = s0.u64((count,))
-        u1 = s1.u64((count,))
+        u1, = _osm_own(s1, count)
         bu1 = b * (u0 + u1) - bu0
         return OsmRandomness(b, u0, bu0), OsmRandomness(None, u1, bu1), count * 64
 
@@ -270,7 +344,8 @@ class Dealer:
         [a*u] of the operand's shape; offline cost L per element."""
         s0, s1 = self._streams(TAG_PRIVMUL, ctr)
         a = s0.u64(tuple(shape[-1:]))
-        u0, au0, u1 = (s.u64(tuple(shape)) for s in (s0, s0, s1))
+        u0, au0 = s0.u64(tuple(shape)), s0.u64(tuple(shape))
+        u1, = _privmul_own(s1, shape)
         au1 = a * (u0 + u1) - au0
         return (PrivMulRandomness(a, u0, au0),
                 PrivMulRandomness(None, u1, au1), u0.size * 64)
@@ -279,7 +354,7 @@ class Dealer:
         """Both shares of a uniform mask for one opening. Each party expands
         its share from its own key, so the mask costs no offline bits."""
         s0, s1 = self._streams(TAG_MASK, ctr)
-        return s0.u64(shape), s1.u64(shape), 0
+        return s0.u64(shape), _mask_own(s1, shape), 0
 
     def _mask(self, ref: MaskRef) -> np.ndarray:
         """The whole mask of the opening `ref` names, as the product reads it."""
@@ -318,7 +393,8 @@ class Dealer:
         s0, s1 = self._streams(TAG_BITS, ctr)
         held, sizes = _deal_rows(tuple(owners), tuple(map(tuple, products)))
         drawn = s0.gate_rows(len(held[0]) + len(products), words, bits)
-        masks = [drawn[:len(held[0])], s1.gate_rows(len(held[1]), words, bits)]
+        masks = [drawn[:len(held[0])], *_bits_own(s1, words, bits, owners,
+                                                  products)]
         c0 = drawn[len(held[0]):]
         full = np.zeros((len(owners), words + bits), dtype=np.uint64)
         full[held[0]] = masks[0]
@@ -338,26 +414,40 @@ class Dealer:
         shares of r and r*u are the corrections: 64 or 128 offline bits per
         element."""
         s0, s1 = self._streams(TAG_DABITS, ctr)
-        size = int(np.prod(shape, dtype=np.int64))
-        r0, r1 = (s.bits(size).astype(np.uint64).reshape(shape)
-                  for s in (s0, s1))
+        size = math.prod(shape)
+        r1, u1 = _dabits_own(s1, shape, masked)
+        r0 = s0.bits(size).astype(np.uint64).reshape(shape)
         R0 = s0.u64(shape)
         r = r0 ^ r1
         view0 = DaBits(r0, R0, None, None)
-        view1 = DaBits(r1, r - R0, None, None)
+        view1 = DaBits(r1, r - R0, u1, None)
         if masked:
-            view0.u, view0.ru, view1.u = (s.u64(shape) for s in (s0, s0, s1))
-            view1.ru = r * (view0.u + view1.u) - view0.ru
+            view0.u, view0.ru = s0.u64(shape), s0.u64(shape)
+            view1.ru = r * (view0.u + u1) - view0.ru
         return view0, view1, size * 64 * (1 + masked)
+
+    def party1_view(self, method: str, ctr: int, args: tuple, held):
+        """Party 1's view of tuple `ctr`, a `method` request with `args`
+        that party 0 dealt: the correction `held` with the values party 1
+        expands from its own key filled in."""
+        if method not in _OWN:
+            return held
+        tag, fields, expand = _OWN[method]
+        own = expand(PrfStream(self.keys[1], tag, ctr), *args)
+        return own if fields is None else replace(held, **dict(zip(fields, own)))
 
 
 class Handoff:
     """Per-run slot that lets two paired TapeViews generate each tuple once.
 
     The first party to draw a counter runs the dealer, keeps its own view and
-    leaves the peer's view here with the request that produced it; the peer's
-    draw at that counter takes the entry out. A peer asking for another kind
-    or other arguments at the same counter gets TapeExhausted.
+    leaves the peer's share of the tuple here with the request that produced
+    it; the peer's draw at that counter takes the entry out. When party 0
+    deals, the entry is the dealer's offline message to party 1, its
+    correction, and party 1 expands the rest of its view from its own key
+    as it draws. When party 1 deals first, which is rare for large tuples,
+    the entry is party 0's whole view. A peer asking for another kind or
+    other arguments at the same counter gets TapeExhausted.
     """
 
     def __init__(self) -> None:
@@ -371,13 +461,16 @@ class Handoff:
         with self._lock:
             held = self._held.pop(ctr, None)
             if held is None:
-                views = getattr(dealer, method)(ctr, *args)
-                self._held[ctr] = (request, views[1 - party], views[2])
-                return views[party], views[2]
+                view0, view1, bits = getattr(dealer, method)(ctr, *args)
+                peer = view0 if party else _correction(method, view1)
+                self._held[ctr] = (request, peer, bits)
+                return view1 if party else view0, bits
         if held[0] != request:
             raise TapeExhausted(
                 f"counter {ctr}: party {party} asked for {method}{args}, "
                 f"the peer drew {held[0][0]}{held[0][1]}")
+        if party:
+            return dealer.party1_view(method, ctr, args, held[1]), held[2]
         return held[1], held[2]
 
 
@@ -388,8 +481,9 @@ class TapeView:
     Both parties issue the identical request sequence (protocol structure is
     data-independent), so their counters stay aligned without coordination.
     The two views of a run share a `Handoff`, so each tuple is generated once
-    between them; party 1's view passes the offline bits of each correction
-    view it draws to `charge`.
+    between them and carries to party 1 only the dealer's offline message,
+    when party 0 draws first; party 1's view passes the offline bits of each
+    correction it draws to `charge`.
     """
 
     dealer: Dealer

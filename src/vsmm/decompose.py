@@ -47,20 +47,29 @@ class DecomposeError(ValueError):
     pass
 
 
-def gather_rows(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+def gather_rows(a: np.ndarray, idx: np.ndarray,
+                out: np.ndarray | None = None) -> np.ndarray:
     """Row c of the result is a[c][idx[c]], or a[c][idx] for one index row
-    shared by every row: one np.take per row, into C-contiguous rows.
+    shared by every row: one np.take per row, into C-contiguous rows, or
+    into `out`. With out=a, C-contiguous with rows as long as idx's, each
+    row is gathered in place through one scratch row.
 
     Nothing here checks the indices: `clip` mode, which writes each row once
     where `raise` mode would buffer it, reads an index past the end as the
     last entry. op and `factor_steps` check each Permutation's degree
     against the rows it permutes; dealt and received indices have the
     tuple's degree (`PartyContext.recv_perm` checks on receipt)."""
-    out = np.empty(a.shape[:-1] + idx.shape[-1:], dtype=a.dtype)
+    if out is None:
+        out = np.empty(a.shape[:-1] + idx.shape[-1:], dtype=a.dtype)
     rows = np.atleast_2d(out)  # a vector is one row
+    scratch = np.empty_like(rows[0]) if out is a else None
     for dst, row, at in zip(rows, np.atleast_2d(a),
                             np.broadcast_to(idx, rows.shape)):
-        np.take(row, at, out=dst, mode="clip")
+        if scratch is None:
+            np.take(row, at, out=dst, mode="clip")
+        else:
+            np.take(row, at, out=scratch, mode="clip")
+            dst[:] = scratch
     return out
 
 

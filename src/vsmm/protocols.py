@@ -43,11 +43,12 @@ def op_correction(ctx: PartyContext, sigma: Permutation,
     tape = ctx.tape.op(k, d)
     if sigma is None or sigma.degree != k:
         raise ValueError("party 0 must supply a degree-k permutation")
-    delta_sigma = gather_rows(tape.pinv, sigma.p)  # row c: pi_c^-1[sigma]
+    # row c: pi_c^-1[sigma], in the rows of pi^-1, which it uses up
+    delta_sigma = gather_rows(tape.pinv, sigma.p, out=tape.pinv)
     piU = tape.piU
-    del tape  # frees pi^-1 before the packing and the gather
+    del tape
     ctx.send_perm(delta_sigma, k)
-    return gather_rows(piU, delta_sigma)
+    return gather_rows(piU, delta_sigma, out=piU)
 
 
 def op(ctx: PartyContext, sigma: Permutation | None,
@@ -64,11 +65,11 @@ def op(ctx: PartyContext, sigma: Permutation | None,
             c += gather_rows(ctx.recv_ring(x.shape) + x, sigma.p)
             return c
         tape = ctx.tape.op(x.shape[1], len(x))
-        ctx.send_ring(x - tape.U)
+        ctx.send_ring(np.subtract(x, tape.U, out=tape.U))  # U is used up
         piU = tape.piU
         del tape  # frees U while party 1 waits
         delta_sigma = ctx.recv_perm(x.shape[1], count=x.size)
-        return gather_rows(piU, delta_sigma.reshape(x.shape))
+        return gather_rows(piU, delta_sigma.reshape(x.shape), out=piU)
 
 
 def osm_correction(ctx: PartyContext, s: np.ndarray) -> np.ndarray:

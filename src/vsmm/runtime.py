@@ -200,8 +200,9 @@ class Endpoint:
                     raise DeadlockError("receive timed out")
             payload, stamp = inbox.popleft()
         self.clock = max(self.clock, stamp + 1)
-        self._charge(2, max(self.clock - self.reached, 0))
-        self.reached = max(self.reached, self.clock)
+        if self.clock > self.reached:  # a receive that adds no round charges none
+            self._charge(2, self.clock - self.reached)
+            self.reached = self.clock
         return payload
 
 
@@ -317,15 +318,19 @@ class PartyContext:
         Eight consecutive b-bit indices fill exactly b bytes. Each group of
         eight is built as one 64*ceil(b/8)-bit big-endian number in uint64
         words, one shift/or pass per position in the group, and its first b
-        bytes go on the wire. The last group is padded with zero indices.
+        bytes go on the wire. The last group is padded with zero indices;
+        int64 indices that fill whole groups are read in place.
         """
         b = index_bits(degree)
         idx = np.ravel(indices)
         if b == 0:
             self._send(b"", 0)
             return
-        groups = np.zeros((-(-idx.size // 8), 8), dtype=np.uint64)
-        groups.ravel()[:idx.size] = idx
+        if idx.size % 8 == 0 and idx.dtype == np.int64:
+            groups = idx.view(np.uint64).reshape(-1, 8)
+        else:
+            groups = np.zeros((-(-idx.size // 8), 8), dtype=np.uint64)
+            groups.ravel()[:idx.size] = idx
         words = np.zeros((len(groups), -(-b // 8)), dtype=np.uint64)
         for j, (w, lo, hi) in enumerate(_group_slots(b)):
             if hi is None:  # the index sits inside word w

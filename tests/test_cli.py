@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from vsmm import cli
 from vsmm.cli import main
 from vsmm.gcn import make_synthetic_community, save_dataset, save_model
 
@@ -44,6 +45,16 @@ def test_bench_reports_run_times(capsys, protocol):
     assert code == 0
     assert doc["wall_s"] > 0 and doc["cpu_s"] > 0
     assert all(isinstance(doc[k], float) for k in ("wall_s", "cpu_s"))
+
+
+def test_bench_reports_peak_memory(capsys, monkeypatch):
+    """The process's peak resident memory, left out where the resource
+    module is missing."""
+    code, doc = _run(capsys, ["bench", "op", "--nodes", "8"])
+    assert code == 0 and doc["peak_rss_mb"] > 0
+    monkeypatch.setattr(cli, "resource", None)
+    code, doc = _run(capsys, ["bench", "op", "--nodes", "8"])
+    assert code == 0 and "peak_rss_mb" not in doc
 
 
 def test_bench_osm(capsys):

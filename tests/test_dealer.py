@@ -116,6 +116,34 @@ def test_prf_permutation_orders_words_sharing_high_bits(monkeypatch, k):
     assert next(batches, None) is None
 
 
+@pytest.mark.parametrize("k, rows", [(1, 3), (2, 5), (8, 4), (4_932, 3),
+                                     (12_450, 2)])
+def test_prf_permutation_rows_are_successive_draws(k, rows):
+    key = bytes(range(16))
+    s = PrfStream(key, b"OPRM", 5)
+    want = [s.permutation(k) for _ in range(rows)]
+    got = PrfStream(key, b"OPRM", 5).permutation(k, rows=rows)
+    assert got.shape == (rows, k) and got.dtype == np.int64
+    assert got.flags.c_contiguous and np.array_equal(got, want)
+
+
+def test_prf_permutation_redraws_only_a_row_with_a_repeated_word(monkeypatch):
+    """The row with a repeated word is redrawn from the k words after the
+    whole draw; the other rows keep theirs."""
+    batches = iter([np.array([[4, 1, 7, 2], [5, 9, 5, 1], [8, 6, 3, 0]],
+                             np.uint64), np.array([7, 3, 8, 2], np.uint64)])
+    shapes = []
+
+    def u64(self, shape):
+        shapes.append(shape)
+        return next(batches)
+
+    monkeypatch.setattr(PrfStream, "u64", u64)
+    p = PrfStream(bytes(16), b"TEST", 0).permutation(4, rows=3)
+    assert p.tolist() == [[1, 3, 0, 2], [3, 1, 0, 2], [3, 2, 1, 0]]
+    assert shapes == [(3, 4), (4,)]
+
+
 def test_op_rand_correlation(dealer):
     v0, v1, offline = dealer.gen_op_rand(0, 8, 3)
     assert offline == 8 * 64 * 3

@@ -151,7 +151,8 @@ def test_step_map_keeps_rows_contiguous(rng):
 
 def test_gather_rows(rng):
     """One index row shared by every row, one index row per row, or a
-    vector: row c of the result is a[c][idx[c]], in C-contiguous rows."""
+    vector: row c of the result is a[c][idx[c]], in C-contiguous rows or
+    in place."""
     a = rng.integers(0, 100, (3, 6)).astype(np.uint64)
     shared = rng.permutation(6)
     per_row = np.stack([rng.permutation(6) for _ in range(3)])
@@ -161,6 +162,9 @@ def test_gather_rows(rng):
             out = gather_rows(src, idx)
             assert out.dtype == a.dtype and out.flags.c_contiguous
             assert np.array_equal(out, want)
+        inplace = a.copy()  # out=a gathers each row in place
+        assert gather_rows(inplace, idx, out=inplace) is inplace
+        assert np.array_equal(inplace, want)
     assert np.array_equal(gather_rows(a[1], shared), a[1][shared])
 
 

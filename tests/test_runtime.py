@@ -4,6 +4,7 @@ import platform
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import random_sparse
 from vsmm import runtime
-from vsmm.dealer import Dealer, MaskRef, TapeExhausted
+from vsmm.dealer import Dealer, Handoff, MaskRef, TapeExhausted
 from vsmm.decompose import decompose_full
 from vsmm.protocols import beaver_square
 from vsmm.ring import random_ring, reconstruct, share_secret
@@ -359,6 +360,26 @@ def test_frame_charges_each_part_to_its_section():
     assert framed.clocks == plain.clocks == [1, 1]
 
 
+def test_framing_leaves_the_sections_alike():
+    """Receives that add no round charge nothing, so a section of nothing
+    but such receives is absent whether they are served from a frame or
+    are messages of their own."""
+    def proto(ctx, framed):
+        with ctx.frame() if framed else contextlib.nullcontext():
+            with ctx.section("send"):
+                for _ in range(3):
+                    ctx.send_ring(np.zeros(1, np.uint64))
+        with ctx.section("read"):
+            ctx.recv_ring((1,))
+        with ctx.section("late"):  # the same round's later messages
+            ctx.recv_ring((1,))
+            ctx.recv_ring((1,))
+
+    *_, framed = run_two_party(proto, (True,), (True,))
+    *_, plain = run_two_party(proto, (False,), (False,))
+    assert framed.sections.keys() == plain.sections.keys() == {"send", "read"}
+
+
 def test_frame_parts_are_read_in_order():
     out0, out1, _ = run_two_party(_three_sections, (True,), (False,))
     assert out0[:3] == ([1, 2, 3], [1] * 5, [2, 0, 1])
@@ -612,6 +633,67 @@ def test_deal_once_with_frequent_thread_switches(monkeypatch):
                                   a.b * reconstruct(a.u, b.u))
 
 
+# the dealer's offline message to party 1 in each kind of tuple; gen_mask's
+# view is party 1's own, and in the rest all of party 1's view is its message
+_CORRECTIONS = {"gen_op_rand": {"piU"}, "gen_osm_rand": {"bu"},
+                "gen_privmul": {"au"}, "gen_bit_triples": {"products"},
+                "gen_dabits": {"R", "ru"}}
+_DABITS = [("dabits", ("gen_dabits", ((3, 2), False))),
+           ("dabits", ("gen_dabits", ((5,), True)))]
+
+
+def _assert_view(got, want, method, kept=None):
+    """got equals the dealer's view want; with `kept`, only those fields of
+    it, the rest None."""
+    if isinstance(want, np.ndarray):
+        assert np.array_equal(got, want), method
+        return
+    assert type(got) is type(want)
+    for name, value in vars(want).items():
+        if kept is not None and name not in kept:
+            assert getattr(got, name) is None, (method, name)
+        elif isinstance(value, np.ndarray):
+            assert np.array_equal(getattr(got, name), value), (method, name)
+        else:
+            assert getattr(got, name) == value, (method, name)
+
+
+def test_party0_deal_hands_party1_its_correction_alone():
+    """A tuple party 0 deals leaves in the hand-off only party 1's
+    correction, and nothing for gen_mask; party 1's draw expands the rest
+    from its own key into the view a fresh dealer deals."""
+    plan = [request for _, request in _PLAN + _DABITS]
+    dealer, fresh, handoff = Dealer.from_seed(3), Dealer.from_seed(3), Handoff()
+    for ctr, request in enumerate(plan):
+        handoff.draw(dealer, 0, ctr, request)
+    held = {ctr: entry[1] for ctr, entry in handoff._held.items()}
+    for ctr, request in enumerate(plan):
+        method, args = request
+        _, want, bits = getattr(fresh, method)(ctr, *args)
+        if method == "gen_mask":
+            assert held[ctr] is None
+        else:
+            _assert_view(held[ctr], want, method, _CORRECTIONS.get(method))
+        view, drawn_bits = handoff.draw(dealer, 1, ctr, request)
+        _assert_view(view, want, method)
+        assert drawn_bits == bits
+    assert not handoff._held
+
+
+def test_party1_deal_hands_party0_its_whole_view():
+    """A tuple party 1 deals first leaves party 0's whole view."""
+    plan = [request for _, request in _PLAN + _DABITS]
+    dealer, fresh, handoff = Dealer.from_seed(3), Dealer.from_seed(3), Handoff()
+    for ctr, request in enumerate(plan):
+        handoff.draw(dealer, 1, ctr, request)
+    for ctr, (method, args) in enumerate(plan):
+        want, _, bits = getattr(fresh, method)(ctr, *args)
+        _assert_view(handoff._held[ctr][1], want, method)
+        view, drawn_bits = handoff.draw(dealer, 0, ctr, (method, args))
+        _assert_view(view, want, method)
+        assert drawn_bits == bits
+
+
 @pytest.mark.parametrize("requests", [
     (("osm", (4,)), ("osm", (5,))),
     (("op", (4, 1)), ("osm", (4,))),
@@ -629,6 +711,30 @@ def test_mismatched_draws_raise(requests):
 
     with pytest.raises(TapeExhausted):
         run_two_party(proto)
+
+
+def test_smm_call_peak_memory():
+    """The hand-off holds only party 1's corrections, party 1 forms x - U
+    in U's buffer and both parties gather pi(U) in place: one smm call at
+    600 nodes, 5 edges per node and d = 16 peaks at about 3.6 MB of traced
+    allocations, 5.3 MB when the hand-off held party 1's whole views."""
+    rng = np.random.default_rng(0)
+    bundle = decompose_full(random_sparse(rng, 600, 600, 600 * 5))
+    dims = SmmDims(bundle.m, bundle.n, bundle.t)
+    x0, x1 = share_secret(random_ring(rng, (600, 16)),
+                          random_ring(rng, (600, 16)))
+
+    def proto(ctx, b, xin):
+        return smm(ctx, b, dims, xin)
+
+    run_two_party(proto, (bundle, x0), (None, x1))  # fills lazy caches
+    tracemalloc.start()
+    try:
+        run_two_party(proto, (bundle, x0), (None, x1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * 2**20, peak
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
